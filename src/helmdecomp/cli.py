@@ -1,26 +1,29 @@
 """Batch front-end: config parsing, presets, subcommands, JSON reports.
 
-Exit codes: 0 ok, 2 smallness/contraction gate failed, 3 identity or
-residual tolerance breached, 4 invalid input.
+Exit codes: 0 ok, 2 smallness/contraction gate failed or the series hit
+kmax, 3 identity or residual tolerance breached, 4 invalid input (config,
+missing file, non-decaying field, target or ladder the lattice cannot
+resolve).
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import utils
-from .errors import ConfigError, HelmdecompError, NotContractive
-from .geometry import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
+from .errors import (ConfigError, HelmdecompError, MaxIterations, NonDecayingInput,
+                     NotContractive, TooCloseToSurface)
+from .geometry import BoundaryFunction, PerturbedHalfSpace
 from .layers import (SurfaceQuadrature, gauss_flux, grad_single_layer, trace_S,
                      trace_limit_Q)
 from .neumann import check_smallness, estimate_contraction, smallness_constants
 from .pipeline import (PipelineConfig, TraceReport, decompose, read_field,
                        verify, write_field)
-from .sobolev import BoundaryDensity, hs_norm_fourier, vbmol2_norm
+from .sobolev import BoundaryDensity, vbmol2_norm
 
 
 @dataclass
@@ -95,10 +98,6 @@ class RunConfig:
             raise ConfigError("lattice extent must cover 4x the bump support")
         return hs
 
-    def build_grid(self):
-        return BoxGrid(tuple(self.box["lower"]), tuple(self.box["upper"]),
-                       tuple(self.box["resolution"]))
-
     def quadrature(self, hs):
         return SurfaceQuadrature(hs, self.lattice["extent"], self.lattice["resolution"])
 
@@ -106,8 +105,7 @@ class RunConfig:
         return PipelineConfig(rho=self.rho, quad_extent=self.lattice["extent"],
                               quad_res=self.lattice["resolution"], mu=self.mu,
                               nu=self.nu, tol=self.tol, kmax=self.kmax,
-                              cstar_n=self.cstar_n, seed=self.seed,
-                              samples=self.samples)
+                              seed=self.seed, samples=self.samples)
 
 
 def _emit(payload, out_dir, name):
@@ -267,12 +265,12 @@ def main(argv=None):
         if args.command == "decompose":
             return cmd_decompose(cfg, args.field, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError, NonDecayingInput, TooCloseToSurface) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except MaxIterations as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 4
+        return 2
     except HelmdecompError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3

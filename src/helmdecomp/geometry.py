@@ -395,11 +395,6 @@ class PerturbedHalfSpace:
         pi = self.project_to_boundary(x, check_reach=False)
         return -self.outward_normal(pi)
 
-    def mirror(self, x):
-        """Reflection of x through its boundary projection: 2 pi(x) - x."""
-        x = np.asarray(x, dtype=float)
-        return 2.0 * self.project_to_boundary(x, check_reach=False) - x
-
     # -- normal coordinates --------------------------------------------------
     def normal_coords_forward(self, z0, eta):
         """Chart (eta', eta_n) |-> (z0' + eta', h) + eta_n grad d at that base point."""

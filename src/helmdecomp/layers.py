@@ -1,11 +1,20 @@
 """Surface quadrature for layer potentials on the boundary graph.
 
 All operators share one scheme: a tensor-product midpoint rule on a uniform
-y'-lattice carrying the surface measure omega(y') dy', a local 4x4 subcell
-refinement for cells within three spacings of the target's projection, and
-an exact flat-tail closure.  The closure exploits that the boundary is an
-exact plane outside the bump support: for a density with far-field constant
-g_inf the integral is written as
+y'-lattice carrying the surface measure omega(y') dy', a local subcell
+refinement near the target, and an exact flat-tail closure.
+
+Refinement rules:
+  * pointwise operators refine only targets within two spacings of the
+    wall; for those, every cell within four spacings of the target's
+    projection is split into 8x8 subcells;
+  * the dense S matrix splits the cells within three spacings of each
+    bump-neighbourhood target into 4x4 subcells;
+  * ``apply_S`` on lattices above 96^2 nodes does no refinement.
+
+The closure exploits that the boundary is an exact plane outside the bump
+support: for a density with far-field constant g_inf the integral is
+written as
 
     integral_Gamma k (g - g_inf)  +  g_inf * [ A_flat + sum_bump (k - k_flat) ]
 
@@ -25,8 +34,14 @@ from .errors import NonDecayingInput, SingularPoint, TooCloseToSurface
 from .kernels import KernelContext
 from .sobolev import BoundaryDensity, hs_norm_fourier, lp_norm, th_pull
 
+# dense S matrix: cells within _REFINE_CELLS spacings, _REFINE_SUB^2 subcells
 _REFINE_CELLS = 3
 _REFINE_SUB = 4
+# pointwise operators: targets within _POINT_GAP spacings of the wall refine
+# the cells within _POINT_CELLS spacings into _POINT_SUB^2 subcells
+_POINT_GAP = 2.0
+_POINT_CELLS = 4
+_POINT_SUB = 8
 
 
 class SurfaceQuadrature:
@@ -34,11 +49,11 @@ class SurfaceQuadrature:
 
     The lattice is the same [-L/2, L/2)^2 grid used by BoundaryDensity, so
     densities and quadratures with equal (extent, res) are interchangeable.
-    ``flat_tail`` enables the exact constant-density closure; it requires
-    the lattice to contain the bump support with a safety margin.
+    The exact constant-density closure requires the lattice to contain the
+    bump support with a safety margin.
     """
 
-    def __init__(self, hs, extent, res, flat_tail=True):
+    def __init__(self, hs, extent, res):
         self.hs = hs
         self.ctx = KernelContext(hs.n)
         self.extent = float(extent)
@@ -54,9 +69,8 @@ class SurfaceQuadrature:
         self.nodes = np.concatenate([self.yp, self.h[:, None]], axis=1)
         self.weights = self.omega * self.dx**2
         Rh = b.support_radius
-        if flat_tail and self.extent / 2.0 <= Rh + 2 * self.dx:
+        if self.extent / 2.0 <= Rh + 2 * self.dx:
             raise ValueError("flat-tail closure needs extent/2 > support radius")
-        self.flat_tail = bool(flat_tail)
         self.bump_sel = np.linalg.norm(self.yp, axis=-1) <= Rh + 1e-12
         self.delta_min = 1.5 * self.dx
         self._s_matrix = None
@@ -71,29 +85,30 @@ class SurfaceQuadrature:
         v = g.values
         return float(np.mean(np.concatenate([v[0, :], v[-1, :], v[:, 0], v[:, -1]])))
 
-    def far_constant(self, g):
-        return self.ring_mean(g) if self.flat_tail else 0.0
-
     def density(self, values, on_graph=True):
         return BoundaryDensity(self.extent, np.asarray(values, float).reshape(self.res, self.res),
                                on_graph=on_graph)
 
-    def surface_area(self, delta, sub=8):
-        """Sum of weights over |y'| < delta, splitting straddling cells."""
+    def surface_area(self, delta):
+        """Sum of weights over |y'| < delta, splitting straddling cells 8x8."""
         r = np.linalg.norm(self.yp, axis=-1)
         margin = self.dx * np.sqrt(0.5)
         inside = r < delta - margin
         total = float(self.weights[inside].sum())
         edge = (~inside) & (r < delta + margin)
         if np.any(edge):
-            off = ((np.arange(sub) + 0.5) / sub - 0.5) * self.dx
-            ox, oy = np.meshgrid(off, off, indexing="ij")
-            shift = np.stack([ox.ravel(), oy.ravel()], axis=-1)
-            pts = (self.yp[edge][:, None, :] + shift[None]).reshape(-1, 2)
+            pts = self.subcell_points(self.yp[edge], 8)
             om = np.sqrt(1.0 + np.sum(self.hs.boundary.gradient(pts) ** 2, axis=-1))
             om *= np.linalg.norm(pts, axis=-1) < delta
             total += float(om.reshape(edge.sum(), -1).mean(axis=1).sum()) * self.dx**2
         return total
+
+    def subcell_points(self, yp, sub):
+        """Centres of the sub x sub subcells of the cells at yp, grouped by cell."""
+        off = ((np.arange(sub) + 0.5) / sub - 0.5) * self.dx
+        ox, oy = np.meshgrid(off, off, indexing="ij")
+        shift = np.stack([ox.ravel(), oy.ravel()], axis=-1)
+        return (yp[:, None, :] + shift[None, :, :]).reshape(-1, 2)
 
     # -- kernels --------------------------------------------------------------
     # each returns values *including* the omega measure factor, or the flat
@@ -102,17 +117,16 @@ class SurfaceQuadrature:
         ctx = self.ctx
         b = self.hs.boundary
         dxp = x[:2] - yp
+        # omega in the kernel denominator cancels the measure: no factor here
         if flat:
             h = 0.0
             sigma = np.full(len(yp), x[2])
-            om_weight = 1.0
         else:
             h = b.height(yp)
             gh = b.gradient(yp)
             sigma = -np.sum(gh * dxp, axis=-1) + (x[2] - h)
-            om_weight = 1.0  # omega in the kernel denominator cancels the measure
         rho2 = np.sum(dxp * dxp, axis=-1) + (x[2] - h) ** 2
-        return -ctx.grad_const * sigma / rho2 ** (ctx.n / 2.0) * om_weight
+        return -ctx.grad_const * sigma / rho2 ** (ctx.n / 2.0)
 
     def _kern_E(self, x, yp, flat=False):
         h = 0.0 if flat else self.hs.boundary.height(yp)
@@ -146,20 +160,27 @@ class SurfaceQuadrature:
         d2 = np.sum((pts - x[:2]) ** 2, axis=-1) + (x[2] - h) ** 2
         return d2 > (self.dx / 64.0) ** 2
 
-    def _refined_sum(self, kern, x, gvals, refine=True, sel=None, flat=False,
-                     cells=_REFINE_CELLS, sub=_REFINE_SUB):
+    def _kern_kept(self, kern, x, pts, flat):
+        """kern at pts, with 0 at the points the hit guard drops."""
+        keep = self._hit_guard(x, pts, flat)
+        vals = kern(x, pts[keep], flat=flat)
+        out = np.zeros((len(pts),) + vals.shape[1:])
+        out[keep] = vals
+        return out
+
+    def _refined_sum(self, kern, x, gvals, refine=True, sel=None, flat=False):
         """Midpoint sum of kern * g with subcell refinement near x'.
 
-        Quadrature points within dx/64 of the target are dropped (principal
-        value for on-surface targets; a no-op off the surface).  Targets
-        within two spacings of the surface refine harder automatically.
+        kern returns one value per point, or a row per point (vector
+        kernels).  Quadrature points within dx/64 of the target are dropped
+        (principal value for on-surface targets; a no-op off the surface).
         """
         yp = self.yp if sel is None else self.yp[sel]
         gv = gvals if sel is None else gvals[sel]
-        keep = self._hit_guard(x, yp, flat)
-        base = np.zeros(len(yp))
-        base[keep] = kern(x, yp[keep], flat=flat)
-        total = float(np.sum(base * gv)) * self.dx**2
+        base = self._kern_kept(kern, x, yp, flat)
+        tail = base.shape[1:]
+        gcol = gv.reshape(gv.shape + (1,) * len(tail))
+        total = np.sum(base * gcol, axis=0) * self.dx**2
         if not refine:
             return total
         # the plain lattice sum is spectrally accurate for smooth
@@ -167,26 +188,50 @@ class SurfaceQuadrature:
         # corrections only pays off once the target sits within a couple of
         # spacings of the surface, where the kernel is rough at cell scale
         zgap = abs(x[2] - float(self.hs.boundary.height(x[:2])))
-        if zgap > 2.0 * self.dx:
+        if zgap > _POINT_GAP * self.dx:
             return total
-        cells = max(cells, 4)
-        sub = max(sub, 8)
-        near = np.max(np.abs(yp - x[:2]), axis=-1) <= cells * self.dx + 1e-12
+        near = np.max(np.abs(yp - x[:2]), axis=-1) <= _POINT_CELLS * self.dx + 1e-12
         if not np.any(near):
             return total
         ny = yp[near]
-        ng = gv[near]
-        total -= float(np.sum(base[near] * ng)) * self.dx**2
-        off = ((np.arange(sub) + 0.5) / sub - 0.5) * self.dx
-        ox, oy = np.meshgrid(off, off, indexing="ij")
-        shift = np.stack([ox.ravel(), oy.ravel()], axis=-1)
-        pts = (ny[:, None, :] + shift[None, :, :]).reshape(-1, 2)
-        keep = self._hit_guard(x, pts, flat)
-        vals = np.zeros(len(pts))
-        if np.any(keep):
-            vals[keep] = kern(x, pts[keep], flat=flat)
-        vals = vals.reshape(len(ny), -1).mean(axis=1)
-        total += float(np.sum(vals * ng)) * self.dx**2
+        ng = gcol[near]
+        total -= np.sum(base[near] * ng, axis=0) * self.dx**2
+        pts = self.subcell_points(ny, _POINT_SUB)
+        vals = self._kern_kept(kern, x, pts, flat)
+        vals = vals.reshape((len(ny), -1) + tail).mean(axis=1)
+        total += np.sum(vals * ng, axis=0) * self.dx**2
+        return total
+
+    def _bump_correction(self, kern, x, refine=True):
+        """Sum of kern - kern_flat over the bump support (0 for a flat wall).
+
+        Outside the support the boundary is the plane, so this is the whole
+        difference between the boundary and the plane integral of kern.
+        """
+        ones = np.ones(len(self.yp))
+        curved = self._refined_sum(kern, x, ones, refine=refine, sel=self.bump_sel)
+        flatref = self._refined_sum(kern, x, ones, refine=refine, sel=self.bump_sel, flat=True)
+        return curved - flatref
+
+    def _closed_sum(self, g, x, direction=None, refine=True):
+        """int grad E(x - y) g(y) dH(y), dotted with direction when given.
+
+        The far-field constant g_inf (the lattice ring mean) is closed
+        exactly: the plane integral of grad E is (0, 0, -sign(x_n)/2), with
+        principal value 0 on the plane itself, plus the bump correction.
+        """
+        kern = self._kern_gradE if direction is None else self._kern_dir_gradE(direction)
+        gvals = self.match(g)
+        ginf = self.ring_mean(g)
+        # a ring mean at roundoff level is a decaying density: skip the closure
+        if abs(ginf) <= 1e-13 * max(np.abs(gvals).max(), 1e-300):
+            ginf = 0.0
+        total = self._refined_sum(kern, x, gvals - ginf, refine=refine)
+        if ginf != 0.0:
+            plane = np.array([0.0, 0.0, 0.0 if abs(x[2]) <= 1e-14 else -0.5 * np.sign(x[2])])
+            if direction is not None:
+                plane = plane @ direction
+            total = total + ginf * (plane + self._bump_correction(kern, x, refine))
         return total
 
 
@@ -207,38 +252,7 @@ def single_layer(q, g, x):
     return q._refined_sum(q._kern_E, x, gvals)
 
 
-def _refined_sum_vec(q, x, gvals, refine=True, flat=False):
-    """Vector-valued analogue of _refined_sum for the grad E kernel."""
-    keep = q._hit_guard(x, q.yp, flat)
-    base = np.zeros((len(q.yp), 3))
-    base[keep] = q._kern_gradE(x, q.yp[keep], flat=flat)
-    total = (base * gvals[:, None]).sum(axis=0) * q.dx**2
-    if not refine:
-        return total
-    zgap = abs(x[2] - float(q.hs.boundary.height(x[:2])))
-    if zgap > 2.0 * q.dx:
-        return total
-    cells, sub = 4, 8
-    near = np.max(np.abs(q.yp - x[:2]), axis=-1) <= cells * q.dx + 1e-12
-    if not np.any(near):
-        return total
-    ny = q.yp[near]
-    ng = gvals[near]
-    total -= (base[near] * ng[:, None]).sum(axis=0) * q.dx**2
-    off = ((np.arange(sub) + 0.5) / sub - 0.5) * q.dx
-    ox, oy = np.meshgrid(off, off, indexing="ij")
-    shift = np.stack([ox.ravel(), oy.ravel()], axis=-1)
-    pts = (ny[:, None, :] + shift[None, :, :]).reshape(-1, 2)
-    keep = q._hit_guard(x, pts, flat)
-    vals = np.zeros((len(pts), 3))
-    if np.any(keep):
-        vals[keep] = q._kern_gradE(x, pts[keep], flat=flat)
-    vals = vals.reshape(len(ny), -1, 3).mean(axis=1)
-    total += (vals * ng[:, None]).sum(axis=0) * q.dx**2
-    return total
-
-
-def grad_single_layer(q, g, x, refine=True):
+def grad_single_layer(q, g, x):
     """Gradient of the single layer potential at x with d(x) > 1.5 spacings.
 
     Constant far fields are closed analytically: the plane integral of
@@ -248,18 +262,7 @@ def grad_single_layer(q, g, x, refine=True):
     d = q.hs.signed_distance(x)
     if abs(d) < q.delta_min:
         raise TooCloseToSurface("use the trace-extrapolation path below delta_min")
-    gvals = q.match(g)
-    ginf = q.far_constant(g)
-    if abs(ginf) <= 1e-13 * max(np.abs(gvals).max(), 1e-300):
-        ginf = 0.0
-    total = _refined_sum_vec(q, x, gvals - ginf, refine=refine)
-    if ginf != 0.0:
-        flat_vec = np.array([0.0, 0.0, -0.5 * np.sign(x[2]) if x[2] != 0 else 0.0])
-        ones = np.ones(len(q.yp)) * q.bump_sel
-        curved = _refined_sum_vec(q, x, ones, refine=refine)
-        flatref = _refined_sum_vec(q, x, ones, refine=refine, flat=True)
-        total = total + ginf * (flat_vec + curved - flatref)
-    return total
+    return q._closed_sum(g, x)
 
 
 def double_layer_Q(q, hs, g, x, refine=True):
@@ -275,22 +278,10 @@ def double_layer_Q(q, hs, g, x, refine=True):
         raise TooCloseToSurface("double layer needs 0 < d(x) < reach")
     if d < q.delta_min:
         raise TooCloseToSurface("target below delta_min; extrapolate instead")
-    gd = hs.grad_distance(x)
-    gvals = q.match(g)
-    ginf = q.far_constant(g)
-    kern = q._kern_dir_gradE(-gd)
-    main = q._refined_sum(kern, x, gvals - ginf, refine=refine)
-    if ginf != 0.0:
-        # plane integral of grad E is (0,0,-1/2) for x_n>0: A = gd_z/2
-        flat_value = 0.5 * gd[2] * np.sign(x[2]) if x[2] != 0 else 0.0
-        ones = np.ones(len(q.yp))
-        curved = q._refined_sum(kern, x, ones, refine=refine, sel=q.bump_sel)
-        flatref = q._refined_sum(kern, x, ones, refine=refine, sel=q.bump_sel, flat=True)
-        main += ginf * (flat_value + curved - flatref)
-    return main
+    return q._closed_sum(g, x, direction=-hs.grad_distance(x), refine=refine)
 
 
-def gauss_flux(q, hs, x, refine=True):
+def gauss_flux(q, hs, x):
     """Boundary flux int dE/dn_y (x-y) dH(y); equals -1/2 at interior points.
 
     Computed as -1/2 plus the bump-support correction of the kernel against
@@ -302,13 +293,10 @@ def gauss_flux(q, hs, x, refine=True):
         raise TooCloseToSurface("flux identity holds at interior points")
     if d < q.delta_min:
         raise TooCloseToSurface("target below delta_min")
-    ones = np.ones(len(q.yp))
-    curved = q._refined_sum(q._kern_dEdny, x, ones, refine=refine, sel=q.bump_sel)
-    flatref = q._refined_sum(q._kern_dEdny, x, ones, refine=refine, sel=q.bump_sel, flat=True)
-    return -0.5 + curved - flatref
+    return -0.5 + q._bump_correction(q._kern_dEdny, x)
 
 
-def abs_flux(q, hs, x, refine=True):
+def abs_flux(q, hs, x):
     """Absolute-kernel flux int |dE/dn_y (x-y)| dH(y) for x in the tube."""
     x = np.asarray(x, dtype=float)
     d = hs.signed_distance(x)
@@ -318,10 +306,7 @@ def abs_flux(q, hs, x, refine=True):
     def kern_abs(xx, yp, flat=False):
         return np.abs(q._kern_dEdny(xx, yp, flat=flat))
 
-    ones = np.ones(len(q.yp))
-    curved = q._refined_sum(kern_abs, x, ones, refine=refine, sel=q.bump_sel)
-    flatref = q._refined_sum(kern_abs, x, ones, refine=refine, sel=q.bump_sel, flat=True)
-    return 0.5 + curved - flatref
+    return 0.5 + q._bump_correction(kern_abs, x)
 
 
 def poisson_smoothing_deficit(q, g, x0p, t):
@@ -335,7 +320,7 @@ def poisson_smoothing_deficit(q, g, x0p, t):
     from .kernels import poisson_kernel
 
     gvals = q.match(g)
-    ginf = q.far_constant(g)
+    ginf = q.ring_mean(g)
 
     def kern(x, yp, flat=False):
         return 0.5 * poisson_kernel(q.ctx, t, x[:2] - yp)
@@ -344,15 +329,7 @@ def poisson_smoothing_deficit(q, g, x0p, t):
     main = q._refined_sum(kern, x, gvals - ginf)
     # unit kernel mass closes the constant part exactly
     main += 0.5 * ginf
-    tx = np.clip((x0p[0] + q.extent / 2.0) / q.dx, 0, q.res - 1.000001)
-    ty = np.clip((x0p[1] + q.extent / 2.0) / q.dx, 0, q.res - 1.000001)
-    i, j = int(tx), int(ty)
-    fx, fy = tx - i, ty - j
-    g_at = (g.values[i, j] * (1 - fx) * (1 - fy)
-            + g.values[i + 1, j] * fx * (1 - fy)
-            + g.values[i, j + 1] * (1 - fx) * fy
-            + g.values[i + 1, j + 1] * fx * fy)
-    return main - 0.5 * float(g_at)
+    return main - 0.5 * float(g.bilinear(x0p[0], x0p[1]))
 
 
 def trace_limit_Q(q, hs, g, x0, delta0=None, ladder=(8.0, 4.0, 2.0, 1.0)):
@@ -400,20 +377,8 @@ def trace_S(q, hs, g, x0, refine=True):
     if abs(x0[2] - hs.boundary.height(x0[:2])) > 1e-9:
         raise ValueError("trace target must lie on the boundary graph")
     gd = -hs.outward_normal(x0)  # grad d at the boundary point itself
-    kern = q._kern_dir_gradE(gd)  # S = +grad d . grad E convolved with g
-    gvals = q.match(g)
-    ginf = q.far_constant(g)
-    main = q._refined_sum(kern, x0, gvals - ginf, refine=refine)
-    if ginf != 0.0:
-        if abs(x0[2]) > 1e-14:
-            flat_value = -0.5 * np.sign(x0[2]) * gd[2]
-        else:
-            flat_value = 0.0  # principal value of the plane integral
-        ones = np.ones(len(q.yp))
-        curved = q._refined_sum(kern, x0, ones, refine=refine, sel=q.bump_sel)
-        flatref = q._refined_sum(kern, x0, ones, refine=refine, sel=q.bump_sel, flat=True)
-        main += ginf * (flat_value + curved - flatref)
-    return main
+    # S = +grad d . grad E convolved with g
+    return q._closed_sum(g, x0, direction=gd, refine=refine)
 
 
 def _assemble_s_matrix(q, hs):
@@ -438,16 +403,12 @@ def _assemble_s_matrix(q, hs):
     Rh = hs.boundary.support_radius
     pad = Rh + (_REFINE_CELLS + 1) * q.dx
     active = np.flatnonzero(np.linalg.norm(q.yp, axis=-1) <= pad)
-    sub = _REFINE_SUB
-    off = ((np.arange(sub) + 0.5) / sub - 0.5) * q.dx
-    ox, oy = np.meshgrid(off, off, indexing="ij")
-    shift = np.stack([ox.ravel(), oy.ravel()], axis=-1)
     for i in active:
         x0 = q.nodes[i]
         near = np.flatnonzero(np.max(np.abs(q.yp - x0[:2]), axis=-1)
                               <= _REFINE_CELLS * q.dx + 1e-12)
         near = near[near != i]
-        pts = (q.yp[near][:, None, :] + shift[None]).reshape(-1, 2)
+        pts = q.subcell_points(q.yp[near], _REFINE_SUB)
         h = hs.boundary.height(pts)
         ghp = hs.boundary.gradient(pts)
         om = np.sqrt(1.0 + np.sum(ghp**2, axis=-1))

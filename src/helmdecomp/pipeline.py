@@ -30,8 +30,8 @@ import numpy as np
 from .errors import (ExtrapolationUnstable, NonDecayingInput, NotContractive,
                      ZeroFrequencyIll)
 from .geometry import BoxField, BoxGrid, extend_field, interp_masked
-from .layers import SurfaceQuadrature, grad_single_layer
-from .neumann import estimate_contraction, neumann_grad, smallness_constants, solve_density
+from .layers import SurfaceQuadrature
+from .neumann import estimate_contraction, smallness_constants, solve_density
 from .sobolev import BoundaryDensity, NormLedger, hs_norm_fourier, th_pull, vbmol2_norm
 
 _RING_TOL = 1e-6
@@ -48,7 +48,6 @@ class PipelineConfig:
     nu: float = 0.05
     tol: float = 1e-8
     kmax: int = 64
-    cstar_n: float = 1.0
     seed: int = 0
     samples: int = 200
 
@@ -114,30 +113,6 @@ def _check_box_decay(v):
         raise NonDecayingInput("field does not decay at the box boundary")
 
 
-def _spectral_axes(grid, factor=2):
-    res = [factor * r for r in grid.resolution]
-    return [2.0 * np.pi * np.fft.fftfreq(res[i], d=grid.dx[i]) for i in range(3)], res
-
-
-def newton_potential_grad(grid, source):
-    """grad q with Delta q = source, by the padded free-space spectral solve."""
-    xi, res = _spectral_axes(grid)
-    pad = np.zeros(res)
-    n = grid.resolution
-    pad[: n[0], : n[1], : n[2]] = source
-    shat = np.fft.fftn(pad)
-    X1, X2, X3 = np.meshgrid(*xi, indexing="ij", sparse=True)
-    k2 = X1**2 + X2**2 + X3**2
-    k2[0, 0, 0] = 1.0
-    qhat = -shat / k2
-    qhat[0, 0, 0] = 0.0
-    out = np.empty((3,) + tuple(n))
-    for c, Xc in enumerate((X1, X2, X3)):
-        g = np.fft.ifftn(1j * Xc * qhat).real
-        out[c] = g[: n[0], : n[1], : n[2]]
-    return out
-
-
 def volume_potential_grad(hs, v, rho):
     """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension.
 
@@ -158,7 +133,8 @@ def volume_potential_grad(hs, v, rho):
     near = BoxField(grid, v.data * theta[None], v.inside_mask)
     vbar = extend_field(hs, near, rho)
     total = vbar.data + v.data * ((1.0 - theta) * v.inside_mask)[None]
-    xi, res = _spectral_axes(grid)
+    res = [2 * r for r in grid.resolution]
+    xi = [2.0 * np.pi * np.fft.fftfreq(res[i], d=grid.dx[i]) for i in range(3)]
     n = grid.resolution
     X = np.meshgrid(*xi, indexing="ij", sparse=True)
     div = np.zeros(res, dtype=complex)
@@ -177,7 +153,22 @@ def volume_potential_grad(hs, v, rho):
     return BoxField(grid, out, v.inside_mask.copy())
 
 
-def normal_trace(hs, w, shells=(3.0, 6.0), rtol=0.05):
+def _shell_normals(hs, w, yp):
+    """Two-shell Richardson estimate of the boundary trace of w . n.
+
+    Samples w . n along the inward normals from the graph over yp at 3 and
+    6 box spacings and extrapolates linearly to the wall.  Returns (trace
+    estimate, difference of the two shell values).
+    """
+    base = hs.boundary.surface_point(yp)
+    nrm = hs.outward_normal(base)
+    dz = max(w.grid.dx)
+    f1 = np.einsum("cp,pc->p", interp_masked(w, base - 3.0 * dz * nrm), nrm)
+    f2 = np.einsum("cp,pc->p", interp_masked(w, base - 6.0 * dz * nrm), nrm)
+    return 2.0 * f1 - f2, f1 - f2
+
+
+def normal_trace(hs, w, rtol=0.05):
     """Boundary trace of w . n by two-shell Richardson along inward normals.
 
     Returns (g on the box x'-lattice flagged on-graph, sup |g|, pullback
@@ -188,24 +179,15 @@ def normal_trace(hs, w, shells=(3.0, 6.0), rtol=0.05):
     if grid.resolution[0] != grid.resolution[1] or \
        abs((grid.upper[0] - grid.lower[0]) - (grid.upper[1] - grid.lower[1])) > 1e-12:
         raise ValueError("normal_trace expects square x'-cross-sections")
-    dz = max(grid.dx)
     a0 = grid.axis(0)
     a1 = grid.axis(1)
     gx, gy = np.meshgrid(a0, a1, indexing="ij")
     yp = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    base = hs.boundary.surface_point(yp)
-    nrm = hs.outward_normal(base)
-    f = []
-    for s in shells:
-        pts = base - s * dz * nrm
-        vals = interp_masked(w, pts)
-        f.append(np.einsum("cp,pc->p", vals, nrm))
+    vals, diff = _shell_normals(hs, w, yp)
     scale = float(np.abs(w.data[:, w.inside_mask]).max()) if w.inside_mask.any() else 0.0
-    gap = float(np.abs(f[0] - f[1]).max())
+    gap = float(np.abs(diff).max())
     if scale > 0 and gap > 10.0 * rtol * scale:
         raise ExtrapolationUnstable(f"trace shells disagree by {gap:.3e}")
-    r = shells[1] / shells[0]
-    vals = (r * f[0] - f[1]) / (r - 1.0)
     extent = grid.upper[0] - grid.lower[0]
     g = BoundaryDensity(extent, vals.reshape(len(a0), len(a1)), on_graph=True)
     linf = float(np.abs(vals).max())
@@ -224,16 +206,7 @@ def resample_density(g, extent, res):
     gx, gy = np.meshgrid(a, a, indexing="ij")
     src_ax = g.axis()
     lo, hi = src_ax[0], src_ax[-1]
-    tx = np.clip((gx - lo) / g.dx, 0.0, g.res - 1.0)
-    ty = np.clip((gy - lo) / g.dx, 0.0, g.res - 1.0)
-    i0 = np.clip(tx.astype(int), 0, g.res - 2)
-    j0 = np.clip(ty.astype(int), 0, g.res - 2)
-    fx = tx - i0
-    fy = ty - j0
-    v = (g.values[i0, j0] * (1 - fx) * (1 - fy)
-         + g.values[i0 + 1, j0] * fx * (1 - fy)
-         + g.values[i0, j0 + 1] * (1 - fx) * fy
-         + g.values[i0 + 1, j0 + 1] * fx * fy)
+    v = g.bilinear(gx, gy)
     outside = (gx < lo) | (gx > hi) | (gy < lo) | (gy > hi)
     v[outside] = 0.0
     return BoundaryDensity(extent, v, on_graph=g.on_graph)
@@ -300,17 +273,15 @@ def divergence_stencil(field, order=4):
         arr = field.data[c]
         d = g.dx[c]
         sl = [slice(m, -m)] * 3
+
+        def shift(k):
+            s = list(sl)
+            s[c] = slice(m + k, arr.shape[c] - m + k)
+            return arr[tuple(s)]
+
         if order == 4:
-            def shift(k):
-                s = list(sl)
-                s[c] = slice(m + k, arr.shape[c] - m + k)
-                return arr[tuple(s)]
             der = (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * d)
         else:
-            def shift(k):
-                s = list(sl)
-                s[c] = slice(m + k, arr.shape[c] - m + k)
-                return arr[tuple(s)]
             der = (shift(1) - shift(-1)) / (2.0 * d)
         div[tuple(sl)] += der
     return div, m
@@ -347,12 +318,7 @@ def _residual_normal(v0, hs, v_scale, probes=100, seed=0):
     margin = 4.0 * max(g.dx)
     yp = np.stack([rng.uniform(g.lower[0] + margin, g.upper[0] - margin, probes),
                    rng.uniform(g.lower[1] + margin, g.upper[1] - margin, probes)], axis=-1)
-    base = hs.boundary.surface_point(yp)
-    nrm = hs.outward_normal(base)
-    dz = max(g.dx)
-    f1 = np.einsum("cp,pc->p", interp_masked(v0, base - 3.0 * dz * nrm), nrm)
-    f2 = np.einsum("cp,pc->p", interp_masked(v0, base - 6.0 * dz * nrm), nrm)
-    vals = 2.0 * f1 - f2
+    vals, _ = _shell_normals(hs, v0, yp)
     return float(np.abs(vals).max() / (1.0 + v_scale))
 
 

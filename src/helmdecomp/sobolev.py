@@ -29,7 +29,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import NoAdmissibleBall, NonDecayingInput, ZeroFrequencyIll
-from .geometry import BoxField, BoxGrid
+from .geometry import BoxField, BoxGrid, interp_masked
 
 _RING_TOL = 1e-6
 
@@ -75,6 +75,21 @@ class BoundaryDensity:
         gx, gy = np.meshgrid(a, a, indexing="ij")
         vals = fn(np.stack([gx, gy], axis=-1))
         return cls(extent, vals, on_graph)
+
+    def bilinear(self, xs, ys):
+        """Bilinear lookup at plane points, clamped to the lattice."""
+        lo = self.axis()[0]
+        tx = np.clip((xs - lo) / self.dx, 0.0, self.res - 1.0)
+        ty = np.clip((ys - lo) / self.dx, 0.0, self.res - 1.0)
+        i0 = np.clip(tx.astype(int), 0, self.res - 2)
+        j0 = np.clip(ty.astype(int), 0, self.res - 2)
+        fx = tx - i0
+        fy = ty - j0
+        v = self.values
+        return (v[i0, j0] * (1 - fx) * (1 - fy)
+                + v[i0 + 1, j0] * fx * (1 - fy)
+                + v[i0, j0 + 1] * (1 - fx) * fy
+                + v[i0 + 1, j0 + 1] * fx * fy)
 
     def same_grid(self, other):
         return self.res == other.res and abs(self.extent - other.extent) < 1e-12
@@ -432,17 +447,10 @@ def normal_component_field(v, hs):
         sel = d < hs.rho0
         if np.any(sel):
             gd = -hs.outward_normal(pi[sel])
-            comp = np.einsum("pc,cp->p", gd, interp_values(v, xs[sel]))
+            comp = np.einsum("pc,cp->p", gd, interp_masked(v, xs[sel]))
             flat = np.flatnonzero(near.ravel())[sel]
             out.flat[flat] = comp
     return BoxField(g, out[None], v.inside_mask.copy())
-
-
-def interp_values(v, pts):
-    """Exact node lookup for points that are grid nodes, else trilinear."""
-    from .geometry import interp_masked
-
-    return interp_masked(v, pts)
 
 
 def vbmol2_norm(v, hs, mu, nu, samples=200, seed=0):

@@ -4,25 +4,15 @@ import os
 
 import numpy as np
 
-_THREADS = None
-
 
 def set_threads(k: int) -> None:
     """Cap the worker threads used by the jitted kernels."""
-    global _THREADS
-    _THREADS = max(1, int(k))
     try:
         import numba
 
-        numba.set_num_threads(min(_THREADS, numba.config.NUMBA_NUM_THREADS))
+        numba.set_num_threads(min(max(1, int(k)), numba.config.NUMBA_NUM_THREADS))
     except ImportError:  # pragma: no cover - numba is a declared dependency
         pass
-
-
-def get_threads() -> int:
-    if _THREADS is not None:
-        return _THREADS
-    return os.cpu_count() or 1
 
 
 def threads_from_env(default: int = 1) -> int:

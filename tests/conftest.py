@@ -5,6 +5,16 @@ from helmdecomp import BoundaryFunction, PerturbedHalfSpace
 from helmdecomp.layers import SurfaceQuadrature
 
 
+def pytest_configure(config):
+    # a filter naming a module that cannot be imported makes pytest warn
+    # once per test, so register it only where numba imports
+    try:
+        import numba.core.errors  # noqa: F401
+    except ImportError:
+        return
+    config.addinivalue_line("filterwarnings", "ignore::numba.core.errors.NumbaWarning")
+
+
 @pytest.fixture(scope="session")
 def flat_hs():
     return PerturbedHalfSpace(BoundaryFunction.zero())

@@ -177,3 +177,38 @@ class TestDecompose:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "decompose.json").read_text() == \
             (out2 / "decompose.json").read_text()
+
+
+class TestExitCodes:
+    """Program errors map to the documented codes: 2 gate, 4 bad input."""
+
+    def test_non_decaying_field_is_bad_input(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        hs = PerturbedHalfSpace(BoundaryFunction.zero())
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        f = BoxField.sample(grid, hs,
+                            lambda p: np.ones(p.shape[:-1] + (3,)), ncomp=3)
+        write_field(f, tmp_path / "const.json")
+        code = main(["--config", cfg, "decompose", str(tmp_path / "const.json")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 4
+        assert "decay" in err["error"]
+
+    def test_ladder_that_cannot_fit_is_bad_input(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, reach=0.1, rho=0.02)
+        code = main(["--config", cfg, "verify-identities"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 4
+        assert "ladder cannot fit" in err["error"]
+
+    def test_series_cap_is_gate_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, box={"lower": [-2.0, -2.0, -0.5],
+                                          "upper": [2.0, 2.0, 3.5],
+                                          "resolution": [64, 64, 64]})
+        hs = PerturbedHalfSpace(BoundaryFunction.zero())
+        TestDecompose._write_gradient_field(tmp_path, hs)
+        code = main(["--config", cfg, "--kmax", "1", "decompose",
+                     str(tmp_path / "v.json")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert "kmax=1" in err["error"]

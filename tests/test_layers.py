@@ -273,8 +273,7 @@ class TestTraceS:
         baseline_path = Path(__file__).parent / "data" / "trace_s_baseline.json"
         current = {"linf": linf, "lp": lp, "hminus": hminus}
         if not baseline_path.exists():
-            baseline_path.parent.mkdir(exist_ok=True)
-            baseline_path.write_text(json.dumps(current, indent=2))
+            pytest.fail(f"pinned baseline missing: {baseline_path}")
         baseline = json.loads(baseline_path.read_text())
         for key, val in current.items():
             assert abs(val - baseline[key]) < 1e-10 * max(1.0, abs(baseline[key]))
