@@ -182,9 +182,20 @@ def cmd_verify_identities(cfg, out_dir=None):
     return 0 if rep.ok else 3
 
 
+def _read_box_field(cfg, field_path, hs):
+    """The field at field_path, which must sit on the config box."""
+    v = read_field(field_path, hs=hs)
+    g = v.grid
+    for key, got in (("lower", g.lower), ("upper", g.upper), ("resolution", g.resolution)):
+        if not np.allclose(got, cfg.box[key], rtol=0.0, atol=1e-12):
+            raise ConfigError(f"field grid {key} {list(got)} differs from box.{key} "
+                              f"{list(cfg.box[key])}")
+    return v
+
+
 def cmd_norms(cfg, field_path, out_dir=None):
     hs = cfg.build_geometry()
-    v = read_field(field_path, hs=hs)
+    v = _read_box_field(cfg, field_path, hs)
     ledger = vbmol2_norm(v, hs, cfg.mu, cfg.nu, samples=cfg.samples, seed=cfg.seed)
     payload = ledger.to_dict()
     _emit(payload, out_dir, "norms.json")
@@ -193,13 +204,16 @@ def cmd_norms(cfg, field_path, out_dir=None):
 
 def cmd_decompose(cfg, field_path, out_dir=None):
     hs = cfg.build_geometry()
-    v = read_field(field_path, hs=hs)
+    v = _read_box_field(cfg, field_path, hs)
     try:
         result = decompose(hs, v, cfg.pipeline_config())
-    except NotContractive as exc:
+    except (NotContractive, MaxIterations) as exc:
         payload = {"error": str(exc)}
-        if exc.report is not None:
+        if isinstance(exc, NotContractive) and exc.report is not None:
             payload["smallness"] = exc.report.to_dict()
+        if isinstance(exc, MaxIterations) and exc.solution is not None:
+            payload["series_terms_used"] = exc.solution.series_terms_used
+            payload["residual"] = exc.solution.residual
         _emit(payload, out_dir, "decompose.json")
         return 2
     rep = verify(result, hs)
@@ -268,9 +282,6 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError, NonDecayingInput, TooCloseToSurface) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 4
-    except MaxIterations as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
     except HelmdecompError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3

@@ -8,9 +8,11 @@ Refinement rules:
   * pointwise operators refine only targets within two spacings of the
     wall; for those, every cell within four spacings of the target's
     projection is split into 8x8 subcells;
-  * the dense S matrix splits the cells within three spacings of each
-    bump-neighbourhood target into 4x4 subcells;
-  * ``apply_S`` on lattices above 96^2 nodes does no refinement.
+  * the lattice S matrix splits the cells within three spacings of each
+    bump-neighbourhood target into 4x4 subcells, at every lattice size.
+    It stores only the rows of the bump-neighbourhood nodes B and the
+    columns B of the other rows (the flat-flat block is exactly 0):
+    8 |B| (2m - |B|) bytes for m lattice nodes.
 
 The closure exploits that the boundary is an exact plane outside the bump
 support: for a density with far-field constant g_inf the integral is
@@ -34,7 +36,7 @@ from .errors import NonDecayingInput, SingularPoint, TooCloseToSurface
 from .kernels import KernelContext
 from .sobolev import BoundaryDensity, hs_norm_fourier, lp_norm, th_pull
 
-# dense S matrix: cells within _REFINE_CELLS spacings, _REFINE_SUB^2 subcells
+# lattice S matrix: cells within _REFINE_CELLS spacings, _REFINE_SUB^2 subcells
 _REFINE_CELLS = 3
 _REFINE_SUB = 4
 # pointwise operators: targets within _POINT_GAP spacings of the wall refine
@@ -73,7 +75,7 @@ class SurfaceQuadrature:
             raise ValueError("flat-tail closure needs extent/2 > support radius")
         self.bump_sel = np.linalg.norm(self.yp, axis=-1) <= Rh + 1e-12
         self.delta_min = 1.5 * self.dx
-        self._s_matrix = None
+        self._s_blocks = None
 
     # -- density plumbing ---------------------------------------------------
     def match(self, g):
@@ -381,29 +383,30 @@ def trace_S(q, hs, g, x0, refine=True):
     return q._closed_sum(g, x0, direction=gd, refine=refine)
 
 
-def _assemble_s_matrix(q, hs):
-    """Dense lattice discretization of S (targets x sources), cached."""
-    if q._s_matrix is not None:
-        return q._s_matrix
-    m = q.res * q.res
-    if hs.boundary.is_flat:
-        # flat-flat pairing vanishes pointwise; S == 0
-        q._s_matrix = np.zeros((m, m))
-        return q._s_matrix
+def _assemble_s_blocks(q, hs):
+    """Lattice discretization of S (targets x sources) in blocks, cached.
+
+    B holds the nodes within _REFINE_CELLS + 1 spacings of the bump support,
+    F the rest.  Both ends of an F-F pair lie on the plane, where
+    grad d . (x - y) = x_n - y_n = 0, and no F row is refined, so S[F, F]
+    vanishes exactly and only rows = S[B, :] and cols = S[F, B] are stored:
+    8 |B| (2m - |B|) bytes for m lattice nodes, against 8 m^2 for dense S.
+    Returns (B, F, rows, cols) as index arrays and matrices.
+    """
+    if q._s_blocks is not None:
+        return q._s_blocks
     from ._fast import dir_gradslp_rows
 
     ctx = q.ctx
-    x = q.nodes
-    gd = -hs.outward_normal(x)
-    A = dir_gradslp_rows(np.ascontiguousarray(x), np.ascontiguousarray(gd),
-                         np.ascontiguousarray(q.nodes),
-                         np.ascontiguousarray(q.weights), -ctx.grad_const)
-    np.fill_diagonal(A, 0.0)
-    # refinement of near-diagonal cells, skipping flat-flat pairs (kernel 0)
-    Rh = hs.boundary.support_radius
-    pad = Rh + (_REFINE_CELLS + 1) * q.dx
-    active = np.flatnonzero(np.linalg.norm(q.yp, axis=-1) <= pad)
-    for i in active:
+    pad = hs.boundary.support_radius + (_REFINE_CELLS + 1) * q.dx
+    near_bump = np.linalg.norm(q.yp, axis=-1) <= pad
+    B = np.flatnonzero(near_bump)
+    F = np.flatnonzero(~near_bump)
+    gd = -hs.outward_normal(q.nodes)
+    rows = dir_gradslp_rows(q.nodes[B], gd[B], q.nodes, q.weights, -ctx.grad_const)
+    cols = dir_gradslp_rows(q.nodes[F], gd[F], q.nodes[B], q.weights[B], -ctx.grad_const)
+    # refinement of near-diagonal cells in the B rows
+    for k, i in enumerate(B):
         x0 = q.nodes[i]
         near = np.flatnonzero(np.max(np.abs(q.yp - x0[:2]), axis=-1)
                               <= _REFINE_CELLS * q.dx + 1e-12)
@@ -418,35 +421,24 @@ def _assemble_s_matrix(q, hs):
         vals = np.zeros(len(pts))
         vals[keep] = (diff[keep] @ gd[i]) * (-ctx.grad_const) * rho2[keep] ** (-ctx.n / 2.0) \
             * om[keep]
-        A[i, near] = vals.reshape(len(near), -1).mean(axis=1) * q.dx**2
-    q._s_matrix = A
-    return A
+        rows[k, near] = vals.reshape(len(near), -1).mean(axis=1) * q.dx**2
+    q._s_blocks = (B, F, rows, cols)
+    return q._s_blocks
 
 
 def apply_S(q, hs, gvalues):
     """Apply the discretized trace operator to lattice values (decaying g).
 
-    Uses the cached dense matrix (with near-diagonal refinement) up to 96^2
-    lattice nodes; beyond that a chunked matrix-free product without the
-    refinement, adequate because large lattices imply small spacings.
+    Every lattice size uses the cached blocks of ``_assemble_s_blocks``
+    (near-diagonal refinement in the bump rows); S is 0 on a flat boundary.
     """
     gvec = np.asarray(gvalues, dtype=float).ravel()
     if hs.boundary.is_flat:
         return np.zeros_like(gvec)
-    if q.res * q.res <= 96 * 96:
-        return _assemble_s_matrix(q, hs) @ gvec
-    from ._fast import dir_gradslp_rows
-
-    nodes = np.ascontiguousarray(q.nodes)
-    weights = np.ascontiguousarray(q.weights)
-    gd = -hs.outward_normal(q.nodes)
-    out = np.empty(len(gvec))
-    block = 2048
-    for a in range(0, len(gvec), block):
-        sl = slice(a, min(a + block, len(gvec)))
-        rows = dir_gradslp_rows(nodes[sl], np.ascontiguousarray(gd[sl]),
-                                nodes, weights, -q.ctx.grad_const)
-        out[sl] = rows @ gvec
+    B, F, rows, cols = _assemble_s_blocks(q, hs)
+    out = np.empty_like(gvec)
+    out[B] = rows @ gvec
+    out[F] = cols @ gvec[B]
     return out
 
 

@@ -136,15 +136,14 @@ class NeumannSolution:
     increments: list = field(default_factory=list)
 
 
-def solve_density(q, hs, g, tol=1e-8, kmax=64, contraction=None, seed=0):
+def solve_density(q, hs, g, contraction, tol=1e-8, kmax=64):
     """Sum the geometric series for (I - 2S)^{-1}(2g) on the lattice.
 
+    contraction is the measured norm of 2S (``estimate_contraction``).
     Stops when the sup norm of the increment falls below tol * sup|g|;
-    raises NotContractive when the measured norm of 2S is >= 1 and
-    MaxIterations (carrying the partial solution) when kmax is hit.
+    raises NotContractive when contraction is >= 1 and MaxIterations
+    (carrying the partial solution) when kmax is hit.
     """
-    if contraction is None:
-        contraction = estimate_contraction(q, hs, seed=seed)
     if not contraction < 1.0:
         raise NotContractive(f"empirical |2S| = {contraction:.3f} >= 1")
     gvec = q.match(g)

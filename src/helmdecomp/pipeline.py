@@ -35,6 +35,8 @@ from .neumann import estimate_contraction, smallness_constants, solve_density
 from .sobolev import BoundaryDensity, NormLedger, hs_norm_fourier, th_pull, vbmol2_norm
 
 _RING_TOL = 1e-6
+# relative tolerance of the two-shell trace extrapolation in normal_trace
+_TRACE_RTOL = 0.05
 
 
 @dataclass
@@ -168,12 +170,12 @@ def _shell_normals(hs, w, yp):
     return 2.0 * f1 - f2, f1 - f2
 
 
-def normal_trace(hs, w, rtol=0.05):
+def normal_trace(hs, w):
     """Boundary trace of w . n by two-shell Richardson along inward normals.
 
     Returns (g on the box x'-lattice flagged on-graph, sup |g|, pullback
     Hdot^{-1/2} of g).  Raises ExtrapolationUnstable when the shells
-    disagree by more than 10x the stated relative tolerance.
+    disagree by more than 10x _TRACE_RTOL relative to sup |w|.
     """
     grid = w.grid
     if grid.resolution[0] != grid.resolution[1] or \
@@ -186,7 +188,7 @@ def normal_trace(hs, w, rtol=0.05):
     vals, diff = _shell_normals(hs, w, yp)
     scale = float(np.abs(w.data[:, w.inside_mask]).max()) if w.inside_mask.any() else 0.0
     gap = float(np.abs(diff).max())
-    if scale > 0 and gap > 10.0 * rtol * scale:
+    if scale > 0 and gap > 10.0 * _TRACE_RTOL * scale:
         raise ExtrapolationUnstable(f"trace shells disagree by {gap:.3e}")
     extent = grid.upper[0] - grid.lower[0]
     g = BoundaryDensity(extent, vals.reshape(len(a0), len(a1)), on_graph=True)
@@ -260,14 +262,14 @@ def _sample_grad_q2(q, hs, sol, grid, mask):
     return out
 
 
-def divergence_stencil(field, order=4):
-    """Interior divergence by 2nd/4th-order central differences.
+def divergence_stencil(field):
+    """Interior divergence by 4th-order central differences.
 
     Returns (div array, margin) where entries within ``margin`` cells of the
     box faces are zero-filled.
     """
     g = field.grid
-    m = 2 if order == 4 else 1
+    m = 2
     div = np.zeros(g.resolution)
     for c in range(3):
         arr = field.data[c]
@@ -279,11 +281,7 @@ def divergence_stencil(field, order=4):
             s[c] = slice(m + k, arr.shape[c] - m + k)
             return arr[tuple(s)]
 
-        if order == 4:
-            der = (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * d)
-        else:
-            der = (shift(1) - shift(-1)) / (2.0 * d)
-        div[tuple(sl)] += der
+        div[tuple(sl)] += (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * d)
     return div, m
 
 
@@ -335,8 +333,7 @@ def decompose(hs, v, cfg):
     w = BoxField(v.grid, (v.data - gq1.data) * v.inside_mask[None], v.inside_mask)
     g, g_linf, g_hminus = normal_trace(hs, w)
     g_quad = resample_density(g, cfg.quad_extent, cfg.quad_res)
-    sol = solve_density(q, hs, g_quad, tol=cfg.tol, kmax=cfg.kmax,
-                        contraction=contraction, seed=cfg.seed)
+    sol = solve_density(q, hs, g_quad, contraction, tol=cfg.tol, kmax=cfg.kmax)
     gq2_inside = _sample_grad_q2(q, hs, sol, v.grid, v.inside_mask)
     gq2 = np.zeros_like(v.data)
     gq2[:, v.inside_mask] = gq2_inside

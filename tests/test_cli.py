@@ -207,8 +207,21 @@ class TestExitCodes:
                                           "resolution": [64, 64, 64]})
         hs = PerturbedHalfSpace(BoundaryFunction.zero())
         TestDecompose._write_gradient_field(tmp_path, hs)
-        code = main(["--config", cfg, "--kmax", "1", "decompose",
-                     str(tmp_path / "v.json")])
-        err = json.loads(capsys.readouterr().err)
+        code = main(["--config", cfg, "--kmax", "1", "--out", str(tmp_path / "out"),
+                     "decompose", str(tmp_path / "v.json")])
+        out = json.loads(capsys.readouterr().out)
         assert code == 2
-        assert "kmax=1" in err["error"]
+        assert "kmax=1" in out["error"]
+        assert out["series_terms_used"] == 1 and "residual" in out
+        report = json.loads((tmp_path / "out" / "decompose.json").read_text())
+        assert report == out
+
+    def test_field_off_the_config_box_is_bad_input(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # 32^3 box
+        hs = PerturbedHalfSpace(BoundaryFunction.zero())
+        TestDecompose._write_gradient_field(tmp_path, hs)  # 64^3 field
+        for command in ("norms", "decompose"):
+            code = main(["--config", cfg, command, str(tmp_path / "v.json")])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 4
+            assert "box.resolution" in err["error"]

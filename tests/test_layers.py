@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helmdecomp import BoundaryFunction, PerturbedHalfSpace
 from helmdecomp.errors import NonDecayingInput, TooCloseToSurface
 from helmdecomp.kernels import KernelContext, poisson_kernel
 from helmdecomp.layers import (SurfaceQuadrature, abs_flux, apply_S,
@@ -280,6 +281,21 @@ class TestTraceS:
 
 
 class TestOperatorBatch:
+    def test_flat_flat_block_vanishes(self):
+        # apply_S stores no S[F, F] block: both ends of such a pair lie on
+        # the plane, so the lattice kernel must be exactly 0 there
+        from helmdecomp._fast import dir_gradslp_rows
+        from helmdecomp.layers import _assemble_s_blocks
+
+        hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(0.045, 0.475))
+        q = SurfaceQuadrature(hs, 8.0, 48)
+        bump, far = _assemble_s_blocks(q, hs)[:2]
+        assert 0 < len(bump) and 0 < len(far)
+        gd = -hs.outward_normal(q.nodes[far])
+        ff = dir_gradslp_rows(q.nodes[far], gd, q.nodes[far], q.weights[far],
+                              -q.ctx.grad_const)
+        assert np.all(ff == 0.0)
+
     def test_apply_matches_pointwise(self, small_bump_quad, small_bump_hs):
         g = gauss_dens(2.0, 64, w=0.1)
         vals = apply_S(small_bump_quad, small_bump_hs, g.values)

@@ -1,12 +1,14 @@
-"""Pinned values of the pointwise layer operators.
+"""Pinned values of the layer operators.
 
 Every operator in ``layers`` shares one quadrature: the refined lattice sum,
 the bump-support correction, the flat-tail closure and the subcell lattice.
-Each operator is evaluated here on a flat and two curved geometries, with a
-decaying, a constant and an offset Gaussian density (the last two run the
-flat-tail closure with g_inf != 0), at targets inside and outside the bump
-support and at heights with and without near-wall refinement.  The values
-must match ``data/layers_pinned.json`` to 1e-12 of the density scale.
+Each pointwise operator is evaluated here on a flat and two curved
+geometries, with a decaying, a constant and an offset Gaussian density (the
+last two run the flat-tail closure with g_inf != 0), at targets inside and
+outside the bump support and at heights with and without near-wall
+refinement.  The lattice operator ``apply_S`` is sampled at every 16th node.
+The values must match ``data/layers_pinned.json`` to 1e-12 of the density
+scale.
 """
 
 import json
@@ -15,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdecomp.layers import (SurfaceQuadrature, abs_flux, double_layer_Q,
-                               gauss_flux, grad_single_layer,
+from helmdecomp.layers import (SurfaceQuadrature, abs_flux, apply_S,
+                               double_layer_Q, gauss_flux, grad_single_layer,
                                poisson_smoothing_deficit, single_layer, trace_S,
                                trace_limit_Q)
 from helmdecomp.sobolev import BoundaryDensity
@@ -94,6 +96,14 @@ def _trace_S(q):
                 yield f"{dn}|{tn}|refine={refine}", trace_S(q, q.hs, g, x0, refine=refine)
 
 
+def _apply_S(q):
+    # every 16th lattice node: the sample crosses the bump neighbourhood
+    # (refined rows) and the flat rest (columns on the bump only)
+    dens = _densities(q)
+    for dn in ("decay", "const"):
+        yield dn, apply_S(q, q.hs, dens[dn].values)[::16]
+
+
 def _gauss_flux(q):
     for foot, yp in FEET.items():
         for hn, t in _heights(q).items():
@@ -132,6 +142,7 @@ OPERATORS = {
     "grad_single_layer": _grad_single_layer,
     "double_layer_Q": _double_layer_Q,
     "trace_S": _trace_S,
+    "apply_S": _apply_S,
     "gauss_flux": _gauss_flux,
     "abs_flux": _abs_flux,
     "poisson_smoothing_deficit": _poisson_smoothing_deficit,
