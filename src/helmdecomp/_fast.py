@@ -1,4 +1,13 @@
-"""Jitted inner loops (numba when available, numpy fallback otherwise)."""
+"""Dense pair sums: numba loops when available, blocked numpy otherwise.
+
+The numpy fallbacks walk the targets in blocks of
+``max(1, _BLOCK_ELEMS // m)`` rows for m sources, so a (rows, m) buffer
+holds about ``_BLOCK_ELEMS`` float64 values (512 KiB) and stays in cache;
+a block is one row when m exceeds ``_BLOCK_ELEMS``.  Each kernel allocates
+its buffers once and fills them in place, block after block.  Results
+differ from one whole-array sum by rounding only (summation order, and
+|x - y|^3 formed as rho2 * sqrt(rho2)).
+"""
 
 import warnings
 
@@ -14,6 +23,9 @@ try:
     _HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - numba is a declared dependency
     _HAVE_NUMBA = False
+
+# float64 elements per (rows, m) buffer of the numpy fallbacks
+_BLOCK_ELEMS = 1 << 16
 
 
 if _HAVE_NUMBA:
@@ -94,49 +106,84 @@ if _HAVE_NUMBA:
 
 else:  # numpy fallbacks, identical semantics
 
+    def _row_blocks(n, m, dtypes=(float, float)):
+        """Yield (row slice, buffer views) over n rows against m columns.
+
+        One (rows, m) buffer per dtype is allocated once; each block gets
+        views of its first rows.
+        """
+        rows = max(1, _BLOCK_ELEMS // max(m, 1))
+        bufs = [np.empty((rows, m), dtype=dt) for dt in dtypes]
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            yield slice(a, b), [buf[: b - a] for buf in bufs]
+
+    def _sq_dist(xs, ys, r, d):
+        """r = |xs_p - ys_j|^2 by exact coordinate differences; d is a work buffer."""
+        for k in range(xs.shape[1]):
+            np.subtract(xs[:, k, None], ys[:, k], out=d)
+            if k == 0:
+                np.multiply(d, d, out=r)
+            else:
+                d *= d
+                r += d
+
     def gradslp_sum(xs, nodes, wg, c):
+        # rho2 = |x|^2 - 2 x.y + |y|^2 is one product of [-2x, |x|^2, 1] and
+        # [y, 1, |y|^2]; sum_j t_j and sum_j t_j y_j are one product with [1, y]
+        a = np.column_stack([-2.0 * xs, np.sum(xs * xs, axis=1), np.ones(len(xs))])
+        b = np.vstack([nodes.T, np.ones(len(nodes)), np.sum(nodes * nodes, axis=1)])
+        one_y = np.column_stack([np.ones(len(nodes)), nodes])
         out = np.empty((xs.shape[0], 3))
-        n2 = np.sum(nodes * nodes, axis=1)
-        block = max(1, (1 << 22) // max(len(nodes), 1))
-        for a in range(0, len(xs), block):
-            sl = slice(a, min(a + block, len(xs)))
-            xb = xs[sl]
-            rho2 = np.sum(xb * xb, 1)[:, None] - 2.0 * (xb @ nodes.T) + n2[None, :]
-            t = c / (rho2 * np.sqrt(rho2)) * wg[None, :]
-            out[sl] = xb * t.sum(1)[:, None] - t @ nodes
+        for sl, (r, t) in _row_blocks(len(xs), len(nodes)):
+            np.matmul(a[sl], b, out=r)
+            # t = c / rho2^{3/2} * wg
+            np.sqrt(r, out=t)
+            t *= r
+            np.divide(c, t, out=t)
+            t *= wg
+            s = t @ one_y
+            out[sl] = xs[sl] * s[:, :1] - s[:, 1:]
         return out
 
     def dir_gradslp_rows(xs, dirs, nodes, weights, c):
-        out = np.zeros((xs.shape[0], nodes.shape[0]))
-        for p in range(xs.shape[0]):
-            diff = xs[p][None, :] - nodes
-            rho2 = np.sum(diff * diff, axis=1)
-            keep = rho2 > 1e-28
-            f = np.zeros(len(nodes))
-            f[keep] = c * weights[keep] / (rho2[keep] * np.sqrt(rho2[keep]))
-            out[p] = f * (diff @ dirs[p])
+        out = np.empty((xs.shape[0], nodes.shape[0]))
+        cw = c * weights
+        for sl, (r, d, coincide) in _row_blocks(len(xs), len(nodes), (float, float, bool)):
+            _sq_dist(xs[sl], nodes, r, d)
+            # coincident pairs get rho2 = inf, hence a zero entry
+            np.less_equal(r, 1e-28, out=coincide)
+            np.putmask(r, coincide, np.inf)
+            dot = out[sl]
+            dot.fill(0.0)
+            for k in range(3):
+                np.subtract(xs[sl, k, None], nodes[:, k], out=d)
+                d *= dirs[sl, k, None]
+                dot += d
+            np.sqrt(r, out=d)
+            d *= r
+            np.divide(cw, d, out=d)
+            dot *= d
         return out
 
     def closest_on_grid(xp, xn, cand, ch):
         out = np.empty(xp.shape[0], dtype=np.int64)
-        block = max(1, (1 << 22) // max(len(cand), 1))
-        for a in range(0, len(xp), block):
-            sl = slice(a, min(a + block, len(xp)))
-            d2 = (np.sum((xp[sl, None, :] - cand[None, :, :]) ** 2, axis=-1)
-                  + (xn[sl, None] - ch[None, :]) ** 2)
-            out[sl] = np.argmin(d2, axis=1)
+        x, y = np.column_stack([xp, xn]), np.column_stack([cand, ch])
+        for sl, (r, d) in _row_blocks(len(x), len(y)):
+            _sq_dist(x[sl], y, r, d)
+            np.argmin(r, axis=1, out=out[sl])
         return out
 
-    def gagliardo_pairs(coords, vals, mu, block=512):
-        m = coords.shape[0]
+    def gagliardo_pairs(coords, vals, mu):
         total = 0.0
-        for a in range(0, m, block):
-            sl = slice(a, min(a + block, m))
-            diff = coords[sl, None, :] - coords[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        for sl, (r, d) in _row_blocks(len(coords), len(coords)):
+            _sq_dist(coords[sl], coords, r, d)
             ii = np.arange(sl.start, sl.stop)
-            dist[ii - a, ii] = 1.0
-            num = (vals[sl, None] - vals[None, :]) ** 2
-            num[ii - a, ii] = 0.0
-            total += float(np.sum(num / dist**3 * mu[sl, None] * mu[None, :]))
+            r[ii - sl.start, ii] = 1.0  # the diagonal numerator is 0
+            np.sqrt(r, out=d)
+            r *= d
+            np.subtract(vals[sl, None], vals, out=d)
+            d *= d
+            d /= r
+            total += float(mu[sl] @ (d @ mu))
         return total

@@ -39,6 +39,8 @@ from .sobolev import BoundaryDensity, hs_norm_fourier, lp_norm, th_pull
 # lattice S matrix: cells within _REFINE_CELLS spacings, _REFINE_SUB^2 subcells
 _REFINE_CELLS = 3
 _REFINE_SUB = 4
+# (row, cell) pairs per refinement chunk: 64k subcell points
+_REFINE_PAIRS = 4096
 # pointwise operators: targets within _POINT_GAP spacings of the wall refine
 # the cells within _POINT_CELLS spacings into _POINT_SUB^2 subcells
 _POINT_GAP = 2.0
@@ -405,25 +407,46 @@ def _assemble_s_blocks(q, hs):
     gd = -hs.outward_normal(q.nodes)
     rows = dir_gradslp_rows(q.nodes[B], gd[B], q.nodes, q.weights, -ctx.grad_const)
     cols = dir_gradslp_rows(q.nodes[F], gd[F], q.nodes[B], q.weights[B], -ctx.grad_const)
-    # refinement of near-diagonal cells in the B rows
-    for k, i in enumerate(B):
-        x0 = q.nodes[i]
-        near = np.flatnonzero(np.max(np.abs(q.yp - x0[:2]), axis=-1)
-                              <= _REFINE_CELLS * q.dx + 1e-12)
-        near = near[near != i]
-        pts = q.subcell_points(q.yp[near], _REFINE_SUB)
-        h = hs.boundary.height(pts)
-        ghp = hs.boundary.gradient(pts)
-        om = np.sqrt(1.0 + np.sum(ghp**2, axis=-1))
-        diff = np.concatenate([x0[:2] - pts, (x0[2] - h)[:, None]], axis=1)
-        rho2 = np.sum(diff * diff, axis=-1)
-        keep = rho2 > (q.dx / 64.0) ** 2
-        vals = np.zeros(len(pts))
-        vals[keep] = (diff[keep] @ gd[i]) * (-ctx.grad_const) * rho2[keep] ** (-ctx.n / 2.0) \
-            * om[keep]
-        rows[k, near] = vals.reshape(len(near), -1).mean(axis=1) * q.dx**2
+    _refine_rows(q, hs, B, gd, rows)
     q._s_blocks = (B, F, rows, cols)
     return q._s_blocks
+
+
+def _refine_rows(q, hs, B, gd, rows):
+    """Replace the near-diagonal entries of the B rows by subcell means.
+
+    Every cell within _REFINE_CELLS spacings (max norm) of a B node, other
+    than the node's own, is split into _REFINE_SUB^2 subcells; the graph is
+    sampled once per cell, and the (row, cell) pairs run in chunks of
+    _REFINE_PAIRS.
+    """
+    res, c = q.res, -q.ctx.grad_const
+    off = np.arange(-_REFINE_CELLS, _REFINE_CELLS + 1)
+    oi, oj = (a.ravel() for a in np.meshgrid(off, off, indexing="ij"))
+    own = (oi == 0) & (oj == 0)
+    ti = B[:, None] // res + oi[~own]
+    tj = B[:, None] % res + oj[~own]
+    ok = (ti >= 0) & (ti < res) & (tj >= 0) & (tj < res)
+    pair_row = np.nonzero(ok)[0]
+    pair_cell = ti[ok] * res + tj[ok]
+    cells, pair_ucell = np.unique(pair_cell, return_inverse=True)
+    pts = q.subcell_points(q.yp[cells], _REFINE_SUB)
+    h = hs.boundary.height(pts).reshape(len(cells), -1)
+    om = np.sqrt(1.0 + np.sum(hs.boundary.gradient(pts) ** 2, axis=-1)).reshape(h.shape)
+    pts = pts.reshape(h.shape + (2,))
+    for a in range(0, len(pair_row), _REFINE_PAIRS):
+        k = pair_row[a:a + _REFINE_PAIRS]
+        j = pair_ucell[a:a + _REFINE_PAIRS]
+        x0 = q.nodes[B[k]]
+        g = gd[B[k]]
+        d0 = x0[:, 0, None] - pts[j, :, 0]
+        d1 = x0[:, 1, None] - pts[j, :, 1]
+        d2 = x0[:, 2, None] - h[j]
+        rho2 = d0 * d0 + d1 * d1 + d2 * d2
+        dot = d0 * g[:, 0, None] + d1 * g[:, 1, None] + d2 * g[:, 2, None]
+        vals = np.where(rho2 > (q.dx / 64.0) ** 2,
+                        dot * c * rho2 ** (-q.ctx.n / 2.0) * om[j], 0.0)
+        rows[k, pair_cell[a:a + _REFINE_PAIRS]] = vals.mean(axis=1) * q.dx**2
 
 
 def apply_S(q, hs, gvalues):

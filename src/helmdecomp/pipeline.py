@@ -115,13 +115,13 @@ def _check_box_decay(v):
         raise NonDecayingInput("field does not decay at the box boundary")
 
 
-def volume_potential_grad(hs, v, rho):
-    """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension.
+def _extended_source(hs, v, rho):
+    """Source of the volume potential: the cutoff mirror extension of theta v
+    plus (1 - theta) v on the domain, theta the tube cutoff.
 
-    Restricted to the domain this solves the volume-potential equation for
-    v; the construction is linear in v.
+    A function of its own so that its box-sized temporaries are freed
+    before the padded transforms start.
     """
-    _check_box_decay(v)
     grid = v.grid
     pts = grid.points()
     b = hs.boundary
@@ -134,24 +134,44 @@ def volume_potential_grad(hs, v, rho):
         theta[cand] = hs.cutoff_theta(rho, pts[cand])
     near = BoxField(grid, v.data * theta[None], v.inside_mask)
     vbar = extend_field(hs, near, rho)
-    total = vbar.data + v.data * ((1.0 - theta) * v.inside_mask)[None]
+    return vbar.data + v.data * ((1.0 - theta) * v.inside_mask)[None]
+
+
+def volume_potential_grad(hs, v, rho):
+    """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension.
+
+    Restricted to the domain this solves the volume-potential equation for
+    v; the construction is linear in v.
+    """
+    _check_box_decay(v)
+    total = _extended_source(hs, v, rho)
+    grid = v.grid
     res = [2 * r for r in grid.resolution]
     xi = [2.0 * np.pi * np.fft.fftfreq(res[i], d=grid.dx[i]) for i in range(3)]
     n = grid.resolution
     X = np.meshgrid(*xi, indexing="ij", sparse=True)
+    # fftn zero-pads to the doubled grid itself, and the inverse crops each
+    # axis to the box as soon as that axis is done (last axis first, the
+    # order of ifftn), so at most three complex arrays of the padded grid
+    # are alive; the values are those of the full padded transforms
     div = np.zeros(res, dtype=complex)
     for c in range(3):
-        pad = np.zeros(res)
-        pad[: n[0], : n[1], : n[2]] = total[c]
-        div += 1j * X[c] * np.fft.fftn(pad)
+        F = np.fft.fftn(total[c], s=res, axes=(0, 1, 2))
+        F *= 1j * X[c]
+        div += F
+        del F
+    del total
     k2 = X[0] ** 2 + X[1] ** 2 + X[2] ** 2
     k2[0, 0, 0] = 1.0
-    qhat = -div / k2
+    div /= k2
+    del k2
+    qhat = np.negative(div, out=div)
     qhat[0, 0, 0] = 0.0
     out = np.empty((3,) + tuple(n))
     for c in range(3):
-        g = np.fft.ifftn(1j * X[c] * qhat).real
-        out[c] = g[: n[0], : n[1], : n[2]]
+        g = np.fft.ifft(1j * X[c] * qhat, axis=2)[..., : n[2]]
+        g = np.fft.ifft(g, axis=1)[:, : n[1]]
+        out[c] = np.fft.ifft(g, axis=0)[: n[0]].real
     return BoxField(grid, out, v.inside_mask.copy())
 
 

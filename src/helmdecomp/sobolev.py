@@ -160,16 +160,18 @@ def _singular_weights(xi1, xi2, s, dxi):
     return _inv_dist_rect(x0, x1, y0, y1) / dxi**2
 
 
-def _semidiscrete_fhat2(f, xis, block=128):
-    """|fhat|^2 at arbitrary frequencies via the direct lattice sum."""
-    pts = f.points().reshape(-1, 2)
-    vals = f.values.ravel()
-    out = np.empty(len(xis))
-    for a in range(0, len(xis), block):
-        sl = slice(a, min(a + block, len(xis)))
-        fh = np.exp(-1j * (xis[sl] @ pts.T)) @ vals * f.dx**2
-        out[sl] = np.abs(fh) ** 2
-    return out
+def _semidiscrete_fhat2(f, xis):
+    """|fhat|^2 at arbitrary frequencies via the separable lattice sum.
+
+    The lattice is a tensor product, so fhat(u1, u2) = dx^2 (E(u1) F
+    E(u2)^T) with E(u)[k, a] = exp(-i u_k x_a), evaluated once on the
+    unique coordinates of xis and read off at each frequency.
+    """
+    a = f.axis()
+    u1, i1 = np.unique(xis[:, 0], return_inverse=True)
+    u2, i2 = np.unique(xis[:, 1], return_inverse=True)
+    fh = np.exp(-1j * np.outer(u1, a)) @ f.values @ np.exp(-1j * np.outer(a, u2))
+    return np.abs(fh[i1, i2] * f.dx**2) ** 2
 
 
 def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):

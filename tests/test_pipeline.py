@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,19 @@ class TestVolumePotential:
         v = BoxField(flat_grid, np.ones((3,) + tuple(flat_grid.resolution)))
         with pytest.raises(NonDecayingInput):
             volume_potential_grad(flat_hs, v, rho=0.07)
+
+    def test_peak_memory_cap(self, gentle_hs):
+        # the padded solve holds at most 5 complex arrays of the 2x grid
+        grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (32, 32, 32))
+        v = BoxField.sample(grid, gentle_hs, grad_phi, ncomp=3)
+        one_complex = 16 * np.prod([2 * r for r in grid.resolution])
+        tracemalloc.start()
+        try:
+            volume_potential_grad(gentle_hs, v, rho=0.055)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * one_complex, f"peak {peak / one_complex:.2f} complex arrays"
 
 
 class TestNormalTrace:
