@@ -1,189 +1,110 @@
-"""Dense pair sums: numba loops when available, blocked numpy otherwise.
+"""Dense pair sums as row-blocked numpy kernels.
 
-The numpy fallbacks walk the targets in blocks of
-``max(1, _BLOCK_ELEMS // m)`` rows for m sources, so a (rows, m) buffer
-holds about ``_BLOCK_ELEMS`` float64 values (512 KiB) and stays in cache;
-a block is one row when m exceeds ``_BLOCK_ELEMS``.  Each kernel allocates
-its buffers once and fills them in place, block after block.  Results
-differ from one whole-array sum by rounding only (summation order, and
-|x - y|^3 formed as rho2 * sqrt(rho2)).
+The kernels walk the targets in blocks of ``max(1, _BLOCK_ELEMS // m)``
+rows for m sources, so a (rows, m) buffer holds about ``_BLOCK_ELEMS``
+float64 values (512 KiB) and stays in cache; a block is one row when m
+exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its buffers once and fills
+them in place, block after block.  Results differ from one whole-array sum
+by rounding only (summation order, and |x - y|^3 formed as rho2 *
+sqrt(rho2)).
 """
-
-import warnings
 
 import numpy as np
 
-try:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        from numba import njit, prange
-        from numba.core.errors import NumbaWarning
+# numpy is the only backend; the flag stays for the benchmark's env stamp
+_HAVE_NUMBA = False
 
-    warnings.filterwarnings("ignore", category=NumbaWarning)
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-# float64 elements per (rows, m) buffer of the numpy fallbacks
+# float64 elements per (rows, m) buffer
 _BLOCK_ELEMS = 1 << 16
 
 
-if _HAVE_NUMBA:
+def _row_blocks(n, m, dtypes=(float, float)):
+    """Yield (row slice, buffer views) over n rows against m columns.
 
-    @njit(parallel=True, fastmath=True, cache=True)
-    def gradslp_sum(xs, nodes, wg, c):
-        """sum_j c (x - y_j) |x - y_j|^{-3} (w g)_j for each row of xs."""
-        out = np.zeros((xs.shape[0], 3))
-        for p in prange(xs.shape[0]):
-            a0 = 0.0
-            a1 = 0.0
-            a2 = 0.0
-            for j in range(nodes.shape[0]):
-                d0 = xs[p, 0] - nodes[j, 0]
-                d1 = xs[p, 1] - nodes[j, 1]
-                d2 = xs[p, 2] - nodes[j, 2]
-                r2 = d0 * d0 + d1 * d1 + d2 * d2
-                f = c * wg[j] / (r2 * np.sqrt(r2))
-                a0 += f * d0
-                a1 += f * d1
-                a2 += f * d2
-            out[p, 0] = a0
-            out[p, 1] = a1
-            out[p, 2] = a2
-        return out
+    One (rows, m) buffer per dtype is allocated once; each block gets
+    views of its first rows.
+    """
+    rows = max(1, _BLOCK_ELEMS // max(m, 1))
+    bufs = [np.empty((rows, m), dtype=dt) for dt in dtypes]
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        yield slice(a, b), [buf[: b - a] for buf in bufs]
 
-    @njit(parallel=True, fastmath=True, cache=True)
-    def dir_gradslp_rows(xs, dirs, nodes, weights, c):
-        """Rows of the lattice operator d_p . sum_j c (x_p - y_j)|.|^{-3} w_j."""
-        out = np.zeros((xs.shape[0], nodes.shape[0]))
-        for p in prange(xs.shape[0]):
-            for j in range(nodes.shape[0]):
-                d0 = xs[p, 0] - nodes[j, 0]
-                d1 = xs[p, 1] - nodes[j, 1]
-                d2 = xs[p, 2] - nodes[j, 2]
-                r2 = d0 * d0 + d1 * d1 + d2 * d2
-                if r2 > 1e-28:
-                    f = c * weights[j] / (r2 * np.sqrt(r2))
-                    out[p, j] = f * (d0 * dirs[p, 0] + d1 * dirs[p, 1] + d2 * dirs[p, 2])
-        return out
 
-    @njit(parallel=True, fastmath=True, cache=True)
-    def gagliardo_pairs(coords, vals, mu):
-        """sum_{i != j} (v_i - v_j)^2 |x_i - x_j|^{-3} mu_i mu_j."""
-        m = coords.shape[0]
-        total = 0.0
-        for i in prange(m):
-            acc = 0.0
-            for j in range(m):
-                if i == j:
-                    continue
-                d0 = coords[i, 0] - coords[j, 0]
-                d1 = coords[i, 1] - coords[j, 1]
-                d2 = coords[i, 2] - coords[j, 2]
-                r2 = d0 * d0 + d1 * d1 + d2 * d2
-                dv = vals[i] - vals[j]
-                acc += dv * dv / (r2 * np.sqrt(r2)) * mu[j]
-            total += acc * mu[i]
-        return total
-
-    @njit(parallel=True, fastmath=True, cache=True)
-    def closest_on_grid(xp, xn, cand, ch):
-        """Index of the closest (cand_j, ch_j) surface sample per point."""
-        out = np.empty(xp.shape[0], dtype=np.int64)
-        for p in prange(xp.shape[0]):
-            best = 1e300
-            arg = 0
-            for j in range(cand.shape[0]):
-                d0 = xp[p, 0] - cand[j, 0]
-                d1 = xp[p, 1] - cand[j, 1]
-                dz = xn[p] - ch[j]
-                d2 = d0 * d0 + d1 * d1 + dz * dz
-                if d2 < best:
-                    best = d2
-                    arg = j
-            out[p] = arg
-        return out
-
-else:  # numpy fallbacks, identical semantics
-
-    def _row_blocks(n, m, dtypes=(float, float)):
-        """Yield (row slice, buffer views) over n rows against m columns.
-
-        One (rows, m) buffer per dtype is allocated once; each block gets
-        views of its first rows.
-        """
-        rows = max(1, _BLOCK_ELEMS // max(m, 1))
-        bufs = [np.empty((rows, m), dtype=dt) for dt in dtypes]
-        for a in range(0, n, rows):
-            b = min(a + rows, n)
-            yield slice(a, b), [buf[: b - a] for buf in bufs]
-
-    def _sq_dist(xs, ys, r, d):
-        """r = |xs_p - ys_j|^2 by exact coordinate differences; d is a work buffer."""
-        for k in range(xs.shape[1]):
-            np.subtract(xs[:, k, None], ys[:, k], out=d)
-            if k == 0:
-                np.multiply(d, d, out=r)
-            else:
-                d *= d
-                r += d
-
-    def gradslp_sum(xs, nodes, wg, c):
-        # rho2 = |x|^2 - 2 x.y + |y|^2 is one product of [-2x, |x|^2, 1] and
-        # [y, 1, |y|^2]; sum_j t_j and sum_j t_j y_j are one product with [1, y]
-        a = np.column_stack([-2.0 * xs, np.sum(xs * xs, axis=1), np.ones(len(xs))])
-        b = np.vstack([nodes.T, np.ones(len(nodes)), np.sum(nodes * nodes, axis=1)])
-        one_y = np.column_stack([np.ones(len(nodes)), nodes])
-        out = np.empty((xs.shape[0], 3))
-        for sl, (r, t) in _row_blocks(len(xs), len(nodes)):
-            np.matmul(a[sl], b, out=r)
-            # t = c / rho2^{3/2} * wg
-            np.sqrt(r, out=t)
-            t *= r
-            np.divide(c, t, out=t)
-            t *= wg
-            s = t @ one_y
-            out[sl] = xs[sl] * s[:, :1] - s[:, 1:]
-        return out
-
-    def dir_gradslp_rows(xs, dirs, nodes, weights, c):
-        out = np.empty((xs.shape[0], nodes.shape[0]))
-        cw = c * weights
-        for sl, (r, d, coincide) in _row_blocks(len(xs), len(nodes), (float, float, bool)):
-            _sq_dist(xs[sl], nodes, r, d)
-            # coincident pairs get rho2 = inf, hence a zero entry
-            np.less_equal(r, 1e-28, out=coincide)
-            np.putmask(r, coincide, np.inf)
-            dot = out[sl]
-            dot.fill(0.0)
-            for k in range(3):
-                np.subtract(xs[sl, k, None], nodes[:, k], out=d)
-                d *= dirs[sl, k, None]
-                dot += d
-            np.sqrt(r, out=d)
-            d *= r
-            np.divide(cw, d, out=d)
-            dot *= d
-        return out
-
-    def closest_on_grid(xp, xn, cand, ch):
-        out = np.empty(xp.shape[0], dtype=np.int64)
-        x, y = np.column_stack([xp, xn]), np.column_stack([cand, ch])
-        for sl, (r, d) in _row_blocks(len(x), len(y)):
-            _sq_dist(x[sl], y, r, d)
-            np.argmin(r, axis=1, out=out[sl])
-        return out
-
-    def gagliardo_pairs(coords, vals, mu):
-        total = 0.0
-        for sl, (r, d) in _row_blocks(len(coords), len(coords)):
-            _sq_dist(coords[sl], coords, r, d)
-            ii = np.arange(sl.start, sl.stop)
-            r[ii - sl.start, ii] = 1.0  # the diagonal numerator is 0
-            np.sqrt(r, out=d)
-            r *= d
-            np.subtract(vals[sl, None], vals, out=d)
+def _sq_dist(xs, ys, r, d):
+    """r = |xs_p - ys_j|^2 by exact coordinate differences; d is a work buffer."""
+    for k in range(xs.shape[1]):
+        np.subtract(xs[:, k, None], ys[:, k], out=d)
+        if k == 0:
+            np.multiply(d, d, out=r)
+        else:
             d *= d
-            d /= r
-            total += float(mu[sl] @ (d @ mu))
-        return total
+            r += d
+
+
+def gradslp_sum(xs, nodes, wg, c):
+    """sum_j c (x - y_j) |x - y_j|^{-3} (w g)_j for each row of xs."""
+    # rho2 = |x|^2 - 2 x.y + |y|^2 is one product of [-2x, |x|^2, 1] and
+    # [y, 1, |y|^2]; sum_j t_j and sum_j t_j y_j are one product with [1, y]
+    a = np.column_stack([-2.0 * xs, np.sum(xs * xs, axis=1), np.ones(len(xs))])
+    b = np.vstack([nodes.T, np.ones(len(nodes)), np.sum(nodes * nodes, axis=1)])
+    one_y = np.column_stack([np.ones(len(nodes)), nodes])
+    out = np.empty((xs.shape[0], 3))
+    for sl, (r, t) in _row_blocks(len(xs), len(nodes)):
+        np.matmul(a[sl], b, out=r)
+        # t = c / rho2^{3/2} * wg
+        np.sqrt(r, out=t)
+        t *= r
+        np.divide(c, t, out=t)
+        t *= wg
+        s = t @ one_y
+        out[sl] = xs[sl] * s[:, :1] - s[:, 1:]
+    return out
+
+
+def dir_gradslp_rows(xs, dirs, nodes, weights, c):
+    """Rows of the lattice operator d_p . sum_j c (x_p - y_j)|.|^{-3} w_j."""
+    out = np.empty((xs.shape[0], nodes.shape[0]))
+    cw = c * weights
+    for sl, (r, d, coincide) in _row_blocks(len(xs), len(nodes), (float, float, bool)):
+        _sq_dist(xs[sl], nodes, r, d)
+        # coincident pairs get rho2 = inf, hence a zero entry
+        np.less_equal(r, 1e-28, out=coincide)
+        np.putmask(r, coincide, np.inf)
+        dot = out[sl]
+        dot.fill(0.0)
+        for k in range(3):
+            np.subtract(xs[sl, k, None], nodes[:, k], out=d)
+            d *= dirs[sl, k, None]
+            dot += d
+        np.sqrt(r, out=d)
+        d *= r
+        np.divide(cw, d, out=d)
+        dot *= d
+    return out
+
+
+def closest_on_grid(xp, xn, cand, ch):
+    """Index of the closest (cand_j, ch_j) surface sample per point."""
+    out = np.empty(xp.shape[0], dtype=np.int64)
+    x, y = np.column_stack([xp, xn]), np.column_stack([cand, ch])
+    for sl, (r, d) in _row_blocks(len(x), len(y)):
+        _sq_dist(x[sl], y, r, d)
+        np.argmin(r, axis=1, out=out[sl])
+    return out
+
+
+def gagliardo_pairs(coords, vals, mu):
+    """sum_{i != j} (v_i - v_j)^2 |x_i - x_j|^{-3} mu_i mu_j."""
+    total = 0.0
+    for sl, (r, d) in _row_blocks(len(coords), len(coords)):
+        _sq_dist(coords[sl], coords, r, d)
+        ii = np.arange(sl.start, sl.stop)
+        r[ii - sl.start, ii] = 1.0  # the diagonal numerator is 0
+        np.sqrt(r, out=d)
+        r *= d
+        np.subtract(vals[sl, None], vals, out=d)
+        d *= d
+        d /= r
+        total += float(mu[sl] @ (d @ mu))
+    return total

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import utils
 from .errors import (ConfigError, HelmdecompError, MaxIterations, NonDecayingInput,
                      NotContractive, TooCloseToSurface)
 from .geometry import BoundaryFunction, PerturbedHalfSpace
@@ -42,7 +41,6 @@ class RunConfig:
     cstar_n: float = 1.0
     seed: int = 0
     samples: int = 200
-    threads: int = 1
 
     @classmethod
     def load(cls, path):
@@ -241,7 +239,6 @@ def main(argv=None):
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--kmax", type=int, default=None)
     parser.add_argument("--cstar", type=float, default=None)
@@ -265,10 +262,6 @@ def main(argv=None):
             cfg.cstar_n = args.cstar
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
-        cfg.threads = utils.threads_from_env(cfg.threads)
-        utils.set_threads(cfg.threads)
 
         if args.command == "check-smallness":
             return cmd_check_smallness(cfg, args.out)

@@ -13,10 +13,6 @@ class NoUniqueProjection(HelmdecompError):
     """Closest-point projection failed or the point lies beyond the reach."""
 
 
-class ProjectionFailure(NoUniqueProjection):
-    """Projection failure propagated from a field operation."""
-
-
 class OutOfChart(HelmdecompError):
     """Normal-coordinate argument outside the chart box."""
 

@@ -8,17 +8,25 @@ normal coordinate chart, a C^2 cutoff of the distance, and the mirror
 extension of vector fields across the boundary (normal component odd,
 tangential component even).
 
-Box grids and sampled fields used throughout the pipeline live here as well.
+Box grids and sampled fields used throughout the pipeline live here as well,
+with the wall geometry of a box (``PerturbedHalfSpace.box_wall``): the
+height of the graph over its node columns and the distance, projection and
+normal at its nodes in the rho0-tube, computed once per grid.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoUniqueProjection, OutOfChart, ProjectionFailure
-from .utils import plateau
+from .errors import NoUniqueProjection, OutOfChart
 
 _PRESETS = ("zero", "gaussian-bump", "smooth-bump")
+
+
+def plateau(t):
+    """C^2 profile in |t|: 1 on |t|<=1/2, 0 on |t|>=3/4, quintic ramp between."""
+    s = np.clip((0.75 - np.abs(np.asarray(t, dtype=float))) * 4.0, 0.0, 1.0)
+    return s * s * s * (s * (6.0 * s - 15.0) + 10.0)
 
 
 class _RadialProfile:
@@ -280,6 +288,7 @@ class PerturbedHalfSpace:
         if not (0.0 < rho0 < cap * (1.0 + 1e-12)):
             raise ValueError(f"rho0={rho0:.4g} outside (0, {cap:.4g})")
         self.rho0 = float(rho0)
+        self._wall = None
 
     # -- signed distance and projection -------------------------------------
     def _newton_param(self, x, seed, iters=40):
@@ -309,7 +318,7 @@ class PerturbedHalfSpace:
             norm = np.linalg.norm(step, axis=-1, keepdims=True)
             step = np.where(norm > step_cap, step * (step_cap / np.maximum(norm, 1e-300)), step)
             y = y - step
-            if float(np.max(norm)) < 1e-13:
+            if float(np.max(norm, initial=0.0)) < 1e-13:
                 break
         return y
 
@@ -420,12 +429,35 @@ class PerturbedHalfSpace:
         return np.concatenate([etap, np.asarray(d)[..., None]], axis=-1)
 
     # -- cutoff ----------------------------------------------------------------
-    def cutoff_theta(self, rho, x):
-        """theta(d(x)/rho): 1 on |d|<rho/2, 0 on |d|>3 rho/4, C^2 ramp between."""
+    def cutoff_theta(self, rho, d):
+        """theta(d/rho): 1 on |d|<rho/2, 0 on |d|>3 rho/4, C^2 ramp between."""
         if not (0.0 < rho <= self.rho0 / 2.0 + 1e-15):
             raise ValueError("rho must lie in (0, rho0/2]")
-        d = self.signed_distance(x)
-        return plateau(d / rho)
+        return plateau(np.asarray(d, dtype=float) / rho)
+
+    # -- wall geometry of a box ------------------------------------------------
+    def box_wall(self, grid):
+        """The BoxWall of grid, kept for the last grid asked.
+
+        One Lipschitz prefilter, dist(x, Gamma) >= |x_n - h(x')| / C_s with
+        C_s = 1 + sup|h| + sup|grad h|, picks the nodes whose exact signed
+        distance is then taken; those with |d| < rho0 form the tube.
+        """
+        if self._wall is not None and self._wall.grid == grid:
+            return self._wall
+        b = self.boundary
+        height = b.height(grid.columns())
+        cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
+        cand = np.flatnonzero(np.abs(grid.axis(2) - height[..., None]) < self.rho0 * cs)
+        ijk = np.unravel_index(cand, grid.resolution)
+        pts = np.stack([grid.axis(ax)[ijk[ax]] for ax in range(3)], axis=-1)
+        d = self.signed_distance(pts)
+        tube = np.abs(d) < self.rho0
+        pts = pts[tube]
+        closest = self.project_to_boundary(pts, check_reach=False)
+        self._wall = BoxWall(grid, height, cand[tube], pts, d[tube], closest,
+                             self.outward_normal(closest))
+        return self._wall
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +487,17 @@ class BoxGrid:
     def axis(self, i):
         return self.lower[i] + self.dx[i] * np.arange(self.resolution[i])
 
-    def meshgrid(self):
-        return np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
-
     def points(self):
-        X, Y, Z = self.meshgrid()
-        return np.stack([X, Y, Z], axis=-1)
+        return np.stack(np.meshgrid(self.axis(0), self.axis(1), self.axis(2),
+                                    indexing="ij"), axis=-1)
+
+    def columns(self):
+        """x' of the node columns, shape (nx, ny, 2)."""
+        return np.stack(np.meshgrid(self.axis(0), self.axis(1), indexing="ij"), axis=-1)
+
+    def inside(self, hs):
+        """Mask of the nodes with x_n > h(x'), h taken once per node column."""
+        return self.axis(2) > hs.boundary.height(self.columns())[..., None]
 
 
 @dataclass
@@ -499,15 +536,37 @@ class BoxField:
     @classmethod
     def sample(cls, grid, hs, fn, ncomp=1):
         """Sample fn(points) on the grid, zeroing values outside Omega."""
-        pts = grid.points()
-        mask = pts[..., 2] > hs.boundary.height(pts[..., :2])
-        vals = np.asarray(fn(pts), dtype=np.float64)
+        mask = grid.inside(hs)
+        vals = np.asarray(fn(grid.points()), dtype=np.float64)
         if ncomp == 1:
             data = vals[None] if vals.ndim == 3 else vals
         else:
             data = np.moveaxis(vals, -1, 0) if vals.shape[-1] == ncomp else vals
         data = data * mask[None]
         return cls(grid, data, mask)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxWall:
+    """Field-independent wall geometry of one box grid.
+
+    ``height`` is h(x') on the (nx, ny) node columns.  The other arrays run
+    over the tube nodes, those with |d| < rho0: flat index into the box,
+    coordinates, signed distance, closest boundary point and the outward
+    normal there.
+    """
+
+    grid: BoxGrid
+    height: np.ndarray
+    index: np.ndarray
+    points: np.ndarray
+    distance: np.ndarray
+    closest: np.ndarray
+    normal: np.ndarray
+
+    def depth(self):
+        """x_n - h(x') at every box node."""
+        return self.grid.axis(2) - self.height[..., None]
 
 
 def interp_masked(field, pts):
@@ -557,29 +616,14 @@ def extend_field(hs, v, rho):
     if rho > hs.rho0 / 2.0 + 1e-15:
         raise ValueError("extension radius must satisfy rho <= rho0/2")
     out = v.data * v.inside_mask[None]
-    pts = v.grid.points()
-    b = hs.boundary
-    outside = ~v.inside_mask
-    # cheap tube prefilter: dist(x, Gamma) >= |x_n - h(x')| / C_s
-    cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
-    cand = outside & (np.abs(pts[..., 2] - b.height(pts[..., :2])) < rho * cs)
-    if not np.any(cand):
-        return BoxField(v.grid, out, v.inside_mask.copy())
-    xs = pts[cand]
-    d = hs.signed_distance(xs)
-    sel = np.abs(d) < rho
+    wall = hs.box_wall(v.grid)
+    sel = (np.abs(wall.distance) < rho) & ~v.inside_mask.ravel()[wall.index]
     if np.any(sel):
-        xs = xs[sel]
-        try:
-            pi = hs.project_to_boundary(xs, check_reach=False)
-        except NoUniqueProjection as exc:  # pragma: no cover - safety net
-            raise ProjectionFailure(str(exc)) from exc
-        gd = -hs.outward_normal(pi)
-        xstar = 2.0 * pi - xs
-        vstar = interp_masked(v, xstar)
+        pi = wall.closest[sel]
+        gd = -wall.normal[sel]
+        vstar = interp_masked(v, 2.0 * pi - wall.points[sel])
         normal_part = np.einsum("cp,pc->p", vstar, gd)
         val = vstar - 2.0 * normal_part[None] * gd.T
-        flat_idx = np.flatnonzero(cand.ravel())[sel]
         for c in range(v.ncomp):
-            out[c].flat[flat_idx] = val[c]
+            out[c].flat[wall.index[sel]] = val[c]
     return BoxField(v.grid, out, v.inside_mask.copy())

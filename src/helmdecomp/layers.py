@@ -102,7 +102,7 @@ class SurfaceQuadrature:
         edge = (~inside) & (r < delta + margin)
         if np.any(edge):
             pts = self.subcell_points(self.yp[edge], 8)
-            om = np.sqrt(1.0 + np.sum(self.hs.boundary.gradient(pts) ** 2, axis=-1))
+            om = self.hs.boundary.omega(pts)
             om *= np.linalg.norm(pts, axis=-1) < delta
             total += float(om.reshape(edge.sum(), -1).mean(axis=1).sum()) * self.dx**2
         return total
@@ -134,7 +134,7 @@ class SurfaceQuadrature:
 
     def _kern_E(self, x, yp, flat=False):
         h = 0.0 if flat else self.hs.boundary.height(yp)
-        om = 1.0 if flat else np.sqrt(1.0 + np.sum(self.hs.boundary.gradient(yp) ** 2, axis=-1))
+        om = 1.0 if flat else self.hs.boundary.omega(yp)
         dxp = x[:2] - yp
         rho2 = np.sum(dxp * dxp, axis=-1) + (x[2] - h) ** 2
         if np.any(rho2 == 0.0):
@@ -143,7 +143,7 @@ class SurfaceQuadrature:
 
     def _kern_gradE(self, x, yp, flat=False):
         h = 0.0 if flat else self.hs.boundary.height(yp)
-        om = 1.0 if flat else np.sqrt(1.0 + np.sum(self.hs.boundary.gradient(yp) ** 2, axis=-1))
+        om = 1.0 if flat else self.hs.boundary.omega(yp)
         dxp = x[:2] - yp
         dz = x[2] - h
         rho2 = np.sum(dxp * dxp, axis=-1) + dz**2
@@ -432,7 +432,7 @@ def _refine_rows(q, hs, B, gd, rows):
     cells, pair_ucell = np.unique(pair_cell, return_inverse=True)
     pts = q.subcell_points(q.yp[cells], _REFINE_SUB)
     h = hs.boundary.height(pts).reshape(len(cells), -1)
-    om = np.sqrt(1.0 + np.sum(hs.boundary.gradient(pts) ** 2, axis=-1)).reshape(h.shape)
+    om = hs.boundary.omega(pts).reshape(h.shape)
     pts = pts.reshape(h.shape + (2,))
     for a in range(0, len(pair_row), _REFINE_PAIRS):
         k = pair_row[a:a + _REFINE_PAIRS]

@@ -37,6 +37,9 @@ from .sobolev import BoundaryDensity, NormLedger, hs_norm_fourier, th_pull, vbmo
 _RING_TOL = 1e-6
 # relative tolerance of the two-shell trace extrapolation in normal_trace
 _TRACE_RTOL = 0.05
+# wall probes of _residual_normal: count and the seed of their positions
+_NORMAL_PROBES = 100
+_NORMAL_SEED = 0
 
 
 @dataclass
@@ -123,15 +126,10 @@ def _extended_source(hs, v, rho):
     before the padded transforms start.
     """
     grid = v.grid
-    pts = grid.points()
-    b = hs.boundary
-    # theta(d/rho) differs from 0 only within the tube; prefilter via the
-    # Lipschitz bound dist >= |x_n - h| / C_s
-    cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
+    wall = hs.box_wall(grid)
+    # theta(d/rho) vanishes beyond 3 rho / 4 < rho0, so off the tube
     theta = np.zeros(grid.resolution)
-    cand = np.abs(pts[..., 2] - b.height(pts[..., :2])) < rho * cs
-    if cand.any():
-        theta[cand] = hs.cutoff_theta(rho, pts[cand])
+    theta.flat[wall.index] = hs.cutoff_theta(rho, wall.distance)
     near = BoxField(grid, v.data * theta[None], v.inside_mask)
     vbar = extend_field(hs, near, rho)
     return vbar.data + v.data * ((1.0 - theta) * v.inside_mask)[None]
@@ -248,18 +246,14 @@ def _sample_grad_q2(q, hs, sol, grid, mask):
     wg = np.ascontiguousarray(q.weights * gvals)
     nodes = np.ascontiguousarray(q.nodes)
 
-    # classify by the cheap bounds zgap/C_s <= d <= zgap; exact distances
-    # only for the thin ambiguous shell
+    # d starts as the vertical gap zgap, and zgap/C_s <= d <= zgap; exact
+    # distances only for the thin ambiguous shell
     b = hs.boundary
-    zgap = pts[:, 2] - b.height(pts[:, :2])
-    cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
-    safe = zgap / cs >= q.delta_min
-    shell = ~safe
-    d = np.empty(len(pts))
-    d[safe] = zgap[safe]
+    d = hs.box_wall(grid).depth()[mask]
+    shell = d / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < q.delta_min
     if shell.any():
         d[shell] = hs.signed_distance(pts[shell])
-        safe = d >= q.delta_min
+    safe = d >= q.delta_min
 
     def batch_eval(xs):
         return gradslp_sum(np.ascontiguousarray(xs), nodes, wg, -q.ctx.grad_const).T
@@ -305,37 +299,34 @@ def divergence_stencil(field):
     return div, m
 
 
-def _residual_div(v0, hs, ref=None):
-    """RMS interior divergence of v0, relative to the Jacobian scale of ref.
-
-    ref defaults to v0 itself (stand-alone verification); the pipeline
-    passes the input field so a vanishing v0 reports a vanishing residual.
-    """
+def _residual_div(v0, hs, ref):
+    """RMS interior divergence of v0, relative to the Jacobian scale of ref,
+    the input field, so that a vanishing v0 reports a vanishing residual."""
     div, m = divergence_stencil(v0)
     g = v0.grid
-    pts = g.points()
-    depth = pts[..., 2] - hs.boundary.height(pts[..., :2])
     inner = np.zeros(g.resolution, dtype=bool)
     inner[m:-m, m:-m, m:-m] = True
-    inner &= depth > 3.0 * max(g.dx)
+    inner &= hs.box_wall(g).depth() > 3.0 * max(g.dx)
     if not inner.any():
         return 0.0
     dnorm = float(np.sqrt(np.mean(div[inner] ** 2)))
-    scale_field = v0 if ref is None else ref
     grads = []
     for c in range(3):
-        gr = np.gradient(scale_field.data[c], *g.dx)
+        gr = np.gradient(ref.data[c], *g.dx)
         grads.extend(x[inner] for x in gr)
     jac = float(np.sqrt(np.mean(np.sum([gg**2 for gg in grads], axis=0))))
     return dnorm / max(jac, 1e-30)
 
 
-def _residual_normal(v0, hs, v_scale, probes=100, seed=0):
-    rng = np.random.default_rng(seed)
+def _residual_normal(v0, hs, v_scale):
+    """Largest |v0 . n| trace at a fixed set of _NORMAL_PROBES wall points,
+    relative to 1 + v_scale; decompose and verify see the same points."""
+    rng = np.random.default_rng(_NORMAL_SEED)
     g = v0.grid
     margin = 4.0 * max(g.dx)
-    yp = np.stack([rng.uniform(g.lower[0] + margin, g.upper[0] - margin, probes),
-                   rng.uniform(g.lower[1] + margin, g.upper[1] - margin, probes)], axis=-1)
+    yp = np.stack([rng.uniform(g.lower[0] + margin, g.upper[0] - margin, _NORMAL_PROBES),
+                   rng.uniform(g.lower[1] + margin, g.upper[1] - margin, _NORMAL_PROBES)],
+                  axis=-1)
     vals, _ = _shell_normals(hs, v0, yp)
     return float(np.abs(vals).max() / (1.0 + v_scale))
 
@@ -369,7 +360,7 @@ def decompose(hs, v, cfg):
         ledger_gradq=vbmol2_norm(
             BoxField(v.grid, gq1.data + gq2.data, v.inside_mask), hs, **led_kw),
         residual_div=_residual_div(v0, hs, ref=v),
-        residual_normal=_residual_normal(v0, hs, v_scale, seed=cfg.seed),
+        residual_normal=_residual_normal(v0, hs, v_scale),
         smallness=report.to_dict(),
     )
     result.ledger_v.hminus_half = g_hminus
@@ -423,8 +414,4 @@ def read_field(header_path, hs=None):
     raw = (header_path.parent / header["payload"]).read_bytes()
     ncomp = int(header["components"])
     data = np.frombuffer(raw, dtype="<f8").reshape((ncomp,) + tuple(grid.resolution))
-    mask = None
-    if hs is not None:
-        pts = grid.points()
-        mask = pts[..., 2] > hs.boundary.height(pts[..., :2])
-    return BoxField(grid, data.copy(), mask)
+    return BoxField(grid, data.copy(), None if hs is None else grid.inside(hs))

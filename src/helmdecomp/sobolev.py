@@ -29,7 +29,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import NoAdmissibleBall, NonDecayingInput, ZeroFrequencyIll
-from .geometry import BoxField, BoxGrid, interp_masked
+from .geometry import BoxField, BoxGrid
 
 _RING_TOL = 1e-6
 
@@ -254,7 +254,7 @@ def gagliardo_half(f, hs=None):
             raise ValueError("graph-mode Gagliardo needs the half-space geometry")
         b = hs.boundary
         h = b.height(pts2)
-        om = np.sqrt(1.0 + np.sum(b.gradient(pts2) ** 2, axis=-1))
+        om = b.omega(pts2)
         coords = np.concatenate([pts2, h[:, None]], axis=1)
         mu = om * dx**2
     else:
@@ -435,23 +435,14 @@ class NormLedger:
 
 
 def normal_component_field(v, hs):
-    """Scalar field grad d . v on tube nodes (zero where grad d is unused)."""
+    """Scalar field grad d . v on the inside tube nodes, zero elsewhere."""
     g = v.grid
-    pts = g.points()
-    b = hs.boundary
-    cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
-    near = v.inside_mask & (np.abs(pts[..., 2] - b.height(pts[..., :2])) < hs.rho0 * cs)
+    wall = hs.box_wall(g)
+    inside = v.inside_mask.ravel()[wall.index]
+    idx = wall.index[inside]
     out = np.zeros(g.resolution)
-    if np.any(near):
-        xs = pts[near]
-        pi = hs.project_to_boundary(xs, check_reach=False)
-        d = np.linalg.norm(xs - pi, axis=-1)
-        sel = d < hs.rho0
-        if np.any(sel):
-            gd = -hs.outward_normal(pi[sel])
-            comp = np.einsum("pc,cp->p", gd, interp_masked(v, xs[sel]))
-            flat = np.flatnonzero(near.ravel())[sel]
-            out.flat[flat] = comp
+    out.flat[idx] = np.einsum("pc,cp->p", -wall.normal[inside],
+                              v.data.reshape(v.ncomp, -1)[:, idx])
     return BoxField(g, out[None], v.inside_mask.copy())
 
 

@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
 
+    def test_threads_key_is_bad_input(self, tmp_path, capsys):
+        # the numpy kernels have no thread knob; the old key is now unknown
+        cfg = write_config(tmp_path, threads=2)
+        assert main(["--config", cfg, "check-smallness"]) == 4
+        assert "threads" in json.loads(capsys.readouterr().err)["error"]
+
     def test_power_of_two_enforced(self):
         raw = base_config()
         raw["box"]["resolution"] = [32, 48, 32]
@@ -177,6 +183,32 @@ class TestDecompose:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "decompose.json").read_text() == \
             (out2 / "decompose.json").read_text()
+
+
+    def test_residual_normal_matches_verify(self, tmp_path, capsys):
+        # decompose and verify probe the wall at the same points
+        box = {"lower": [-2.0, -2.0, -0.4], "upper": [2.0, 2.0, 3.6],
+               "resolution": [32, 32, 32]}
+        bump = {"preset": "gaussian-bump", "a": 0.05, "s": 0.5}
+        cfg = write_config(tmp_path, boundary=bump, box=box, seed=1234, rho=0.05,
+                           lattice={"extent": 8.0, "resolution": 24})
+        hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(0.05, 0.5))
+        grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), (32, 32, 32))
+        c = np.array([0.1, -0.1, 1.2])
+
+        def gp(p):
+            return -2.0 * (p - c) / 0.12 * np.exp(
+                -np.sum((p - c) ** 2, -1) / 0.12)[..., None]
+
+        write_field(BoxField.sample(grid, hs, gp, ncomp=3), tmp_path / "v.json")
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "decompose",
+                     str(tmp_path / "v.json")])
+        capsys.readouterr()
+        assert code == 0
+        payload = json.loads((tmp_path / "out" / "decompose.json").read_text())
+        entry = {e["name"]: e["value"] for e in payload["verify"]["entries"]}
+        assert payload["residual_normal"] > 0.0
+        assert payload["residual_normal"] == entry["residual_normal"]
 
 
 class TestExitCodes:

@@ -2,7 +2,7 @@
 
 The references below form every pair explicitly from coordinate
 differences, with no blocking and no |x|^2 - 2 x.y + |y|^2 expansion.  The
-numpy fallbacks are checked with the block size shrunk, so that small
+kernels are checked with the block size shrunk, so that small
 inputs cross many blocks with a ragged last one and blocks of one row, and
 with the real block size, including a source count above ``_BLOCK_ELEMS``.
 The separable near-origin DFT of ``sobolev`` is checked the same way.

@@ -4,6 +4,7 @@ import pytest
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
 from helmdecomp.errors import NoUniqueProjection, OutOfChart
 from helmdecomp.geometry import extend_field
+from helmdecomp.sobolev import normal_component_field
 
 
 def grid_search_closest(b, x, half=0.6, res=801):
@@ -152,30 +153,30 @@ class TestCutoff:
     def test_plateau_and_support(self, bump_hs):
         rho = bump_hs.rho0 / 2.0
         on_gamma = bump_hs.boundary.surface_point(np.array([0.2, 0.0]))
-        assert bump_hs.cutoff_theta(rho, on_gamma) == 1.0
+        assert bump_hs.cutoff_theta(rho, bump_hs.signed_distance(on_gamma)) == 1.0
         far = on_gamma - rho * bump_hs.outward_normal(on_gamma)
-        assert bump_hs.cutoff_theta(rho, far) == 0.0
+        assert bump_hs.cutoff_theta(rho, bump_hs.signed_distance(far)) == 0.0
 
     def test_midpoint_value_and_monotone(self, flat_hs):
         rho = 0.07
         # quintic smoothstep midpoint of the ramp
         x = np.array([0.0, 0.0, 0.625 * rho])
-        assert abs(flat_hs.cutoff_theta(rho, x) - 0.5) < 1e-12
+        assert abs(flat_hs.cutoff_theta(rho, flat_hs.signed_distance(x)) - 0.5) < 1e-12
         ts = np.linspace(0.5 * rho, 0.75 * rho, 100)
         pts = np.stack([np.zeros(100), np.zeros(100), ts], -1)
-        vals = flat_hs.cutoff_theta(rho, pts)
+        vals = flat_hs.cutoff_theta(rho, flat_hs.signed_distance(pts))
         assert np.all(np.diff(vals) <= 1e-15)
 
     def test_range_and_c1_along_line(self, bump_hs, rng):
         rho = bump_hs.rho0 / 2.0
         pts = rng.uniform(-0.6, 0.6, size=(200, 3))
-        vals = bump_hs.cutoff_theta(rho, pts)
+        vals = bump_hs.cutoff_theta(rho, bump_hs.signed_distance(pts))
         assert np.all((vals >= 0) & (vals <= 1))
         # difference quotients along a line stay bounded (C^1 composite)
         ts = np.linspace(-2 * rho, 2 * rho, 400)
         line = np.stack([0.05 + 0 * ts, 0 * ts, bump_hs.boundary.height(
             np.array([0.05, 0.0])) + ts], -1)
-        v = bump_hs.cutoff_theta(rho, line)
+        v = bump_hs.cutoff_theta(rho, bump_hs.signed_distance(line))
         dq = np.diff(v) / np.diff(ts)
         assert np.abs(np.diff(dq)).max() < 50.0 / rho  # no jumps in slope
 
@@ -276,6 +277,84 @@ class TestExtendField:
         rhs = (2.0 * extend_field(flat_hs, v1, 0.07).data
                + 3.0 * extend_field(flat_hs, v2, 0.07).data)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+# the 32^3 criterion-7a box over the gentle bump, and a box around the steep
+# reference bump whose z-lattice holds the plane z = 0 and cuts its thin tube
+WALL_BOXES = {
+    "gentle": BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (32, 32, 32)),
+    "bump": BoxGrid((-0.6, -0.6, -0.1), (0.6, 0.6, 0.5), (24, 24, 96)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WALL_BOXES))
+def wall_case(request, gentle_hs, bump_hs):
+    """(fresh half space, grid, signed distance at every node, node points)."""
+    hs = {"gentle": gentle_hs, "bump": bump_hs}[request.param]
+    hs = PerturbedHalfSpace(hs.boundary, rho0=hs.rho0, reach_estimate=hs.reach_estimate)
+    grid = WALL_BOXES[request.param]
+    pts = grid.points().reshape(-1, 3)
+    return hs, grid, hs.signed_distance(pts), pts
+
+
+class TestBoxWall:
+    def test_tube_is_every_node_within_rho0(self, wall_case):
+        # the Lipschitz prefilter drops no node of the brute-force tube
+        hs, grid, d, _ = wall_case
+        wall = hs.box_wall(grid)
+        expected = np.flatnonzero(np.abs(d) < hs.rho0)
+        assert len(expected) > 0
+        assert np.array_equal(wall.index, expected)
+
+    def test_matches_pointwise_geometry(self, wall_case):
+        hs, grid, d, pts = wall_case
+        wall = hs.box_wall(grid)
+        assert np.array_equal(wall.points, pts[wall.index])
+        assert np.abs(wall.distance - d[wall.index]).max() <= 1e-14
+        pi = hs.project_to_boundary(wall.points, check_reach=False)
+        assert np.abs(wall.closest - pi).max() <= 1e-14
+        assert np.abs(wall.normal - hs.outward_normal(pi)).max() <= 1e-14
+        h = hs.boundary.height(grid.points()[..., :2])
+        assert np.array_equal(wall.height, h[:, :, 0])
+        assert np.array_equal(wall.depth(), grid.points()[..., 2] - h)
+
+    def test_kept_for_the_last_grid(self, gentle_hs):
+        hs = PerturbedHalfSpace(gentle_hs.boundary)
+        lo, hi = (-2.0, -2.0, -0.4), (2.0, 2.0, 3.6)
+        first = hs.box_wall(BoxGrid(lo, hi, (16, 16, 16)))
+        assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 16))) is first
+        other = hs.box_wall(BoxGrid(lo, hi, (16, 16, 32)))
+        assert other is not first and other.grid.resolution == (16, 16, 32)
+        assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 32))) is other
+        assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 16))) is not first
+
+    def test_box_clear_of_the_wall(self, gentle_hs):
+        # no node within rho0: an empty tube, and the readers pass v through
+        hs = PerturbedHalfSpace(gentle_hs.boundary)
+        grid = BoxGrid((-1.0, -1.0, 1.0), (1.0, 1.0, 3.0), (16, 16, 16))
+        wall = hs.box_wall(grid)
+        assert wall.index.size == 0 and wall.normal.shape == (0, 3)
+        v = BoxField.sample(grid, hs, lambda p: np.sin(p), ncomp=3)
+        assert np.array_equal(extend_field(hs, v, hs.rho0 / 2).data, v.data)
+        assert not normal_component_field(v, hs).data.any()
+
+    def test_normal_component_against_projection(self, wall_case):
+        # grad d . v at each inside tube node, by a per-node projection
+        hs, grid, d, pts = wall_case
+        c = np.array([0.1, -0.05, 0.3])
+
+        def vfun(p):
+            return np.stack([p[..., 1] - c[1], np.sin(p[..., 0]), 1.0 + p[..., 2] ** 2], -1)
+
+        v = BoxField.sample(grid, hs, vfun, ncomp=3)
+        nc = normal_component_field(v, hs).data[0].ravel()
+        tube = np.flatnonzero((np.abs(d) < hs.rho0) & v.inside_mask.ravel())
+        assert len(tube) > 0
+        ref = np.zeros(len(pts))
+        for k in tube:
+            gd = -hs.outward_normal(hs.project_to_boundary(pts[k], check_reach=False))
+            ref[k] = gd @ vfun(pts[k])
+        assert np.abs(nc - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestTypes:

@@ -4,11 +4,11 @@ from scipy.integrate import quad
 
 from helmdecomp import BoxField, BoxGrid
 from helmdecomp.errors import NonDecayingInput, ZeroFrequencyIll
+from helmdecomp.geometry import plateau
 from helmdecomp.sobolev import (BoundaryDensity, bmo_seminorm, bnu_seminorm,
                                 gagliardo_half, hs_norm_fourier, l2_norm,
                                 lift_harmonic, pairing, th_pull, th_push,
                                 vbmol2_norm)
-from helmdecomp.utils import plateau
 
 
 def gaussian_density(extent=16.0, res=128):
