@@ -7,6 +7,12 @@ exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its buffers once and fills
 them in place, block after block.  Results differ from one whole-array sum
 by rounding only (summation order, and |x - y|^3 formed as rho2 *
 sqrt(rho2)).
+
+``gradslp_plane`` is the one kernel that is not a dense pair sum.  When
+the sources sit on the plane at every p-th node of a box x'-lattice, the
+grad SLP sum over a whole z-plane of targets is a discrete 2-D
+convolution, done by Hockney's zero-padded FFT: exact up to transform
+roundoff.
 """
 
 import numpy as np
@@ -108,3 +114,46 @@ def gagliardo_pairs(coords, vals, mu):
         d /= r
         total += float(mu[sl] @ (d @ mu))
     return total
+
+
+def gradslp_plane(zs, w, p, shift, dx, n, c):
+    """Yield sum_j c (x - y_j)|x - y_j|^{-3} w_j on every box column, per height.
+
+    Per x'-axis a, the box columns are x_i = x0 + i dx[a] for i < n[a] and
+    the sources y_j = (x0 + (shift[a] + p[a] j) dx[a], 0), with weights
+    w of shape (m0, m1).  For each z in zs, one (n0, n1, 3) array is
+    yielded for the targets (x_i, z).  The weights sit on every p-th node
+    of a zero-padded box lattice; per plane the kernel is sampled on the
+    p (m - 1) + n offsets per axis, so the circular product of the
+    transforms equals the linear convolution on the kept slice.  Only one
+    plane's buffers are alive at a time.
+    """
+    from scipy.fft import next_fast_len
+
+    span = [p[a] * (w.shape[a] - 1) + 1 for a in range(2)]
+    size = [next_fast_len(span[a] + n[a] - 1) for a in range(2)]
+    lat = np.zeros(size)
+    lat[: span[0] : p[0], : span[1] : p[1]] = w
+    what = np.fft.rfft2(lat)
+    del lat
+    # offset x_i - y_j in box spacings is i - shift - p j; entry t of the
+    # kernel holds the offset t - (span - 1) - shift
+    off = [(np.arange(span[a] + n[a] - 1) - (span[a] - 1) - shift[a]) * dx[a]
+           for a in range(2)]
+    o0, o1 = off[0][:, None], off[1][None, :]
+    r2_plane = o0 * o0 + o1 * o1
+    keep = tuple(slice(span[a] - 1, span[a] - 1 + n[a]) for a in range(2))
+    r2 = np.empty_like(r2_plane)
+    t = np.empty_like(r2_plane)
+    for z in zs:
+        # t = c / rho2^{3/2}
+        np.add(r2_plane, z * z, out=r2)
+        np.sqrt(r2, out=t)
+        t *= r2
+        np.divide(c, t, out=t)
+        out = np.empty((n[0], n[1], 3))
+        for k, comp in enumerate((t * o0, t * o1, t * z)):
+            spec = np.fft.rfft2(comp, s=size)
+            spec *= what
+            out[..., k] = np.fft.irfft2(spec, s=size)[keep]
+        yield out

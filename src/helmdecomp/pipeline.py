@@ -22,11 +22,13 @@ float64 sidecar; reruns with fixed seeds are byte identical.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _fast
 from .errors import (ExtrapolationUnstable, NonDecayingInput, NotContractive,
                      ZeroFrequencyIll)
 from .geometry import BoxField, BoxGrid, extend_field, interp_masked
@@ -40,6 +42,9 @@ _TRACE_RTOL = 0.05
 # wall probes of _residual_normal: count and the seed of their positions
 _NORMAL_PROBES = 100
 _NORMAL_SEED = 0
+# a quadrature lattice within this many box spacings of the box columns
+# counts as aligned with them
+_ALIGN_TOL = 1e-12
 
 
 @dataclass
@@ -139,22 +144,29 @@ def volume_potential_grad(hs, v, rho):
     """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension.
 
     Restricted to the domain this solves the volume-potential equation for
-    v; the construction is linear in v.
+    v; the construction is linear in v.  The transforms run through
+    scipy.fft on every CPU this process may use; scipy is imported here,
+    not at module level, so that importing the package stays cheap.
     """
+    import scipy.fft
+
     _check_box_decay(v)
     total = _extended_source(hs, v, rho)
     grid = v.grid
     res = [2 * r for r in grid.resolution]
     xi = [2.0 * np.pi * np.fft.fftfreq(res[i], d=grid.dx[i]) for i in range(3)]
     n = grid.resolution
+    workers = len(os.sched_getaffinity(0))
     X = np.meshgrid(*xi, indexing="ij", sparse=True)
     # fftn zero-pads to the doubled grid itself, and the inverse crops each
     # axis to the box as soon as that axis is done (last axis first, the
-    # order of ifftn), so at most three complex arrays of the padded grid
-    # are alive; the values are those of the full padded transforms
+    # order of ifftn) and transforms its first axis in place, so about two
+    # complex arrays of the padded grid are alive, plus the zero-padded
+    # real input or the half-cropped array; the values are those of the
+    # full padded transforms
     div = np.zeros(res, dtype=complex)
     for c in range(3):
-        F = np.fft.fftn(total[c], s=res, axes=(0, 1, 2))
+        F = scipy.fft.fftn(total[c], s=res, axes=(0, 1, 2), workers=workers)
         F *= 1j * X[c]
         div += F
         del F
@@ -167,9 +179,11 @@ def volume_potential_grad(hs, v, rho):
     qhat[0, 0, 0] = 0.0
     out = np.empty((3,) + tuple(n))
     for c in range(3):
-        g = np.fft.ifft(1j * X[c] * qhat, axis=2)[..., : n[2]]
-        g = np.fft.ifft(g, axis=1)[:, : n[1]]
-        out[c] = np.fft.ifft(g, axis=0)[: n[0]].real
+        # the product is ours, so the first inverse may overwrite it
+        g = scipy.fft.ifft(1j * X[c] * qhat, axis=2, workers=workers,
+                           overwrite_x=True)[..., : n[2]]
+        g = scipy.fft.ifft(g, axis=1, workers=workers)[:, : n[1]]
+        out[c] = scipy.fft.ifft(g, axis=0, workers=workers)[: n[0]].real
     return BoxField(grid, out, v.inside_mask.copy())
 
 
@@ -232,45 +246,94 @@ def resample_density(g, extent, res):
     return BoundaryDensity(extent, v, on_graph=g.on_graph)
 
 
+def _plane_layout(q, grid):
+    """(p, shift) when the quadrature lattice sits on every p-th box column.
+
+    Per x'-axis, p is the lattice spacing in box spacings (an integer >= 1)
+    and shift the lattice origin minus the box origin in box spacings (an
+    integer); None when either is not a whole number, to _ALIGN_TOL.
+    """
+    p, shift = [], []
+    for a in range(2):
+        ratio = q.dx / grid.dx[a]
+        off = (q.yp[0, a] - grid.lower[a]) / grid.dx[a]
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > _ALIGN_TOL \
+                or abs(off - round(off)) > _ALIGN_TOL:
+            return None
+        p.append(round(ratio))
+        shift.append(round(off))
+    return p, shift
+
+
+def _aligned_gradslp(q, grid, layout, xs, col, wg, c):
+    """grad SLP sum at xs over the quadrature, the lattice aligned as layout.
+
+    col[i] is the flat box column of xs[i] when its x' is exactly that
+    column, else -1.  Column points at heights >= delta_min, where the plane
+    quadrature is trusted, take the plane FFT over the sources projected
+    onto the plane plus the curved-minus-flat sum over the sources with
+    h_j != 0 (none on a flat wall); every other point takes the direct sum.
+    """
+    out = np.empty((3, len(xs)))
+    on = (col >= 0) & (xs[:, 2] >= q.delta_min)
+    if not on.all():
+        out[:, ~on] = _fast.gradslp_sum(np.ascontiguousarray(xs[~on]), q.nodes, wg, c).T
+    if not on.any():
+        return out
+    xs, col = np.ascontiguousarray(xs[on]), col[on]
+    zs, plane = np.unique(xs[:, 2], return_inverse=True)
+    order = np.argsort(plane, kind="stable")
+    counts = np.bincount(plane)
+    vals = np.empty((len(xs), 3))
+    planes = _fast.gradslp_plane(zs, wg.reshape(q.res, q.res), *layout, grid.dx[:2],
+                                 grid.resolution[:2], c)
+    for g, end, n in zip(planes, np.cumsum(counts), counts):
+        sel = order[end - n:end]
+        vals[sel] = g.reshape(-1, 3)[col[sel]]
+    bump = q.h != 0.0
+    if bump.any():
+        src = np.ascontiguousarray(q.nodes[bump])
+        vals += _fast.gradslp_sum(xs, src, wg[bump], c)
+        src[:, 2] = 0.0
+        vals -= _fast.gradslp_sum(xs, src, wg[bump], c)
+    out[:, on] = vals.T
+    return out
+
+
 def _sample_grad_q2(q, hs, sol, grid, mask):
     """grad q2 at inside nodes; near-surface nodes use shell extrapolation.
 
     The density comes from a decaying boundary trace, so the plain
-    truncated-lattice product suffices (no constant-tail closure).
+    truncated-lattice product suffices (no constant-tail closure).  On a
+    lattice aligned with the box, the safe nodes and the extrapolation
+    points straight above the wall take the plane FFT (_aligned_gradslp);
+    otherwise every point takes the direct sum.
     """
-    from ._fast import gradslp_sum
+    wg = np.ascontiguousarray(q.weights * q.match(sol.density))
+    c = -q.ctx.grad_const
+    layout = _plane_layout(q, grid)
 
-    pts = grid.points()[mask]
-    out = np.zeros((3, int(mask.sum())))
-    gvals = q.match(sol.density)
-    wg = np.ascontiguousarray(q.weights * gvals)
-    nodes = np.ascontiguousarray(q.nodes)
+    def batch_eval(xs, col):
+        if layout is None:
+            return _fast.gradslp_sum(np.ascontiguousarray(xs), q.nodes, wg, c).T
+        return _aligned_gradslp(q, grid, layout, xs, col, wg, c)
 
-    # d starts as the vertical gap zgap, and zgap/C_s <= d <= zgap; exact
-    # distances only for the thin ambiguous shell
-    b = hs.boundary
-    d = hs.box_wall(grid).depth()[mask]
-    shell = d / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < q.delta_min
-    if shell.any():
-        d[shell] = hs.signed_distance(pts[shell])
-    safe = d >= q.delta_min
-
-    def batch_eval(xs):
-        return gradslp_sum(np.ascontiguousarray(xs), nodes, wg, -q.ctx.grad_const).T
-
-    if safe.any():
-        out[:, safe] = batch_eval(pts[safe])
+    safe, dd, pi, nrm = hs.near_split(grid, mask, q.delta_min)
+    index = np.flatnonzero(mask)
+    col = index // grid.resolution[2]
+    out = np.empty((3, len(index)))
+    out[:, safe] = batch_eval(grid.node_points(index[safe]), col[safe])
     near = ~safe
     if near.any():
-        # extrapolate linearly from two safe depths along the inward normal
-        xs = pts[near]
-        pi = hs.project_to_boundary(xs, check_reach=False)
-        nrm = hs.outward_normal(pi)
+        # extrapolate linearly from two safe depths along the inward normal;
+        # a projection straight down keeps the node's column
+        xs = grid.node_points(index[near])
+        straight = np.all(pi[:, :2] == xs[:, :2], axis=1) & np.all(nrm == [0.0, 0.0, -1.0], axis=1)
+        col_near = np.where(straight, col[near], -1)
         d1 = 1.5 * q.delta_min
         d2 = 3.0 * q.delta_min
-        f1 = batch_eval(pi - d1 * nrm)
-        f2 = batch_eval(pi - d2 * nrm)
-        dd = d[near]
+        f1 = batch_eval(pi - d1 * nrm, col_near)
+        f2 = batch_eval(pi - d2 * nrm, col_near)
         w2 = (dd - d1) / (d2 - d1)
         out[:, near] = f1 * (1.0 - w2)[None] + f2 * w2[None]
     return out

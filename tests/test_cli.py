@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,15 @@ class TestExitCodes:
             err = json.loads(capsys.readouterr().err)
             assert code == 4
             assert "box.resolution" in err["error"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.fft costs about 0.3 s to import; only the stages that transform
+    # import it, so a run pays for it in its first decompose, not at start-up
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, helmdecomp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

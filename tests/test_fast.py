@@ -5,7 +5,8 @@ differences, with no blocking and no |x|^2 - 2 x.y + |y|^2 expansion.  The
 kernels are checked with the block size shrunk, so that small
 inputs cross many blocks with a ragged last one and blocks of one row, and
 with the real block size, including a source count above ``_BLOCK_ELEMS``.
-The separable near-origin DFT of ``sobolev`` is checked the same way.
+The plane FFT ``gradslp_plane`` is checked against the same per-pair sum,
+and the separable near-origin DFT of ``sobolev`` the same way.
 """
 
 from unittest import mock
@@ -122,6 +123,50 @@ def test_gagliardo_matches_reference_real_block():
     vals = rng.normal(size=300)
     ref = gagliardo_ref(coords, vals, mu)
     assert abs(_fast.gagliardo_pairs(coords, vals, mu) - ref) <= RTOL * ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       n=st.tuples(st.integers(1, 13), st.integers(1, 13)),
+       m=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       shift=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       seed=st.integers(0, 2**32 - 1))
+def test_plane_fft_matches_reference(p, n, m, shift, seed):
+    rng = np.random.default_rng(seed)
+    dx = rng.uniform(0.05, 0.2, 2)
+    x0 = rng.uniform(-1, 1, 2)
+    axes = [x0[a] + dx[a] * np.arange(n[a]) for a in range(2)]
+    cols = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+    src = [x0[a] + dx[a] * (shift[a] + p[a] * np.arange(m[a])) for a in range(2)]
+    src = np.stack(np.meshgrid(*src, indexing="ij"), -1).reshape(-1, 2)
+    nodes = np.column_stack([src, np.zeros(len(src))])
+    w = rng.uniform(0.5, 1.5, m)
+    # down to half a box spacing, where the kernel peaks on the sources
+    zs = np.concatenate([[0.5 * dx.min()], rng.uniform(0.5 * dx.min(), 2.0, 2)])
+    planes = list(_fast.gradslp_plane(zs, w, p, shift, tuple(dx), n, C))
+    assert len(planes) == len(zs)
+    for z, got in zip(zs, planes):
+        assert got.shape == (n[0], n[1], 3)
+        xs = np.column_stack([cols, np.full(len(cols), z)])
+        ref = gradslp_ref(xs, nodes, w.ravel(), C)
+        assert _rel_err(got.reshape(-1, 3), ref) <= RTOL
+
+
+def test_plane_fft_matches_reference_96_box():
+    # a 96^2 box of spacing 1/24 under a 48^2 lattice of spacing 1/8 whose
+    # origin lies 24 box spacings below the box's; 400 sampled columns
+    rng = np.random.default_rng(11)
+    dx, n, m = 1.0 / 24.0, 96, 48
+    w = rng.uniform(0.5, 1.5, (m, m))
+    src = -3.0 + 3 * dx * np.arange(m)
+    src = np.stack(np.meshgrid(src, src, indexing="ij"), -1).reshape(-1, 2)
+    nodes = np.column_stack([src, np.zeros(len(src))])
+    pick = rng.choice(n * n, 400, replace=False)
+    cols = -2.0 + dx * np.column_stack(np.unravel_index(pick, (n, n)))
+    zs = [0.5 * dx, 0.1875, 2.0]
+    for z, got in zip(zs, _fast.gradslp_plane(zs, w, (3, 3), (-24, -24), (dx, dx), (n, n), C)):
+        ref = gradslp_ref(np.column_stack([cols, np.full(400, z)]), nodes, w.ravel(), C)
+        assert _rel_err(got.reshape(-1, 3)[pick], ref) <= RTOL
 
 
 @settings(max_examples=20, deadline=None)

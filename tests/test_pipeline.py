@@ -1,13 +1,17 @@
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
+from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, _fast, pipeline
 from helmdecomp.errors import NonDecayingInput
-from helmdecomp.pipeline import (PipelineConfig, decompose, normal_trace,
-                                 read_field, resample_density, verify,
+from helmdecomp.layers import SurfaceQuadrature
+from helmdecomp.pipeline import (PipelineConfig, _plane_layout, _sample_grad_q2, decompose,
+                                 normal_trace, read_field, resample_density, verify,
                                  volume_potential_grad, write_field)
+from helmdecomp.sobolev import BoundaryDensity
 
 S2 = 0.12
 CENTER = np.array([0.0, 0.0, 1.5])
@@ -216,6 +220,82 @@ class TestResample:
         r = resample_density(g, 8.0, 32)
         assert r.values[0, 0] == 0.0
         assert abs(r.values[16, 16] - 1.0) < 1e-12
+
+
+def _grad_q2_case(hs, grid, extent, res):
+    """(quadrature, stand-in series solution, inside mask) for _sample_grad_q2."""
+    q = SurfaceQuadrature(hs, extent, res)
+    dens = BoundaryDensity.sample(
+        extent, res, lambda p: np.exp(-np.sum((p - [0.2, 0.1]) ** 2, -1) / 0.5), on_graph=True)
+    return q, SimpleNamespace(density=dens), grid.inside(hs)
+
+
+def _direct_grad_q2(q, hs, sol, grid, mask):
+    """The all-direct sampling written out: classify, three direct sums, extrapolate."""
+    pts = grid.points()[mask]
+    wg = q.weights * q.match(sol.density)
+    c = -q.ctx.grad_const
+    b = hs.boundary
+    d = hs.box_wall(grid).depth()[mask]
+    shell = d / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < q.delta_min
+    d[shell] = hs.signed_distance(pts[shell])
+    safe = d >= q.delta_min
+    out = np.zeros((3, len(pts)))
+    out[:, safe] = _fast.gradslp_sum(pts[safe], q.nodes, wg, c).T
+    pi = hs.project_to_boundary(pts[~safe], check_reach=False)
+    nrm = hs.outward_normal(pi)
+    d1, d2 = 1.5 * q.delta_min, 3.0 * q.delta_min
+    f1 = _fast.gradslp_sum(pi - d1 * nrm, q.nodes, wg, c).T
+    f2 = _fast.gradslp_sum(pi - d2 * nrm, q.nodes, wg, c).T
+    w2 = (d[~safe] - d1) / (d2 - d1)
+    out[:, ~safe] = f1 * (1.0 - w2)[None] + f2 * w2[None]
+    return out
+
+
+# a 24^3 box of spacing 1/8 over the gentle bump, and the same box with
+# spacing 1/4 along y
+Q2_LOWER, Q2_UPPER = (-1.5, -1.5, -0.4), (1.5, 1.5, 2.6)
+
+
+class TestGradQ2Paths:
+    @pytest.mark.parametrize("res, layout", [((24, 24, 24), ([2, 2], [-20, -20])),
+                                             ((24, 12, 24), ([2, 1], [-20, -10]))])
+    def test_aligned_curved_matches_direct(self, gentle_hs, res, layout):
+        # lattice spacing 1/4 on every p-th box column: plane FFT plus the
+        # bump correction against the all-direct sum
+        grid = BoxGrid(Q2_LOWER, Q2_UPPER, res)
+        q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
+        assert _plane_layout(q, grid) == layout
+        got = _sample_grad_q2(q, gentle_hs, sol, grid, mask)
+        ref = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
+        grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
+        q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
+        pairs = []
+        direct = _fast.gradslp_sum
+
+        def counted(xs, nodes, wg, c):
+            pairs.append(len(xs) * len(nodes))
+            return direct(xs, nodes, wg, c)
+
+        with mock.patch.object(_fast, "gradslp_sum", counted):
+            got = _sample_grad_q2(q, flat_hs, sol, grid, mask)
+        assert sum(pairs) == 0
+        ref = _direct_grad_q2(q, flat_hs, sol, grid, mask)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lower, upper, extent, res", [
+        (Q2_LOWER, Q2_UPPER, 8.0, 30),                           # spacing ratio 32/15
+        ((-1.55, -1.55, -0.4), (1.45, 1.45, 2.6), 8.0, 32),      # ratio 2, shift 19.6
+    ])
+    def test_unaligned_is_the_direct_sum(self, gentle_hs, lower, upper, extent, res):
+        grid = BoxGrid(lower, upper, (24, 24, 24))
+        q, sol, mask = _grad_q2_case(gentle_hs, grid, extent, res)
+        assert _plane_layout(q, grid) is None
+        got = _sample_grad_q2(q, gentle_hs, sol, grid, mask)
+        assert np.array_equal(got, _direct_grad_q2(q, gentle_hs, sol, grid, mask))
 
 
 class TestDecompose:
