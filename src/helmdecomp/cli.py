@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import (ConfigError, HelmdecompError, MaxIterations, NonDecayingInput,
                      NotContractive, TooCloseToSurface)
-from .geometry import BoundaryFunction, PerturbedHalfSpace
+from .geometry import BoundaryFunction, BoxGrid, PerturbedHalfSpace
 from .layers import (SurfaceQuadrature, gauss_flux, grad_single_layer, trace_S,
                      trace_limit_Q)
 from .neumann import check_smallness, estimate_contraction, smallness_constants
 from .pipeline import (PipelineConfig, TraceReport, decompose, read_field,
-                       verify, write_field)
+                       square_section_width, verify, write_field)
 from .sobolev import BoundaryDensity, vbmol2_norm
 
 
@@ -77,6 +77,11 @@ class RunConfig:
         for r in box["resolution"]:
             if r < 8 or (r & (r - 1)) != 0:
                 raise ConfigError("box resolutions must be powers of two >= 8")
+        try:
+            grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), tuple(box["resolution"]))
+            square_section_width(grid)
+        except ValueError as exc:
+            raise ConfigError(f"box: {exc}") from exc
         lat = self.lattice
         if "extent" not in lat or "resolution" not in lat:
             raise ConfigError("lattice needs extent and resolution")
@@ -222,6 +227,7 @@ def cmd_decompose(cfg, field_path, out_dir=None):
         "ledger_v0": result.ledger_v0.to_dict(),
         "ledger_gradq": result.ledger_gradq.to_dict(),
         "smallness": result.smallness,
+        "lattice": result.lattice,
         "verify": rep.to_dict(),
     }
     if out_dir is not None:

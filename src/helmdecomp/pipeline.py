@@ -22,6 +22,7 @@ float64 sidecar; reruns with fixed seeds are byte identical.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,14 +43,13 @@ _TRACE_RTOL = 0.05
 # wall probes of _residual_normal: count and the seed of their positions
 _NORMAL_PROBES = 100
 _NORMAL_SEED = 0
-# a quadrature lattice within this many box spacings of the box columns
-# counts as aligned with them
-_ALIGN_TOL = 1e-12
 
 
 @dataclass
 class PipelineConfig:
-    """Knobs for the decomposition stages."""
+    """Knobs for the decomposition stages.  quad_extent is a lower bound on
+    the quadrature lattice's extent and quad_extent / quad_res its asked
+    spacing; decompose puts the lattice on the box columns."""
 
     rho: float
     quad_extent: float
@@ -75,6 +75,8 @@ class DecompositionResult:
     residual_div: float
     residual_normal: float
     smallness: dict = field(default_factory=dict)
+    # the quadrature lattice used: extent, resolution, stride in box spacings
+    lattice: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -210,20 +212,13 @@ def normal_trace(hs, w):
     disagree by more than 10x _TRACE_RTOL relative to sup |w|.
     """
     grid = w.grid
-    if grid.resolution[0] != grid.resolution[1] or \
-       abs((grid.upper[0] - grid.lower[0]) - (grid.upper[1] - grid.lower[1])) > 1e-12:
-        raise ValueError("normal_trace expects square x'-cross-sections")
-    a0 = grid.axis(0)
-    a1 = grid.axis(1)
-    gx, gy = np.meshgrid(a0, a1, indexing="ij")
-    yp = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    vals, diff = _shell_normals(hs, w, yp)
+    extent = square_section_width(grid)
+    vals, diff = _shell_normals(hs, w, grid.columns().reshape(-1, 2))
     scale = float(np.abs(w.data[:, w.inside_mask]).max()) if w.inside_mask.any() else 0.0
     gap = float(np.abs(diff).max())
     if scale > 0 and gap > 10.0 * _TRACE_RTOL * scale:
         raise ExtrapolationUnstable(f"trace shells disagree by {gap:.3e}")
-    extent = grid.upper[0] - grid.lower[0]
-    g = BoundaryDensity(extent, vals.reshape(len(a0), len(a1)), on_graph=True)
+    g = BoundaryDensity(extent, vals.reshape(grid.resolution[:2]), on_graph=True)
     linf = float(np.abs(vals).max())
     try:
         hminus = hs_norm_fourier(th_pull(g), -0.5, check_decay=False, origin_rings=4)
@@ -246,40 +241,49 @@ def resample_density(g, extent, res):
     return BoundaryDensity(extent, v, on_graph=g.on_graph)
 
 
-def _plane_layout(q, grid):
-    """(p, shift) when the quadrature lattice sits on every p-th box column.
+def square_section_width(grid):
+    """Side L of the box x'-section, whose columns are then the lattice
+    [-L/2, L/2)^2 of a BoundaryDensity; ValueError unless the section is a
+    square centred on x' = 0 with equal x and y resolutions."""
+    (x0, y0, _), (x1, y1, _) = grid.lower, grid.upper
+    width = x1 - x0
+    off = max(abs(y1 - y0 - width), abs(x0 + x1), abs(y0 + y1))
+    if grid.resolution[0] != grid.resolution[1] or off > 1e-12 * width:
+        raise ValueError("the box x'-section is not a square centred on x' = 0")
+    return width
 
-    Per x'-axis, p is the lattice spacing in box spacings (an integer >= 1)
-    and shift the lattice origin minus the box origin in box spacings (an
-    integer); None when either is not a whole number, to _ALIGN_TOL.
-    """
-    p, shift = [], []
-    for a in range(2):
-        ratio = q.dx / grid.dx[a]
-        off = (q.yp[0, a] - grid.lower[a]) / grid.dx[a]
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > _ALIGN_TOL \
-                or abs(off - round(off)) > _ALIGN_TOL:
-            return None
-        p.append(round(ratio))
-        shift.append(round(off))
-    return p, shift
+
+def _column_lattice(grid, extent, res):
+    """(extent, res, layout) of the quadrature lattice on the box columns:
+    spacing extent / res rounded up to p box spacings (p odd for an odd
+    column count n), and the fewest m nodes spanning extent with m p - n
+    even, so every p-th column of the centred box is a node.  layout holds
+    p and the lattice origin minus the box origin, in box spacings."""
+    width = square_section_width(grid)
+    n = grid.resolution[0]
+    # both ceilings forgive roundoff in the ratios of aligned configs
+    p = math.ceil(extent * n / (res * width) * (1.0 - 1e-12))
+    if n % 2 and p % 2 == 0:
+        p += 1
+    m = math.ceil(extent * n / (p * width) * (1.0 - 1e-12))
+    if (m * p - n) % 2:
+        m += 1
+    shift = (n - m * p) // 2
+    return m * p * width / n, m, ([p, p], [shift, shift])
 
 
 def _aligned_gradslp(q, grid, layout, xs, col, wg, c):
-    """grad SLP sum at xs over the quadrature, the lattice aligned as layout.
+    """grad SLP sum at xs over the quadrature, on the box columns as layout.
 
     col[i] is the flat box column of xs[i] when its x' is exactly that
-    column, else -1.  Column points at heights >= delta_min, where the plane
-    quadrature is trusted, take the plane FFT over the sources projected
-    onto the plane plus the curved-minus-flat sum over the sources with
-    h_j != 0 (none on a flat wall); every other point takes the direct sum.
+    column, else -1.  Column points at heights >= delta_min take the plane
+    FFT plus the curved-minus-flat sum over the h_j != 0 sources (none on a
+    flat wall); every other point takes the direct sum.
     """
     out = np.empty((3, len(xs)))
     on = (col >= 0) & (xs[:, 2] >= q.delta_min)
     if not on.all():
         out[:, ~on] = _fast.gradslp_sum(np.ascontiguousarray(xs[~on]), q.nodes, wg, c).T
-    if not on.any():
-        return out
     xs, col = np.ascontiguousarray(xs[on]), col[on]
     zs, plane = np.unique(xs[:, 2], return_inverse=True)
     order = np.argsort(plane, kind="stable")
@@ -300,29 +304,22 @@ def _aligned_gradslp(q, grid, layout, xs, col, wg, c):
     return out
 
 
-def _sample_grad_q2(q, hs, sol, grid, mask):
+def _sample_grad_q2(q, hs, sol, grid, mask, layout):
     """grad q2 at inside nodes; near-surface nodes use shell extrapolation.
 
     The density comes from a decaying boundary trace, so the plain
-    truncated-lattice product suffices (no constant-tail closure).  On a
-    lattice aligned with the box, the safe nodes and the extrapolation
-    points straight above the wall take the plane FFT (_aligned_gradslp);
-    otherwise every point takes the direct sum.
+    truncated-lattice product suffices (no constant-tail closure).  On the
+    lattice of layout, the safe nodes and the extrapolation points straight
+    above the wall take the plane FFT.
     """
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
-    layout = _plane_layout(q, grid)
-
-    def batch_eval(xs, col):
-        if layout is None:
-            return _fast.gradslp_sum(np.ascontiguousarray(xs), q.nodes, wg, c).T
-        return _aligned_gradslp(q, grid, layout, xs, col, wg, c)
-
     safe, dd, pi, nrm = hs.near_split(grid, mask, q.delta_min)
     index = np.flatnonzero(mask)
     col = index // grid.resolution[2]
     out = np.empty((3, len(index)))
-    out[:, safe] = batch_eval(grid.node_points(index[safe]), col[safe])
+    out[:, safe] = _aligned_gradslp(q, grid, layout, grid.node_points(index[safe]),
+                                    col[safe], wg, c)
     near = ~safe
     if near.any():
         # extrapolate linearly from two safe depths along the inward normal;
@@ -332,8 +329,8 @@ def _sample_grad_q2(q, hs, sol, grid, mask):
         col_near = np.where(straight, col[near], -1)
         d1 = 1.5 * q.delta_min
         d2 = 3.0 * q.delta_min
-        f1 = batch_eval(pi - d1 * nrm, col_near)
-        f2 = batch_eval(pi - d2 * nrm, col_near)
+        f1 = _aligned_gradslp(q, grid, layout, pi - d1 * nrm, col_near, wg, c)
+        f2 = _aligned_gradslp(q, grid, layout, pi - d2 * nrm, col_near, wg, c)
         w2 = (dd - d1) / (d2 - d1)
         out[:, near] = f1 * (1.0 - w2)[None] + f2 * w2[None]
     return out
@@ -383,7 +380,7 @@ def _residual_div(v0, hs, ref):
 
 def _residual_normal(v0, hs, v_scale):
     """Largest |v0 . n| trace at a fixed set of _NORMAL_PROBES wall points,
-    relative to 1 + v_scale; decompose and verify see the same points."""
+    relative to 1 + v_scale."""
     rng = np.random.default_rng(_NORMAL_SEED)
     g = v0.grid
     margin = 4.0 * max(g.dx)
@@ -396,7 +393,8 @@ def _residual_normal(v0, hs, v_scale):
 
 def decompose(hs, v, cfg):
     """Run the full three-stage decomposition; see the module docstring."""
-    q = SurfaceQuadrature(hs, cfg.quad_extent, cfg.quad_res)
+    extent, res, layout = _column_lattice(v.grid, cfg.quad_extent, cfg.quad_res)
+    q = SurfaceQuadrature(hs, extent, res)
     contraction = estimate_contraction(q, hs, seed=cfg.seed)
     report = smallness_constants(hs.boundary)
     report.empirical_2S_norm = contraction
@@ -406,11 +404,11 @@ def decompose(hs, v, cfg):
     gq1 = volume_potential_grad(hs, v, cfg.rho)
     w = BoxField(v.grid, (v.data - gq1.data) * v.inside_mask[None], v.inside_mask)
     g, g_linf, g_hminus = normal_trace(hs, w)
-    g_quad = resample_density(g, cfg.quad_extent, cfg.quad_res)
+    # the lattice nodes are box columns, where the lookup is exact
+    g_quad = resample_density(g, extent, res)
     sol = solve_density(q, hs, g_quad, contraction, tol=cfg.tol, kmax=cfg.kmax)
-    gq2_inside = _sample_grad_q2(q, hs, sol, v.grid, v.inside_mask)
     gq2 = np.zeros_like(v.data)
-    gq2[:, v.inside_mask] = gq2_inside
+    gq2[:, v.inside_mask] = _sample_grad_q2(q, hs, sol, v.grid, v.inside_mask, layout)
     gq2 = BoxField(v.grid, gq2, v.inside_mask)
     v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
 
@@ -425,6 +423,7 @@ def decompose(hs, v, cfg):
         residual_div=_residual_div(v0, hs, ref=v),
         residual_normal=_residual_normal(v0, hs, v_scale),
         smallness=report.to_dict(),
+        lattice={"extent": extent, "resolution": res, "stride": layout[0][0]},
     )
     result.ledger_v.hminus_half = g_hminus
     result.ledger_v.linf = max(result.ledger_v.linf, g_linf)
@@ -432,15 +431,15 @@ def decompose(hs, v, cfg):
 
 
 def verify(result, hs):
-    """Recompute the decomposition invariants into a TraceReport."""
+    """Gate the decomposition invariants in a TraceReport: the reconstruction
+    error, recomputed, and the two residuals decompose took (hs unused)."""
     rep = TraceReport()
     inside = result.v.inside_mask
     recon = result.v.data - (result.v0.data + result.grad_q1.data + result.grad_q2.data)
     rec_err = float(np.abs(recon[:, inside]).max()) if inside.any() else 0.0
     rep.add("reconstruction_max_err", rec_err, 1e-10)
-    rep.add("residual_div", _residual_div(result.v0, hs, ref=result.v), 1.0)
-    v_scale = float(np.abs(result.v.data[:, inside]).max()) if inside.any() else 0.0
-    rep.add("residual_normal", _residual_normal(result.v0, hs, v_scale), 1.0)
+    rep.add("residual_div", result.residual_div, 1.0)
+    rep.add("residual_normal", result.residual_normal, 1.0)
     return rep
 
 

@@ -213,6 +213,8 @@ class TestDecompose:
         entry = {e["name"]: e["value"] for e in payload["verify"]["entries"]}
         assert payload["residual_normal"] > 0.0
         assert payload["residual_normal"] == entry["residual_normal"]
+        # the lattice asked as 8.0 / 24 lands on every third box column
+        assert payload["lattice"] == {"extent": 8.25, "resolution": 22, "stride": 3}
 
 
 class TestExitCodes:
@@ -236,6 +238,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert code == 4
         assert "ladder cannot fit" in err["error"]
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([-1.0, -1.0, -0.5], [3.0, 3.0, 3.5]),     # off centre
+        ([-2.0, -1.0, -0.5], [2.0, 1.0, 3.5]),     # not square
+    ])
+    def test_box_not_a_centred_square_is_bad_input(self, tmp_path, capsys, lower, upper):
+        cfg = write_config(tmp_path, box={"lower": lower, "upper": upper,
+                                          "resolution": [32, 32, 32]})
+        hs = PerturbedHalfSpace(BoundaryFunction.zero())
+        grid = BoxGrid(tuple(lower), tuple(upper), (32, 32, 32))
+        c = np.array([0.5 * (lower[0] + upper[0]), 0.5 * (lower[1] + upper[1]), 1.5])
+        write_field(BoxField.sample(grid, hs, lambda p: (p - c) * np.exp(
+            -np.sum((p - c) ** 2, -1) / 0.05)[..., None], ncomp=3), tmp_path / "v.json")
+        code = main(["--config", cfg, "decompose", str(tmp_path / "v.json")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 4
+        assert "centred" in err["error"]
 
     def test_series_cap_is_gate_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, box={"lower": [-2.0, -2.0, -0.5],

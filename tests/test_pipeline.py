@@ -4,13 +4,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, _fast, pipeline
 from helmdecomp.errors import NonDecayingInput
 from helmdecomp.layers import SurfaceQuadrature
-from helmdecomp.pipeline import (PipelineConfig, _plane_layout, _sample_grad_q2, decompose,
-                                 normal_trace, read_field, resample_density, verify,
-                                 volume_potential_grad, write_field)
+from helmdecomp.neumann import estimate_contraction
+from helmdecomp.pipeline import (PipelineConfig, _column_lattice, _residual_div,
+                                 _residual_normal, _sample_grad_q2, decompose, normal_trace,
+                                 read_field, resample_density, verify, volume_potential_grad,
+                                 write_field)
 from helmdecomp.sobolev import BoundaryDensity
 
 S2 = 0.12
@@ -204,6 +208,14 @@ class TestNormalTrace:
         with pytest.raises(ExtrapolationUnstable):
             normal_trace(flat_hs, v)
 
+    def test_off_centre_box_is_refused(self, flat_hs):
+        # the trace is labelled as centred at x' = 0, so a box shifted by
+        # (1, 1) would put every trace value one unit off
+        grid = BoxGrid((-1.0, -1.0, -0.5), (3.0, 3.0, 3.5), (32, 32, 32))
+        v = BoxField(grid, np.zeros((3, 32, 32, 32)), grid.inside(flat_hs))
+        with pytest.raises(ValueError, match="centred"):
+            normal_trace(flat_hs, v)
+
 
 class TestResample:
     def test_identity_on_same_lattice(self):
@@ -220,6 +232,49 @@ class TestResample:
         r = resample_density(g, 8.0, 32)
         assert r.values[0, 0] == 0.0
         assert abs(r.values[16, 16] - 1.0) < 1e-12
+
+
+class TestColumnLattice:
+    @pytest.mark.parametrize("n, asked, want", [
+        (64, (8.0, 48), (8.25, 44, 3, -34)),    # criterion 7a and the curved workloads
+        (96, (6.0, 48), (6.0, 48, 3, -24)),     # flat96, already aligned
+        (64, (6.0, 48), (6.0, 48, 2, -16)),     # the flat test configs
+        (32, (8.0, 24), (8.25, 22, 3, -17)),    # the curved CLI config
+    ])
+    def test_configs(self, n, asked, want):
+        grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (n, n, n))
+        extent, res, layout = _column_lattice(grid, *asked)
+        extent_w, res_w, p, shift = want
+        assert extent == extent_w and res == res_w
+        assert layout == ([p, p], [shift, shift])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(8, 128), width=st.floats(0.5, 8.0), wide=st.floats(0.25, 4.0),
+           res=st.integers(8, 96))
+    def test_nodes_are_box_columns(self, n, width, wide, res):
+        grid = BoxGrid((-width / 2, -width / 2, 0.0), (width / 2, width / 2, 1.0), (n, n, 8))
+        asked = wide * width
+        extent, m, ([p, py], [shift, sy]) = _column_lattice(grid, asked, res)
+        assert (py, sy) == (p, shift) and 2 * shift == n - m * p
+        dx = grid.dx[0]
+        # node j sits on box column shift + p j; check those within the box
+        k = (BoundaryDensity(extent, np.zeros((m, m))).axis() - grid.lower[0]) / dx
+        inbox = (k > -0.5) & (k < n - 0.5)
+        assert inbox.any()
+        assert np.abs(k - (shift + p * np.arange(m)))[inbox].max() <= 1e-12
+        assert extent >= asked * (1.0 - 1e-12)
+        assert extent / m >= asked / res * (1.0 - 1e-12)
+        assert m <= res + 1
+        assert n % 2 == 0 or p % 2 == 1
+
+    @pytest.mark.parametrize("lower, upper, res", [
+        ((-1.0, -1.0, -0.5), (3.0, 3.0, 3.5), (32, 32, 32)),     # off centre
+        ((-2.0, -1.0, -0.5), (2.0, 1.0, 3.5), (32, 16, 32)),     # not square
+        ((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 16, 32)),     # unequal resolutions
+    ])
+    def test_box_must_be_a_centred_square(self, lower, upper, res):
+        with pytest.raises(ValueError, match="centred"):
+            _column_lattice(BoxGrid(lower, upper, res), 6.0, 48)
 
 
 def _grad_q2_case(hs, grid, extent, res):
@@ -265,8 +320,7 @@ class TestGradQ2Paths:
         # bump correction against the all-direct sum
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, res)
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        assert _plane_layout(q, grid) == layout
-        got = _sample_grad_q2(q, gentle_hs, sol, grid, mask)
+        got = _sample_grad_q2(q, gentle_hs, sol, grid, mask, layout)
         ref = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -281,21 +335,10 @@ class TestGradQ2Paths:
             return direct(xs, nodes, wg, c)
 
         with mock.patch.object(_fast, "gradslp_sum", counted):
-            got = _sample_grad_q2(q, flat_hs, sol, grid, mask)
+            got = _sample_grad_q2(q, flat_hs, sol, grid, mask, ([2, 2], [-20, -20]))
         assert sum(pairs) == 0
         ref = _direct_grad_q2(q, flat_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("lower, upper, extent, res", [
-        (Q2_LOWER, Q2_UPPER, 8.0, 30),                           # spacing ratio 32/15
-        ((-1.55, -1.55, -0.4), (1.45, 1.45, 2.6), 8.0, 32),      # ratio 2, shift 19.6
-    ])
-    def test_unaligned_is_the_direct_sum(self, gentle_hs, lower, upper, extent, res):
-        grid = BoxGrid(lower, upper, (24, 24, 24))
-        q, sol, mask = _grad_q2_case(gentle_hs, grid, extent, res)
-        assert _plane_layout(q, grid) is None
-        got = _sample_grad_q2(q, gentle_hs, sol, grid, mask)
-        assert np.array_equal(got, _direct_grad_q2(q, gentle_hs, sol, grid, mask))
 
 
 class TestDecompose:
@@ -358,6 +401,9 @@ class TestDecompose:
         assert gap <= 2.0 * stage + 1e-10 * l2(v)
 
     def test_curved_gradient_input(self, gentle_hs):
+        # the criterion-7a config: the lattice asked as 8.0 / 48 lands on the
+        # box columns as 8.25 / 44, and grad q2 takes the plane FFT for most
+        # points, so the direct pairs stay below half of the all-direct count
         cfg = PipelineConfig(rho=0.055, quad_extent=8.0, quad_res=48,
                              mu=0.3, nu=0.08, samples=100, seed=5)
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (64, 64, 64))
@@ -367,9 +413,31 @@ class TestDecompose:
             return -2.0 * (p - c) / S2 * np.exp(-np.sum((p - c) ** 2, -1) / S2)[..., None]
 
         v = BoxField.sample(grid, gentle_hs, gp, ncomp=3)
-        res = decompose(gentle_hs, v, cfg)
+        pairs = []
+        direct = _fast.gradslp_sum
+
+        def counted(xs, nodes, wg, c):
+            pairs.append(len(xs) * len(nodes))
+            return direct(xs, nodes, wg, c)
+
+        with mock.patch.object(_fast, "gradslp_sum", counted):
+            res = decompose(gentle_hs, v, cfg)
         assert l2(res.v0) < 5e-2 * l2(v)
         assert res.smallness["empirical_2S_norm"] < 1.0
+        assert res.lattice == {"extent": 8.25, "resolution": 44, "stride": 3}
+        # all direct: every safe node once, every near node at two depths
+        safe = gentle_hs.near_split(grid, v.inside_mask, 1.5 * (8.25 / 44))[0]
+        all_direct = (len(safe) + np.count_nonzero(~safe)) * 44 ** 2
+        assert 0 < sum(pairs) < 0.5 * all_direct
+
+    def test_contraction_settles_in_30_steps(self, gentle_hs):
+        # the 30 power steps of decompose against 60, on the criterion-7a lattice
+        grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (64, 64, 64))
+        extent, res, _ = _column_lattice(grid, 8.0, 48)
+        q = SurfaceQuadrature(gentle_hs, extent, res)
+        k30 = estimate_contraction(q, gentle_hs, steps=30, seed=5)
+        k60 = estimate_contraction(q, gentle_hs, steps=60, seed=5)
+        assert abs(k30 - k60) <= 1e-6 * k60
 
     def test_verify_report(self, flat_hs, grad_field, flat_cfg):
         res = decompose(flat_hs, grad_field, flat_cfg)
@@ -378,6 +446,11 @@ class TestDecompose:
         vals = {e.name: e.value for e in rep.entries}
         assert all(np.isfinite(v) and v >= 0 for v in vals.values())
         assert vals["reconstruction_max_err"] < 1e-10
+        # verify gates the residuals decompose took, which a fresh
+        # computation on the same arrays reproduces
+        v_scale = float(np.abs(grad_field.data[:, grad_field.inside_mask]).max())
+        assert vals["residual_div"] == _residual_div(res.v0, flat_hs, ref=grad_field)
+        assert vals["residual_normal"] == _residual_normal(res.v0, flat_hs, v_scale)
 
     def test_zero_input(self, flat_hs, flat_grid, flat_cfg):
         v = BoxField(flat_grid, np.zeros((3,) + tuple(flat_grid.resolution)))

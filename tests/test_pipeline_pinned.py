@@ -49,7 +49,8 @@ def _sample_grad_q2_values(hs):
     q = SurfaceQuadrature(hs, 8.0, 32)
     dens = BoundaryDensity.sample(
         8.0, 32, lambda p: np.exp(-np.sum((p - [0.2, 0.1]) ** 2, -1) / 0.5), on_graph=True)
-    out = _sample_grad_q2(q, hs, SimpleNamespace(density=dens), grid, mask)
+    out = _sample_grad_q2(q, hs, SimpleNamespace(density=dens), grid, mask,
+                          ([2, 2], [-20, -20]))
     return out[:, ::13].ravel()
 
 
