@@ -49,7 +49,14 @@ def _sq_dist(xs, ys, r, d):
 
 
 def gradslp_sum(xs, nodes, wg, c):
-    """sum_j c (x - y_j) |x - y_j|^{-3} (w g)_j for each row of xs."""
+    """sum_j c (x - y_j) |x - y_j|^{-3} (w g)_j for each row of xs.
+
+    rho2 by the expansion below cancels when x is near a source far from the
+    origin: above the 44^2 nodes of a lattice of extent 8.25, with weights of
+    both signs, the error reaches 3.3e-13 of the largest value at height 1/32
+    and 2.5e-14 at delta_min = 0.28125, the least distance from the wall at
+    which the pipeline sums.  Exact differences took 2 to 4 times as long.
+    """
     # rho2 = |x|^2 - 2 x.y + |y|^2 is one product of [-2x, |x|^2, 1] and
     # [y, 1, |y|^2]; sum_j t_j and sum_j t_j y_j are one product with [1, y]
     a = np.column_stack([-2.0 * xs, np.sum(xs * xs, axis=1), np.ones(len(xs))])

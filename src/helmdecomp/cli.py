@@ -9,7 +9,7 @@ resolve).
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,22 +25,19 @@ from .pipeline import (PipelineConfig, TraceReport, decompose, read_field,
 from .sobolev import BoundaryDensity, vbmol2_norm
 
 
+# PipelineConfig keys set at the top level of a run config (lattice sets quad_*)
+_KNOBS = {f.name for f in fields(PipelineConfig) if f.init} - {"quad_extent", "quad_res"}
+
+
 @dataclass
 class RunConfig:
     n: int
     boundary: dict
     box: dict
-    lattice: dict
-    mu: float = 0.2
-    nu: float = 0.05
-    rho: float = 0.05
+    pipeline: PipelineConfig
     rho0: float = None
     reach: float = None
-    tol: float = 1e-8
-    kmax: int = 64
     cstar_n: float = 1.0
-    seed: int = 0
-    samples: int = 200
 
     @classmethod
     def load(cls, path):
@@ -52,23 +49,30 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        required = ("n", "boundary", "box", "lattice")
-        for key in required:
+        for key in ("n", "boundary", "box", "lattice"):
             if key not in raw:
                 raise ConfigError(f"config missing required key {key!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        own = {f.name for f in fields(cls)} - {"pipeline"}
+        unknown = set(raw) - own - _KNOBS - {"lattice"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**raw)
+        lat = raw["lattice"]
+        if "extent" not in lat or "resolution" not in lat:
+            raise ConfigError("lattice needs extent and resolution")
+        if lat["extent"] <= 0 or lat["resolution"] < 8:
+            raise ConfigError("lattice extent/resolution out of range")
+        knobs = {"rho": 0.05, **{k: raw[k] for k in _KNOBS & set(raw)}}  # the CLI's rho
+        pipeline = PipelineConfig(quad_extent=lat["extent"], quad_res=lat["resolution"], **knobs)
+        cfg = cls(pipeline=pipeline, **{k: raw[k] for k in own & set(raw)})
         cfg.validate()
         return cfg
 
     def validate(self):
         if self.n != 3:
             raise ConfigError("only n = 3 is supported at runtime")
-        for name in ("mu", "nu", "rho", "tol", "cstar_n"):
-            if getattr(self, name) <= 0:
+        p = self.pipeline
+        for owner, name in ((p, "mu"), (p, "nu"), (p, "rho"), (p, "tol"), (self, "cstar_n")):
+            if getattr(owner, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         box = self.box
         for key in ("lower", "upper", "resolution"):
@@ -82,11 +86,6 @@ class RunConfig:
             square_section_width(grid)
         except ValueError as exc:
             raise ConfigError(f"box: {exc}") from exc
-        lat = self.lattice
-        if "extent" not in lat or "resolution" not in lat:
-            raise ConfigError("lattice needs extent and resolution")
-        if lat["extent"] <= 0 or lat["resolution"] < 8:
-            raise ConfigError("lattice extent/resolution out of range")
         preset = self.boundary.get("preset")
         if preset not in ("zero", "gaussian-bump", "smooth-bump"):
             raise ConfigError(f"unknown boundary preset {preset!r}")
@@ -97,18 +96,9 @@ class RunConfig:
         b.validate()
         hs = PerturbedHalfSpace(b, rho0=self.rho0, reach_estimate=self.reach)
         Rh = b.support_radius
-        if Rh > 0 and self.lattice["extent"] < 4.0 * Rh:
+        if Rh > 0 and self.pipeline.quad_extent < 4.0 * Rh:
             raise ConfigError("lattice extent must cover 4x the bump support")
         return hs
-
-    def quadrature(self, hs):
-        return SurfaceQuadrature(hs, self.lattice["extent"], self.lattice["resolution"])
-
-    def pipeline_config(self):
-        return PipelineConfig(rho=self.rho, quad_extent=self.lattice["extent"],
-                              quad_res=self.lattice["resolution"], mu=self.mu,
-                              nu=self.nu, tol=self.tol, kmax=self.kmax,
-                              seed=self.seed, samples=self.samples)
 
 
 def _emit(payload, out_dir, name):
@@ -123,8 +113,8 @@ def _emit(payload, out_dir, name):
 def cmd_check_smallness(cfg, out_dir=None):
     hs = cfg.build_geometry()
     report = smallness_constants(hs.boundary)
-    q = cfg.quadrature(hs)
-    report.empirical_2S_norm = estimate_contraction(q, hs, seed=cfg.seed)
+    q = SurfaceQuadrature(hs, cfg.pipeline.quad_extent, cfg.pipeline.quad_res)
+    report.empirical_2S_norm = estimate_contraction(q, hs, seed=cfg.pipeline.seed)
     verdict = check_smallness(report, cfg.cstar_n)
     payload = report.to_dict()
     payload["verdict"] = {"first": verdict.first, "second": verdict.second,
@@ -136,8 +126,8 @@ def cmd_check_smallness(cfg, out_dir=None):
 
 def cmd_verify_identities(cfg, out_dir=None):
     hs = cfg.build_geometry()
-    q = cfg.quadrature(hs)
-    rng = np.random.default_rng(cfg.seed)
+    q = SurfaceQuadrature(hs, cfg.pipeline.quad_extent, cfg.pipeline.quad_res)
+    rng = np.random.default_rng(cfg.pipeline.seed)
     rep = TraceReport()
     Rh = max(hs.boundary.support_radius, 0.1)
 
@@ -199,7 +189,8 @@ def _read_box_field(cfg, field_path, hs):
 def cmd_norms(cfg, field_path, out_dir=None):
     hs = cfg.build_geometry()
     v = _read_box_field(cfg, field_path, hs)
-    ledger = vbmol2_norm(v, hs, cfg.mu, cfg.nu, samples=cfg.samples, seed=cfg.seed)
+    p = cfg.pipeline
+    ledger = vbmol2_norm(v, hs, p.mu, p.nu, samples=p.samples, seed=p.seed)
     payload = ledger.to_dict()
     _emit(payload, out_dir, "norms.json")
     return 0
@@ -209,7 +200,7 @@ def cmd_decompose(cfg, field_path, out_dir=None):
     hs = cfg.build_geometry()
     v = _read_box_field(cfg, field_path, hs)
     try:
-        result = decompose(hs, v, cfg.pipeline_config())
+        result = decompose(hs, v, cfg.pipeline)
     except (NotContractive, MaxIterations) as exc:
         payload = {"error": str(exc)}
         if isinstance(exc, NotContractive) and exc.report is not None:
@@ -245,10 +236,6 @@ def main(argv=None):
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--kmax", type=int, default=None)
-    parser.add_argument("--cstar", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check-smallness")
     sub.add_parser("verify-identities")
@@ -260,15 +247,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-        if args.tol is not None:
-            cfg.tol = args.tol
-        if args.kmax is not None:
-            cfg.kmax = args.kmax
-        if args.cstar is not None:
-            cfg.cstar_n = args.cstar
-        if args.seed is not None:
-            cfg.seed = args.seed
-
         if args.command == "check-smallness":
             return cmd_check_smallness(cfg, args.out)
         if args.command == "verify-identities":

@@ -11,9 +11,7 @@ tangential component even).
 Box grids and sampled fields used throughout the pipeline live here as well,
 with the wall geometry of a box (``PerturbedHalfSpace.box_wall``): the
 height of the graph over its node columns and the distance, projection and
-normal at its nodes in the rho0-tube, computed once per grid, plus the
-split of the domain nodes at a distance delta from the wall
-(``PerturbedHalfSpace.near_split``), kept with it.
+normal at its nodes in the rho0-tube, computed once per grid.
 """
 
 from dataclasses import dataclass, field
@@ -460,34 +458,6 @@ class PerturbedHalfSpace:
                              self.outward_normal(closest))
         return self._wall
 
-    def near_split(self, grid, mask, delta):
-        """Split the mask nodes of grid at distance delta from the wall.
-
-        Returns (safe, depth, closest, normal): safe marks the mask nodes
-        with d >= delta (in the order of np.flatnonzero(mask)); the other
-        three run over the near nodes, ~safe, and hold d, the closest
-        boundary point and the outward normal there.  The vertical gap
-        bounds d by zgap / C_s <= d <= zgap, so exact distances are taken
-        only in the thin shell zgap / C_s < delta.  The split is kept with
-        box_wall(grid) for the last (mask, delta) asked.
-        """
-        wall = self.box_wall(grid)
-        hit = wall.split.get(delta)
-        if hit is not None and np.array_equal(hit[0], mask):
-            return hit[1]
-        b = self.boundary
-        index = np.flatnonzero(mask)
-        d = wall.depth().ravel()[index]
-        shell = d / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < delta
-        if shell.any():
-            d[shell] = self.signed_distance(grid.node_points(index[shell]))
-        safe = d >= delta
-        closest = self.project_to_boundary(grid.node_points(index[~safe]), check_reach=False)
-        out = (safe, d[~safe], closest, self.outward_normal(closest))
-        wall.split.clear()
-        wall.split[delta] = (mask.copy(), out)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Box grids and sampled fields
@@ -561,12 +531,6 @@ class BoxField:
     def ncomp(self):
         return self.data.shape[0]
 
-    def component(self, i):
-        return self.data[i]
-
-    def copy(self):
-        return BoxField(self.grid, self.data.copy(), self.inside_mask.copy())
-
     @classmethod
     def sample(cls, grid, hs, fn, ncomp=1):
         """Sample fn(points) on the grid, zeroing values outside Omega."""
@@ -587,8 +551,7 @@ class BoxWall:
     ``height`` is h(x') on the (nx, ny) node columns.  The other arrays run
     over the tube nodes, those with |d| < rho0: flat index into the box,
     coordinates, signed distance, closest boundary point and the outward
-    normal there.  ``split`` holds the last ``near_split`` of the grid,
-    keyed on its distance.
+    normal there.
     """
 
     grid: BoxGrid
@@ -598,7 +561,6 @@ class BoxWall:
     distance: np.ndarray
     closest: np.ndarray
     normal: np.ndarray
-    split: dict = field(default_factory=dict, repr=False)
 
     def depth(self):
         """x_n - h(x') at every box node."""

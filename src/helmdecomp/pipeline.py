@@ -24,7 +24,7 @@ float64 sidecar; reruns with fixed seeds are byte identical.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ _NORMAL_PROBES = 100
 _NORMAL_SEED = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the decomposition stages.  quad_extent is a lower bound on
     the quadrature lattice's extent and quad_extent / quad_res its asked
@@ -60,6 +60,8 @@ class PipelineConfig:
     kmax: int = 64
     seed: int = 0
     samples: int = 200
+    # the last plan of decompose (frozen, so it cannot go stale); not a value
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -304,17 +306,38 @@ def _aligned_gradslp(q, grid, layout, xs, col, wg, c):
     return out
 
 
-def _sample_grad_q2(q, hs, sol, grid, mask, layout):
+def _near_split(hs, grid, mask, delta):
+    """Split the mask nodes of grid at distance delta from the wall.
+
+    Returns (safe, depth, closest, normal): safe marks the mask nodes with
+    d >= delta (in the order of np.flatnonzero(mask)); the other three hold
+    d, the closest boundary point and the outward normal at the near nodes.
+    As zgap / C_s <= d <= zgap, exact distances are taken only in the thin
+    shell zgap / C_s < delta.
+    """
+    b = hs.boundary
+    index = np.flatnonzero(mask)
+    d = hs.box_wall(grid).depth().ravel()[index]
+    shell = d / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < delta
+    if shell.any():
+        d[shell] = hs.signed_distance(grid.node_points(index[shell]))
+    safe = d >= delta
+    closest = hs.project_to_boundary(grid.node_points(index[~safe]), check_reach=False)
+    return safe, d[~safe], closest, hs.outward_normal(closest)
+
+
+def _sample_grad_q2(q, split, sol, grid, mask, layout):
     """grad q2 at inside nodes; near-surface nodes use shell extrapolation.
 
-    The density comes from a decaying boundary trace, so the plain
-    truncated-lattice product suffices (no constant-tail closure).  On the
-    lattice of layout, the safe nodes and the extrapolation points straight
-    above the wall take the plane FFT.
+    split is the _near_split of the mask nodes at q.delta_min.  The density
+    comes from a decaying boundary trace, so the plain truncated-lattice
+    product suffices (no constant-tail closure).  On the lattice of layout,
+    the safe nodes and the extrapolation points straight above the wall
+    take the plane FFT.
     """
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
-    safe, dd, pi, nrm = hs.near_split(grid, mask, q.delta_min)
+    safe, dd, pi, nrm = split
     index = np.flatnonzero(mask)
     col = index // grid.resolution[2]
     out = np.empty((3, len(index)))
@@ -391,43 +414,73 @@ def _residual_normal(v0, hs, v_scale):
     return float(np.abs(vals).max() / (1.0 + v_scale))
 
 
+class DecompositionPlan:
+    """The field-independent half of decompose for one half space, box grid
+    and inside mask: the lattice on the box columns, the quadrature with its
+    S blocks, the contraction and smallness report, and (from the first
+    apply on) the grad q2 near split.  It holds a copy of cfg, not cfg, so
+    no reference cycle forms."""
+
+    def __init__(self, hs, grid, mask, cfg):
+        self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
+        extent, res, self.layout = _column_lattice(grid, cfg.quad_extent, cfg.quad_res)
+        self.q = SurfaceQuadrature(hs, extent, res)
+        self.contraction = estimate_contraction(self.q, hs, seed=cfg.seed)
+        self.report = smallness_constants(hs.boundary)
+        self.report.empirical_2S_norm = self.contraction
+        if not self.contraction < 1.0:
+            raise NotContractive(f"empirical |2S| = {self.contraction:.3f} >= 1",
+                                 report=self.report)
+        self.split = None  # the grad q2 near split, taken in the first apply
+
+    def fits(self, v):
+        return v.grid == self.grid and np.array_equal(v.inside_mask, self.mask)
+
+    def apply(self, v):
+        """Decompose v, a field on the plan's grid and mask; the map is linear in v."""
+        if not self.fits(v):
+            raise ValueError("the field is not on the plan's grid and inside mask")
+        hs, cfg, q = self.hs, self.cfg, self.q
+        gq1 = volume_potential_grad(hs, v, cfg.rho)
+        w = BoxField(v.grid, (v.data - gq1.data) * v.inside_mask[None], v.inside_mask)
+        g, g_linf, g_hminus = normal_trace(hs, w)
+        # the lattice nodes are box columns, where the lookup is exact
+        g_quad = resample_density(g, q.extent, q.res)
+        sol = solve_density(q, hs, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
+        if self.split is None:  # after the volume potential, for a lower peak RSS
+            self.split = _near_split(hs, self.grid, self.mask, q.delta_min)
+        gq2 = np.zeros_like(v.data)
+        gq2[:, v.inside_mask] = _sample_grad_q2(q, self.split, sol, v.grid, v.inside_mask,
+                                                self.layout)
+        gq2 = BoxField(v.grid, gq2, v.inside_mask)
+        v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
+
+        v_scale = float(np.abs(v.data[:, v.inside_mask]).max()) if v.inside_mask.any() else 0.0
+        led_kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed)
+        result = DecompositionResult(
+            v=v, v0=v0, grad_q1=gq1, grad_q2=gq2, trace_g=g,
+            ledger_v=vbmol2_norm(v, hs, **led_kw),
+            ledger_v0=vbmol2_norm(v0, hs, **led_kw),
+            ledger_gradq=vbmol2_norm(
+                BoxField(v.grid, gq1.data + gq2.data, v.inside_mask), hs, **led_kw),
+            residual_div=_residual_div(v0, hs, ref=v),
+            residual_normal=_residual_normal(v0, hs, v_scale),
+            smallness=self.report.to_dict(),
+            lattice={"extent": q.extent, "resolution": q.res, "stride": self.layout[0][0]},
+        )
+        result.ledger_v.hminus_half = g_hminus
+        result.ledger_v.linf = max(result.ledger_v.linf, g_linf)
+        return result
+
+
 def decompose(hs, v, cfg):
-    """Run the full three-stage decomposition; see the module docstring."""
-    extent, res, layout = _column_lattice(v.grid, cfg.quad_extent, cfg.quad_res)
-    q = SurfaceQuadrature(hs, extent, res)
-    contraction = estimate_contraction(q, hs, seed=cfg.seed)
-    report = smallness_constants(hs.boundary)
-    report.empirical_2S_norm = contraction
-    if not contraction < 1.0:
-        raise NotContractive(f"empirical |2S| = {contraction:.3f} >= 1", report=report)
-
-    gq1 = volume_potential_grad(hs, v, cfg.rho)
-    w = BoxField(v.grid, (v.data - gq1.data) * v.inside_mask[None], v.inside_mask)
-    g, g_linf, g_hminus = normal_trace(hs, w)
-    # the lattice nodes are box columns, where the lookup is exact
-    g_quad = resample_density(g, extent, res)
-    sol = solve_density(q, hs, g_quad, contraction, tol=cfg.tol, kmax=cfg.kmax)
-    gq2 = np.zeros_like(v.data)
-    gq2[:, v.inside_mask] = _sample_grad_q2(q, hs, sol, v.grid, v.inside_mask, layout)
-    gq2 = BoxField(v.grid, gq2, v.inside_mask)
-    v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
-
-    v_scale = float(np.abs(v.data[:, v.inside_mask]).max()) if v.inside_mask.any() else 0.0
-    led_kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed)
-    result = DecompositionResult(
-        v=v, v0=v0, grad_q1=gq1, grad_q2=gq2, trace_g=g,
-        ledger_v=vbmol2_norm(v, hs, **led_kw),
-        ledger_v0=vbmol2_norm(v0, hs, **led_kw),
-        ledger_gradq=vbmol2_norm(
-            BoxField(v.grid, gq1.data + gq2.data, v.inside_mask), hs, **led_kw),
-        residual_div=_residual_div(v0, hs, ref=v),
-        residual_normal=_residual_normal(v0, hs, v_scale),
-        smallness=report.to_dict(),
-        lattice={"extent": extent, "resolution": res, "stride": layout[0][0]},
-    )
-    result.ledger_v.hminus_half = g_hminus
-    result.ledger_v.linf = max(result.ledger_v.linf, g_linf)
-    return result
+    """Run the full three-stage decomposition; see the module docstring.  The
+    DecompositionPlan is kept with cfg and reused while hs, grid and mask stay."""
+    plan = cfg._plan
+    if plan is None or plan.hs is not hs or not plan.fits(v):
+        plan = DecompositionPlan(hs, v.grid, v.inside_mask, cfg)
+        object.__setattr__(cfg, "_plan", plan)
+    return plan.apply(v)
 
 
 def verify(result, hs):

@@ -10,7 +10,7 @@ import pytest
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
 from helmdecomp.cli import RunConfig, main
 from helmdecomp.errors import ConfigError
-from helmdecomp.pipeline import write_field
+from helmdecomp.pipeline import PipelineConfig, write_field
 
 
 def base_config(**override):
@@ -42,6 +42,31 @@ class TestConfig:
         raw["bogus"] = 1
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
+
+    def test_defaults_and_pipeline_keys(self):
+        raw = {k: v for k, v in base_config().items() if k not in ("mu", "nu", "rho", "seed")}
+        cfg = RunConfig.from_dict(raw)
+        # the CLI's rho defaults to 0.05; the other defaults are PipelineConfig's
+        assert cfg.pipeline == PipelineConfig(rho=0.05, quad_extent=6.0, quad_res=48)
+        p = cfg.pipeline
+        assert (p.mu, p.nu, p.tol, p.kmax, p.seed, p.samples) == (0.2, 0.05, 1e-8, 64, 0, 200)
+        assert (cfg.rho0, cfg.reach, cfg.cstar_n) == (None, None, 1.0)
+        knobs = dict(mu=0.3, nu=0.1, rho=0.07, tol=1e-6, kmax=8, seed=3, samples=50)
+        cfg = RunConfig.from_dict(dict(raw, **knobs))
+        assert cfg.pipeline == PipelineConfig(quad_extent=6.0, quad_res=48, **knobs)
+        for key in ("quad_extent", "quad_res", "pipeline"):
+            with pytest.raises(ConfigError, match="unknown"):
+                RunConfig.from_dict(dict(raw, **{key: 1}))
+        for key in ("mu", "nu", "rho", "tol", "cstar_n"):
+            with pytest.raises(ConfigError, match=f"{key} must be positive"):
+                RunConfig.from_dict(dict(raw, **{key: 0.0}))
+
+    def test_config_keys_have_no_flags(self, tmp_path):
+        # tol, kmax, cstar_n and seed are set in the config only
+        cfg = write_config(tmp_path)
+        for flag in ("--tol", "--kmax", "--cstar", "--seed"):
+            with pytest.raises(SystemExit):
+                main(["--config", cfg, flag, "1", "check-smallness"])
 
     def test_threads_key_is_bad_input(self, tmp_path, capsys):
         # the numpy kernels have no thread knob; the old key is now unknown
@@ -88,11 +113,11 @@ class TestCheckSmallness:
         cfg = write_config(tmp_path, boundary={"preset": "smooth-bump",
                                                "a": 0.01, "R": 0.3},
                            lattice={"extent": 2.0, "resolution": 48},
-                           reach=0.3, rho="remove")
+                           reach=0.3, rho="remove", cstar_n=1e-4)
         raw = json.loads(open(cfg).read())
         raw["rho"] = 0.015
         open(cfg, "w").write(json.dumps(raw))
-        code = main(["--config", cfg, "--cstar", str(1e-4), "check-smallness"])
+        code = main(["--config", cfg, "check-smallness"])
         out = json.loads(capsys.readouterr().out)
         assert out["empirical_2S_norm"] < 0.1
         assert out["verdict"]["empirical"] is True
@@ -259,10 +284,10 @@ class TestExitCodes:
     def test_series_cap_is_gate_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, box={"lower": [-2.0, -2.0, -0.5],
                                           "upper": [2.0, 2.0, 3.5],
-                                          "resolution": [64, 64, 64]})
+                                          "resolution": [64, 64, 64]}, kmax=1)
         hs = PerturbedHalfSpace(BoundaryFunction.zero())
         TestDecompose._write_gradient_field(tmp_path, hs)
-        code = main(["--config", cfg, "--kmax", "1", "--out", str(tmp_path / "out"),
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"),
                      "decompose", str(tmp_path / "v.json")])
         out = json.loads(capsys.readouterr().out)
         assert code == 2

@@ -117,6 +117,28 @@ def test_kernels_match_reference_one_row_blocks():
     _check_all(np.random.default_rng(7), 3, m)
 
 
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gradslp_sum_cancellation_above_delta_min(seed):
+    # gradslp_sum forms rho2 as |x|^2 - 2 x.y + |y|^2, which cancels for a
+    # target close to a source far from the origin: on the 44^2 lattice of
+    # extent 8.25, at heights down to delta_min (1.5 spacings) above the
+    # outermost nodes and 100 others, with weights of both signs, it stays
+    # within 1e-13
+    rng = np.random.default_rng(seed)
+    dx = 8.25 / 44
+    a = -4.125 + dx * np.arange(44)
+    src = np.stack(np.meshgrid(a, a, indexing="ij"), -1).reshape(-1, 2)
+    nodes = np.column_stack([src, np.zeros(len(src))])
+    wg = rng.normal(size=len(src))
+    outer = np.abs(src).max(axis=1) >= 4.125 - 1.5 * dx
+    cols = np.concatenate([src[outer], src[rng.choice(np.flatnonzero(~outer), 100)]])
+    for z in (1.5 * dx, 0.5, 2.0):
+        xs = np.column_stack([cols, np.full(len(cols), z)])
+        ref = gradslp_ref(xs, nodes, wg, C)
+        assert _rel_err(_fast.gradslp_sum(xs, nodes, wg, C), ref) <= 1e-13
+
+
 def test_gagliardo_matches_reference_real_block():
     rng = np.random.default_rng(3)
     coords, mu = _boundary(rng, 300)

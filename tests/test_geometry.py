@@ -1,11 +1,10 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
 from helmdecomp.errors import NoUniqueProjection, OutOfChart
 from helmdecomp.geometry import extend_field
+from helmdecomp.pipeline import _near_split
 from helmdecomp.sobolev import normal_component_field
 
 
@@ -362,32 +361,13 @@ class TestBoxWall:
         hs, grid, d, pts = wall_case
         mask = grid.inside(hs)
         delta = 2.0 * max(grid.dx)
-        safe, depth, closest, normal = hs.near_split(grid, mask, delta)
+        safe, depth, closest, normal = _near_split(hs, grid, mask, delta)
         dm = d[mask.ravel()]
         assert np.array_equal(safe, dm >= delta) and (~safe).any()
         assert np.abs(depth - dm[~safe]).max() <= 1e-14
         pi = hs.project_to_boundary(pts[mask.ravel()][~safe], check_reach=False)
         assert np.abs(closest - pi).max() <= 1e-14
         assert np.array_equal(normal, hs.outward_normal(closest))
-
-    def test_near_split_kept_with_the_wall(self, gentle_hs):
-        hs = PerturbedHalfSpace(gentle_hs.boundary)
-        grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (16, 16, 16))
-        mask = grid.inside(hs)
-        first = hs.near_split(grid, mask, 0.5)
-        with mock.patch.object(PerturbedHalfSpace, "signed_distance", side_effect=AssertionError), \
-             mock.patch.object(PerturbedHalfSpace, "project_to_boundary",
-                               side_effect=AssertionError):
-            assert hs.near_split(grid, mask.copy(), 0.5) is first
-        # another distance, mask or grid takes a new split
-        other = hs.near_split(grid, mask, 0.75)
-        assert other is not first and other[0].sum() < first[0].sum()
-        assert hs.near_split(grid, mask, 0.5) is not first
-        part = mask.copy()
-        part[0] = False
-        assert len(hs.near_split(grid, part, 0.5)[0]) == part.sum()
-        finer = BoxGrid(grid.lower, grid.upper, (16, 16, 32))
-        assert len(hs.near_split(finer, finer.inside(hs), 0.5)[0]) == finer.inside(hs).sum()
 
 
 class TestTypes:

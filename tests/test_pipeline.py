@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,10 +14,10 @@ from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, 
 from helmdecomp.errors import NonDecayingInput
 from helmdecomp.layers import SurfaceQuadrature
 from helmdecomp.neumann import estimate_contraction
-from helmdecomp.pipeline import (PipelineConfig, _column_lattice, _residual_div,
-                                 _residual_normal, _sample_grad_q2, decompose, normal_trace,
-                                 read_field, resample_density, verify, volume_potential_grad,
-                                 write_field)
+from helmdecomp.pipeline import (DecompositionPlan, PipelineConfig, _column_lattice,
+                                 _near_split, _residual_div, _residual_normal, _sample_grad_q2,
+                                 decompose, normal_trace, read_field, resample_density, verify,
+                                 volume_potential_grad, write_field)
 from helmdecomp.sobolev import BoundaryDensity
 
 S2 = 0.12
@@ -320,13 +323,15 @@ class TestGradQ2Paths:
         # bump correction against the all-direct sum
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, res)
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        got = _sample_grad_q2(q, gentle_hs, sol, grid, mask, layout)
+        split = _near_split(gentle_hs, grid, mask, q.delta_min)
+        got = _sample_grad_q2(q, split, sol, grid, mask, layout)
         ref = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
+        split = _near_split(flat_hs, grid, mask, q.delta_min)
         pairs = []
         direct = _fast.gradslp_sum
 
@@ -335,7 +340,7 @@ class TestGradQ2Paths:
             return direct(xs, nodes, wg, c)
 
         with mock.patch.object(_fast, "gradslp_sum", counted):
-            got = _sample_grad_q2(q, flat_hs, sol, grid, mask, ([2, 2], [-20, -20]))
+            got = _sample_grad_q2(q, split, sol, grid, mask, ([2, 2], [-20, -20]))
         assert sum(pairs) == 0
         ref = _direct_grad_q2(q, flat_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -426,7 +431,7 @@ class TestDecompose:
         assert res.smallness["empirical_2S_norm"] < 1.0
         assert res.lattice == {"extent": 8.25, "resolution": 44, "stride": 3}
         # all direct: every safe node once, every near node at two depths
-        safe = gentle_hs.near_split(grid, v.inside_mask, 1.5 * (8.25 / 44))[0]
+        safe = _near_split(gentle_hs, grid, v.inside_mask, 1.5 * (8.25 / 44))[0]
         all_direct = (len(safe) + np.count_nonzero(~safe)) * 44 ** 2
         assert 0 < sum(pairs) < 0.5 * all_direct
 
@@ -457,6 +462,167 @@ class TestDecompose:
         res = decompose(flat_hs, v, flat_cfg)
         assert l2(res.v0) == 0.0
         assert res.residual_div == 0.0 and res.residual_normal == 0.0
+
+
+# the gentle bump on a 32^3 box, the lattice asked as 8.0 / 24 (8.25 / 22 on
+# the box columns): S is not 0, so a reused plan reuses real S blocks
+CURVED_BOX = ((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (32, 32, 32))
+
+
+def _curved_cfg():
+    return PipelineConfig(rho=0.055, quad_extent=8.0, quad_res=24,
+                          mu=0.3, nu=0.08, samples=100, seed=5)
+
+
+def _swirl(p):
+    d = p - [0.2, -0.1, 1.3]
+    g = np.exp(-np.sum(d * d, -1) / 0.1)
+    return np.stack([-d[..., 1] * g, d[..., 0] * g, 0.5 * g], -1)
+
+
+@pytest.fixture(scope="module")
+def curved_case(gentle_hs):
+    """(grid, gradient field, swirl field) on the curved box."""
+    grid = BoxGrid(*CURVED_BOX)
+    return (grid, BoxField.sample(grid, gentle_hs, grad_phi, ncomp=3),
+            BoxField.sample(grid, gentle_hs, _swirl, ncomp=3))
+
+
+@pytest.fixture(scope="module")
+def curved_plan_case(gentle_hs, curved_case):
+    """One cfg whose plan decomposed both curved fields: (cfg, plan, r1, r2)."""
+    _, v1, v2 = curved_case
+    cfg = _curved_cfg()
+    r1 = decompose(gentle_hs, v1, cfg)
+    plan = cfg._plan
+    r2 = decompose(gentle_hs, v2, cfg)
+    assert cfg._plan is plan
+    return cfg, plan, r1, r2
+
+
+def _flat_twin_fields(flat_hs):
+    """The gradient field on two flat 32^3 boxes of x'-width 4 and 5 whose
+    inside masks are equal."""
+    out = [BoxField.sample(BoxGrid((-w, -w, -0.4), (w, w, 3.6), (32, 32, 32)), flat_hs,
+                           grad_phi, ncomp=3) for w in (2.0, 2.5)]
+    assert np.array_equal(out[0].inside_mask, out[1].inside_mask)
+    return out
+
+
+@contextlib.contextmanager
+def _counting(calls):
+    """Record the geometry-only calls of decompose in calls: the quadrature,
+    the contraction, and the distances and projections with their sizes."""
+    def wrap(name, fn, sized):
+        def counted(*args, **kw):
+            calls.append((name, len(args[1])) if sized else name)
+            return fn(*args, **kw)
+        return counted
+
+    with mock.patch.object(SurfaceQuadrature, "__init__",
+                           wrap("quadrature", SurfaceQuadrature.__init__, False)), \
+         mock.patch.object(pipeline, "estimate_contraction",
+                           wrap("contraction", estimate_contraction, False)), \
+         mock.patch.object(PerturbedHalfSpace, "signed_distance",
+                           wrap("distance", PerturbedHalfSpace.signed_distance, True)), \
+         mock.patch.object(PerturbedHalfSpace, "project_to_boundary",
+                           wrap("projection", PerturbedHalfSpace.project_to_boundary, True)):
+        yield
+
+
+def _same_result(a, b):
+    for key in ("v0", "grad_q1", "grad_q2"):
+        assert getattr(a, key).data.tobytes() == getattr(b, key).data.tobytes()
+    assert a.trace_g.values.tobytes() == b.trace_g.values.tobytes()
+    for key in ("ledger_v", "ledger_v0", "ledger_gradq"):
+        assert getattr(a, key).to_dict() == getattr(b, key).to_dict()
+    assert (a.residual_div, a.residual_normal) == (b.residual_div, b.residual_normal)
+    assert (a.smallness, a.lattice) == (b.smallness, b.lattice)
+
+
+class TestPlan:
+    def test_second_decompose_reuses_the_plan(self, gentle_hs, curved_case):
+        _, v1, v2 = curved_case
+        hs = PerturbedHalfSpace(gentle_hs.boundary)
+        cfg = _curved_cfg()
+        decompose(hs, v1, cfg)
+        plan = cfg._plan
+        calls = []
+        with _counting(calls):
+            second = decompose(hs, v2, cfg)
+        assert cfg._plan is plan
+        # no quadrature, contraction or projection; the only distances are
+        # the ball centres of the three ledgers, which the plan does not hold
+        assert calls == [("distance", cfg.samples)] * 3
+        _same_result(second, decompose(PerturbedHalfSpace(gentle_hs.boundary), v2,
+                                       _curved_cfg()))
+
+    def test_new_plan_for_new_cfg_hs_grid_or_mask(self, gentle_hs, flat_hs, curved_case):
+        grid, v1, _ = curved_case
+        hs = PerturbedHalfSpace(gentle_hs.boundary)
+        cfg = _curved_cfg()
+        decompose(hs, v1, cfg)
+        plans = [cfg._plan]
+        # an equal-valued config is another object, with a plan of its own
+        twin = _curved_cfg()
+        assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
+        assert "_plan" not in repr(cfg)
+        decompose(hs, v1, twin)
+        assert twin._plan is not plans[0] and cfg._plan is plans[0]
+        # each step changes one thing: the half space, then the mask
+        other_hs = PerturbedHalfSpace(gentle_hs.boundary)
+        decompose(other_hs, v1, cfg)
+        plans.append(cfg._plan)
+        mask = v1.inside_mask.copy()
+        mask[0, 0, -1] = False
+        decompose(other_hs, BoxField(grid, v1.data * mask[None], mask), cfg)
+        plans.append(cfg._plan)
+        # then the grid alone: flat boxes of another width share the mask
+        narrow, wide = _flat_twin_fields(flat_hs)
+        decompose(flat_hs, narrow, cfg)
+        plans.append(cfg._plan)
+        decompose(flat_hs, wide, cfg)
+        plans.append(cfg._plan)
+        assert len({id(p) for p in plans}) == 5
+        assert [p.hs is other_hs for p in plans] == [False, True, True, False, False]
+
+    def test_dropping_the_cfg_frees_the_plan(self, gentle_hs, curved_case):
+        _, v1, _ = curved_case
+        cfg = _curved_cfg()
+        gc.disable()
+        try:
+            decompose(gentle_hs, v1, cfg)
+            q = weakref.ref(cfg._plan.q)
+            assert cfg._plan.cfg == cfg and cfg._plan.cfg._plan is None
+            del cfg
+            assert q() is None
+        finally:
+            gc.enable()
+
+    def test_apply_refuses_another_grid_or_mask(self, flat_hs):
+        narrow, wide = _flat_twin_fields(flat_hs)
+        plan = DecompositionPlan(flat_hs, narrow.grid, narrow.inside_mask, _curved_cfg())
+        with pytest.raises(ValueError, match="grid and inside mask"):
+            plan.apply(wide)
+        mask = narrow.inside_mask.copy()
+        mask[0, 0, -1] = False
+        with pytest.raises(ValueError, match="grid and inside mask"):
+            plan.apply(BoxField(narrow.grid, narrow.data * mask[None], mask))
+
+    @settings(max_examples=4, deadline=None)
+    @given(a=st.floats(-2.0, 2.0).map(lambda t: round(t, 3)),
+           b=st.floats(-2.0, 2.0).map(lambda t: round(t, 3)))
+    def test_curved_linearity_on_one_plan(self, gentle_hs, curved_case, curved_plan_case,
+                                          a, b):
+        grid, v1, v2 = curved_case
+        cfg, plan, r1, r2 = curved_plan_case
+        combo = BoxField(grid, a * v1.data + b * v2.data, v1.inside_mask)
+        r12 = decompose(gentle_hs, combo, cfg)
+        assert cfg._plan is plan
+        bound = 1e-8 * max(np.abs(combo.data).max(), 1.0)
+        for key in ("v0", "grad_q1", "grad_q2"):
+            want = a * getattr(r1, key).data + b * getattr(r2, key).data
+            assert np.abs(getattr(r12, key).data - want).max() < bound
 
 
 class TestFlatOracle:
