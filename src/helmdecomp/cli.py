@@ -1,13 +1,14 @@
 """Batch front-end: config parsing, presets, subcommands, JSON reports.
 
 Exit codes: 0 ok, 2 smallness/contraction gate failed or the series hit
-kmax, 3 identity or residual tolerance breached, 4 invalid input (config,
-missing file, non-decaying field, target or ladder the lattice cannot
-resolve).
+kmax, 3 identity or residual tolerance breached, 4 invalid input (command
+line, config, missing or malformed field file, non-decaying field, target
+or ladder the lattice cannot resolve).
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -27,6 +28,18 @@ from .sobolev import BoundaryDensity, vbmol2_norm
 
 # PipelineConfig keys set at the top level of a run config (lattice sets quad_*)
 _KNOBS = {f.name for f in fields(PipelineConfig) if f.init} - {"quad_extent", "quad_res"}
+# the parameters of each boundary preset; the bumps also take curvature_bound
+_PRESET_KEYS = {"zero": set(), "gaussian-bump": {"a", "s"}, "smooth-bump": {"a", "R"}}
+
+
+def _number(value, name, integer=False, least=None):
+    """ConfigError unless value is a JSON integer or, with integer=False, a
+    finite JSON number (a bool is neither), and at least least if given."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)) \
+            or (isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -49,6 +62,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw):
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         for key in ("n", "boundary", "box", "lattice"):
             if key not in raw:
                 raise ConfigError(f"config missing required key {key!r}")
@@ -57,10 +72,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         lat = raw["lattice"]
-        if "extent" not in lat or "resolution" not in lat:
+        if not isinstance(lat, dict) or "extent" not in lat or "resolution" not in lat:
             raise ConfigError("lattice needs extent and resolution")
-        if lat["extent"] <= 0 or lat["resolution"] < 8:
-            raise ConfigError("lattice extent/resolution out of range")
         knobs = {"rho": 0.05, **{k: raw[k] for k in _KNOBS & set(raw)}}  # the CLI's rho
         pipeline = PipelineConfig(quad_extent=lat["extent"], quad_res=lat["resolution"], **knobs)
         cfg = cls(pipeline=pipeline, **{k: raw[k] for k in own & set(raw)})
@@ -68,16 +81,29 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        p = self.pipeline
+        _number(self.n, "n", integer=True)
         if self.n != 3:
             raise ConfigError("only n = 3 is supported at runtime")
-        p = self.pipeline
+        for name, least in (("kmax", 1), ("seed", 0), ("samples", 1)):
+            _number(getattr(p, name), name, integer=True, least=least)
         for owner, name in ((p, "mu"), (p, "nu"), (p, "rho"), (p, "tol"), (self, "cstar_n")):
+            _number(getattr(owner, name), name)
             if getattr(owner, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        box = self.box
+        for name in ("rho0", "reach"):
+            if getattr(self, name) is not None:
+                _number(getattr(self, name), name)
+        _number(p.quad_extent, "lattice.extent")
+        _number(p.quad_res, "lattice.resolution", integer=True)
+        if p.quad_extent <= 0 or p.quad_res < 8:
+            raise ConfigError("lattice extent/resolution out of range")
+        box = self.box if isinstance(self.box, dict) else {}
         for key in ("lower", "upper", "resolution"):
-            if key not in box or len(box[key]) != 3:
+            if not isinstance(box.get(key), list) or len(box[key]) != 3:
                 raise ConfigError(f"box.{key} must be a 3-vector")
+            for x in box[key]:
+                _number(x, f"box.{key}", integer=key == "resolution")
         for r in box["resolution"]:
             if r < 8 or (r & (r - 1)) != 0:
                 raise ConfigError("box resolutions must be powers of two >= 8")
@@ -86,15 +112,27 @@ class RunConfig:
             square_section_width(grid)
         except ValueError as exc:
             raise ConfigError(f"box: {exc}") from exc
-        preset = self.boundary.get("preset")
-        if preset not in ("zero", "gaussian-bump", "smooth-bump"):
+        preset = self.boundary.get("preset") if isinstance(self.boundary, dict) else None
+        if preset not in _PRESET_KEYS:
             raise ConfigError(f"unknown boundary preset {preset!r}")
+        params = set(self.boundary) - {"preset"}
+        need = _PRESET_KEYS[preset]
+        if not need <= params <= need | ({"curvature_bound"} if need else set()):
+            raise ConfigError(f"boundary {preset} takes the keys {sorted(need)}, "
+                              f"optional curvature_bound for a bump; got {sorted(params)}")
+        for key in params:
+            _number(self.boundary[key], f"boundary.{key}")
+            if key != "a" and self.boundary[key] <= 0:
+                raise ConfigError(f"boundary.{key} must be positive")
 
     def build_geometry(self):
         params = {k: v for k, v in self.boundary.items() if k != "preset"}
-        b = BoundaryFunction.from_preset(self.boundary["preset"], n=self.n, **params)
-        b.validate()
-        hs = PerturbedHalfSpace(b, rho0=self.rho0, reach_estimate=self.reach)
+        try:
+            b = BoundaryFunction.from_preset(self.boundary["preset"], n=self.n, **params)
+            b.validate()
+            hs = PerturbedHalfSpace(b, rho0=self.rho0, reach_estimate=self.reach)
+        except ValueError as exc:  # a curvature bound, rho0 or reach out of range
+            raise ConfigError(f"geometry: {exc}") from exc
         Rh = b.support_radius
         if Rh > 0 and self.pipeline.quad_extent < 4.0 * Rh:
             raise ConfigError("lattice extent must cover 4x the bump support")
@@ -177,7 +215,10 @@ def cmd_verify_identities(cfg, out_dir=None):
 
 def _read_box_field(cfg, field_path, hs):
     """The field at field_path, which must sit on the config box."""
-    v = read_field(field_path, hs=hs)
+    try:
+        v = read_field(field_path, hs=hs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed field file {field_path}: {exc!r}") from exc
     g = v.grid
     for key, got in (("lower", g.lower), ("upper", g.upper), ("resolution", g.resolution)):
         if not np.allclose(got, cfg.box[key], rtol=0.0, atol=1e-12):
@@ -231,9 +272,15 @@ def cmd_decompose(cfg, field_path, out_dir=None):
     return 0 if rep.ok else 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is bad input (exit 4), not argparse's exit 2 of a failed gate."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="helmdecomp",
-                                     description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="helmdecomp", description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,8 +291,8 @@ def main(argv=None):
     p_dec = sub.add_parser("decompose")
     p_dec.add_argument("field", help="field header JSON path")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = RunConfig.load(args.config)
         if args.command == "check-smallness":
             return cmd_check_smallness(cfg, args.out)

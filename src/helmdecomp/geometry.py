@@ -11,7 +11,7 @@ tangential component even).
 Box grids and sampled fields used throughout the pipeline live here as well,
 with the wall geometry of a box (``PerturbedHalfSpace.box_wall``): the
 height of the graph over its node columns and the distance, projection and
-normal at its nodes in the rho0-tube, computed once per grid.
+normal at its nodes near the wall, computed in one pass per grid.
 """
 
 from dataclasses import dataclass, field
@@ -436,26 +436,33 @@ class PerturbedHalfSpace:
         return plateau(np.asarray(d, dtype=float) / rho)
 
     # -- wall geometry of a box ------------------------------------------------
-    def box_wall(self, grid):
-        """The BoxWall of grid, kept for the last grid asked.
+    def box_wall(self, grid, width=0.0):
+        """The BoxWall of grid out to width, kept for the last grid asked and
+        rebuilt when a wider one is asked.
 
-        One Lipschitz prefilter, dist(x, Gamma) >= |x_n - h(x')| / C_s with
-        C_s = 1 + sup|h| + sup|grad h|, picks the nodes whose exact signed
-        distance is then taken; those with |d| < rho0 form the tube.
+        It holds the nodes with -rho0 < d < max(width, rho0).  The Lipschitz
+        bound |x_n - h(x')| / C_s <= |d| <= |x_n - h(x')|, with C_s = 1 +
+        sup|h| + sup|grad h|, picks the candidates; each takes one
+        closest-point solve, and d follows from its projection.
         """
-        if self._wall is not None and self._wall.grid == grid:
-            return self._wall
+        width = max(width, self.rho0)
+        wall = self._wall
+        if wall is not None and wall.grid == grid and wall.width >= width:
+            return wall
         b = self.boundary
         height = b.height(grid.columns())
         cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
-        cand = np.flatnonzero(np.abs(grid.axis(2) - height[..., None]) < self.rho0 * cs)
+        zgap = grid.axis(2) - height[..., None]
+        cand = np.flatnonzero((zgap > -self.rho0 * cs) & (zgap < width * cs))
+        del zgap  # box-sized; freed before the projection for a lower peak RSS
         pts = grid.node_points(cand)
-        d = self.signed_distance(pts)
-        tube = np.abs(d) < self.rho0
-        pts = pts[tube]
-        closest = self.project_to_boundary(pts, check_reach=False)
-        self._wall = BoxWall(grid, height, cand[tube], pts, d[tube], closest,
-                             self.outward_normal(closest))
+        pi = self.project_to_boundary(pts, check_reach=False)
+        # d^2 summed as _closest_param sums it: signed_distance's d for the same solve
+        d = np.sqrt(np.sum((pts[:, :2] - pi[:, :2]) ** 2, axis=-1) + (pts[:, 2] - pi[:, 2]) ** 2)
+        d = np.where(pts[:, 2] > height.ravel()[cand // grid.resolution[2]], d, -d)
+        keep = (d > -self.rho0) & (d < width)
+        self._wall = BoxWall(grid, width, height, cand[keep], pts[keep], d[keep], pi[keep],
+                             self.outward_normal(pi[keep]))
         return self._wall
 
 
@@ -549,12 +556,13 @@ class BoxWall:
     """Field-independent wall geometry of one box grid.
 
     ``height`` is h(x') on the (nx, ny) node columns.  The other arrays run
-    over the tube nodes, those with |d| < rho0: flat index into the box,
-    coordinates, signed distance, closest boundary point and the outward
-    normal there.
+    over the wall nodes, those with -rho0 < d < width (width >= rho0): flat
+    index into the box, coordinates, signed distance, closest boundary point
+    and the outward normal there.
     """
 
     grid: BoxGrid
+    width: float
     height: np.ndarray
     index: np.ndarray
     points: np.ndarray

@@ -306,39 +306,21 @@ def _aligned_gradslp(q, grid, layout, xs, col, wg, c):
     return out
 
 
-def _near_split(hs, grid, mask, delta):
-    """Split the mask nodes of grid at distance delta from the wall.
-
-    Returns (safe, depth, closest, normal): safe marks the mask nodes with
-    d >= delta (in the order of np.flatnonzero(mask)); the other three hold
-    d, the closest boundary point and the outward normal at the near nodes.
-    As zgap / C_s <= d <= zgap, exact distances are taken only in the thin
-    shell zgap / C_s < delta.
-    """
-    b = hs.boundary
-    index = np.flatnonzero(mask)
-    d = hs.box_wall(grid).depth().ravel()[index]
-    shell = d / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < delta
-    if shell.any():
-        d[shell] = hs.signed_distance(grid.node_points(index[shell]))
-    safe = d >= delta
-    closest = hs.project_to_boundary(grid.node_points(index[~safe]), check_reach=False)
-    return safe, d[~safe], closest, hs.outward_normal(closest)
-
-
-def _sample_grad_q2(q, split, sol, grid, mask, layout):
+def _sample_grad_q2(q, wall, sol, grid, mask, layout):
     """grad q2 at inside nodes; near-surface nodes use shell extrapolation.
 
-    split is the _near_split of the mask nodes at q.delta_min.  The density
-    comes from a decaying boundary trace, so the plain truncated-lattice
-    product suffices (no constant-tail closure).  On the lattice of layout,
-    the safe nodes and the extrapolation points straight above the wall
-    take the plane FFT.
+    wall is the box wall of grid out to q.delta_min; the mask nodes it holds
+    with d < q.delta_min are the near ones.  The density comes from a
+    decaying boundary trace, so the plain truncated-lattice product suffices
+    (no constant-tail closure).  On the lattice of layout, the safe nodes
+    and the extrapolation points straight above the wall take the plane FFT.
     """
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
-    safe, dd, pi, nrm = split
     index = np.flatnonzero(mask)
+    sel = mask.ravel()[wall.index] & (wall.distance < q.delta_min)
+    dd, pi, nrm = wall.distance[sel], wall.closest[sel], wall.normal[sel]
+    safe = ~np.isin(index, wall.index[sel])
     col = index // grid.resolution[2]
     out = np.empty((3, len(index)))
     out[:, safe] = _aligned_gradslp(q, grid, layout, grid.node_points(index[safe]),
@@ -417,9 +399,9 @@ def _residual_normal(v0, hs, v_scale):
 class DecompositionPlan:
     """The field-independent half of decompose for one half space, box grid
     and inside mask: the lattice on the box columns, the quadrature with its
-    S blocks, the contraction and smallness report, and (from the first
-    apply on) the grad q2 near split.  It holds a copy of cfg, not cfg, so
-    no reference cycle forms."""
+    S blocks, and the contraction and smallness report.  The wall geometry
+    stays with hs (PerturbedHalfSpace.box_wall).  It holds a copy of cfg,
+    not cfg, so no reference cycle forms."""
 
     def __init__(self, hs, grid, mask, cfg):
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
@@ -431,7 +413,6 @@ class DecompositionPlan:
         if not self.contraction < 1.0:
             raise NotContractive(f"empirical |2S| = {self.contraction:.3f} >= 1",
                                  report=self.report)
-        self.split = None  # the grad q2 near split, taken in the first apply
 
     def fits(self, v):
         return v.grid == self.grid and np.array_equal(v.inside_mask, self.mask)
@@ -441,17 +422,16 @@ class DecompositionPlan:
         if not self.fits(v):
             raise ValueError("the field is not on the plan's grid and inside mask")
         hs, cfg, q = self.hs, self.cfg, self.q
+        # out to the grad q2 near nodes, so every stage reads the one wall
+        wall = hs.box_wall(self.grid, q.delta_min)
         gq1 = volume_potential_grad(hs, v, cfg.rho)
         w = BoxField(v.grid, (v.data - gq1.data) * v.inside_mask[None], v.inside_mask)
         g, g_linf, g_hminus = normal_trace(hs, w)
         # the lattice nodes are box columns, where the lookup is exact
         g_quad = resample_density(g, q.extent, q.res)
         sol = solve_density(q, hs, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
-        if self.split is None:  # after the volume potential, for a lower peak RSS
-            self.split = _near_split(hs, self.grid, self.mask, q.delta_min)
         gq2 = np.zeros_like(v.data)
-        gq2[:, v.inside_mask] = _sample_grad_q2(q, self.split, sol, v.grid, v.inside_mask,
-                                                self.layout)
+        gq2[:, v.inside_mask] = _sample_grad_q2(q, wall, sol, v.grid, v.inside_mask, self.layout)
         gq2 = BoxField(v.grid, gq2, v.inside_mask)
         v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
 

@@ -438,7 +438,7 @@ def normal_component_field(v, hs):
     """Scalar field grad d . v on the inside tube nodes, zero elsewhere."""
     g = v.grid
     wall = hs.box_wall(g)
-    inside = v.inside_mask.ravel()[wall.index]
+    inside = v.inside_mask.ravel()[wall.index] & (wall.distance < hs.rho0)
     idx = wall.index[inside]
     out = np.zeros(g.resolution)
     out.flat[idx] = np.einsum("pc,cp->p", -wall.normal[inside],
@@ -447,7 +447,12 @@ def normal_component_field(v, hs):
 
 
 def vbmol2_norm(v, hs, mu, nu, samples=200, seed=0):
-    """Assemble the combined ledger: BMO + boundary mass of the normal part + L2."""
+    """Assemble the combined ledger: BMO + boundary mass of the normal part + L2.
+
+    A seminorm that finds no admissible ball reports 0.  bnu_seminorm draws
+    radii below nu and skips those below 4 max(dx), so with nu <= 4 max(dx)
+    the bnu slot is 0 for every field: it bounds nothing on such a grid.
+    """
     dV = float(np.prod(v.grid.dx))
     inside = v.inside_mask
     l2 = float(np.sqrt(np.sum(v.data[:, inside] ** 2) * dV))

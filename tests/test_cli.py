@@ -61,12 +61,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"{key} must be positive"):
                 RunConfig.from_dict(dict(raw, **{key: 0.0}))
 
-    def test_config_keys_have_no_flags(self, tmp_path):
-        # tol, kmax, cstar_n and seed are set in the config only
+    def test_config_keys_have_no_flags(self, tmp_path, capsys):
+        # tol, kmax, cstar_n and seed are set in the config only; a flag is a
+        # usage error, which is bad input
         cfg = write_config(tmp_path)
         for flag in ("--tol", "--kmax", "--cstar", "--seed"):
-            with pytest.raises(SystemExit):
-                main(["--config", cfg, flag, "1", "check-smallness"])
+            assert main(["--config", cfg, flag, "1", "check-smallness"]) == 4
+            assert "error" in json.loads(capsys.readouterr().err)
 
     def test_threads_key_is_bad_input(self, tmp_path, capsys):
         # the numpy kernels have no thread knob; the old key is now unknown
@@ -295,6 +296,45 @@ class TestExitCodes:
         assert out["series_terms_used"] == 1 and "residual" in out
         report = json.loads((tmp_path / "out" / "decompose.json").read_text())
         assert report == out
+
+    def test_usage_errors_are_bad_input(self, tmp_path, capsys):
+        # exit 2 is a failed gate; argparse's own usage errors exit 4
+        cfg = write_config(tmp_path)
+        for argv in (["frobnicate"], ["decompose"], []):
+            assert main(["--config", cfg] + argv) == 4
+            assert "error" in json.loads(capsys.readouterr().err)
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+
+    @pytest.mark.parametrize("config, header", [
+        ({"box": {"lower": [-2.0, -2.0, -0.5], "upper": [2.0, 2.0, 3.5],
+                  "resolution": [32.0, 32, 32]}}, {}),
+        ({"mu": "0.3"}, {}),
+        ({"lattice": {"extent": "6.0", "resolution": 48}}, {}),
+        ({"lattice": {"extent": 6.0, "resolution": 48.5}}, {}),
+        ({"boundary": {"preset": "smooth-bump", "a": 0.01}}, {}),
+        ({"seed": None}, {}),
+        ({}, {"components": None}),
+        ({}, {"payload": "short.bin"}),
+        ({}, {"dtype": "f32le"}),
+    ], ids=["box-resolution-float", "mu-string", "extent-string", "lattice-resolution-float",
+            "smooth-bump-without-R", "seed-null", "header-without-components",
+            "short-payload", "dtype-f32le"])
+    def test_malformed_input_is_bad_input(self, tmp_path, capsys, config, header):
+        cfg = write_config(tmp_path, **config)
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        write_field(BoxField(grid, np.zeros((3, 32, 32, 32))), tmp_path / "f.json")
+        (tmp_path / "short.bin").write_bytes(bytes(100))
+        raw = json.loads((tmp_path / "f.json").read_text())
+        raw.update(header)
+        (tmp_path / "f.json").write_text(json.dumps({k: v for k, v in raw.items()
+                                                     if v is not None}))
+        # check-smallness reads no field, so it sees only the config cases
+        runs = [["norms", str(tmp_path / "f.json")]] + ([] if header else [["check-smallness"]])
+        for argv in runs:
+            assert main(["--config", cfg] + argv) == 4
+            assert "error" in json.loads(capsys.readouterr().err)
 
     def test_field_off_the_config_box_is_bad_input(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # 32^3 box

@@ -4,7 +4,6 @@ import pytest
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
 from helmdecomp.errors import NoUniqueProjection, OutOfChart
 from helmdecomp.geometry import extend_field
-from helmdecomp.pipeline import _near_split
 from helmdecomp.sobolev import normal_component_field
 
 
@@ -288,11 +287,15 @@ WALL_BOXES = {
 }
 
 
+def _fresh(hs):
+    """A half space like hs that holds no box wall yet."""
+    return PerturbedHalfSpace(hs.boundary, rho0=hs.rho0, reach_estimate=hs.reach_estimate)
+
+
 @pytest.fixture(scope="module", params=sorted(WALL_BOXES))
 def wall_case(request, gentle_hs, bump_hs):
     """(fresh half space, grid, signed distance at every node, node points)."""
-    hs = {"gentle": gentle_hs, "bump": bump_hs}[request.param]
-    hs = PerturbedHalfSpace(hs.boundary, rho0=hs.rho0, reach_estimate=hs.reach_estimate)
+    hs = _fresh({"gentle": gentle_hs, "bump": bump_hs}[request.param])
     grid = WALL_BOXES[request.param]
     pts = grid.points().reshape(-1, 3)
     return hs, grid, hs.signed_distance(pts), pts
@@ -306,6 +309,25 @@ class TestBoxWall:
         expected = np.flatnonzero(np.abs(d) < hs.rho0)
         assert len(expected) > 0
         assert np.array_equal(wall.index, expected)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_reaches_the_asked_width(self, wall_case, scale):
+        # every node with -rho0 < d < max(width, rho0), by brute force
+        hs, grid, d, pts = wall_case
+        hs = _fresh(hs)
+        width = scale * hs.rho0
+        wall = hs.box_wall(grid, width)
+        expected = np.flatnonzero((d > -hs.rho0) & (d < max(width, hs.rho0)))
+        assert np.array_equal(wall.index, expected)
+        assert wall.width == max(width, hs.rho0)
+        assert np.abs(wall.distance - d[wall.index]).max() <= 1e-14
+        if scale > 1.0:
+            assert (wall.distance >= hs.rho0).any()
+        # the normal part of the ledgers keeps to the rho0-tube
+        v = BoxField.sample(grid, hs, lambda p: np.sin(p), ncomp=3)
+        ref = normal_component_field(v, _fresh(hs)).data
+        got = normal_component_field(v, hs).data
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_matches_pointwise_geometry(self, wall_case):
         hs, grid, d, pts = wall_case
@@ -328,6 +350,13 @@ class TestBoxWall:
         assert other is not first and other.grid.resolution == (16, 16, 32)
         assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 32))) is other
         assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 16))) is not first
+        # a narrower ask keeps the wall, a wider one rebuilds it
+        grid = BoxGrid(lo, hi, (16, 16, 16))
+        wide = hs.box_wall(grid, 0.6)
+        assert wide.width == 0.6 and len(wide.index) > len(first.index)
+        assert hs.box_wall(grid) is wide and hs.box_wall(grid, 0.4) is wide
+        wider = hs.box_wall(grid, 0.9)
+        assert wider is not wide and wider.width == 0.9
 
     def test_box_clear_of_the_wall(self, gentle_hs):
         # no node within rho0: an empty tube, and the readers pass v through
@@ -358,10 +387,15 @@ class TestBoxWall:
         assert np.abs(nc - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_near_split_against_pointwise(self, wall_case):
+        # the near nodes of grad q2, mask nodes with d < delta, read off the wall
         hs, grid, d, pts = wall_case
+        hs = _fresh(hs)
         mask = grid.inside(hs)
         delta = 2.0 * max(grid.dx)
-        safe, depth, closest, normal = _near_split(hs, grid, mask, delta)
+        wall = hs.box_wall(grid, delta)
+        sel = mask.ravel()[wall.index] & (wall.distance < delta)
+        safe = ~np.isin(np.flatnonzero(mask), wall.index[sel])
+        depth, closest, normal = wall.distance[sel], wall.closest[sel], wall.normal[sel]
         dm = d[mask.ravel()]
         assert np.array_equal(safe, dm >= delta) and (~safe).any()
         assert np.abs(depth - dm[~safe]).max() <= 1e-14

@@ -15,8 +15,8 @@ from helmdecomp.errors import NonDecayingInput
 from helmdecomp.layers import SurfaceQuadrature
 from helmdecomp.neumann import estimate_contraction
 from helmdecomp.pipeline import (DecompositionPlan, PipelineConfig, _column_lattice,
-                                 _near_split, _residual_div, _residual_normal, _sample_grad_q2,
-                                 decompose, normal_trace, read_field, resample_density, verify,
+                                 _residual_div, _residual_normal, _sample_grad_q2, decompose,
+                                 normal_trace, read_field, resample_density, verify,
                                  volume_potential_grad, write_field)
 from helmdecomp.sobolev import BoundaryDensity
 
@@ -323,15 +323,15 @@ class TestGradQ2Paths:
         # bump correction against the all-direct sum
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, res)
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        split = _near_split(gentle_hs, grid, mask, q.delta_min)
-        got = _sample_grad_q2(q, split, sol, grid, mask, layout)
+        wall = gentle_hs.box_wall(grid, q.delta_min)
+        got = _sample_grad_q2(q, wall, sol, grid, mask, layout)
         ref = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
-        split = _near_split(flat_hs, grid, mask, q.delta_min)
+        wall = flat_hs.box_wall(grid, q.delta_min)
         pairs = []
         direct = _fast.gradslp_sum
 
@@ -340,7 +340,7 @@ class TestGradQ2Paths:
             return direct(xs, nodes, wg, c)
 
         with mock.patch.object(_fast, "gradslp_sum", counted):
-            got = _sample_grad_q2(q, split, sol, grid, mask, ([2, 2], [-20, -20]))
+            got = _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
         assert sum(pairs) == 0
         ref = _direct_grad_q2(q, flat_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -431,8 +431,10 @@ class TestDecompose:
         assert res.smallness["empirical_2S_norm"] < 1.0
         assert res.lattice == {"extent": 8.25, "resolution": 44, "stride": 3}
         # all direct: every safe node once, every near node at two depths
-        safe = _near_split(gentle_hs, grid, v.inside_mask, 1.5 * (8.25 / 44))[0]
-        all_direct = (len(safe) + np.count_nonzero(~safe)) * 44 ** 2
+        delta = 1.5 * (8.25 / 44)
+        wall = gentle_hs.box_wall(grid, delta)
+        near = np.count_nonzero(v.inside_mask.ravel()[wall.index] & (wall.distance < delta))
+        all_direct = (np.count_nonzero(v.inside_mask) + near) * 44 ** 2
         assert 0 < sum(pairs) < 0.5 * all_direct
 
     def test_contraction_settles_in_30_steps(self, gentle_hs):
@@ -541,6 +543,22 @@ def _same_result(a, b):
 
 
 class TestPlan:
+    def test_cold_decompose_takes_one_projection(self, gentle_hs, curved_case):
+        # the box wall, out to delta_min, is the one closest-point pass over
+        # box nodes; the only distances are the ball centres of the ledgers
+        grid, v1, _ = curved_case
+        hs = PerturbedHalfSpace(gentle_hs.boundary)
+        cfg = _curved_cfg()
+        calls = []
+        with _counting(calls):
+            decompose(hs, v1, cfg)
+        wall = hs.box_wall(grid)
+        assert wall.width == cfg._plan.q.delta_min > hs.rho0
+        sized = [c for c in calls if isinstance(c, tuple)]
+        assert sized[0][0] == "projection"
+        assert len(wall.index) <= sized[0][1] < grid.points().size // 3
+        assert sized[1:] == [("distance", cfg.samples)] * 3
+
     def test_second_decompose_reuses_the_plan(self, gentle_hs, curved_case):
         _, v1, v2 = curved_case
         hs = PerturbedHalfSpace(gentle_hs.boundary)
