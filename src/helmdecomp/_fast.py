@@ -62,14 +62,14 @@ def gradslp_sum(xs, nodes, wg, c):
     a = np.column_stack([-2.0 * xs, np.sum(xs * xs, axis=1), np.ones(len(xs))])
     b = np.vstack([nodes.T, np.ones(len(nodes)), np.sum(nodes * nodes, axis=1)])
     one_y = np.column_stack([np.ones(len(nodes)), nodes])
+    cwg = c * wg
     out = np.empty((xs.shape[0], 3))
     for sl, (r, t) in _row_blocks(len(xs), len(nodes)):
         np.matmul(a[sl], b, out=r)
-        # t = c / rho2^{3/2} * wg
+        # t = c wg / rho2^{3/2}
         np.sqrt(r, out=t)
         t *= r
-        np.divide(c, t, out=t)
-        t *= wg
+        np.divide(cwg, t, out=t)
         s = t @ one_y
         out[sl] = xs[sl] * s[:, :1] - s[:, 1:]
     return out

@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 2 smallness/contraction gate failed or the series hit
 kmax, 3 identity or residual tolerance breached, 4 invalid input (command
-line, config, missing or malformed field file, non-decaying field, target
-or ladder the lattice cannot resolve).
+line, config, a lattice over LATTICE_MEMORY_CAP, a box too short for the
+grad q2 columns, missing or malformed field file, non-decaying field,
+target or ladder the lattice cannot resolve).
 """
 
 import argparse
@@ -18,14 +19,16 @@ import numpy as np
 from .errors import (ConfigError, HelmdecompError, MaxIterations, NonDecayingInput,
                      NotContractive, TooCloseToSurface)
 from .geometry import BoundaryFunction, BoxGrid, PerturbedHalfSpace
-from .layers import (SurfaceQuadrature, gauss_flux, grad_single_layer, trace_S,
-                     trace_limit_Q)
+from .layers import (_REFINE_CELLS, SurfaceQuadrature, gauss_flux, grad_single_layer,
+                     trace_S, trace_limit_Q)
 from .neumann import check_smallness, estimate_contraction, smallness_constants
 from .pipeline import (PipelineConfig, TraceReport, decompose, read_field,
                        square_section_width, verify, write_field)
 from .sobolev import BoundaryDensity, vbmol2_norm
 
 
+# bytes the lattice of a run may take; see RunConfig.build_geometry
+LATTICE_MEMORY_CAP = 2 << 30
 # PipelineConfig keys set at the top level of a run config (lattice sets quad_*)
 _KNOBS = {f.name for f in fields(PipelineConfig) if f.init} - {"quad_extent", "quad_res"}
 # the parameters of each boundary preset; the bumps also take curvature_bound
@@ -126,6 +129,8 @@ class RunConfig:
                 raise ConfigError(f"boundary.{key} must be positive")
 
     def build_geometry(self):
+        """The half space of the config; ConfigError for a lattice that does
+        not cover 4x the bump support or does not fit LATTICE_MEMORY_CAP."""
         params = {k: v for k, v in self.boundary.items() if k != "preset"}
         try:
             b = BoundaryFunction.from_preset(self.boundary["preset"], n=self.n, **params)
@@ -136,6 +141,16 @@ class RunConfig:
         Rh = b.support_radius
         if Rh > 0 and self.pipeline.quad_extent < 4.0 * Rh:
             raise ConfigError("lattice extent must cover 4x the bump support")
+        # in floats, so no size overflows: S keeps 8 |B| (2m - |B|) bytes for m = res^2
+        # nodes, B those within _REFINE_CELLS + 1 spacings of the bump support, and
+        # the grad q2 plane FFT about 8 float64 planes of side n (extent / width + 1)
+        p, n = self.pipeline, self.box["resolution"][0]
+        nb = min(p.quad_res, 2.0 * (Rh * p.quad_res / p.quad_extent + _REFINE_CELLS + 1) + 1.0) ** 2
+        side = n * (p.quad_extent / (self.box["upper"][0] - self.box["lower"][0]) + 1.0)
+        need = 8.0 * nb * (2.0 * p.quad_res ** 2 - nb) + 64.0 * side * side
+        if not need <= LATTICE_MEMORY_CAP:
+            raise ConfigError(f"the lattice needs about {need / 2**30:.3g} GiB, over the "
+                              f"{LATTICE_MEMORY_CAP / 2**30:g} GiB cap")
         return hs
 
 

@@ -292,17 +292,20 @@ class PerturbedHalfSpace:
 
     # -- signed distance and projection -------------------------------------
     def _newton_param(self, x, seed, iters=40):
-        """Damped Newton on y' -> |x - (y', h(y'))|^2; returns y'."""
+        """Damped Newton on y' -> |x - (y', h(y'))|^2 per row; each row stops on its own step."""
         b = self.boundary
         x = np.asarray(x, dtype=float)
-        xp, xn = x[..., :2], x[..., 2]
         y = np.array(seed, dtype=float, copy=True)
         step_cap = 0.5 * max(b.support_radius, 1.0)
+        live = np.arange(len(y))
         for _ in range(iters):
-            gh = b.gradient(y)
-            Hh = b.hessian(y)
-            res = xn - b.height(y)
-            g = -2.0 * (xp - y) - 2.0 * res[..., None] * gh
+            if not live.size:
+                break
+            yl, xp, xn = y[live], x[live, :2], x[live, 2]
+            gh = b.gradient(yl)
+            Hh = b.hessian(yl)
+            res = xn - b.height(yl)
+            g = -2.0 * (xp - yl) - 2.0 * res[..., None] * gh
             H = 2.0 * (np.eye(2) + gh[..., :, None] * gh[..., None, :]
                        - res[..., None, None] * Hh)
             # regularize to keep the 2x2 solve positive definite
@@ -317,9 +320,8 @@ class PerturbedHalfSpace:
             step = np.stack([sx, sy], axis=-1)
             norm = np.linalg.norm(step, axis=-1, keepdims=True)
             step = np.where(norm > step_cap, step * (step_cap / np.maximum(norm, 1e-300)), step)
-            y = y - step
-            if float(np.max(norm, initial=0.0)) < 1e-13:
-                break
+            y[live] = yl - step
+            live = live[norm[:, 0] >= 1e-13]
         return y
 
     def _closest_param(self, x, grid_res=64):

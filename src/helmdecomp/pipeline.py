@@ -8,7 +8,8 @@ Stages:
   2. take the boundary trace g = w . n by Richardson extrapolation along
      inward normals;
   3. solve the Neumann problem for q2 via the boundary series, sample
-     grad q2 on the box, and set v0 = w - grad q2.
+     grad q2 on the box (plane FFT at the safe nodes, each near node
+     extrapolated along its own box column), and set v0 = w - grad q2.
 
 The reconstruction v = v0 + grad q1 + grad q2 is exact by construction;
 accuracy shows up in how small div v0 and the boundary trace of v0 are.
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _fast
-from .errors import (ExtrapolationUnstable, NonDecayingInput, NotContractive,
+from .errors import (ConfigError, ExtrapolationUnstable, NonDecayingInput, NotContractive,
                      ZeroFrequencyIll)
 from .geometry import BoxField, BoxGrid, extend_field, interp_masked
 from .layers import SurfaceQuadrature
@@ -274,71 +275,53 @@ def _column_lattice(grid, extent, res):
     return m * p * width / n, m, ([p, p], [shift, shift])
 
 
-def _aligned_gradslp(q, grid, layout, xs, col, wg, c):
-    """grad SLP sum at xs over the quadrature, on the box columns as layout.
-
-    col[i] is the flat box column of xs[i] when its x' is exactly that
-    column, else -1.  Column points at heights >= delta_min take the plane
-    FFT plus the curved-minus-flat sum over the h_j != 0 sources (none on a
-    flat wall); every other point takes the direct sum.
-    """
-    out = np.empty((3, len(xs)))
-    on = (col >= 0) & (xs[:, 2] >= q.delta_min)
-    if not on.all():
-        out[:, ~on] = _fast.gradslp_sum(np.ascontiguousarray(xs[~on]), q.nodes, wg, c).T
-    xs, col = np.ascontiguousarray(xs[on]), col[on]
-    zs, plane = np.unique(xs[:, 2], return_inverse=True)
-    order = np.argsort(plane, kind="stable")
-    counts = np.bincount(plane)
-    vals = np.empty((len(xs), 3))
-    planes = _fast.gradslp_plane(zs, wg.reshape(q.res, q.res), *layout, grid.dx[:2],
-                                 grid.resolution[:2], c)
-    for g, end, n in zip(planes, np.cumsum(counts), counts):
-        sel = order[end - n:end]
-        vals[sel] = g.reshape(-1, 3)[col[sel]]
-    bump = q.h != 0.0
-    if bump.any():
-        src = np.ascontiguousarray(q.nodes[bump])
-        vals += _fast.gradslp_sum(xs, src, wg[bump], c)
-        src[:, 2] = 0.0
-        vals -= _fast.gradslp_sum(xs, src, wg[bump], c)
-    out[:, on] = vals.T
-    return out
-
-
 def _sample_grad_q2(q, wall, sol, grid, mask, layout):
-    """grad q2 at inside nodes; near-surface nodes use shell extrapolation.
+    """grad q2 on the box, 0 off the mask, from a decaying density (so no tail closure).
 
-    wall is the box wall of grid out to q.delta_min; the mask nodes it holds
-    with d < q.delta_min are the near ones.  The density comes from a
-    decaying boundary trace, so the plain truncated-lattice product suffices
-    (no constant-tail closure).  On the lattice of layout, the safe nodes
-    and the extrapolation points straight above the wall take the plane FFT.
-    """
+    Mask nodes within q.delta_min of the wall (which reaches that far) are
+    near, the others safe.  Safe nodes at x_n >= delta_min take the plane FFT
+    on the lattice of layout plus the curved-minus-flat sum over the h_j != 0
+    sources; lower ones (a dip makes them) the direct sum.  A near node
+    extrapolates linearly in x_n from the safe node of its column nearest
+    x_n - h(x') = 1.5 delta_min and the one above it nearest 3 delta_min;
+    ConfigError if the column ends below."""
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
-    index = np.flatnonzero(mask)
-    sel = mask.ravel()[wall.index] & (wall.distance < q.delta_min)
-    dd, pi, nrm = wall.distance[sel], wall.closest[sel], wall.normal[sel]
-    safe = ~np.isin(index, wall.index[sel])
-    col = index // grid.resolution[2]
-    out = np.empty((3, len(index)))
-    out[:, safe] = _aligned_gradslp(q, grid, layout, grid.node_points(index[safe]),
-                                    col[safe], wg, c)
-    near = ~safe
-    if near.any():
-        # extrapolate linearly from two safe depths along the inward normal;
-        # a projection straight down keeps the node's column
-        xs = grid.node_points(index[near])
-        straight = np.all(pi[:, :2] == xs[:, :2], axis=1) & np.all(nrm == [0.0, 0.0, -1.0], axis=1)
-        col_near = np.where(straight, col[near], -1)
-        d1 = 1.5 * q.delta_min
-        d2 = 3.0 * q.delta_min
-        f1 = _aligned_gradslp(q, grid, layout, pi - d1 * nrm, col_near, wg, c)
-        f2 = _aligned_gradslp(q, grid, layout, pi - d2 * nrm, col_near, wg, c)
-        w2 = (dd - d1) / (d2 - d1)
-        out[:, near] = f1 * (1.0 - w2)[None] + f2 * w2[None]
-    return out
+    delta, nz = q.delta_min, grid.resolution[2]
+    near = wall.index[mask.ravel()[wall.index] & (wall.distance < delta)]
+    safe = mask.copy()
+    safe.flat[near] = False
+    index = np.flatnonzero(safe)
+    z, k = grid.axis(2), index % nz
+    low = z[k] < delta
+    out = np.zeros((3, mask.size))
+    if low.any():
+        out[:, index[low]] = _fast.gradslp_sum(grid.node_points(index[low]), q.nodes, wg, c).T
+    index, planes = index[~low], np.unique(k[~low])
+    # whole planes: the near nodes are replaced and the off-mask ones zeroed below
+    for kz, g in zip(planes, _fast.gradslp_plane(z[planes], wg.reshape(q.res, q.res), *layout,
+                                                 grid.dx[:2], grid.resolution[:2], c)):
+        out.reshape(3, -1, nz)[:, :, kz] = g.reshape(-1, 3).T
+    bump = q.h != 0.0
+    if bump.any():
+        xs = grid.node_points(index)
+        src = np.ascontiguousarray(q.nodes[bump])
+        out[:, index] += _fast.gradslp_sum(xs, src, wg[bump], c).T
+        src[:, 2] = 0.0
+        out[:, index] -= _fast.gradslp_sum(xs, src, wg[bump], c).T
+    col, k = np.divmod(near, nz)
+    ok = safe.reshape(-1, nz)[col]
+    # x_n >= h(x') - dz/2 + t first holds at the node nearest x_n - h(x') = t
+    lift = wall.height.ravel()[col, None] - 0.5 * grid.dx[2]
+    k1 = np.argmax(ok & (z >= lift + 1.5 * delta), axis=1)
+    two = ok & (z >= lift + 3.0 * delta) & (np.arange(nz) > k1[:, None])
+    k2 = np.argmax(two, axis=1)
+    if not two[np.arange(len(near)), k2].all():
+        raise ConfigError("a box column ends below 3 delta_min over the wall")
+    w = (k - k1) / (k2 - k1)
+    out[:, near] = out[:, col * nz + k1] * (1.0 - w) + out[:, col * nz + k2] * w
+    out[:, ~mask.ravel()] = 0.0
+    return out.reshape((3,) + tuple(grid.resolution))
 
 
 def divergence_stencil(field):
@@ -430,9 +413,8 @@ class DecompositionPlan:
         # the lattice nodes are box columns, where the lookup is exact
         g_quad = resample_density(g, q.extent, q.res)
         sol = solve_density(q, hs, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
-        gq2 = np.zeros_like(v.data)
-        gq2[:, v.inside_mask] = _sample_grad_q2(q, wall, sol, v.grid, v.inside_mask, self.layout)
-        gq2 = BoxField(v.grid, gq2, v.inside_mask)
+        gq2 = BoxField(v.grid, _sample_grad_q2(q, wall, sol, v.grid, v.inside_mask, self.layout),
+                       v.inside_mask)
         v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
 
         v_scale = float(np.abs(v.data[:, v.inside_mask]).max()) if v.inside_mask.any() else 0.0

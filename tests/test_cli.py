@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
+from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, cli
 from helmdecomp.cli import RunConfig, main
 from helmdecomp.errors import ConfigError
 from helmdecomp.pipeline import PipelineConfig, write_field
@@ -281,6 +282,29 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert code == 4
         assert "centred" in err["error"]
+
+    @pytest.mark.parametrize("lattice", [{"extent": 6.0, "resolution": 100000},   # 74.5 GiB
+                                         {"extent": 1e300, "resolution": 48}])
+    def test_lattice_over_the_memory_cap_is_bad_input(self, tmp_path, capsys, lattice):
+        cfg = write_config(tmp_path, lattice=lattice)
+        with mock.patch.object(cli, "SurfaceQuadrature",
+                               side_effect=AssertionError("a lattice was allocated")):
+            code = main(["--config", cfg, "check-smallness"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 4
+        assert "GiB cap" in err["error"]
+
+    def test_box_too_short_for_the_columns_is_bad_input(self, tmp_path, capsys):
+        # lattice spacing 1/8 on the box columns, so delta_min = 0.1875; the
+        # columns end at x_n = 0.46875, below 3 delta_min
+        box = {"lower": [-2.0, -2.0, -0.5], "upper": [2.0, 2.0, 0.5], "resolution": [32, 32, 32]}
+        cfg = write_config(tmp_path, box=box)
+        grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), (32, 32, 32))
+        write_field(BoxField(grid, np.zeros((3, 32, 32, 32))), tmp_path / "v.json")
+        code = main(["--config", cfg, "decompose", str(tmp_path / "v.json")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 4
+        assert "ends below 3 delta_min" in err["error"]
 
     def test_series_cap_is_gate_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, box={"lower": [-2.0, -2.0, -0.5],

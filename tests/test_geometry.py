@@ -73,6 +73,20 @@ class TestProjection:
         err = np.linalg.norm(pts - recon, axis=1)
         assert err.max() < 1e-8 * (1.0 + np.linalg.norm(pts, axis=1)).max()
 
+    @pytest.mark.parametrize("name", ["gentle_hs", "bump_hs"])
+    def test_alone_equals_batched(self, request, name):
+        # each point stops Newton on its own step, so neither its closest
+        # point nor its distance depends on the points sharing its batch
+        hs = request.getfixturevalue(name)
+        rng = np.random.default_rng(1)
+        pts = np.column_stack([rng.uniform(-1.2, 1.2, (2000, 2)), rng.uniform(-0.1, 0.6, 2000)])
+        pi = hs.project_to_boundary(pts, check_reach=False)
+        d = hs.signed_distance(pts)
+        for i in range(400):
+            x = pts[i:i + 1]
+            assert hs.project_to_boundary(x, check_reach=False).tobytes() == pi[i:i + 1].tobytes()
+            assert hs.signed_distance(x).tobytes() == d[i:i + 1].tobytes()
+
 
 class TestNormals:
     def test_flat(self, flat_hs):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, PerturbedHalfSpace
 from helmdecomp.errors import NonDecayingInput, TooCloseToSurface
@@ -295,6 +297,18 @@ class TestOperatorBatch:
         ff = dir_gradslp_rows(q.nodes[far], gd, q.nodes[far], q.weights[far],
                               -q.ctx.grad_const)
         assert np.all(ff == 0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_flat_s_is_zero(self, flat_hs, flat_quad, seed, scale):
+        # apply_S returns 0 on a flat wall without assembling, and the
+        # blocks it skips are exactly 0 as well
+        from helmdecomp.layers import _assemble_s_blocks
+
+        g = scale * np.random.default_rng(seed).standard_normal(flat_quad.res ** 2)
+        assert not apply_S(flat_quad, flat_hs, g).any()
+        B, _, rows, cols = _assemble_s_blocks(flat_quad, flat_hs)
+        assert not (rows @ g).any() and not (cols @ g[B]).any()
 
     def test_apply_matches_pointwise(self, small_bump_quad, small_bump_hs):
         g = gauss_dens(2.0, 64, w=0.1)

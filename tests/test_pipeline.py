@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, _fast, pipeline
-from helmdecomp.errors import NonDecayingInput
+from helmdecomp.errors import ConfigError, NonDecayingInput
 from helmdecomp.layers import SurfaceQuadrature
 from helmdecomp.neumann import estimate_contraction
 from helmdecomp.pipeline import (DecompositionPlan, PipelineConfig, _column_lattice,
@@ -289,25 +289,53 @@ def _grad_q2_case(hs, grid, extent, res):
 
 
 def _direct_grad_q2(q, hs, sol, grid, mask):
-    """The all-direct sampling written out: classify, three direct sums, extrapolate."""
-    pts = grid.points()[mask]
+    """The column rule over all-direct sums, written out node by node.
+
+    Classify by the distance to the wall, take one direct sum at every safe
+    node, and extrapolate each near node linearly in x_n from the safe node
+    of its column nearest x_n - h(x') = 1.5 delta_min and, above it, the
+    safe node nearest 3 delta_min (a tie goes to the lower node).  Returns
+    (values on the box, safe mask).
+    """
+    pts = grid.points()
     wg = q.weights * q.match(sol.density)
     c = -q.ctx.grad_const
     b = hs.boundary
-    d = hs.box_wall(grid).depth()[mask]
-    shell = d / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < q.delta_min
+    gap = hs.box_wall(grid).depth()
+    d = gap.copy()
+    shell = mask & (gap / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < q.delta_min)
     d[shell] = hs.signed_distance(pts[shell])
-    safe = d >= q.delta_min
-    out = np.zeros((3, len(pts)))
+    safe = mask & (d >= q.delta_min)
+    out = np.zeros((3,) + tuple(grid.resolution))
     out[:, safe] = _fast.gradslp_sum(pts[safe], q.nodes, wg, c).T
-    pi = hs.project_to_boundary(pts[~safe], check_reach=False)
-    nrm = hs.outward_normal(pi)
-    d1, d2 = 1.5 * q.delta_min, 3.0 * q.delta_min
-    f1 = _fast.gradslp_sum(pi - d1 * nrm, q.nodes, wg, c).T
-    f2 = _fast.gradslp_sum(pi - d2 * nrm, q.nodes, wg, c).T
-    w2 = (d[~safe] - d1) / (d2 - d1)
-    out[:, ~safe] = f1 * (1.0 - w2)[None] + f2 * w2[None]
-    return out
+    z = grid.axis(2)
+    for i, j, k in zip(*np.nonzero(mask & ~safe)):
+        up = [kk for kk in range(len(z)) if safe[i, j, kk]]
+        k1 = min(up, key=lambda kk: abs(gap[i, j, kk] - 1.5 * q.delta_min))
+        k2 = min((kk for kk in up if kk > k1),
+                 key=lambda kk: abs(gap[i, j, kk] - 3.0 * q.delta_min))
+        w = (z[k] - z[k1]) / (z[k2] - z[k1])
+        out[:, i, j, k] = (1.0 - w) * out[:, i, j, k1] + w * out[:, i, j, k2]
+    return out, safe
+
+
+@contextlib.contextmanager
+def _counted_sums(pairs, planes):
+    """Record the (targets, sources) of every direct sum and the heights of
+    every plane FFT."""
+    direct, plane = _fast.gradslp_sum, _fast.gradslp_plane
+
+    def counted_sum(xs, nodes, wg, c):
+        pairs.append((len(xs), len(nodes)))
+        return direct(xs, nodes, wg, c)
+
+    def counted_plane(zs, *args):
+        planes.extend(zs)
+        return plane(zs, *args)
+
+    with mock.patch.object(_fast, "gradslp_sum", counted_sum), \
+         mock.patch.object(_fast, "gradslp_plane", counted_plane):
+        yield
 
 
 # a 24^3 box of spacing 1/8 over the gentle bump, and the same box with
@@ -325,25 +353,78 @@ class TestGradQ2Paths:
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
         wall = gentle_hs.box_wall(grid, q.delta_min)
         got = _sample_grad_q2(q, wall, sol, grid, mask, layout)
-        ref = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
+        ref, _ = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
         wall = flat_hs.box_wall(grid, q.delta_min)
-        pairs = []
-        direct = _fast.gradslp_sum
-
-        def counted(xs, nodes, wg, c):
-            pairs.append(len(xs) * len(nodes))
-            return direct(xs, nodes, wg, c)
-
-        with mock.patch.object(_fast, "gradslp_sum", counted):
+        pairs, planes = [], []
+        with _counted_sums(pairs, planes):
             got = _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
-        assert sum(pairs) == 0
-        ref = _direct_grad_q2(q, flat_hs, sol, grid, mask)
+        assert pairs == []
+        # only box z-planes, each once
+        assert sorted(planes) == sorted(set(planes)) and set(planes) <= set(grid.axis(2))
+        ref, _ = _direct_grad_q2(q, flat_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_steep_bump_skips_unsafe_column_nodes(self, bump_hs):
+        # over the flank of the steep bump (slope 1.6) the node of a column
+        # nearest x_n - h = 1.5 delta_min can lie within delta_min of the
+        # wall; the rule passes it for the next safe node.  A 32^3 box of
+        # spacing 1/16 under a lattice of spacing 1/8 (p = 2)
+        grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
+        q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
+        wall = bump_hs.box_wall(grid, q.delta_min)
+        got = _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-48, -48]))
+        ref, safe = _direct_grad_q2(q, bump_hs, sol, grid, mask)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        near_cols = (mask & ~safe).any(axis=2)
+        first = np.argmin(np.abs(bump_hs.box_wall(grid).depth() - 1.5 * q.delta_min), axis=2)
+        passed = near_cols & ~np.take_along_axis(safe, first[..., None], axis=2)[..., 0]
+        assert passed.any()
+
+    def test_dip_low_safe_nodes_take_direct_sum(self):
+        # a dip puts safe nodes below the height delta_min of the plane
+        # kernel: they, and only they, take the sum over every lattice node
+        hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(-0.2, 0.3))
+        grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
+        q, sol, mask = _grad_q2_case(hs, grid, 8.0, 32)
+        wall = hs.box_wall(grid, q.delta_min)
+        pairs, planes = [], []
+        with _counted_sums(pairs, planes):
+            got = _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
+        ref, safe = _direct_grad_q2(q, hs, sol, grid, mask)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        low = np.count_nonzero(safe & (grid.axis(2) < q.delta_min))
+        bump = np.count_nonzero(q.h != 0.0)
+        assert low > 0 and min(planes) >= q.delta_min
+        assert pairs == [(low, q.res ** 2)] + [(np.count_nonzero(safe) - low, bump)] * 2
+
+    def test_short_box_is_refused(self, flat_hs):
+        # the columns end at x_n = 0.4625, below 3 delta_min = 0.5625
+        grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 0.5), (24, 24, 24))
+        q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
+        wall = flat_hs.box_wall(grid, q.delta_min)
+        with pytest.raises(ConfigError, match="box column ends"):
+            _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
+    def test_linear_in_the_density(self, gentle_hs, seed, a, b):
+        grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
+        q, _, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
+        wall = gentle_hs.box_wall(grid, q.delta_min)
+        g1, g2 = np.random.default_rng(seed).standard_normal((2, q.res, q.res))
+
+        def sample(values):
+            sol = SimpleNamespace(density=BoundaryDensity(q.extent, values, on_graph=True))
+            return _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
+
+        f1, f2 = sample(g1), sample(g2)
+        scale = np.abs(a * f1).max() + np.abs(b * f2).max()
+        assert np.abs(sample(a * g1 + b * g2) - (a * f1 + b * f2)).max() <= 1e-12 * scale
 
 
 class TestDecompose:
@@ -407,8 +488,8 @@ class TestDecompose:
 
     def test_curved_gradient_input(self, gentle_hs):
         # the criterion-7a config: the lattice asked as 8.0 / 48 lands on the
-        # box columns as 8.25 / 44, and grad q2 takes the plane FFT for most
-        # points, so the direct pairs stay below half of the all-direct count
+        # box columns as 8.25 / 44; grad q2 takes the plane FFT at every safe
+        # node and extrapolates the near ones from safe nodes of their columns
         cfg = PipelineConfig(rho=0.055, quad_extent=8.0, quad_res=48,
                              mu=0.3, nu=0.08, samples=100, seed=5)
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (64, 64, 64))
@@ -418,24 +499,20 @@ class TestDecompose:
             return -2.0 * (p - c) / S2 * np.exp(-np.sum((p - c) ** 2, -1) / S2)[..., None]
 
         v = BoxField.sample(grid, gentle_hs, gp, ncomp=3)
-        pairs = []
-        direct = _fast.gradslp_sum
-
-        def counted(xs, nodes, wg, c):
-            pairs.append(len(xs) * len(nodes))
-            return direct(xs, nodes, wg, c)
-
-        with mock.patch.object(_fast, "gradslp_sum", counted):
+        pairs, planes = [], []
+        with _counted_sums(pairs, planes):
             res = decompose(gentle_hs, v, cfg)
         assert l2(res.v0) < 5e-2 * l2(v)
         assert res.smallness["empirical_2S_norm"] < 1.0
         assert res.lattice == {"extent": 8.25, "resolution": 44, "stride": 3}
-        # all direct: every safe node once, every near node at two depths
-        delta = 1.5 * (8.25 / 44)
-        wall = gentle_hs.box_wall(grid, delta)
-        near = np.count_nonzero(v.inside_mask.ravel()[wall.index] & (wall.distance < delta))
-        all_direct = (np.count_nonzero(v.inside_mask) + near) * 44 ** 2
-        assert 0 < sum(pairs) < 0.5 * all_direct
+        # the only direct sums are the bump correction at the safe nodes,
+        # once curved and once flat: no safe node lies below delta_min
+        q = cfg._plan.q
+        wall = gentle_hs.box_wall(grid, q.delta_min)
+        near = np.count_nonzero(v.inside_mask.ravel()[wall.index] & (wall.distance < q.delta_min))
+        safe = np.count_nonzero(v.inside_mask) - near
+        assert pairs == [(safe, np.count_nonzero(q.h != 0.0))] * 2
+        assert set(planes) <= set(grid.axis(2))
 
     def test_contraction_settles_in_30_steps(self, gentle_hs):
         # the 30 power steps of decompose against 60, on the criterion-7a lattice

@@ -1,13 +1,14 @@
 """Pinned outputs of the two box-sized pipeline stages.
 
 ``volume_potential_grad`` (cutoff extension plus the padded spectral solve)
-and ``_sample_grad_q2`` (the grad SLP sum with its near-surface
-extrapolation) run on a small box over the gentle Gaussian bump.  The field
-is a Gaussian gradient plus a swirl; the density handed to
-``_sample_grad_q2`` is a decaying Gaussian on the quadrature lattice, which
-stands in for the series solution (only ``sol.density`` is read).  Each
-output is sampled on a stride and must match ``data/pipeline_pinned.json``
-to 1e-12 of its largest pinned value.
+and ``_sample_grad_q2`` (the grad SLP sum by plane FFT at the safe nodes,
+with the near nodes extrapolated along their own box columns) run on a
+small box over the gentle Gaussian bump.  The field is a Gaussian gradient
+plus a swirl; the density handed to ``_sample_grad_q2`` is a decaying
+Gaussian on the quadrature lattice, which stands in for the series
+solution (only ``sol.density`` is read).  Each output is sampled on a
+stride of the inside nodes and must match ``data/pipeline_pinned.json`` to
+1e-12 of its largest pinned value.
 """
 
 import json
@@ -52,7 +53,7 @@ def _sample_grad_q2_values(hs):
     wall = hs.box_wall(grid, q.delta_min)
     out = _sample_grad_q2(q, wall, SimpleNamespace(density=dens), grid, mask,
                           ([2, 2], [-20, -20]))
-    return out[:, ::13].ravel()
+    return out[:, mask][:, ::13].ravel()
 
 
 OPERATORS = {
