@@ -21,8 +21,8 @@ from .errors import (ConfigError, HelmdecompError, MaxIterations, NonDecayingInp
 from .geometry import BoundaryFunction, BoxGrid, PerturbedHalfSpace
 from .layers import (_REFINE_CELLS, SurfaceQuadrature, gauss_flux, grad_single_layer,
                      trace_S, trace_limit_Q)
-from .neumann import check_smallness, estimate_contraction, smallness_constants
-from .pipeline import (PipelineConfig, TraceReport, decompose, read_field,
+from .neumann import check_smallness
+from .pipeline import (DecompositionPlan, PipelineConfig, TraceReport, decompose, read_field,
                        square_section_width, verify, write_field)
 from .sobolev import BoundaryDensity, vbmol2_norm
 
@@ -111,8 +111,7 @@ class RunConfig:
             if r < 8 or (r & (r - 1)) != 0:
                 raise ConfigError("box resolutions must be powers of two >= 8")
         try:
-            grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), tuple(box["resolution"]))
-            square_section_width(grid)
+            square_section_width(self.grid())
         except ValueError as exc:
             raise ConfigError(f"box: {exc}") from exc
         preset = self.boundary.get("preset") if isinstance(self.boundary, dict) else None
@@ -127,6 +126,9 @@ class RunConfig:
             _number(self.boundary[key], f"boundary.{key}")
             if key != "a" and self.boundary[key] <= 0:
                 raise ConfigError(f"boundary.{key} must be positive")
+
+    def grid(self):
+        return BoxGrid(*(tuple(self.box[k]) for k in ("lower", "upper", "resolution")))
 
     def build_geometry(self):
         """The half space of the config; ConfigError for a lattice that does
@@ -164,15 +166,16 @@ def _emit(payload, out_dir, name):
 
 
 def cmd_check_smallness(cfg, out_dir=None):
+    # the plan decompose would build, so the gate sees decompose's lattice
     hs = cfg.build_geometry()
-    report = smallness_constants(hs.boundary)
-    q = SurfaceQuadrature(hs, cfg.pipeline.quad_extent, cfg.pipeline.quad_res)
-    report.empirical_2S_norm = estimate_contraction(q, hs, seed=cfg.pipeline.seed)
-    verdict = check_smallness(report, cfg.cstar_n)
-    payload = report.to_dict()
+    grid = cfg.grid()
+    plan = DecompositionPlan(hs, grid, grid.inside(hs), cfg.pipeline)
+    verdict = check_smallness(plan.report, cfg.cstar_n)
+    payload = plan.report.to_dict()
     payload["verdict"] = {"first": verdict.first, "second": verdict.second,
                           "empirical": verdict.empirical, "ok": verdict.ok}
     payload["cstar_n"] = cfg.cstar_n
+    payload["lattice"] = plan.lattice
     _emit(payload, out_dir, "smallness.json")
     return 0 if verdict.ok else 2
 

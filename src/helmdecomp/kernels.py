@@ -1,4 +1,5 @@
-"""Closed-form Laplace kernels on R^n (n >= 3).
+"""Closed-form Laplace kernels on R^n (n >= 3): the one statement of E and
+grad E that the layer quadrature and the tests build on.
 
 E(x) = |x|^(2-n) / (n (n-2) b1(n)) with b1(n) the unit-ball volume, so that
 E is the decaying fundamental solution of -Laplace; at n = 3 this is the
@@ -71,24 +72,10 @@ def grad_E(ctx, x):
 
 
 def dE_dny(ctx, hs, x, y):
-    """Outward normal derivative in y of E(x - y) for y on the boundary graph.
-
-    Equals -C sigma(y') / (omega(y') rho^n) with C = 1/(n b1(n)),
-    sigma(y') = -grad'h(y') . (x'-y') + (x_n - h(y')) and rho = |x - y|.
-    """
-    x = np.asarray(x, dtype=float)
+    """Outward normal derivative in y of E(x - y) for y on the boundary graph:
+    -n(y) . grad E(x - y); SingularPoint on the diagonal."""
     y = np.asarray(y, dtype=float)
-    yp = y[..., :-1]
-    b = hs.boundary
-    gh = b.gradient(yp)
-    om = np.sqrt(1.0 + np.sum(gh * gh, axis=-1))
-    dxp = x[..., :-1] - yp
-    dzn = x[..., -1] - y[..., -1]
-    rho2 = np.sum(dxp * dxp, axis=-1) + dzn * dzn
-    if np.any(rho2 == 0.0):
-        raise SingularPoint("dE_dny evaluated on the diagonal")
-    sigma = -np.sum(gh * dxp, axis=-1) + dzn
-    return -ctx.grad_const * sigma / (om * rho2 ** (ctx.n / 2.0))
+    return -np.sum(hs.outward_normal(y) * grad_E(ctx, np.asarray(x, dtype=float) - y), axis=-1)
 
 
 def kernel_K0_and_R(ctx, hs, x, y):

@@ -2,7 +2,9 @@
 
 All operators share one scheme: a tensor-product midpoint rule on a uniform
 y'-lattice carrying the surface measure omega(y') dy', a local subcell
-refinement near the target, and an exact flat-tail closure.
+refinement near the target, and an exact flat-tail closure.  The kernel
+formulas live in ``kernels``; SurfaceQuadrature samples the graph once per
+quadrature point (points, omega, grad h) and evaluates them on the samples.
 
 Refinement rules:
   * pointwise operators refine only targets within two spacings of the
@@ -32,8 +34,8 @@ graph, order |x-y|^{2-n} relative to the surface measure).
 
 import numpy as np
 
-from .errors import NonDecayingInput, SingularPoint, TooCloseToSurface
-from .kernels import KernelContext
+from .errors import NonDecayingInput, TooCloseToSurface
+from .kernels import E_eval, KernelContext, grad_E, poisson_kernel
 from .sobolev import BoundaryDensity, hs_norm_fourier, lp_norm, th_pull
 
 # lattice S matrix: cells within _REFINE_CELLS spacings, _REFINE_SUB^2 subcells
@@ -66,13 +68,9 @@ class SurfaceQuadrature:
         a = -self.extent / 2.0 + self.dx * np.arange(self.res)
         gx, gy = np.meshgrid(a, a, indexing="ij")
         self.yp = np.stack([gx, gy], axis=-1).reshape(-1, 2)
-        b = hs.boundary
-        self.h = b.height(self.yp)
-        self.gh = b.gradient(self.yp)
-        self.omega = np.sqrt(1.0 + np.sum(self.gh**2, axis=-1))
-        self.nodes = np.concatenate([self.yp, self.h[:, None]], axis=1)
+        self.nodes, self.omega, _ = self._surface(self.yp)
         self.weights = self.omega * self.dx**2
-        Rh = b.support_radius
+        Rh = hs.boundary.support_radius
         if self.extent / 2.0 <= Rh + 2 * self.dx:
             raise ValueError("flat-tail closure needs extent/2 > support radius")
         self.bump_sel = np.linalg.norm(self.yp, axis=-1) <= Rh + 1e-12
@@ -102,7 +100,7 @@ class SurfaceQuadrature:
         edge = (~inside) & (r < delta + margin)
         if np.any(edge):
             pts = self.subcell_points(self.yp[edge], 8)
-            om = self.hs.boundary.omega(pts)
+            om = self._surface(pts)[1]
             om *= np.linalg.norm(pts, axis=-1) < delta
             total += float(om.reshape(edge.sum(), -1).mean(axis=1).sum()) * self.dx**2
         return total
@@ -114,61 +112,39 @@ class SurfaceQuadrature:
         shift = np.stack([ox.ravel(), oy.ravel()], axis=-1)
         return (yp[:, None, :] + shift[None, :, :]).reshape(-1, 2)
 
-    # -- kernels --------------------------------------------------------------
-    # each returns values *including* the omega measure factor, or the flat
-    # reference (omega == 1, y_n == 0) when flat=True
-    def _kern_dEdny(self, x, yp, flat=False):
-        ctx = self.ctx
-        b = self.hs.boundary
-        dxp = x[:2] - yp
-        # omega in the kernel denominator cancels the measure: no factor here
+    # -- graph samples and kernels ------------------------------------------
+    def _surface(self, yp, flat=False):
+        """(points, omega, grad h) of the graph over yp; the plane when flat."""
         if flat:
-            h = 0.0
-            sigma = np.full(len(yp), x[2])
-        else:
-            h = b.height(yp)
-            gh = b.gradient(yp)
-            sigma = -np.sum(gh * dxp, axis=-1) + (x[2] - h)
-        rho2 = np.sum(dxp * dxp, axis=-1) + (x[2] - h) ** 2
-        return -ctx.grad_const * sigma / rho2 ** (ctx.n / 2.0)
+            return (np.concatenate([yp, np.zeros((len(yp), 1))], axis=1),
+                    np.ones(len(yp)), np.zeros_like(yp))
+        b = self.hs.boundary
+        gh = b.gradient(yp)
+        return b.surface_point(yp), np.sqrt(1.0 + np.sum(gh**2, axis=-1)), gh
 
-    def _kern_E(self, x, yp, flat=False):
-        h = 0.0 if flat else self.hs.boundary.height(yp)
-        om = 1.0 if flat else self.hs.boundary.omega(yp)
-        dxp = x[:2] - yp
-        rho2 = np.sum(dxp * dxp, axis=-1) + (x[2] - h) ** 2
-        if np.any(rho2 == 0.0):
-            raise SingularPoint("single-layer kernel hit a node")
-        return self.ctx.e_const * rho2 ** ((2 - self.ctx.n) / 2.0) * om
+    # each kernel takes the target x and the samples (y, omega, grad h) of
+    # _surface, and returns its values times the measure factor omega
+    def _kern_E(self, x, y, om, gh):
+        return E_eval(self.ctx, x - y) * om
 
-    def _kern_gradE(self, x, yp, flat=False):
-        h = 0.0 if flat else self.hs.boundary.height(yp)
-        om = 1.0 if flat else self.hs.boundary.omega(yp)
-        dxp = x[:2] - yp
-        dz = x[2] - h
-        rho2 = np.sum(dxp * dxp, axis=-1) + dz**2
-        if np.any(rho2 == 0.0):
-            raise SingularPoint("gradient kernel hit a node")
-        fac = -self.ctx.grad_const * rho2 ** (-self.ctx.n / 2.0) * om
-        return np.stack([fac * dxp[:, 0], fac * dxp[:, 1], fac * dz], axis=-1)
+    def _kern_gradE(self, x, y, om, gh):
+        return grad_E(self.ctx, x - y) * om[:, None]
 
-    def _kern_dir_gradE(self, direction):
-        def kern(x, yp, flat=False):
-            return self._kern_gradE(x, yp, flat=flat) @ direction
-        return kern
+    def _kern_dEdny(self, x, y, om, gh):
+        # omega n_y = (grad h, -1), so omega dE/dn_y = -(grad h, -1) . grad E(x - y)
+        g = grad_E(self.ctx, x - y)
+        return g[:, 2] - np.sum(gh * g[:, :2], axis=-1)
 
     # -- generic evaluation ---------------------------------------------------
-    def _hit_guard(self, x, pts, flat):
-        """Mask of quadrature points farther than dx/64 from the target."""
-        h = 0.0 if flat else self.hs.boundary.height(pts)
-        d2 = np.sum((pts - x[:2]) ** 2, axis=-1) + (x[2] - h) ** 2
-        return d2 > (self.dx / 64.0) ** 2
-
-    def _kern_kept(self, kern, x, pts, flat):
-        """kern at pts, with 0 at the points the hit guard drops."""
-        keep = self._hit_guard(x, pts, flat)
-        vals = kern(x, pts[keep], flat=flat)
-        out = np.zeros((len(pts),) + vals.shape[1:])
+    def _kern_kept(self, kern, x, yp, flat):
+        """kern at the graph samples over yp, 0 at those within dx/64 of the
+        target (off the surface there are none, and no gather runs)."""
+        y, om, gh = self._surface(yp, flat)
+        keep = np.sum((x - y) ** 2, axis=-1) > (self.dx / 64.0) ** 2
+        if keep.all():
+            return kern(x, y, om, gh)
+        vals = kern(x, y[keep], om[keep], gh[keep])
+        out = np.zeros((len(yp),) + vals.shape[1:])
         out[keep] = vals
         return out
 
@@ -224,7 +200,8 @@ class SurfaceQuadrature:
         exactly: the plane integral of grad E is (0, 0, -sign(x_n)/2), with
         principal value 0 on the plane itself, plus the bump correction.
         """
-        kern = self._kern_gradE if direction is None else self._kern_dir_gradE(direction)
+        kern = self._kern_gradE if direction is None else (
+            lambda *sample: self._kern_gradE(*sample) @ direction)
         gvals = self.match(g)
         ginf = self.ring_mean(g)
         # a ring mean at roundoff level is a decaying density: skip the closure
@@ -307,8 +284,8 @@ def abs_flux(q, hs, x):
     if not (0.0 < d):
         raise TooCloseToSurface("absolute flux evaluated at interior points")
 
-    def kern_abs(xx, yp, flat=False):
-        return np.abs(q._kern_dEdny(xx, yp, flat=flat))
+    def kern_abs(*sample):
+        return np.abs(q._kern_dEdny(*sample))
 
     return 0.5 + q._bump_correction(kern_abs, x)
 
@@ -321,13 +298,11 @@ def poisson_smoothing_deficit(q, g, x0p, t):
     Qg(x0 - t n) = (1/2)(P_t * g)(x0') identically, so subtracting the
     deficit turns the slow O(t) trace approach into pure quadrature error.
     """
-    from .kernels import poisson_kernel
-
     gvals = q.match(g)
     ginf = q.ring_mean(g)
 
-    def kern(x, yp, flat=False):
-        return 0.5 * poisson_kernel(q.ctx, t, x[:2] - yp)
+    def kern(x, y, om, gh):
+        return 0.5 * poisson_kernel(q.ctx, t, x[:2] - y[:, :2])
 
     x = np.array([x0p[0], x0p[1], float(q.hs.boundary.height(np.asarray(x0p))) + t])
     main = q._refined_sum(kern, x, gvals - ginf)
@@ -430,10 +405,10 @@ def _refine_rows(q, hs, B, gd, rows):
     pair_row = np.nonzero(ok)[0]
     pair_cell = ti[ok] * res + tj[ok]
     cells, pair_ucell = np.unique(pair_cell, return_inverse=True)
-    pts = q.subcell_points(q.yp[cells], _REFINE_SUB)
-    h = hs.boundary.height(pts).reshape(len(cells), -1)
-    om = hs.boundary.omega(pts).reshape(h.shape)
-    pts = pts.reshape(h.shape + (2,))
+    y, om, _ = q._surface(q.subcell_points(q.yp[cells], _REFINE_SUB))
+    h = y[:, 2].reshape(len(cells), -1)
+    om = om.reshape(h.shape)
+    pts = y[:, :2].reshape(h.shape + (2,))
     for a in range(0, len(pair_row), _REFINE_PAIRS):
         k = pair_row[a:a + _REFINE_PAIRS]
         j = pair_ucell[a:a + _REFINE_PAIRS]

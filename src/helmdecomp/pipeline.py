@@ -302,7 +302,7 @@ def _sample_grad_q2(q, wall, sol, grid, mask, layout):
     for kz, g in zip(planes, _fast.gradslp_plane(z[planes], wg.reshape(q.res, q.res), *layout,
                                                  grid.dx[:2], grid.resolution[:2], c)):
         out.reshape(3, -1, nz)[:, :, kz] = g.reshape(-1, 3).T
-    bump = q.h != 0.0
+    bump = q.nodes[:, 2] != 0.0
     if bump.any():
         xs = grid.node_points(index)
         src = np.ascontiguousarray(q.nodes[bump])
@@ -390,20 +390,23 @@ class DecompositionPlan:
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
         extent, res, self.layout = _column_lattice(grid, cfg.quad_extent, cfg.quad_res)
         self.q = SurfaceQuadrature(hs, extent, res)
+        # the quadrature lattice: extent, resolution and stride in box spacings
+        self.lattice = {"extent": self.q.extent, "resolution": res, "stride": self.layout[0][0]}
         self.contraction = estimate_contraction(self.q, hs, seed=cfg.seed)
         self.report = smallness_constants(hs.boundary)
         self.report.empirical_2S_norm = self.contraction
-        if not self.contraction < 1.0:
-            raise NotContractive(f"empirical |2S| = {self.contraction:.3f} >= 1",
-                                 report=self.report)
 
     def fits(self, v):
         return v.grid == self.grid and np.array_equal(v.inside_mask, self.mask)
 
     def apply(self, v):
-        """Decompose v, a field on the plan's grid and mask; the map is linear in v."""
+        """Decompose v, a field on the plan's grid and mask; the map is linear in v.
+        NotContractive, with the plan's report, unless the contraction is below 1."""
         if not self.fits(v):
             raise ValueError("the field is not on the plan's grid and inside mask")
+        if not self.contraction < 1.0:
+            raise NotContractive(f"empirical |2S| = {self.contraction:.3f} >= 1",
+                                 report=self.report)
         hs, cfg, q = self.hs, self.cfg, self.q
         # out to the grad q2 near nodes, so every stage reads the one wall
         wall = hs.box_wall(self.grid, q.delta_min)
@@ -428,7 +431,7 @@ class DecompositionPlan:
             residual_div=_residual_div(v0, hs, ref=v),
             residual_normal=_residual_normal(v0, hs, v_scale),
             smallness=self.report.to_dict(),
-            lattice={"extent": q.extent, "resolution": q.res, "stride": self.layout[0][0]},
+            lattice=dict(self.lattice),
         )
         result.ledger_v.hminus_half = g_hminus
         result.ledger_v.linf = max(result.ledger_v.linf, g_linf)

@@ -367,13 +367,18 @@ def bmo_seminorm(v, hs, mu, samples=200, seed=0, min_nodes=8):
     picks = rng.integers(0, len(inside_idx), size=samples)
     fracs = rng.random(samples)
     centers = np.stack([g.axis(ax)[inside_idx[picks, ax]] for ax in range(3)], axis=-1)
-    dists = hs.signed_distance(centers)
+    top = np.subtract(g.upper, g.dx)
+    cap = np.minimum(np.minimum(centers - g.lower, top - centers).min(axis=1), mu)
+    # d >= (x_n - h(x')) / C_s, C_s = 1 + sup|h| + sup|grad h| (as box_wall bounds
+    # it): where that reaches cap, cap is the radius bound; elsewhere d may be less
+    b = hs.boundary
+    cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
+    exact = (centers[:, 2] - b.height(centers[:, :2])) / cs < cap
+    cap[exact] = np.minimum(hs.signed_distance(centers[exact]), cap[exact])
     best = 0.0
     used = 0
-    for center, u, dball in zip(centers, fracs, dists):
-        edge = min(min(center[ax] - g.lower[ax], g.upper[ax] - g.dx[ax] - center[ax])
-                   for ax in range(3))
-        r = u * min(float(dball), edge, mu)
+    for center, u, c in zip(centers, fracs, cap):
+        r = u * c
         if r < dmin:
             continue
         vals = _ball_values(v, center, r)

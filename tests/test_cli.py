@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, cli
+from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, cli, pipeline
 from helmdecomp.cli import RunConfig, main
 from helmdecomp.errors import ConfigError
 from helmdecomp.pipeline import PipelineConfig, write_field
@@ -25,6 +25,11 @@ def base_config(**override):
     }
     cfg.update(override)
     return cfg
+
+
+def grad_gaussian(p, c=(0.1, -0.1, 1.2)):
+    """grad of exp(-|p - c|^2 / 0.12): a pure gradient field."""
+    return -2.0 * (p - c) / 0.12 * np.exp(-np.sum((p - c) ** 2, -1) / 0.12)[..., None]
 
 
 def write_config(tmp_path, name="cfg.json", **override):
@@ -112,8 +117,11 @@ class TestCheckSmallness:
         assert out["verdict"]["first"] is False
 
     def test_bump_empirical_report(self, tmp_path, capsys):
+        # the lattice lands on the box columns: 2.0 / 32 on this box
         cfg = write_config(tmp_path, boundary={"preset": "smooth-bump",
                                                "a": 0.01, "R": 0.3},
+                           box={"lower": [-1.0, -1.0, -0.2], "upper": [1.0, 1.0, 1.8],
+                                "resolution": [32, 32, 32]},
                            lattice={"extent": 2.0, "resolution": 48},
                            reach=0.3, rho="remove", cstar_n=1e-4)
         raw = json.loads(open(cfg).read())
@@ -123,7 +131,30 @@ class TestCheckSmallness:
         out = json.loads(capsys.readouterr().out)
         assert out["empirical_2S_norm"] < 0.1
         assert out["verdict"]["empirical"] is True
+        assert out["lattice"] == {"extent": 2.0, "resolution": 32, "stride": 1}
         assert code == 0  # tiny cstar_n makes the symbolic gate pass too
+
+    def test_gates_the_decompose_lattice(self, tmp_path, capsys):
+        # 8.0 / 24 is asked; decompose and the gate both use 8.25 / 22
+        box = {"lower": [-2.0, -2.0, -0.4], "upper": [2.0, 2.0, 3.6],
+               "resolution": [32, 32, 32]}
+        cfg = write_config(tmp_path, boundary={"preset": "gaussian-bump", "a": 0.05, "s": 0.5},
+                           box=box, lattice={"extent": 8.0, "resolution": 24}, rho=0.05)
+        hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(0.05, 0.5))
+        grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), (32, 32, 32))
+        write_field(BoxField.sample(grid, hs, grad_gaussian, ncomp=3),
+                    tmp_path / "v.json")
+        # the symbolic first condition fails on this wide bump: exit 2
+        assert main(["--config", cfg, "--out", str(tmp_path), "check-smallness"]) == 2
+        assert main(["--config", cfg, "--out", str(tmp_path), "decompose",
+                     str(tmp_path / "v.json")]) == 0
+        capsys.readouterr()
+        gate = json.loads((tmp_path / "smallness.json").read_text())
+        dec = json.loads((tmp_path / "decompose.json").read_text())
+        assert gate["lattice"] == dec["lattice"] == {"extent": 8.25, "resolution": 22,
+                                                     "stride": 3}
+        assert gate["verdict"]["empirical"] is True
+        assert gate["empirical_2S_norm"] == dec["smallness"]["empirical_2S_norm"]
 
 
 class TestVerifyIdentities:
@@ -225,13 +256,7 @@ class TestDecompose:
                            lattice={"extent": 8.0, "resolution": 24})
         hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(0.05, 0.5))
         grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), (32, 32, 32))
-        c = np.array([0.1, -0.1, 1.2])
-
-        def gp(p):
-            return -2.0 * (p - c) / 0.12 * np.exp(
-                -np.sum((p - c) ** 2, -1) / 0.12)[..., None]
-
-        write_field(BoxField.sample(grid, hs, gp, ncomp=3), tmp_path / "v.json")
+        write_field(BoxField.sample(grid, hs, grad_gaussian, ncomp=3), tmp_path / "v.json")
         code = main(["--config", cfg, "--out", str(tmp_path / "out"), "decompose",
                      str(tmp_path / "v.json")])
         capsys.readouterr()
@@ -320,6 +345,24 @@ class TestExitCodes:
         assert out["series_terms_used"] == 1 and "residual" in out
         report = json.loads((tmp_path / "out" / "decompose.json").read_text())
         assert report == out
+
+    def test_not_contractive_is_gate_failure(self, tmp_path, capsys):
+        # the plan keeps a contraction >= 1; decompose refuses it before any
+        # field work, check-smallness reports it with the plan's lattice
+        cfg = write_config(tmp_path)
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        write_field(BoxField.sample(grid, PerturbedHalfSpace(BoundaryFunction.zero()),
+                                    grad_gaussian, ncomp=3), tmp_path / "v.json")
+        with mock.patch.object(pipeline, "estimate_contraction", return_value=1.5), \
+                mock.patch.object(pipeline, "volume_potential_grad", side_effect=AssertionError):
+            assert main(["--config", cfg, "check-smallness"]) == 2
+            gate = json.loads(capsys.readouterr().out)
+            assert main(["--config", cfg, "decompose", str(tmp_path / "v.json")]) == 2
+            out = json.loads(capsys.readouterr().out)
+        assert gate["verdict"]["empirical"] is False and gate["empirical_2S_norm"] == 1.5
+        assert gate["lattice"] == {"extent": 6.0, "resolution": 48, "stride": 1}
+        assert "|2S| = 1.500" in out["error"] and out["smallness"] == {
+            k: v for k, v in gate.items() if k not in ("verdict", "cstar_n", "lattice")}
 
     def test_usage_errors_are_bad_input(self, tmp_path, capsys):
         # exit 2 is a failed gate; argparse's own usage errors exit 4

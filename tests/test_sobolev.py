@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -234,6 +236,35 @@ class TestBMO:
         a = bmo_seminorm(v, flat_hs, mu=0.3, samples=100, seed=7)
         b = bmo_seminorm(v, flat_hs, mu=0.3, samples=200, seed=7)
         assert b >= a
+
+    @pytest.mark.parametrize("mu", [0.2, 0.4, 0.8])
+    def test_distance_bound_matches_exact_distances(self, bump_hs, mu):
+        # reference radii: every ball centre takes its exact distance
+        from helmdecomp import sobolev
+        v = box_with_mask(bump_hs, lambda p: np.sin(3 * p[..., 0]) * p[..., 2], res=32)
+        g = v.grid
+        rng = np.random.default_rng(4)
+        idx = np.argwhere(v.inside_mask)
+        picks = rng.integers(0, len(idx), size=150)
+        fracs = rng.random(150)
+        centers = np.stack([g.axis(ax)[idx[picks, ax]] for ax in range(3)], axis=-1)
+        ref = []
+        for center, u, d in zip(centers, fracs, bump_hs.signed_distance(centers)):
+            edge = min(min(center[ax] - g.lower[ax], g.upper[ax] - g.dx[ax] - center[ax])
+                       for ax in range(3))
+            r = u * min(float(d), edge, mu)
+            if r >= 2.5 * max(g.dx):
+                ref.append((tuple(center), r))
+        balls = []
+
+        def record(field, center, r):
+            balls.append((tuple(center), r))
+            return ball_values(field, center, r)
+
+        ball_values = sobolev._ball_values
+        with mock.patch.object(sobolev, "_ball_values", record):
+            bmo_seminorm(v, bump_hs, mu=mu, samples=150, seed=4)
+        assert balls == ref
 
 
 class TestBnu:
