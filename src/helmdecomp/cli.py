@@ -2,9 +2,10 @@
 
 Exit codes: 0 ok, 2 smallness/contraction gate failed or the series hit
 kmax, 3 identity or residual tolerance breached, 4 invalid input (command
-line, config, a lattice over LATTICE_MEMORY_CAP, a box too short for the
-grad q2 columns, missing or malformed field file, non-decaying field,
-target or ladder the lattice cannot resolve).
+line, config, rho above rho0/2, a lattice over LATTICE_MEMORY_CAP or too
+narrow for the flat-tail closure, a box too short for the grad q2 columns,
+missing or malformed field file, a field that is not a 3-vector field,
+non-decaying field, target or ladder the lattice cannot resolve).
 """
 
 import argparse
@@ -18,10 +19,9 @@ import numpy as np
 
 from .errors import (ConfigError, HelmdecompError, MaxIterations, NonDecayingInput,
                      NotContractive, TooCloseToSurface)
-from .geometry import BoundaryFunction, BoxGrid, PerturbedHalfSpace
+from .geometry import PRESET_PARAMS, BoundaryFunction, BoxGrid, PerturbedHalfSpace
 from .layers import (_REFINE_CELLS, SurfaceQuadrature, gauss_flux, grad_single_layer,
                      trace_S, trace_limit_Q)
-from .neumann import check_smallness
 from .pipeline import (DecompositionPlan, PipelineConfig, TraceReport, decompose, read_field,
                        square_section_width, verify, write_field)
 from .sobolev import BoundaryDensity, vbmol2_norm
@@ -31,8 +31,6 @@ from .sobolev import BoundaryDensity, vbmol2_norm
 LATTICE_MEMORY_CAP = 2 << 30
 # PipelineConfig keys set at the top level of a run config (lattice sets quad_*)
 _KNOBS = {f.name for f in fields(PipelineConfig) if f.init} - {"quad_extent", "quad_res"}
-# the parameters of each boundary preset; the bumps also take curvature_bound
-_PRESET_KEYS = {"zero": set(), "gaussian-bump": {"a", "s"}, "smooth-bump": {"a", "R"}}
 
 
 def _number(value, name, integer=False, least=None):
@@ -115,10 +113,10 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"box: {exc}") from exc
         preset = self.boundary.get("preset") if isinstance(self.boundary, dict) else None
-        if preset not in _PRESET_KEYS:
+        if preset not in PRESET_PARAMS:
             raise ConfigError(f"unknown boundary preset {preset!r}")
         params = set(self.boundary) - {"preset"}
-        need = _PRESET_KEYS[preset]
+        need = set(PRESET_PARAMS[preset])
         if not need <= params <= need | ({"curvature_bound"} if need else set()):
             raise ConfigError(f"boundary {preset} takes the keys {sorted(need)}, "
                               f"optional curvature_bound for a bump; got {sorted(params)}")
@@ -131,14 +129,15 @@ class RunConfig:
         return BoxGrid(*(tuple(self.box[k]) for k in ("lower", "upper", "resolution")))
 
     def build_geometry(self):
-        """The half space of the config; ConfigError for a lattice that does
-        not cover 4x the bump support or does not fit LATTICE_MEMORY_CAP."""
+        """The half space of the config; ConfigError for a rho the cutoff refuses, or a
+        lattice that does not cover 4x the bump support or fit LATTICE_MEMORY_CAP."""
         params = {k: v for k, v in self.boundary.items() if k != "preset"}
         try:
             b = BoundaryFunction.from_preset(self.boundary["preset"], n=self.n, **params)
             b.validate()
             hs = PerturbedHalfSpace(b, rho0=self.rho0, reach_estimate=self.reach)
-        except ValueError as exc:  # a curvature bound, rho0 or reach out of range
+            hs.cutoff_theta(self.pipeline.rho, 0.0)
+        except ValueError as exc:  # a curvature bound, rho0, reach or rho out of range
             raise ConfigError(f"geometry: {exc}") from exc
         Rh = b.support_radius
         if Rh > 0 and self.pipeline.quad_extent < 4.0 * Rh:
@@ -170,19 +169,19 @@ def cmd_check_smallness(cfg, out_dir=None):
     hs = cfg.build_geometry()
     grid = cfg.grid()
     plan = DecompositionPlan(hs, grid, grid.inside(hs), cfg.pipeline)
-    verdict = check_smallness(plan.report, cfg.cstar_n)
-    payload = plan.report.to_dict()
-    payload["verdict"] = {"first": verdict.first, "second": verdict.second,
-                          "empirical": verdict.empirical, "ok": verdict.ok}
-    payload["cstar_n"] = cfg.cstar_n
-    payload["lattice"] = plan.lattice
+    verdict = plan.report.verdict(cfg.cstar_n)
+    payload = dict(plan.report.to_dict(), verdict=verdict, cstar_n=cfg.cstar_n,
+                   lattice=plan.lattice)
     _emit(payload, out_dir, "smallness.json")
-    return 0 if verdict.ok else 2
+    return 0 if verdict["ok"] else 2
 
 
 def cmd_verify_identities(cfg, out_dir=None):
     hs = cfg.build_geometry()
-    q = SurfaceQuadrature(hs, cfg.pipeline.quad_extent, cfg.pipeline.quad_res)
+    try:
+        q = SurfaceQuadrature(hs, cfg.pipeline.quad_extent, cfg.pipeline.quad_res)
+    except ValueError as exc:  # too narrow for the flat-tail closure
+        raise ConfigError(f"lattice: {exc}") from exc
     rng = np.random.default_rng(cfg.pipeline.seed)
     rep = TraceReport()
     Rh = max(hs.boundary.support_radius, 0.1)
@@ -232,7 +231,7 @@ def cmd_verify_identities(cfg, out_dir=None):
 
 
 def _read_box_field(cfg, field_path, hs):
-    """The field at field_path, which must sit on the config box."""
+    """The field at field_path, which must be a 3-vector field on the config box."""
     try:
         v = read_field(field_path, hs=hs)
     except (KeyError, TypeError, ValueError) as exc:
@@ -242,6 +241,8 @@ def _read_box_field(cfg, field_path, hs):
         if not np.allclose(got, cfg.box[key], rtol=0.0, atol=1e-12):
             raise ConfigError(f"field grid {key} {list(got)} differs from box.{key} "
                               f"{list(cfg.box[key])}")
+    if v.ncomp != 3:
+        raise ConfigError(f"field has {v.ncomp} component(s); a 3-vector field is needed")
     return v
 
 
@@ -250,8 +251,7 @@ def cmd_norms(cfg, field_path, out_dir=None):
     v = _read_box_field(cfg, field_path, hs)
     p = cfg.pipeline
     ledger = vbmol2_norm(v, hs, p.mu, p.nu, samples=p.samples, seed=p.seed)
-    payload = ledger.to_dict()
-    _emit(payload, out_dir, "norms.json")
+    _emit(ledger.to_dict(), out_dir, "norms.json")
     return 0
 
 
@@ -283,9 +283,8 @@ def cmd_decompose(cfg, field_path, out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_field(result.v0, out / "v0.json")
-        write_field(result.grad_q1, out / "grad_q1.json")
-        write_field(result.grad_q2, out / "grad_q2.json")
+        for name in ("v0", "grad_q1", "grad_q2"):
+            write_field(getattr(result, name), out / f"{name}.json")
     _emit(payload, out_dir, "decompose.json")
     return 0 if rep.ok else 3
 

@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import NoUniqueProjection, OutOfChart
 
-_PRESETS = ("zero", "gaussian-bump", "smooth-bump")
+# boundary presets: name -> the parameters of its constructor, in order; the
+# bumps also take an optional curvature_bound
+PRESET_PARAMS = {"zero": (), "gaussian-bump": ("a", "s"), "smooth-bump": ("a", "R")}
 
 
 def plateau(t):
@@ -29,20 +31,7 @@ def plateau(t):
     return s * s * s * (s * (6.0 * s - 15.0) + 10.0)
 
 
-class _RadialProfile:
-    """Radial profile p(r) with analytic first and second derivatives."""
-
-    def value(self, r):
-        raise NotImplementedError
-
-    def d1(self, r):
-        raise NotImplementedError
-
-    def d2(self, r):
-        raise NotImplementedError
-
-
-class _ZeroProfile(_RadialProfile):
+class _ZeroProfile:
     def value(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
@@ -50,7 +39,7 @@ class _ZeroProfile(_RadialProfile):
     d2 = value
 
 
-class _CompactBump(_RadialProfile):
+class _CompactBump:
     """p(r) = a * exp(1 - 1/(1 - (r/R)^2)) on r < R, zero outside."""
 
     def __init__(self, a, R):
@@ -80,7 +69,7 @@ class _CompactBump(_RadialProfile):
         return np.where(inside, p * (phi1**2 + phi2), 0.0)
 
 
-class _WindowedGaussian(_RadialProfile):
+class _WindowedGaussian:
     """Gaussian a*exp(-r^2/(2 s^2)) tapered to exact zero beyond 4s.
 
     The taper is a quintic ramp on [2s, 4s]; the product stays C^2 with
@@ -153,6 +142,7 @@ class BoundaryFunction:
     # -- presets ----------------------------------------------------------
     @classmethod
     def _from_profile(cls, profile, support_radius, n=3, curvature_bound=None):
+        """h(x') = p(|x'|) for a radial profile whose value, d1 and d2 give p, p', p''."""
         d = n - 1
 
         def height(xp):
@@ -204,15 +194,13 @@ class BoundaryFunction:
 
     @classmethod
     def from_preset(cls, name, n=3, **params):
-        if name == "zero":
-            return cls.zero(n=n)
-        if name == "smooth-bump":
-            return cls.smooth_bump(params["a"], params["R"], n=n,
-                                   curvature_bound=params.get("curvature_bound"))
-        if name == "gaussian-bump":
-            return cls.gaussian_bump(params["a"], params["s"], n=n,
-                                     curvature_bound=params.get("curvature_bound"))
-        raise ValueError(f"unknown boundary preset {name!r}; choose from {_PRESETS}")
+        """The preset of PRESET_PARAMS called name, e.g. "smooth-bump" -> smooth_bump."""
+        if name not in PRESET_PARAMS:
+            raise ValueError(f"unknown boundary preset {name!r}; "
+                             f"choose from {tuple(PRESET_PARAMS)}")
+        args = [params[k] for k in PRESET_PARAMS[name]]
+        bound = {"curvature_bound": params.get("curvature_bound")} if args else {}
+        return getattr(cls, name.replace("-", "_"))(*args, n=n, **bound)
 
     # -- evaluation --------------------------------------------------------
     def height(self, xp):
@@ -236,13 +224,13 @@ class BoundaryFunction:
     def is_flat(self):
         return self.sup_norms()[0] == 0.0 and self.sup_norms()[1] == 0.0
 
-    def sup_norms(self, samples=2048, directions=16):
-        """(sup|h|, sup|grad h|, sup|hess h|_inf) over a dense radial sample."""
+    def sup_norms(self):
+        """(sup|h|, sup|grad h|, sup|hess h|_inf) over 2048 radii in 16 directions."""
         if self._sup_cache is not None:
             return self._sup_cache
         R = max(self.support_radius, 1e-9)
-        r = np.linspace(0.0, R, samples)
-        ang = np.linspace(0.0, np.pi, directions, endpoint=False)
+        r = np.linspace(0.0, R, 2048)
+        ang = np.linspace(0.0, np.pi, 16, endpoint=False)
         pts = np.stack([np.outer(r, np.cos(ang)).ravel(),
                         np.outer(r, np.sin(ang)).ravel()], axis=-1)
         hv = np.abs(self.height(pts)).max()
@@ -251,6 +239,11 @@ class BoundaryFunction:
         hessinf = np.abs(H).sum(axis=-1).max()
         self._sup_cache = (float(hv), float(gv), float(hessinf))
         return self._sup_cache
+
+    def lipschitz(self):
+        """C_s = 1 + (sup|h| + sup|grad h|): |x_n - h(x')| / C_s <= |d(x)| <= |x_n - h(x')|."""
+        hinf, hgrad, _ = self.sup_norms()
+        return 1.0 + (hinf + hgrad)
 
     def validate(self):
         hv, gv, hessinf = self.sup_norms()
@@ -324,12 +317,13 @@ class PerturbedHalfSpace:
             live = live[norm[:, 0] >= 1e-13]
         return y
 
-    def _closest_param(self, x, grid_res=64):
+    def _closest_param(self, x):
         """Best boundary parameter y' for each point x, Newton + grid fallback.
 
-        The grid fallback only runs where the squared-distance objective can
-        fail to be convex: (|x_n - h| + 2 sup|h|) * K >= 1.  For gentler
-        configurations the seeded Newton solve finds the unique minimizer.
+        The fallback, a 64 x 64 grid over the support square, only runs where
+        the squared-distance objective can fail to be convex: (|x_n - h| +
+        2 sup|h|) * K >= 1.  For gentler configurations the seeded Newton
+        solve finds the unique minimizer.
         """
         from ._fast import closest_on_grid
 
@@ -355,7 +349,7 @@ class PerturbedHalfSpace:
             relevant = maybe_nonconvex & \
                 (np.linalg.norm(xp, axis=-1) < Rh + np.abs(xn) + hinf + 1e-9)
             if np.any(relevant):
-                g = np.linspace(-Rh, Rh, grid_res)
+                g = np.linspace(-Rh, Rh, 64)
                 gx, gy = np.meshgrid(g, g, indexing="ij")
                 cand = np.ascontiguousarray(
                     np.stack([gx.ravel(), gy.ravel()], axis=-1))
@@ -365,7 +359,7 @@ class PerturbedHalfSpace:
                                       np.ascontiguousarray(xn[idx]), cand, ch)
                 cd = (np.sum((xp[idx] - cand[arg]) ** 2, axis=-1)
                       + (xn[idx] - ch[arg]) ** 2)
-                spacing2 = (2.0 * Rh / (grid_res - 1)) ** 2
+                spacing2 = (2.0 * Rh / 63) ** 2
                 retry = cd < bestd[idx] + spacing2
                 rows = idx[retry]
                 if rows.size:
@@ -443,9 +437,8 @@ class PerturbedHalfSpace:
         rebuilt when a wider one is asked.
 
         It holds the nodes with -rho0 < d < max(width, rho0).  The Lipschitz
-        bound |x_n - h(x')| / C_s <= |d| <= |x_n - h(x')|, with C_s = 1 +
-        sup|h| + sup|grad h|, picks the candidates; each takes one
-        closest-point solve, and d follows from its projection.
+        bound of BoundaryFunction.lipschitz picks the candidates; each takes
+        one closest-point solve, and d follows from its projection.
         """
         width = max(width, self.rho0)
         wall = self._wall
@@ -453,7 +446,7 @@ class PerturbedHalfSpace:
             return wall
         b = self.boundary
         height = b.height(grid.columns())
-        cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
+        cs = b.lipschitz()
         zgap = grid.axis(2) - height[..., None]
         cand = np.flatnonzero((zgap > -self.rho0 * cs) & (zgap < width * cs))
         del zgap  # box-sized; freed before the projection for a lower peak RSS

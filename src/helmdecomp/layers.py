@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NonDecayingInput, TooCloseToSurface
 from .kernels import E_eval, KernelContext, grad_E, poisson_kernel
-from .sobolev import BoundaryDensity, hs_norm_fourier, lp_norm, th_pull
+from .sobolev import BoundaryDensity, hs_norm_fourier, lattice_points, lp_norm, th_pull
 
 # lattice S matrix: cells within _REFINE_CELLS spacings, _REFINE_SUB^2 subcells
 _REFINE_CELLS = 3
@@ -65,9 +65,7 @@ class SurfaceQuadrature:
         self.extent = float(extent)
         self.res = int(res)
         self.dx = self.extent / self.res
-        a = -self.extent / 2.0 + self.dx * np.arange(self.res)
-        gx, gy = np.meshgrid(a, a, indexing="ij")
-        self.yp = np.stack([gx, gy], axis=-1).reshape(-1, 2)
+        self.yp = lattice_points(self.extent, self.res).reshape(-1, 2)
         self.nodes, self.omega, _ = self._surface(self.yp)
         self.weights = self.omega * self.dx**2
         Rh = hs.boundary.support_radius
@@ -79,7 +77,7 @@ class SurfaceQuadrature:
 
     # -- density plumbing ---------------------------------------------------
     def match(self, g):
-        if g.res != self.res or abs(g.extent - self.extent) > 1e-12:
+        if not g.same_grid(self):
             raise ValueError("density lattice does not match the quadrature")
         return g.values.ravel()
 
@@ -87,9 +85,10 @@ class SurfaceQuadrature:
         v = g.values
         return float(np.mean(np.concatenate([v[0, :], v[-1, :], v[:, 0], v[:, -1]])))
 
-    def density(self, values, on_graph=True):
+    def density(self, values):
+        """Lattice values as a density on the boundary graph."""
         return BoundaryDensity(self.extent, np.asarray(values, float).reshape(self.res, self.res),
-                               on_graph=on_graph)
+                               on_graph=True)
 
     def surface_area(self, delta):
         """Sum of weights over |y'| < delta, splitting straddling cells 8x8."""
@@ -311,17 +310,17 @@ def poisson_smoothing_deficit(q, g, x0p, t):
     return main - 0.5 * float(g.bilinear(x0p[0], x0p[1]))
 
 
-def trace_limit_Q(q, hs, g, x0, delta0=None, ladder=(8.0, 4.0, 2.0, 1.0)):
+def trace_limit_Q(q, hs, g, x0, ladder=(8.0, 4.0, 2.0, 1.0)):
     """Boundary-trace estimate of the normal-derivative potential at x0.
 
     Evaluates Qg along the inward normal at the ladder heights, removes the
     flat Poisson smoothing deficit, and Richardson-extrapolates the two
     smallest corrected values.  Returns (estimate, raw ladder values,
-    empirical convergence order of the raw values).
+    empirical convergence order of the raw values).  The ladder unit is
+    2 delta_min, cut to fit the top rung within 0.8 of the reach.
     """
     top = max(ladder)
-    if delta0 is None:
-        delta0 = 2.0 * q.delta_min
+    delta0 = 2.0 * q.delta_min
     if np.isfinite(hs.reach_estimate):
         delta0 = min(delta0, 0.8 * hs.reach_estimate / top)
     if delta0 < q.delta_min:
@@ -443,7 +442,7 @@ def apply_S(q, hs, gvalues):
 def trace_S_norms(q, hs, g):
     """(sup, L^{(2n-2)/n}(Gamma), pullback Hdot^{-1/2}) of S g on the lattice."""
     vals = apply_S(q, hs, q.match(g))
-    dens = q.density(vals, on_graph=True)
+    dens = q.density(vals)
     linf = float(np.abs(vals).max())
     p = (2.0 * q.ctx.n - 2.0) / q.ctx.n
     lp = lp_norm(dens, p, weight=q.omega.reshape(q.res, q.res))

@@ -37,31 +37,21 @@ class SmallnessReport:
     first_condition: bool
     empirical_2S_norm: float = float("nan")
 
-    def second_condition_at(self, cstar_n):
+    def verdict(self, cstar_n):
+        """The gate at the supplied C*(n): the first condition, the second
+        C_star < 1 / (2 C*(n)), and the empirical contraction below 1 (true
+        while unmeasured); ok when all three hold."""
         if cstar_n <= 0:
             raise ValueError("cstar_n must be positive")
-        return bool(self.C_star < 1.0 / (2.0 * cstar_n))
+        emp = self.empirical_2S_norm
+        out = {"first": bool(self.first_condition),
+               "second": bool(self.C_star < 1.0 / (2.0 * cstar_n)),
+               "empirical": bool(np.isnan(emp) or emp < 1.0)}
+        out["ok"] = all(out.values())
+        return out
 
     def to_dict(self):
-        d = asdict(self)
-        d["first_condition"] = bool(d["first_condition"])
-        return d
-
-
-@dataclass
-class SmallnessVerdict:
-    """Gate outcome: symbolic inequality plus the empirical contraction."""
-
-    first: bool
-    second: bool
-    empirical: bool
-
-    @property
-    def ok(self):
-        return self.first and self.second and self.empirical
-
-    def __bool__(self):
-        return self.ok
+        return asdict(self)
 
 
 def smallness_constants(boundary):
@@ -75,7 +65,7 @@ def smallness_constants(boundary):
     flat = hinf == 0.0 and hgrad == 0.0
     Rh = 0.0 if flat else boundary.support_radius
     c1norm = hinf + hgrad
-    Cs = 1.0 + c1norm
+    Cs = boundary.lipschitz()
     C1 = 1.0 + Rh * hhess
     Cs1 = C1**3 * (1.0 + Rh**0.25) * (np.sqrt(Rh) * hhess + Rh**2.5 * hhess**3)
     Cs2 = (Rh + Rh ** (1.0 / (2.0 * n))) * hhess + (Rh ** (n - 1) + 1.0) * c1norm
@@ -88,7 +78,7 @@ def smallness_constants(boundary):
 
 
 def _combined_norm(q, values):
-    dens = q.density(values, on_graph=True)
+    dens = q.density(values)
     linf = float(np.abs(values).max())
     hm = hs_norm_fourier(th_pull(dens), -0.5, check_decay=False, origin_rings=4)
     return max(linf, hm)
@@ -114,16 +104,6 @@ def estimate_contraction(q, hs, steps=30, seed=0):
         g /= nrm
     tail = ratios[len(ratios) // 2:]
     return float(max(tail))
-
-
-def check_smallness(report, cstar_n):
-    """Smallness gate: closed-form inequalities at the supplied C*(n), plus
-    the empirical contraction verdict when it has been measured."""
-    emp = report.empirical_2S_norm
-    empirical = bool(np.isnan(emp) or emp < 1.0)
-    return SmallnessVerdict(first=report.first_condition,
-                            second=report.second_condition_at(cstar_n),
-                            empirical=empirical)
 
 
 @dataclass
@@ -163,7 +143,7 @@ def solve_density(q, hs, g, contraction, tol=1e-8, kmax=64):
         if inc < tol * gmax:
             converged = True
     residual = float(np.abs(acc - 2.0 * gvec - 2.0 * apply_S(q, hs, acc)).max())
-    sol = NeumannSolution(density=q.density(acc, on_graph=True),
+    sol = NeumannSolution(density=q.density(acc),
                           series_terms_used=terms, residual=residual,
                           increments=increments)
     if not converged:

@@ -36,9 +36,9 @@ from .errors import (ConfigError, ExtrapolationUnstable, NonDecayingInput, NotCo
 from .geometry import BoxField, BoxGrid, extend_field, interp_masked
 from .layers import SurfaceQuadrature
 from .neumann import estimate_contraction, smallness_constants, solve_density
-from .sobolev import BoundaryDensity, NormLedger, hs_norm_fourier, th_pull, vbmol2_norm
+from .sobolev import (_RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, lattice_points,
+                      th_pull, vbmol2_norm)
 
-_RING_TOL = 1e-6
 # relative tolerance of the two-shell trace extrapolation in normal_trace
 _TRACE_RTOL = 0.05
 # wall probes of _residual_normal: count and the seed of their positions
@@ -234,10 +234,8 @@ def normal_trace(hs, w):
 
 def resample_density(g, extent, res):
     """Bilinear resample onto another lattice; outside the source -> 0."""
-    a = -extent / 2.0 + (extent / res) * np.arange(res)
-    gx, gy = np.meshgrid(a, a, indexing="ij")
-    src_ax = g.axis()
-    lo, hi = src_ax[0], src_ax[-1]
+    gx, gy = np.moveaxis(lattice_points(extent, res), -1, 0)
+    lo, hi = g.axis()[[0, -1]]
     v = g.bilinear(gx, gy)
     outside = (gx < lo) | (gx > hi) | (gy < lo) | (gy > hi)
     v[outside] = 0.0
@@ -382,14 +380,18 @@ def _residual_normal(v0, hs, v_scale):
 class DecompositionPlan:
     """The field-independent half of decompose for one half space, box grid
     and inside mask: the lattice on the box columns, the quadrature with its
-    S blocks, and the contraction and smallness report.  The wall geometry
-    stays with hs (PerturbedHalfSpace.box_wall).  It holds a copy of cfg,
-    not cfg, so no reference cycle forms."""
+    S blocks, and the contraction and smallness report (ConfigError for a
+    lattice too narrow for the quadrature's flat-tail closure).  The wall
+    geometry stays with hs (PerturbedHalfSpace.box_wall).  It holds a copy
+    of cfg, not cfg, so no reference cycle forms."""
 
     def __init__(self, hs, grid, mask, cfg):
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
         extent, res, self.layout = _column_lattice(grid, cfg.quad_extent, cfg.quad_res)
-        self.q = SurfaceQuadrature(hs, extent, res)
+        try:
+            self.q = SurfaceQuadrature(hs, extent, res)
+        except ValueError as exc:  # too narrow for the flat-tail closure
+            raise ConfigError(f"lattice {extent:g} / {res} on the box columns: {exc}") from exc
         # the quadrature lattice: extent, resolution and stride in box spacings
         self.lattice = {"extent": self.q.extent, "resolution": res, "stride": self.layout[0][0]}
         self.contraction = estimate_contraction(self.q, hs, seed=cfg.seed)

@@ -34,6 +34,17 @@ from .geometry import BoxField, BoxGrid
 _RING_TOL = 1e-6
 
 
+def lattice_axis(extent, res):
+    """Nodes -L/2 + (L/res) k, k < res, of the boundary lattice [-L/2, L/2)^2."""
+    return -extent / 2.0 + (extent / res) * np.arange(res)
+
+
+def lattice_points(extent, res):
+    """The (res, res, 2) nodes of the boundary lattice."""
+    a = lattice_axis(extent, res)
+    return np.stack(np.meshgrid(a, a, indexing="ij"), axis=-1)
+
+
 @dataclass
 class BoundaryDensity:
     """Scalar samples on a uniform (n-1)-lattice spanning [-L/2, L/2)^2.
@@ -62,19 +73,14 @@ class BoundaryDensity:
         return self.extent / self.res
 
     def axis(self):
-        return -self.extent / 2.0 + self.dx * np.arange(self.res)
+        return lattice_axis(self.extent, self.res)
 
     def points(self):
-        a = self.axis()
-        gx, gy = np.meshgrid(a, a, indexing="ij")
-        return np.stack([gx, gy], axis=-1)
+        return lattice_points(self.extent, self.res)
 
     @classmethod
     def sample(cls, extent, res, fn, on_graph=False):
-        a = -extent / 2.0 + (extent / res) * np.arange(res)
-        gx, gy = np.meshgrid(a, a, indexing="ij")
-        vals = fn(np.stack([gx, gy], axis=-1))
-        return cls(extent, vals, on_graph)
+        return cls(extent, fn(lattice_points(extent, res)), on_graph)
 
     def bilinear(self, xs, ys):
         """Bilinear lookup at plane points, clamped to the lattice."""
@@ -92,7 +98,8 @@ class BoundaryDensity:
                 + v[i0 + 1, j0 + 1] * fx * fy)
 
     def same_grid(self, other):
-        return self.res == other.res and abs(self.extent - other.extent) < 1e-12
+        """Same lattice as other (a density or a quadrature): equal res, extents within 1e-12."""
+        return self.res == other.res and abs(self.extent - other.extent) <= 1e-12
 
 
 def _check_decay(f):
@@ -148,11 +155,8 @@ def _inv_dist_rect(x0, x1, y0, y1):
 
 def _singular_weights(xi1, xi2, s, dxi):
     """|xi|^{2s} weights; for s = -1/2 every cell uses the exact cell mean."""
-    r = np.hypot(xi1, xi2)
-    if s >= 0:
-        w = r ** (2.0 * s)
-        w[r == 0.0] = 0.0
-        return w
+    if s > 0:
+        return np.hypot(xi1, xi2)  # |xi| at s = 1/2
     x0 = xi1 - dxi / 2.0
     x1 = xi1 + dxi / 2.0
     y0 = xi2 - dxi / 2.0
@@ -175,7 +179,7 @@ def _semidiscrete_fhat2(f, xis):
 
 
 def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
-    """Homogeneous Sobolev norm of order s in {-1/2, 1/2, 1} via the FFT.
+    """Homogeneous Sobolev norm of order s = -1/2 or 1/2 via the FFT.
 
     Returns (int |xi'|^{2s} |fhat|^2 dxi')^{1/2}.  For s = -1/2 the cells
     within ``origin_rings`` spacings of xi' = 0 are integrated with exact
@@ -184,8 +188,8 @@ def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
     ZeroFrequencyIll when the origin cell would dominate the value (the
     mean of f is then unresolved by the lattice).
     """
-    if s not in (-0.5, 0.5, 1.0):
-        raise ValueError("s must be one of -1/2, 1/2, 1")
+    if s not in (-0.5, 0.5):
+        raise ValueError("s must be -1/2 or 1/2")
     if check_decay:
         _check_decay(f)
     p2 = _abs_fhat2(f)
@@ -246,7 +250,8 @@ def gagliardo_half(f, hs=None):
     """
     from ._fast import gagliardo_pairs
 
-    pts2 = f.points().reshape(-1, 2)
+    pts = f.points()
+    pts2 = pts.reshape(-1, 2)
     vals = np.ascontiguousarray(f.values.ravel())
     dx = f.dx
     if f.on_graph:
@@ -274,8 +279,7 @@ def gagliardo_half(f, hs=None):
     # lattice point contributes 2 |f|^2 * int_{exterior} |x-y|^{-3} dy,
     # an exact half-plane/corner expression
     half = f.extent / 2.0
-    a = f.axis()
-    gxx, gyy = np.meshgrid(a, a, indexing="ij")
+    gxx, gyy = np.moveaxis(pts, -1, 0)
     d_w = np.maximum(gxx + half, dx / 2)
     d_e = np.maximum(half - gxx, dx / 2)
     d_s = np.maximum(gyy + half, dx / 2)
@@ -314,9 +318,8 @@ def lift_harmonic(f, check_decay=True):
     fh = np.fft.fft2(f.values)
     xi1, xi2 = _freq_axes(f)
     aximod = np.hypot(xi1, xi2)
-    zaxis = -L / 2.0 + f.dx * np.arange(M)
     data = np.empty((M, M, M))
-    for k, zn in enumerate(zaxis):
+    for k, zn in enumerate(f.axis()):
         mult = np.exp(-np.abs(zn) * aximod)
         data[:, :, k] = np.fft.ifft2(mult * fh).real
     grid = BoxGrid((-L / 2, -L / 2, -L / 2), (L / 2, L / 2, L / 2), (M, M, M))
@@ -349,7 +352,7 @@ def _ball_values(field, center, r):
     return field.data[(slice(None),) + sl][:, inball]
 
 
-def bmo_seminorm(v, hs, mu, samples=200, seed=0, min_nodes=8):
+def bmo_seminorm(v, hs, mu, samples=200, seed=0):
     """Monte-Carlo lower bound for the mean-oscillation sup over interior balls.
 
     Ball centers are drawn from inside nodes and radii from (0, mu) subject
@@ -369,11 +372,10 @@ def bmo_seminorm(v, hs, mu, samples=200, seed=0, min_nodes=8):
     centers = np.stack([g.axis(ax)[inside_idx[picks, ax]] for ax in range(3)], axis=-1)
     top = np.subtract(g.upper, g.dx)
     cap = np.minimum(np.minimum(centers - g.lower, top - centers).min(axis=1), mu)
-    # d >= (x_n - h(x')) / C_s, C_s = 1 + sup|h| + sup|grad h| (as box_wall bounds
-    # it): where that reaches cap, cap is the radius bound; elsewhere d may be less
+    # d >= (x_n - h(x')) / C_s (BoundaryFunction.lipschitz, as box_wall bounds it):
+    # where that reaches cap, cap is the radius bound; elsewhere d may be less
     b = hs.boundary
-    cs = 1.0 + b.sup_norms()[0] + b.sup_norms()[1]
-    exact = (centers[:, 2] - b.height(centers[:, :2])) / cs < cap
+    exact = (centers[:, 2] - b.height(centers[:, :2])) / b.lipschitz() < cap
     cap[exact] = np.minimum(hs.signed_distance(centers[exact]), cap[exact])
     best = 0.0
     used = 0
@@ -382,7 +384,7 @@ def bmo_seminorm(v, hs, mu, samples=200, seed=0, min_nodes=8):
         if r < dmin:
             continue
         vals = _ball_values(v, center, r)
-        if vals is None or vals.shape[1] < min_nodes:
+        if vals is None or vals.shape[1] < 8:  # fewest nodes of a ball
             continue
         mean = vals.mean(axis=1, keepdims=True)
         osc = float(np.linalg.norm(vals - mean, axis=0).mean())
@@ -393,7 +395,7 @@ def bmo_seminorm(v, hs, mu, samples=200, seed=0, min_nodes=8):
     return best
 
 
-def bnu_seminorm(f, hs, nu, samples=200, seed=0, min_nodes=4):
+def bnu_seminorm(f, hs, nu, samples=200, seed=0):
     """Monte-Carlo lower bound for sup r^{-n} int_{Omega cap B_r(x)} |f|, x on the boundary."""
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -414,7 +416,7 @@ def bnu_seminorm(f, hs, nu, samples=200, seed=0, min_nodes=4):
             continue
         center = np.array([yp[0], yp[1], float(hs.boundary.height(yp))])
         vals = _ball_values(f, center, r)
-        if vals is None or vals.shape[1] < min_nodes:
+        if vals is None or vals.shape[1] < 4:  # fewest nodes of a ball
             continue
         mass = float(np.linalg.norm(vals, axis=0).sum()) * dV
         best = max(best, mass / r**3)

@@ -331,6 +331,51 @@ class TestExitCodes:
         assert code == 4
         assert "ends below 3 delta_min" in err["error"]
 
+    def test_rho_above_half_rho0_is_bad_input(self, tmp_path, capsys):
+        # the zero boundary has rho0 = 0.15, so the cutoff refuses rho = 0.1
+        # before any subcommand starts its work
+        cfg = write_config(tmp_path, rho=0.1)
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        write_field(BoxField(grid, np.zeros((3, 32, 32, 32))), tmp_path / "v.json")
+        for argv in (["check-smallness"], ["verify-identities"],
+                     ["norms", str(tmp_path / "v.json")], ["decompose", str(tmp_path / "v.json")]):
+            assert main(["--config", cfg] + argv) == 4
+            assert "rho0/2" in json.loads(capsys.readouterr().err)["error"]
+
+    @staticmethod
+    def _narrow_config(tmp_path, res):
+        """smooth-bump(0.01, 0.3) on a res^3 box with a lattice asked as 1.2 / 8:
+        it covers 4 R_h, but the flat-tail closure needs extent / 2 > R_h + 2 dx."""
+        box = {"lower": [-1.0, -1.0, -0.2], "upper": [1.0, 1.0, 1.8], "resolution": [res] * 3}
+        grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), (res,) * 3)
+        write_field(BoxField(grid, np.zeros((3, res, res, res))), tmp_path / "v.json")
+        return write_config(tmp_path, box=box, reach=0.3, rho=0.015,
+                            boundary={"preset": "smooth-bump", "a": 0.01, "R": 0.3},
+                            lattice={"extent": 1.2, "resolution": 8})
+
+    def test_lattice_too_narrow_for_verify_identities_is_bad_input(self, tmp_path, capsys):
+        # 1.2 / 8 as asked: extent / 2 = 0.6 = R_h + 2 dx
+        cfg = self._narrow_config(tmp_path, 32)
+        assert main(["--config", cfg, "verify-identities"]) == 4
+        assert "flat-tail closure" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("command", ["check-smallness", "decompose"])
+    def test_lattice_too_narrow_for_the_plan_is_bad_input(self, tmp_path, capsys, command):
+        # on the 8^3 box the plan's lattice is 1.5 / 6: extent / 2 = 0.75 < R_h + 2 dx
+        cfg = self._narrow_config(tmp_path, 8)
+        argv = [command] + ([str(tmp_path / "v.json")] if command == "decompose" else [])
+        assert main(["--config", cfg] + argv) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert "flat-tail closure" in err and "1.5 / 6" in err
+
+    @pytest.mark.parametrize("command", ["norms", "decompose"])
+    def test_field_not_a_3_vector_field_is_bad_input(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        write_field(BoxField(grid, np.zeros((1, 32, 32, 32))), tmp_path / "s.json")
+        assert main(["--config", cfg, command, str(tmp_path / "s.json")]) == 4
+        assert "3-vector" in json.loads(capsys.readouterr().err)["error"]
+
     def test_series_cap_is_gate_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, box={"lower": [-2.0, -2.0, -0.5],
                                           "upper": [2.0, 2.0, 3.5],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
 from helmdecomp.errors import NoUniqueProjection, OutOfChart
@@ -37,6 +39,22 @@ class TestSignedDistance:
         gap = pts[:, 2] - bump_hs.boundary.height(pts[:, :2])
         assert np.all(np.abs(d) <= np.abs(gap) + 1e-12)
         assert np.all(np.sign(d) == np.sign(gap))
+
+    @settings(max_examples=30, deadline=None)
+    @given(u=st.tuples(st.floats(-1.25, 1.25), st.floats(-1.25, 1.25)),
+           t=st.floats(-1.5, 1.5).filter(lambda t: t == 0.0 or abs(t) > 1e-150))
+    def test_lipschitz_bound(self, bump_hs, gentle_hs, u, t):
+        # |x_n - h(x')| / C_s <= |d| <= |x_n - h(x')|, the bound box_wall and
+        # bmo_seminorm prefilter with; the steep bump takes the grid fallback.
+        # d is the root of a sum of squares, so gaps whose square underflows
+        # (below about 1e-154) read d = 0 and are not drawn
+        for hs in (bump_hs, gentle_hs):
+            b = hs.boundary
+            xp = b.support_radius * np.array(u)
+            x = np.array([xp[0], xp[1], float(b.height(xp)) + t])
+            gap = abs(x[2] - float(b.height(xp)))
+            d = abs(float(hs.signed_distance(x)))
+            assert gap / b.lipschitz() <= d <= gap
 
     def test_outside_negative(self, bump_hs):
         assert bump_hs.signed_distance(np.array([0.0, 0.0, -0.2])) < 0

@@ -4,8 +4,7 @@ import pytest
 from helmdecomp import BoundaryFunction
 from helmdecomp.errors import NotContractive
 from helmdecomp.layers import SurfaceQuadrature, grad_single_layer
-from helmdecomp.neumann import (NeumannSolution, check_smallness,
-                                estimate_contraction, neumann_grad,
+from helmdecomp.neumann import (NeumannSolution, estimate_contraction, neumann_grad,
                                 smallness_constants, solve_density)
 from helmdecomp.sobolev import BoundaryDensity
 
@@ -20,8 +19,8 @@ class TestSmallnessArithmetic:
         assert rep.C_s == 1.0 and rep.C_1 == 1.0
         assert rep.C_star_1 == 0.0 and rep.C_star_2 == 0.0 and rep.C_star == 0.0
         assert rep.first_condition
-        assert rep.second_condition_at(1.0)
-        assert rep.second_condition_at(1e6)
+        assert rep.verdict(1.0)["second"]
+        assert rep.verdict(1e6)["second"]
 
     def test_first_condition_threshold(self):
         # support-radius powers computed with exact arithmetic
@@ -52,12 +51,12 @@ class TestSmallnessArithmetic:
     def test_verdict_combines_gates(self):
         rep = smallness_constants(BoundaryFunction.smooth_bump(0.01, 0.3))
         rep.empirical_2S_norm = 0.03
-        v = check_smallness(rep, cstar_n=1.0)
-        assert v.first and v.empirical
-        assert not v.second  # C_star for this bump is far above 1/2
-        assert not v.ok and not bool(v)
-        v2 = check_smallness(rep, cstar_n=1.0 / (4 * rep.C_star))
-        assert v2.second and v2.ok
+        v = rep.verdict(1.0)
+        assert v["first"] and v["empirical"]
+        assert not v["second"]  # C_star for this bump is far above 1/2
+        assert not v["ok"]
+        v2 = rep.verdict(1.0 / (4 * rep.C_star))
+        assert v2["second"] and v2["ok"]
 
 
 class TestContraction:

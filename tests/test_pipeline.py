@@ -331,10 +331,9 @@ def _direct_grad_q2(q, hs, sol, grid, mask):
     pts = grid.points()
     wg = q.weights * q.match(sol.density)
     c = -q.ctx.grad_const
-    b = hs.boundary
     gap = hs.box_wall(grid).depth()
     d = gap.copy()
-    shell = mask & (gap / (1.0 + b.sup_norms()[0] + b.sup_norms()[1]) < q.delta_min)
+    shell = mask & (gap / hs.boundary.lipschitz() < q.delta_min)
     d[shell] = hs.signed_distance(pts[shell])
     safe = mask & (d >= q.delta_min)
     out = np.zeros((3,) + tuple(grid.resolution))
