@@ -1,6 +1,6 @@
-"""Dense pair sums as row-blocked numpy kernels.
+"""Pair sums as row-blocked numpy kernels and lattice FFT convolutions.
 
-The kernels walk the targets in blocks of ``max(1, _BLOCK_ELEMS // m)``
+The dense kernels walk the targets in blocks of ``max(1, _BLOCK_ELEMS // m)``
 rows for m sources, so a (rows, m) buffer holds about ``_BLOCK_ELEMS``
 float64 values (512 KiB) and stays in cache; a block is one row when m
 exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its buffers once and fills
@@ -8,11 +8,10 @@ them in place, block after block.  Results differ from one whole-array sum
 by rounding only (summation order, and |x - y|^3 formed as rho2 *
 sqrt(rho2)).
 
-``gradslp_plane`` is the one kernel that is not a dense pair sum.  When
-the sources sit on the plane at every p-th node of a box x'-lattice, the
-grad SLP sum over a whole z-plane of targets is a discrete 2-D
-convolution, done by Hockney's zero-padded FFT: exact up to transform
-roundoff.
+Two kernels are discrete 2-D convolutions on a lattice, done by Hockney's
+zero-padded FFT, exact up to transform roundoff: ``gradslp_plane`` (grad
+SLP over a z-plane of box columns) and ``gagliardo_pairs`` (the Gagliardo
+pair sum, plus a row-blocked direct correction on the lifted bump rows).
 """
 
 import numpy as np
@@ -108,18 +107,46 @@ def closest_on_grid(xp, xn, cand, ch):
 
 
 def gagliardo_pairs(coords, vals, mu):
-    """sum_{i != j} (v_i - v_j)^2 |x_i - x_j|^{-3} mu_i mu_j."""
-    total = 0.0
-    for sl, (r, d) in _row_blocks(len(coords), len(coords)):
-        _sq_dist(coords[sl], coords, r, d)
-        ii = np.arange(sl.start, sl.stop)
-        r[ii - sl.start, ii] = 1.0  # the diagonal numerator is 0
-        np.sqrt(r, out=d)
-        r *= d
-        np.subtract(vals[sl, None], vals, out=d)
+    """sum_{i != j} (v_i - v_j)^2 |x_i - x_j|^{-3} mu_i mu_j on a lifted lattice.
+
+    coords holds a row-major res^2 lattice in x', each node lifted to its
+    height.  With the flat kernel K0 (K0(0) = 0) and u = v minus its mu-mean,
+    which keeps the cancelling terms small, the flat sum is the FFT pair
+    2 sum_i u_i mu_i (u_i (K0 * mu)_i - (K0 * u mu)_i).  K differs from K0
+    only on pairs with a lifted end, so K - K0 is summed directly over the
+    lifted rows S: twice S against all nodes, less S against S.
+    """
+    m = len(coords)
+    res = int(round(m**0.5))
+    if res < 2:
+        return 0.0
+    dx = (coords[-1, :2] - coords[0, :2]) / (res - 1)
+    # circular offsets 0..res-1, -res..-1; entry -res is never read back
+    o = np.r_[0:res, -res:0]
+    r2 = (o[:, None] * dx[0]) ** 2 + (o[None, :] * dx[1]) ** 2
+    r2[0, 0] = np.inf
+    u = vals - (vals @ mu) / mu.sum()
+    w = np.stack([mu, u * mu]).reshape(2, res, res)
+    size = (2 * res, 2 * res)
+    conv = np.fft.irfft2(np.fft.rfft2(w, s=size) * np.fft.rfft2(r2**-1.5), s=size)
+    conv = conv[:, :res, :res].reshape(2, m)
+    total = 2.0 * float((u * mu) @ (u * conv[0] - conv[1]))
+
+    lifted = coords[:, 2] != 0.0
+    xs, vs, ms = coords[lifted], vals[lifted], mu[lifted]
+    cw = mu * np.where(lifted, 1.0, 2.0)
+    for sl, (r, d, k) in _row_blocks(len(xs), m, (float, float, float)):
+        _sq_dist(xs[sl, :2], coords[:, :2], r, d)
+        r[r == 0.0] = np.inf  # the diagonal: numerator 0
+        np.subtract(xs[sl, 2, None], coords[:, 2], out=d)
         d *= d
-        d /= r
-        total += float(mu[sl] @ (d @ mu))
+        d += r
+        np.power(d, -1.5, out=k)
+        k -= np.power(r, -1.5, out=d)  # K - K0
+        np.subtract(vs[sl, None], vals, out=d)
+        d *= d
+        k *= d
+        total += float(ms[sl] @ (k @ cw))
     return total
 
 

@@ -241,11 +241,12 @@ _UNIT_SQUARE_INV_DIST = 4.0 * np.log(1.0 + np.sqrt(2.0))
 
 
 def gagliardo_half(f, hs=None):
-    """Gagliardo realization of the 1/2-norm by a lattice double sum.
+    """Gagliardo realization of the 1/2-norm over the lattice pairs.
 
     Plane mode integrates |f(x')-f(y')|^2 / |x'-y'|^n dx' dy'; graph mode
     (``f.on_graph``) uses ambient distances |x-y| in R^n and the surface
-    measure omega dy'.  The self-cell uses the local-gradient surrogate
+    measure omega dy'.  The pair sum is two lattice FFT convolutions, plus
+    a direct sum over the pairs with an end on the bump in graph mode.  The self-cell uses the local-gradient surrogate
     |grad f(x)|^2 |z|^{2-n}, integrated exactly over an equal-area disk.
     """
     from ._fast import gagliardo_pairs

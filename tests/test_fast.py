@@ -1,12 +1,18 @@
-"""Each dense pair kernel of ``_fast`` against a plain per-pair sum.
+"""Each kernel of ``_fast`` against a plain per-pair sum.
 
 The references below form every pair explicitly from coordinate
-differences, with no blocking and no |x|^2 - 2 x.y + |y|^2 expansion.  The
-kernels are checked with the block size shrunk, so that small
-inputs cross many blocks with a ragged last one and blocks of one row, and
-with the real block size, including a source count above ``_BLOCK_ELEMS``.
-The plane FFT ``gradslp_plane`` is checked against the same per-pair sum,
-and the separable near-origin DFT of ``sobolev`` the same way.
+differences, with no |x|^2 - 2 x.y + |y|^2 expansion and no blocking other
+than the Gagliardo reference's 128-row chunks, which keep a 96^2 lattice
+in memory.  The dense kernels are checked on scattered points with the block size shrunk,
+so that small inputs cross many blocks with a ragged last one and blocks
+of one row, and with the real block size, including a source count above
+``_BLOCK_ELEMS``.  The two lattice FFT kernels are checked on lattices:
+``gradslp_plane`` on box columns over a strided source lattice, and
+``gagliardo_pairs`` on the row-major boundary lattice, flat or lifted to a
+drawn bump, with its direct bump-row correction crossing shrunk blocks.
+``gagliardo_half`` is checked end to end at the sizes of the ``norms``
+benchmark, and the separable near-origin DFT of ``sobolev`` against its
+direct sum.
 """
 
 from unittest import mock
@@ -16,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmdecomp import _fast
-from helmdecomp.sobolev import BoundaryDensity, _semidiscrete_fhat2
+from helmdecomp.geometry import BoundaryFunction, PerturbedHalfSpace
+from helmdecomp.sobolev import (BoundaryDensity, _semidiscrete_fhat2, gagliardo_half,
+                                lattice_points, th_push)
 
 RTOL = 1e-12
 C = -0.25 / np.pi
@@ -44,11 +52,15 @@ def dir_rows_ref(xs, dirs, nodes, weights, c):
     return f * np.einsum("pjc,pc->pj", d, dirs)
 
 
-def gagliardo_ref(coords, vals, mu):
-    _, r2 = _diff(coords, coords)
-    np.fill_diagonal(r2, 1.0)
-    num = (vals[:, None] - vals[None, :]) ** 2
-    return float(np.sum(num / r2**1.5 * mu[:, None] * mu[None, :]))
+def gagliardo_ref(coords, vals, mu, rows=128):
+    total = 0.0
+    for a in range(0, len(coords), rows):
+        b = min(a + rows, len(coords))
+        _, r2 = _diff(coords[a:b], coords)
+        r2[np.arange(b - a), np.arange(a, b)] = 1.0  # the diagonal numerator is 0
+        num = (vals[a:b, None] - vals[None, :]) ** 2
+        total += float(np.sum(num / r2**1.5 * mu[a:b, None] * mu[None, :]))
+    return total
 
 
 def closest_ref(xp, xn, cand, ch):
@@ -96,11 +108,6 @@ def test_kernels_match_reference_across_blocks(n, m, block, seed):
     rng = np.random.default_rng(seed)
     with mock.patch.object(_fast, "_BLOCK_ELEMS", block):
         _check_all(rng, n, m)
-        coords, mu = _boundary(rng, m)
-        vals = rng.normal(size=m)
-        got = _fast.gagliardo_pairs(coords, vals, mu)
-        ref = gagliardo_ref(coords, vals, mu)
-        assert abs(got - ref) <= RTOL * max(abs(ref), 1e-300)
 
 
 @settings(max_examples=5, deadline=None)
@@ -139,12 +146,69 @@ def test_gradslp_sum_cancellation_above_delta_min(seed):
         assert _rel_err(_fast.gradslp_sum(xs, nodes, wg, C), ref) <= 1e-13
 
 
+def _lattice(extent, res, boundary=None):
+    """coords, mu of gagliardo_half on the res^2 lattice, flat or lifted."""
+    pts = lattice_points(extent, res).reshape(-1, 2)
+    mu = np.full(len(pts), (extent / res) ** 2)
+    if boundary is None:
+        return np.column_stack([pts, np.zeros(len(pts))]), mu
+    return np.column_stack([pts, boundary.height(pts)]), mu * boundary.omega(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(res=st.integers(1, 40), extent=st.floats(1.0, 20.0),
+       mode=st.sampled_from(["plane", "smooth-bump", "gaussian-bump"]),
+       reach=st.floats(0.05, 1.0), rough=st.booleans(), block=st.integers(1, 500),
+       seed=st.integers(0, 2**32 - 1))
+def test_gagliardo_matches_reference_on_lattices(res, extent, mode, reach, rough, block, seed):
+    # the bump reaches reach * extent from the centre, so reach > 1/sqrt(2)
+    # lifts every node; smooth densities range from peaked to nearly
+    # constant and sit on an offset, the case the mu-mean shift is for
+    rng = np.random.default_rng(seed)
+    boundary = None
+    if mode != "plane":
+        R = reach * extent
+        a = rng.uniform(0.05, 0.5) * R
+        boundary = (BoundaryFunction.smooth_bump(a, R) if mode == "smooth-bump"
+                    else BoundaryFunction.gaussian_bump(a, R / 4.0))
+    coords, mu = _lattice(extent, res, boundary)
+    if rough:
+        vals = rng.normal(size=res * res)
+    else:
+        c = rng.uniform(-0.25, 0.25, 2) * extent
+        w = rng.uniform(0.01, 10.0) * extent**2
+        vals = rng.uniform(-100, 100) + np.exp(-np.sum((coords[:, :2] - c) ** 2, -1) / w)
+    with mock.patch.object(_fast, "_BLOCK_ELEMS", block):
+        got = _fast.gagliardo_pairs(coords, vals, mu)
+    ref = gagliardo_ref(coords, vals, mu)
+    assert abs(got - ref) <= RTOL * ref
+
+
 def test_gagliardo_matches_reference_real_block():
-    rng = np.random.default_rng(3)
-    coords, mu = _boundary(rng, 300)
-    vals = rng.normal(size=300)
+    # every node lifted: 2304 correction rows in blocks of 28 rows
+    boundary = BoundaryFunction.gaussian_bump(0.3, 1.5)
+    coords, mu = _lattice(6.0, 48, boundary)
+    assert np.all(coords[:, 2] != 0.0)
+    vals = np.random.default_rng(3).normal(size=len(coords))
     ref = gagliardo_ref(coords, vals, mu)
     assert abs(_fast.gagliardo_pairs(coords, vals, mu) - ref) <= RTOL * ref
+
+
+def test_gagliardo_half_matches_reference_at_norms_sizes():
+    # the norms benchmark: plane 96^2 of extent 14, and graph and plane 64^2
+    # of extent 10 over smooth-bump(0.3, 0.4)
+    hs = PerturbedHalfSpace(BoundaryFunction.smooth_bump(0.3, 0.4), reach_estimate=1.0)
+    rng = np.random.default_rng(5)
+    c, w = rng.uniform(-1.0, 1.0, 2), rng.uniform(0.3, 1.0)
+    fn = lambda p: np.exp(-np.sum((p - c) ** 2, -1) / w)  # noqa: E731
+    f96 = BoundaryDensity.sample(14.0, 96, fn)
+    f64 = BoundaryDensity.sample(10.0, 64, fn)
+    cases = [(f96, None), (th_push(f64), hs), (f64, None)]
+    got = [gagliardo_half(f, hs=h) for f, h in cases]
+    with mock.patch.object(_fast, "gagliardo_pairs", gagliardo_ref):
+        ref = [gagliardo_half(f, hs=h) for f, h in cases]
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= RTOL * r
 
 
 @settings(max_examples=40, deadline=None)
