@@ -6,13 +6,21 @@ float64 values (512 KiB) and stays in cache; a block is one row when m
 exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its buffers once and fills
 them in place, block after block.  Results differ from one whole-array sum
 by rounding only (summation order, and |x - y|^3 formed as rho2 *
-sqrt(rho2)).
+sqrt(rho2)).  ``gradslp_sum``, the grad q2 sum over the bump sources,
+splits its blocks into one contiguous row range per usable CPU and sums
+them on threads; the calling thread allocates every buffer, because arrays
+allocated on the worker threads come from glibc's per-thread arenas and
+raise the peak resident memory.
 
 Two kernels are discrete 2-D convolutions on a lattice, done by Hockney's
 zero-padded FFT, exact up to transform roundoff: ``gradslp_plane`` (grad
 SLP over a z-plane of box columns) and ``gagliardo_pairs`` (the Gagliardo
 pair sum, plus a row-blocked direct correction on the lifted bump rows).
+``gradslp_plane`` stays serial: threading its plane loop did not pay end
+to end on the 96^3 flat box and kept about 10 MB more resident.
 """
+
+import os
 
 import numpy as np
 
@@ -55,22 +63,51 @@ def gradslp_sum(xs, nodes, wg, c):
     both signs, the error reaches 3.3e-13 of the largest value at height 1/32
     and 2.5e-14 at delta_min = 0.28125, the least distance from the wall at
     which the pipeline sums.  Exact differences took 2 to 4 times as long.
+
+    The row blocks are split into one contiguous range per usable CPU, each
+    summed by a worker thread (numpy releases the GIL in the block loops);
+    with one CPU or one block the calling thread sums them all.  Every
+    buffer is allocated here and the workers only write into views of it:
+    with arrays allocated by the workers, which come from glibc's
+    per-thread arenas, the 64^3 curved benchmark peaked near 250 MB, not 230.
     """
     # rho2 = |x|^2 - 2 x.y + |y|^2 is one product of [-2x, |x|^2, 1] and
     # [y, 1, |y|^2]; sum_j t_j and sum_j t_j y_j are one product with [1, y]
-    a = np.column_stack([-2.0 * xs, np.sum(xs * xs, axis=1), np.ones(len(xs))])
-    b = np.vstack([nodes.T, np.ones(len(nodes)), np.sum(nodes * nodes, axis=1)])
-    one_y = np.column_stack([np.ones(len(nodes)), nodes])
+    n, m = len(xs), len(nodes)
+    a = np.column_stack([-2.0 * xs, np.sum(xs * xs, axis=1), np.ones(n)])
+    b = np.vstack([nodes.T, np.ones(m), np.sum(nodes * nodes, axis=1)])
+    one_y = np.column_stack([np.ones(m), nodes])
     cwg = c * wg
-    out = np.empty((xs.shape[0], 3))
-    for sl, (r, t) in _row_blocks(len(xs), len(nodes)):
-        np.matmul(a[sl], b, out=r)
-        # t = c wg / rho2^{3/2}
-        np.sqrt(r, out=t)
-        t *= r
-        np.divide(cwg, t, out=t)
-        s = t @ one_y
-        out[sl] = xs[sl] * s[:, :1] - s[:, 1:]
+    out = np.empty((n, 3))
+    rows = max(1, _BLOCK_ELEMS // max(m, 1))
+    blocks = -(-n // rows)
+    workers = max(1, min(len(os.sched_getaffinity(0)), blocks))
+    bufs = [(np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, 4)))
+            for _ in range(workers)]
+
+    def run(lo, hi, r, t, s):
+        for i in range(lo, hi, rows):
+            j = min(i + rows, hi)
+            rj, tj, sj = r[: j - i], t[: j - i], s[: j - i]
+            np.matmul(a[i:j], b, out=rj)
+            # t = c wg / rho2^{3/2}
+            np.sqrt(rj, out=tj)
+            tj *= rj
+            np.divide(cwg, tj, out=tj)
+            np.matmul(tj, one_y, out=sj)
+            np.multiply(xs[i:j], sj[:, :1], out=out[i:j])
+            out[i:j] -= sj[:, 1:]
+
+    # worker k takes blocks [blocks k / workers, blocks (k + 1) / workers)
+    cuts = [min(n, rows * (blocks * k // workers)) for k in range(workers + 1)]
+    if workers == 1:
+        run(0, n, *bufs[0])
+    else:
+        # imported here, as it pulls in logging: importing the package stays cheap
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, cuts[:-1], cuts[1:], *zip(*bufs)))
     return out
 
 

@@ -278,8 +278,9 @@ def _sample_grad_q2(q, wall, sol, grid, mask, layout):
 
     Mask nodes within q.delta_min of the wall (which reaches that far) are
     near, the others safe.  Safe nodes at x_n >= delta_min take the plane FFT
-    on the lattice of layout plus the curved-minus-flat sum over the h_j != 0
-    sources; lower ones (a dip makes them) the direct sum.  A near node
+    on the lattice of layout, with the weights of the h_j != 0 sources zeroed,
+    plus the direct sum over those sources where they lie, so each source is
+    summed once; lower ones (a dip makes them) the direct sum.  A near node
     extrapolates linearly in x_n from the safe node of its column nearest
     x_n - h(x') = 1.5 delta_min and the one above it nearest 3 delta_min;
     ConfigError if the column ends below."""
@@ -296,17 +297,15 @@ def _sample_grad_q2(q, wall, sol, grid, mask, layout):
     if low.any():
         out[:, index[low]] = _fast.gradslp_sum(grid.node_points(index[low]), q.nodes, wg, c).T
     index, planes = index[~low], np.unique(k[~low])
+    # the plane FFT takes the flat sources, the bump ones are summed where they are
+    bump = q.nodes[:, 2] != 0.0
+    flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
     # whole planes: the near nodes are replaced and the off-mask ones zeroed below
-    for kz, g in zip(planes, _fast.gradslp_plane(z[planes], wg.reshape(q.res, q.res), *layout,
+    for kz, g in zip(planes, _fast.gradslp_plane(z[planes], flat, *layout,
                                                  grid.dx[:2], grid.resolution[:2], c)):
         out.reshape(3, -1, nz)[:, :, kz] = g.reshape(-1, 3).T
-    bump = q.nodes[:, 2] != 0.0
     if bump.any():
-        xs = grid.node_points(index)
-        src = np.ascontiguousarray(q.nodes[bump])
-        out[:, index] += _fast.gradslp_sum(xs, src, wg[bump], c).T
-        src[:, 2] = 0.0
-        out[:, index] -= _fast.gradslp_sum(xs, src, wg[bump], c).T
+        out[:, index] += _fast.gradslp_sum(grid.node_points(index), q.nodes[bump], wg[bump], c).T
     col, k = np.divmod(near, nz)
     ok = safe.reshape(-1, nz)[col]
     # x_n >= h(x') - dz/2 + t first holds at the node nearest x_n - h(x') = t
@@ -458,8 +457,11 @@ def verify(result, hs):
     recon = result.v.data - (result.v0.data + result.grad_q1.data + result.grad_q2.data)
     rec_err = float(np.abs(recon[:, inside]).max()) if inside.any() else 0.0
     rep.add("reconstruction_max_err", rec_err, 1e-10)
+    # each gate is the least power of ten 100x above the largest residual
+    # seen: div 7.8e-3 on drawn fields of width 2.8 spacings on the flat 32^3
+    # box, normal 8.8e-4 on the 64^3 curved boxes of the benchmark
     rep.add("residual_div", result.residual_div, 1.0)
-    rep.add("residual_normal", result.residual_normal, 1.0)
+    rep.add("residual_normal", result.residual_normal, 1e-1)
     return rep
 
 

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -377,8 +378,9 @@ class TestGradQ2Paths:
     @pytest.mark.parametrize("res, layout", [((24, 24, 24), ([2, 2], [-20, -20])),
                                              ((24, 12, 24), ([2, 1], [-20, -10]))])
     def test_aligned_curved_matches_direct(self, gentle_hs, res, layout):
-        # lattice spacing 1/4 on every p-th box column: plane FFT plus the
-        # bump correction against the all-direct sum
+        # lattice spacing 1/4 on every p-th box column: plane FFT over the
+        # flat sources plus the direct sum over the bump ones, against the
+        # all-direct sum
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, res)
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
         wall = gentle_hs.box_wall(grid, q.delta_min)
@@ -430,7 +432,7 @@ class TestGradQ2Paths:
         low = np.count_nonzero(safe & (grid.axis(2) < q.delta_min))
         bump = np.count_nonzero(q.nodes[:, 2] != 0.0)
         assert low > 0 and min(planes) >= q.delta_min
-        assert pairs == [(low, q.res ** 2)] + [(np.count_nonzero(safe) - low, bump)] * 2
+        assert pairs == [(low, q.res ** 2), (np.count_nonzero(safe) - low, bump)]
 
     def test_short_box_is_refused(self, flat_hs):
         # the columns end at x_n = 0.4625, below 3 delta_min = 0.5625
@@ -555,13 +557,13 @@ class TestDecompose:
         assert l2(res.v0) < 5e-2 * l2(v)
         assert res.smallness["empirical_2S_norm"] < 1.0
         assert res.lattice == {"extent": 8.25, "resolution": 44, "stride": 3}
-        # the only direct sums are the bump correction at the safe nodes,
-        # once curved and once flat: no safe node lies below delta_min
+        # the only direct sum is the bump sources at the safe nodes, each
+        # source once: no safe node lies below delta_min
         q = cfg._plan.q
         wall = gentle_hs.box_wall(grid, q.delta_min)
         near = np.count_nonzero(v.inside_mask.ravel()[wall.index] & (wall.distance < q.delta_min))
         safe = np.count_nonzero(v.inside_mask) - near
-        assert pairs == [(safe, np.count_nonzero(q.nodes[:, 2] != 0.0))] * 2
+        assert pairs == [(safe, np.count_nonzero(q.nodes[:, 2] != 0.0))]
         assert set(planes) <= set(grid.axis(2))
 
     def test_contraction_settles_in_30_steps(self, gentle_hs):
@@ -585,6 +587,15 @@ class TestDecompose:
         v_scale = float(np.abs(grad_field.data[:, grad_field.inside_mask]).max())
         assert vals["residual_div"] == _residual_div(res.v0, flat_hs, ref=grad_field)
         assert vals["residual_normal"] == _residual_normal(res.v0, flat_hs, v_scale)
+
+    def test_verify_gates(self, flat_hs, grad_field, flat_cfg):
+        res = decompose(flat_hs, grad_field, flat_cfg)
+
+        def ok(**residuals):
+            return verify(replace(res, **residuals), flat_hs).ok
+
+        assert ok(residual_normal=0.09) and not ok(residual_normal=0.11)
+        assert ok(residual_div=0.9) and not ok(residual_div=1.1)
 
     def test_zero_input(self, flat_hs, flat_grid, flat_cfg):
         v = BoxField(flat_grid, np.zeros((3,) + tuple(flat_grid.resolution)))
