@@ -14,7 +14,9 @@ raise the peak resident memory.
 
 Two kernels are discrete 2-D convolutions on a lattice, done by Hockney's
 zero-padded FFT, exact up to transform roundoff: ``gradslp_plane`` (grad
-SLP over a z-plane of box columns) and ``gagliardo_pairs`` (the Gagliardo
+SLP over a z-plane of box columns, in a moment form whose cancellation
+scales that roundoff by up to the box half-width over the nearest source
+offset) and ``gagliardo_pairs`` (the Gagliardo
 pair sum, plus a row-blocked direct correction on the lifted bump rows).
 ``gradslp_plane`` stays serial: threading its plane loop did not pay end
 to end on the 96^3 flat box and kept about 10 MB more resident.
@@ -193,26 +195,36 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
     Per x'-axis a, the box columns are x_i = x0 + i dx[a] for i < n[a] and
     the sources y_j = (x0 + (shift[a] + p[a] j) dx[a], 0), with weights
     w of shape (m0, m1).  For each z in zs, one (n0, n1, 3) array is
-    yielded for the targets (x_i, z).  The weights sit on every p-th node
-    of a zero-padded box lattice; per plane the kernel is sampled on the
-    p (m - 1) + n offsets per axis, so the circular product of the
-    transforms equals the linear convolution on the kept slice.  Only one
-    plane's buffers are alive at a time.
+    yielded for the targets (x_i, z).  With t = c |x - y|^{-3} the sum is
+    taken in moment form: x'_a (t*w) - t*(y'_a w) for the x'-components and
+    z (t*w) for the last, with x' and y' measured from the box centre to
+    keep the cancellation small.  The weights w, y'_0 w and y'_1 w sit on
+    every p-th node of a zero-padded box lattice and are transformed once;
+    per plane the kernel t is sampled on the p (m - 1) + n offsets per
+    axis, so the circular product of the transforms equals the linear
+    convolution on the kept slice, and each plane takes one forward
+    transform and three inverses.  Only one plane's buffers are alive at a
+    time.
     """
     from scipy.fft import next_fast_len
 
     span = [p[a] * (w.shape[a] - 1) + 1 for a in range(2)]
     size = [next_fast_len(span[a] + n[a] - 1) for a in range(2)]
+    # columns and sources in each axis, measured from the box centre
+    xs = [(np.arange(n[a]) - 0.5 * (n[a] - 1)) * dx[a] for a in range(2)]
+    ys = [(shift[a] + p[a] * np.arange(w.shape[a]) - 0.5 * (n[a] - 1)) * dx[a]
+          for a in range(2)]
     lat = np.zeros(size)
-    lat[: span[0] : p[0], : span[1] : p[1]] = w
-    what = np.fft.rfft2(lat)
+    moments = []
+    for f in (w, ys[0][:, None] * w, ys[1][None, :] * w):
+        lat[: span[0] : p[0], : span[1] : p[1]] = f
+        moments.append(np.fft.rfft2(lat))
     del lat
     # offset x_i - y_j in box spacings is i - shift - p j; entry t of the
     # kernel holds the offset t - (span - 1) - shift
     off = [(np.arange(span[a] + n[a] - 1) - (span[a] - 1) - shift[a]) * dx[a]
            for a in range(2)]
-    o0, o1 = off[0][:, None], off[1][None, :]
-    r2_plane = o0 * o0 + o1 * o1
+    r2_plane = off[0][:, None] ** 2 + off[1][None, :] ** 2
     keep = tuple(slice(span[a] - 1, span[a] - 1 + n[a]) for a in range(2))
     r2 = np.empty_like(r2_plane)
     t = np.empty_like(r2_plane)
@@ -222,9 +234,10 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
         np.sqrt(r2, out=t)
         t *= r2
         np.divide(c, t, out=t)
+        spec = np.fft.rfft2(t, s=size)
+        tw, ty0, ty1 = (np.fft.irfft2(spec * m, s=size)[keep] for m in moments)
         out = np.empty((n[0], n[1], 3))
-        for k, comp in enumerate((t * o0, t * o1, t * z)):
-            spec = np.fft.rfft2(comp, s=size)
-            spec *= what
-            out[..., k] = np.fft.irfft2(spec, s=size)[keep]
+        np.subtract(xs[0][:, None] * tw, ty0, out=out[..., 0])
+        np.subtract(xs[1][None, :] * tw, ty1, out=out[..., 1])
+        np.multiply(tw, z, out=out[..., 2])
         yield out

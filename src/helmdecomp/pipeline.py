@@ -149,47 +149,90 @@ def volume_potential_grad(hs, v, rho):
     """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension.
 
     Restricted to the domain this solves the volume-potential equation for
-    v; the construction is linear in v.  The transforms run through
-    scipy.fft on every CPU this process may use; scipy is imported here,
-    not at module level, so that importing the package stays cheap.
+    v; the construction is linear in v.
+    """
+    _check_box_decay(v)
+    out = _free_space_gradient(_extended_source(hs, v, rho), v.grid.dx)
+    return BoxField(v.grid, out, v.inside_mask.copy())
+
+
+def _free_space_gradient(src, dx):
+    """grad q on the box for Delta q = div src, src of shape (3, n0, n1, n2).
+
+    A Hockney zero-padded convolution: the |xi|^{-2} symbol on the doubled
+    grid, whose values are those of the real part of the full complex
+    padded transforms.  The input is real and zero off the box, and only
+    the box is read back, so the transforms are pruned: the forward ones
+    take a real transform of the last axis over the box lines alone and
+    pad each axis as they reach it, and the inverse ones crop each axis as
+    soon as it is done, ending in a real inverse, on a half spectrum of
+    shape (2 n0, 2 n1, n2 + 1).
+
+    The real part keeps the Hermitian part of xi_c xi_d / |xi|^2, which for
+    c != d vanishes where exactly one of axes c, d sits at its Nyquist
+    index.  So with xh = xi off Nyquist, 0 on it, and xn = xi on Nyquist, 0
+    off it, component c is (xh_c sum_d xh_d F_d + xn_c sum_d xn_d F_d) /
+    |xi|^2; the second sum is needed only on the axis-c Nyquist plane and
+    is gathered there from each F_d before F_d is scaled.  The half axis
+    keeps fftfreq's negative sign at its Nyquist index.
+
+    src is overwritten with the result, which is returned.  The transforms
+    run through scipy.fft on every CPU this process may use; scipy is
+    imported here, not at module level, so that importing the package
+    stays cheap.
     """
     import scipy.fft
 
-    _check_box_decay(v)
-    total = _extended_source(hs, v, rho)
-    grid = v.grid
-    res = [2 * r for r in grid.resolution]
-    xi = [2.0 * np.pi * np.fft.fftfreq(res[i], d=grid.dx[i]) for i in range(3)]
-    n = grid.resolution
+    n = src.shape[1:]
+    half = (2 * n[0], 2 * n[1], n[2] + 1)
     workers = len(os.sched_getaffinity(0))
-    X = np.meshgrid(*xi, indexing="ij", sparse=True)
-    # fftn zero-pads to the doubled grid itself, and the inverse crops each
-    # axis to the box as soon as that axis is done (last axis first, the
-    # order of ifftn) and transforms its first axis in place, so about two
-    # complex arrays of the padded grid are alive, plus the zero-padded
-    # real input or the half-cropped array; the values are those of the
-    # full padded transforms
-    div = np.zeros(res, dtype=complex)
-    for c in range(3):
-        F = scipy.fft.fftn(total[c], s=res, axes=(0, 1, 2), workers=workers)
-        F *= 1j * X[c]
-        div += F
+    # per axis a: xi as a broadcastable 1-D array, its value at the Nyquist
+    # index n[a], the same array with that entry zeroed, and the Nyquist plane
+    x, xn, xh, plane = [], [], [], []
+    for a in range(3):
+        xi = 2.0 * np.pi * np.fft.fftfreq(2 * n[a], d=dx[a])[: half[a]]
+        x.append(xi.reshape([-1 if b == a else 1 for b in range(3)]))
+        xn.append(xi[n[a]])
+        plane.append((slice(None),) * a + (slice(n[a], n[a] + 1),))
+        xh.append(x[a].copy())
+        xh[a][plane[a]] = 0.0
+    # edge[c] gathers sum_d xn_d F_d on the axis-c Nyquist plane: F_c's whole
+    # plane, and of each other F_d the line where axis d is at Nyquist too
+    edge = [np.zeros(half[:a] + (1,) + half[a + 1:], dtype=complex) for a in range(3)]
+    # alive at once: the half-spectrum sum acc, one component's spectrum,
+    # its predecessor in the transform chain (padded on two axes), and src;
+    # each padding copy is transformed in place
+    for d in range(3):
+        F = scipy.fft.rfft(src[d], n=2 * n[2], axis=2, workers=workers)
+        F = scipy.fft.fft(F, n=2 * n[1], axis=1, workers=workers)
+        F = scipy.fft.fft(F, n=2 * n[0], axis=0, workers=workers)
+        for c in range(3):
+            if c == d:
+                edge[c] += xn[d] * F[plane[c]]
+            else:
+                edge[c][plane[d]] += xn[d] * F[plane[c]][plane[d]]
+        F *= xh[d]
+        if d == 0:
+            acc = F
+        else:
+            acc += F
         del F
-    del total
-    k2 = X[0] ** 2 + X[1] ** 2 + X[2] ** 2
+    k2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
+    # acc vanishes at xi = 0, which no Nyquist plane holds; q has no mean mode
     k2[0, 0, 0] = 1.0
-    div /= k2
-    del k2
-    qhat = np.negative(div, out=div)
-    qhat[0, 0, 0] = 0.0
-    out = np.empty((3,) + tuple(n))
+    acc /= k2
     for c in range(3):
-        # the product is ours, so the first inverse may overwrite it
-        g = scipy.fft.ifft(1j * X[c] * qhat, axis=2, workers=workers,
-                           overwrite_x=True)[..., : n[2]]
-        g = scipy.fft.ifft(g, axis=1, workers=workers)[:, : n[1]]
-        out[c] = scipy.fft.ifft(g, axis=0, workers=workers)[: n[0]].real
-    return BoxField(grid, out, v.inside_mask.copy())
+        edge[c] *= xn[c] / k2[plane[c]]
+    del k2
+    # alive at once: acc, one component's product (its axis-0 inverse is
+    # taken in place), the axis-1 inverse of the cropped product, and src
+    for c in range(3):
+        G = acc * xh[c]
+        G[plane[c]] = edge[c]
+        G = scipy.fft.ifft(G, axis=0, workers=workers, overwrite_x=True)[: n[0]]
+        G = scipy.fft.ifft(G, axis=1, workers=workers)[:, : n[1]]
+        src[c] = scipy.fft.irfft(G, n=2 * n[2], axis=2, workers=workers)[..., : n[2]]
+    return src
 
 
 def _shell_normals(hs, w, yp):

@@ -9,7 +9,9 @@ of one row, and with the real block size, including a source count above
 ``_BLOCK_ELEMS``.  ``gradslp_sum`` is also checked with its row ranges
 split over two workers, and for the same values on one CPU and on three.
 The two lattice FFT kernels are checked on lattices:
-``gradslp_plane`` on box columns over a strided source lattice, and
+``gradslp_plane`` on box columns over a strided source lattice, against
+the direct sum and against the three-component transform form kept here
+as ``gradslp_plane_ref``, and
 ``gagliardo_pairs`` on the row-major boundary lattice, flat or lifted to a
 drawn bump, with its direct bump-row correction crossing shrunk blocks.
 ``gagliardo_half`` is checked end to end at the sizes of the ``norms``
@@ -22,6 +24,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +49,28 @@ def _diff(xs, ys):
 def gradslp_ref(xs, nodes, wg, c):
     d, r2 = _diff(xs, nodes)
     return np.sum(c * wg[None, :, None] * d / (r2 * np.sqrt(r2))[..., None], axis=1)
+
+
+def gradslp_plane_ref(zs, w, p, shift, dx, n, c):
+    """gradslp_plane with each kernel component c (x - y)|x - y|^{-3}
+    transformed on its own: three forward transforms and three inverses
+    per plane, no moments."""
+    from scipy.fft import next_fast_len
+
+    span = [p[a] * (w.shape[a] - 1) + 1 for a in range(2)]
+    size = [next_fast_len(span[a] + n[a] - 1) for a in range(2)]
+    lat = np.zeros(size)
+    lat[: span[0] : p[0], : span[1] : p[1]] = w
+    what = np.fft.rfft2(lat)
+    off = [(np.arange(span[a] + n[a] - 1) - (span[a] - 1) - shift[a]) * dx[a]
+           for a in range(2)]
+    o0, o1 = off[0][:, None], off[1][None, :]
+    keep = tuple(slice(span[a] - 1, span[a] - 1 + n[a]) for a in range(2))
+    for z in zs:
+        r2 = o0 * o0 + o1 * o1 + z * z
+        t = c / (r2 * np.sqrt(r2))
+        yield np.stack([np.fft.irfft2(np.fft.rfft2(comp, s=size) * what, s=size)[keep]
+                        for comp in (t * o0, t * o1, t * z)], -1)
 
 
 def dir_rows_ref(xs, dirs, nodes, weights, c):
@@ -259,6 +284,12 @@ def test_gagliardo_half_matches_reference_at_norms_sizes():
         assert abs(g - r) <= RTOL * r
 
 
+# the moment form cancels x' (t*w) against t*(y' w), by up to about the box
+# half-width over the closest source offset: 5.5e-14 on signed weights on
+# the 96^2 box at half a box spacing
+PLANE_FORM_RTOL = 1e-13
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.tuples(st.integers(1, 3), st.integers(1, 3)),
        n=st.tuples(st.integers(1, 13), st.integers(1, 13)),
@@ -284,6 +315,8 @@ def test_plane_fft_matches_reference(p, n, m, shift, seed):
         xs = np.column_stack([cols, np.full(len(cols), z)])
         ref = gradslp_ref(xs, nodes, w.ravel(), C)
         assert _rel_err(got.reshape(-1, 3), ref) <= RTOL
+    form = np.stack(list(gradslp_plane_ref(zs, w, p, shift, tuple(dx), n, C)))
+    assert np.abs(np.stack(planes) - form).max() <= PLANE_FORM_RTOL * np.abs(form).max()
 
 
 def test_plane_fft_matches_reference_96_box():
@@ -301,6 +334,19 @@ def test_plane_fft_matches_reference_96_box():
     for z, got in zip(zs, _fast.gradslp_plane(zs, w, (3, 3), (-24, -24), (dx, dx), (n, n), C)):
         ref = gradslp_ref(np.column_stack([cols, np.full(400, z)]), nodes, w.ravel(), C)
         assert _rel_err(got.reshape(-1, 3)[pick], ref) <= RTOL
+
+
+@pytest.mark.parametrize("m, n, shift, dx", [(48, 96, -24, 1.0 / 24.0), (44, 64, -34, 1.0 / 16.0)],
+                         ids=["flat96", "curved64"])
+def test_plane_moment_form_matches_component_form_on_benchmark_boxes(m, n, shift, dx):
+    # the lattices of the flat 96^3 and curved 64^3 boxes (stride 3), signed
+    # weights, planes from half a box spacing to the top of the box
+    w = np.random.default_rng(5).uniform(-1.0, 1.0, (m, m))
+    zs = dx * np.array([0.5, 1.5, 4.5, 20.5, n - 0.5])
+    args = (zs, w, (3, 3), (shift, shift), (dx, dx), (n, n), C)
+    got = np.stack(list(_fast.gradslp_plane(*args)))
+    ref = np.stack(list(gradslp_plane_ref(*args)))
+    assert np.abs(got - ref).max() <= PLANE_FORM_RTOL * np.abs(ref).max()
 
 
 @settings(max_examples=20, deadline=None)
