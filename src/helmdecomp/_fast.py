@@ -192,40 +192,37 @@ def gagliardo_pairs(coords, vals, mu):
 def gradslp_plane(zs, w, p, shift, dx, n, c):
     """Yield sum_j c (x - y_j)|x - y_j|^{-3} w_j on every box column, per height.
 
-    Per x'-axis a, the box columns are x_i = x0 + i dx[a] for i < n[a] and
-    the sources y_j = (x0 + (shift[a] + p[a] j) dx[a], 0), with weights
-    w of shape (m0, m1).  For each z in zs, one (n0, n1, 3) array is
-    yielded for the targets (x_i, z).  With t = c |x - y|^{-3} the sum is
-    taken in moment form: x'_a (t*w) - t*(y'_a w) for the x'-components and
-    z (t*w) for the last, with x' and y' measured from the box centre to
-    keep the cancellation small.  The weights w, y'_0 w and y'_1 w sit on
-    every p-th node of a zero-padded box lattice and are transformed once;
-    per plane the kernel t is sampled on the p (m - 1) + n offsets per
-    axis, so the circular product of the transforms equals the linear
-    convolution on the kept slice, and each plane takes one forward
-    transform and three inverses.  Only one plane's buffers are alive at a
-    time.
+    In each x'-axis the box columns are x_i = x0 + i dx for i < n and the
+    sources y_j = (x0 + (shift + p j) dx, 0), with square weights w of
+    shape (m, m).  For each z in zs, one (n, n, 3) array is yielded for the
+    targets (x_i, z).  With t = c |x - y|^{-3} the sum is taken in moment
+    form: x'_a (t*w) - t*(y'_a w) for the x'-components and z (t*w) for the
+    last, with x' and y' measured from the box centre to keep the
+    cancellation small.  The weights w, y'_0 w and y'_1 w sit on every p-th
+    node of a zero-padded box lattice and are transformed once; per plane
+    the kernel t is sampled on the p (m - 1) + n offsets per axis, so the
+    circular product of the transforms equals the linear convolution on
+    the kept slice, and each plane takes one forward transform and three
+    inverses.  Only one plane's buffers are alive at a time.
     """
     from scipy.fft import next_fast_len
 
-    span = [p[a] * (w.shape[a] - 1) + 1 for a in range(2)]
-    size = [next_fast_len(span[a] + n[a] - 1) for a in range(2)]
-    # columns and sources in each axis, measured from the box centre
-    xs = [(np.arange(n[a]) - 0.5 * (n[a] - 1)) * dx[a] for a in range(2)]
-    ys = [(shift[a] + p[a] * np.arange(w.shape[a]) - 0.5 * (n[a] - 1)) * dx[a]
-          for a in range(2)]
+    span = p * (len(w) - 1) + 1
+    size = (next_fast_len(span + n - 1),) * 2
+    # columns and sources, measured from the box centre
+    xs = (np.arange(n) - 0.5 * (n - 1)) * dx
+    ys = (shift + p * np.arange(len(w)) - 0.5 * (n - 1)) * dx
     lat = np.zeros(size)
     moments = []
-    for f in (w, ys[0][:, None] * w, ys[1][None, :] * w):
-        lat[: span[0] : p[0], : span[1] : p[1]] = f
+    for f in (w, ys[:, None] * w, ys[None, :] * w):
+        lat[:span:p, :span:p] = f
         moments.append(np.fft.rfft2(lat))
     del lat
     # offset x_i - y_j in box spacings is i - shift - p j; entry t of the
     # kernel holds the offset t - (span - 1) - shift
-    off = [(np.arange(span[a] + n[a] - 1) - (span[a] - 1) - shift[a]) * dx[a]
-           for a in range(2)]
-    r2_plane = off[0][:, None] ** 2 + off[1][None, :] ** 2
-    keep = tuple(slice(span[a] - 1, span[a] - 1 + n[a]) for a in range(2))
+    off = (np.arange(span + n - 1) - (span - 1) - shift) * dx
+    r2_plane = off[:, None] ** 2 + off[None, :] ** 2
+    keep = (slice(span - 1, span - 1 + n),) * 2
     r2 = np.empty_like(r2_plane)
     t = np.empty_like(r2_plane)
     for z in zs:
@@ -236,8 +233,8 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
         np.divide(c, t, out=t)
         spec = np.fft.rfft2(t, s=size)
         tw, ty0, ty1 = (np.fft.irfft2(spec * m, s=size)[keep] for m in moments)
-        out = np.empty((n[0], n[1], 3))
-        np.subtract(xs[0][:, None] * tw, ty0, out=out[..., 0])
-        np.subtract(xs[1][None, :] * tw, ty1, out=out[..., 1])
+        out = np.empty((n, n, 3))
+        np.subtract(xs[:, None] * tw, ty0, out=out[..., 0])
+        np.subtract(xs[None, :] * tw, ty1, out=out[..., 1])
         np.multiply(tw, z, out=out[..., 2])
         yield out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from .errors import MaxIterations, NotContractive
-from .layers import apply_S, grad_single_layer
+from .layers import apply_S
 from .sobolev import hs_norm_fourier, th_pull
 
 
@@ -149,8 +149,3 @@ def solve_density(q, hs, g, contraction, tol=1e-8, kmax=64):
     if not converged:
         raise MaxIterations(f"series hit kmax={kmax}, residual={residual:.3e}", solution=sol)
     return sol
-
-
-def neumann_grad(q, hs, sol, x):
-    """grad u of the Neumann solution at an interior point (d > delta_min)."""
-    return grad_single_layer(q, sol.density, x)

@@ -36,8 +36,7 @@ from .errors import (ConfigError, ExtrapolationUnstable, NonDecayingInput, NotCo
 from .geometry import BoxField, BoxGrid, extend_field, interp_masked
 from .layers import SurfaceQuadrature
 from .neumann import estimate_contraction, smallness_constants, solve_density
-from .sobolev import (_RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, lattice_points,
-                      th_pull, vbmol2_norm)
+from .sobolev import _RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, th_pull, vbmol2_norm
 
 # relative tolerance of the two-shell trace extrapolation in normal_trace
 _TRACE_RTOL = 0.05
@@ -275,14 +274,15 @@ def normal_trace(hs, w):
     return g, linf, hminus
 
 
-def resample_density(g, extent, res):
-    """Bilinear resample onto another lattice; outside the source -> 0."""
-    gx, gy = np.moveaxis(lattice_points(extent, res), -1, 0)
-    lo, hi = g.axis()[[0, -1]]
-    v = g.bilinear(gx, gy)
-    outside = (gx < lo) | (gx > hi) | (gy < lo) | (gy > hi)
-    v[outside] = 0.0
-    return BoundaryDensity(extent, v, on_graph=g.on_graph)
+def resample_density(g, extent, m, p, shift):
+    """g, a density on the box columns, on the m x m lattice of the given
+    extent whose node j is box column shift + p j: a copy of g's values
+    there, 0 at the nodes off the box."""
+    cols = shift + p * np.arange(m)
+    on = (cols >= 0) & (cols < g.res)
+    values = np.zeros((m, m))
+    values[np.ix_(on, on)] = g.values[np.ix_(cols[on], cols[on])]
+    return BoundaryDensity(extent, values, on_graph=g.on_graph)
 
 
 def square_section_width(grid):
@@ -298,11 +298,11 @@ def square_section_width(grid):
 
 
 def _column_lattice(grid, extent, res):
-    """(extent, res, layout) of the quadrature lattice on the box columns:
+    """(extent, m, p, shift) of the quadrature lattice on the box columns:
     spacing extent / res rounded up to p box spacings (p odd for an odd
     column count n), and the fewest m nodes spanning extent with m p - n
-    even, so every p-th column of the centred box is a node.  layout holds
-    p and the lattice origin minus the box origin, in box spacings."""
+    even, so every p-th column of the centred box is a node: node j sits on
+    box column shift + p j in both x'-axes."""
     width = square_section_width(grid)
     n = grid.resolution[0]
     # both ceilings forgive roundoff in the ratios of aligned configs
@@ -313,20 +313,20 @@ def _column_lattice(grid, extent, res):
     if (m * p - n) % 2:
         m += 1
     shift = (n - m * p) // 2
-    return m * p * width / n, m, ([p, p], [shift, shift])
+    return m * p * width / n, m, p, shift
 
 
-def _sample_grad_q2(q, wall, sol, grid, mask, layout):
+def _sample_grad_q2(q, wall, sol, grid, mask, p, shift):
     """grad q2 on the box, 0 off the mask, from a decaying density (so no tail closure).
 
     Mask nodes within q.delta_min of the wall (which reaches that far) are
     near, the others safe.  Safe nodes at x_n >= delta_min take the plane FFT
-    on the lattice of layout, with the weights of the h_j != 0 sources zeroed,
-    plus the direct sum over those sources where they lie, so each source is
-    summed once; lower ones (a dip makes them) the direct sum.  A near node
-    extrapolates linearly in x_n from the safe node of its column nearest
-    x_n - h(x') = 1.5 delta_min and the one above it nearest 3 delta_min;
-    ConfigError if the column ends below."""
+    on the lattice whose node j is box column shift + p j, with the weights
+    of the h_j != 0 sources zeroed, plus the direct sum over those sources
+    where they lie, so each source is summed once; lower ones (a dip makes
+    them) the direct sum.  A near node extrapolates linearly in x_n from the
+    safe node of its column nearest x_n - h(x') = 1.5 delta_min and the one
+    above it nearest 3 delta_min; ConfigError if the column ends below."""
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
     delta, nz = q.delta_min, grid.resolution[2]
@@ -344,8 +344,8 @@ def _sample_grad_q2(q, wall, sol, grid, mask, layout):
     bump = q.nodes[:, 2] != 0.0
     flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
     # whole planes: the near nodes are replaced and the off-mask ones zeroed below
-    for kz, g in zip(planes, _fast.gradslp_plane(z[planes], flat, *layout,
-                                                 grid.dx[:2], grid.resolution[:2], c)):
+    for kz, g in zip(planes, _fast.gradslp_plane(z[planes], flat, p, shift, grid.dx[0],
+                                                 grid.resolution[0], c)):
         out.reshape(3, -1, nz)[:, :, kz] = g.reshape(-1, 3).T
     if bump.any():
         out[:, index] += _fast.gradslp_sum(grid.node_points(index), q.nodes[bump], wg[bump], c).T
@@ -429,13 +429,13 @@ class DecompositionPlan:
 
     def __init__(self, hs, grid, mask, cfg):
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
-        extent, res, self.layout = _column_lattice(grid, cfg.quad_extent, cfg.quad_res)
+        extent, res, self.p, self.shift = _column_lattice(grid, cfg.quad_extent, cfg.quad_res)
         try:
             self.q = SurfaceQuadrature(hs, extent, res)
         except ValueError as exc:  # too narrow for the flat-tail closure
             raise ConfigError(f"lattice {extent:g} / {res} on the box columns: {exc}") from exc
         # the quadrature lattice: extent, resolution and stride in box spacings
-        self.lattice = {"extent": self.q.extent, "resolution": res, "stride": self.layout[0][0]}
+        self.lattice = {"extent": self.q.extent, "resolution": res, "stride": self.p}
         self.contraction = estimate_contraction(self.q, hs, seed=cfg.seed)
         self.report = smallness_constants(hs.boundary)
         self.report.empirical_2S_norm = self.contraction
@@ -457,11 +457,10 @@ class DecompositionPlan:
         gq1 = volume_potential_grad(hs, v, cfg.rho)
         w = BoxField(v.grid, (v.data - gq1.data) * v.inside_mask[None], v.inside_mask)
         g, g_linf, g_hminus = normal_trace(hs, w)
-        # the lattice nodes are box columns, where the lookup is exact
-        g_quad = resample_density(g, q.extent, q.res)
+        g_quad = resample_density(g, q.extent, q.res, self.p, self.shift)
         sol = solve_density(q, hs, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
-        gq2 = BoxField(v.grid, _sample_grad_q2(q, wall, sol, v.grid, v.inside_mask, self.layout),
-                       v.inside_mask)
+        gq2 = BoxField(v.grid, _sample_grad_q2(q, wall, sol, v.grid, v.inside_mask, self.p,
+                                               self.shift), v.inside_mask)
         v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
 
         v_scale = float(np.abs(v.data[:, v.inside_mask]).max()) if v.inside_mask.any() else 0.0

@@ -353,6 +353,20 @@ def _ball_values(field, center, r):
     return field.data[(slice(None),) + sl][:, inball]
 
 
+def _largest_over_balls(field, centers, radii, dmin, fewest, stat):
+    """Largest stat(values, r) over the balls B_r(center) with r >= dmin that
+    hold at least fewest inside nodes; NoAdmissibleBall if no ball is left."""
+    best, used = 0.0, 0
+    for center, r in zip(centers, radii):
+        vals = None if r < dmin else _ball_values(field, center, r)
+        if vals is not None and vals.shape[1] >= fewest:
+            best = max(best, float(stat(vals, r)))
+            used += 1
+    if used == 0:
+        raise NoAdmissibleBall("no admissible ball found; grid too thin for the radii")
+    return best
+
+
 def bmo_seminorm(v, hs, mu, samples=200, seed=0):
     """Monte-Carlo lower bound for the mean-oscillation sup over interior balls.
 
@@ -378,22 +392,11 @@ def bmo_seminorm(v, hs, mu, samples=200, seed=0):
     b = hs.boundary
     exact = (centers[:, 2] - b.height(centers[:, :2])) / b.lipschitz() < cap
     cap[exact] = np.minimum(hs.signed_distance(centers[exact]), cap[exact])
-    best = 0.0
-    used = 0
-    for center, u, c in zip(centers, fracs, cap):
-        r = u * c
-        if r < dmin:
-            continue
-        vals = _ball_values(v, center, r)
-        if vals is None or vals.shape[1] < 8:  # fewest nodes of a ball
-            continue
-        mean = vals.mean(axis=1, keepdims=True)
-        osc = float(np.linalg.norm(vals - mean, axis=0).mean())
-        best = max(best, osc)
-        used += 1
-    if used == 0:
-        raise NoAdmissibleBall("no admissible ball found; grid too thin for mu")
-    return best
+
+    def osc(vals, r):
+        return np.linalg.norm(vals - vals.mean(axis=1, keepdims=True), axis=0).mean()
+
+    return _largest_over_balls(v, centers, fracs * cap, dmin, 8, osc)
 
 
 def bnu_seminorm(f, hs, nu, samples=200, seed=0):
@@ -408,23 +411,15 @@ def bnu_seminorm(f, hs, nu, samples=200, seed=0):
     yr = (g.lower[1] + nu, g.upper[1] - nu)
     if xr[0] >= xr[1] or yr[0] >= yr[1]:
         raise NoAdmissibleBall("grid too small for boundary balls of radius nu")
-    best = 0.0
-    used = 0
-    for _ in range(samples):
-        yp = np.array([rng.uniform(*xr), rng.uniform(*yr)])
-        r = rng.random() * nu
-        if r < dmin:
-            continue
-        center = np.array([yp[0], yp[1], float(hs.boundary.height(yp))])
-        vals = _ball_values(f, center, r)
-        if vals is None or vals.shape[1] < 4:  # fewest nodes of a ball
-            continue
-        mass = float(np.linalg.norm(vals, axis=0).sum()) * dV
-        best = max(best, mass / r**3)
-        used += 1
-    if used == 0:
-        raise NoAdmissibleBall("no admissible boundary ball found")
-    return best
+    # per sample x', y' and the radius fraction, scaled as Generator.uniform scales
+    u = rng.random((samples, 3))
+    yp = np.column_stack([xr[0] + (xr[1] - xr[0]) * u[:, 0], yr[0] + (yr[1] - yr[0]) * u[:, 1]])
+    centers = hs.boundary.surface_point(yp)
+
+    def mass(vals, r):
+        return np.linalg.norm(vals, axis=0).sum() * dV / r**3
+
+    return _largest_over_balls(f, centers, u[:, 2] * nu, dmin, 4, mass)
 
 
 @dataclass

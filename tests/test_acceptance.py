@@ -13,8 +13,7 @@ from helmdecomp import (BoundaryFunction, BoxField, BoxGrid, KernelContext,
 from helmdecomp.layers import (SurfaceQuadrature, gauss_flux,
                                grad_single_layer, poisson_smoothing_deficit,
                                trace_S, trace_limit_Q)
-from helmdecomp.neumann import (estimate_contraction, neumann_grad,
-                                smallness_constants, solve_density)
+from helmdecomp.neumann import estimate_contraction, smallness_constants, solve_density
 from helmdecomp.pipeline import PipelineConfig, decompose
 from helmdecomp.sobolev import (BoundaryDensity, gagliardo_half,
                                 hs_norm_fourier, lift_harmonic, pairing,
@@ -195,7 +194,7 @@ def test_criterion_6_neumann_series(bump_setup):
         nrm = hs.outward_normal(x0)
         vals = []
         for s in (1.0, 2.0):
-            f = float(np.dot(nrm, neumann_grad(q, hs, sol, x0 - s * d0 * nrm)))
+            f = float(np.dot(nrm, grad_single_layer(q, sol.density, x0 - s * d0 * nrm)))
             # u = SLP(g*): the half-Poisson deficit of g* enters once
             vals.append(f - poisson_smoothing_deficit(q, sol.density, x0p, s * d0))
         lim = 2 * vals[0] - vals[1]

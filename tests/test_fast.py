@@ -57,15 +57,14 @@ def gradslp_plane_ref(zs, w, p, shift, dx, n, c):
     per plane, no moments."""
     from scipy.fft import next_fast_len
 
-    span = [p[a] * (w.shape[a] - 1) + 1 for a in range(2)]
-    size = [next_fast_len(span[a] + n[a] - 1) for a in range(2)]
+    span = p * (len(w) - 1) + 1
+    size = (next_fast_len(span + n - 1),) * 2
     lat = np.zeros(size)
-    lat[: span[0] : p[0], : span[1] : p[1]] = w
+    lat[:span:p, :span:p] = w
     what = np.fft.rfft2(lat)
-    off = [(np.arange(span[a] + n[a] - 1) - (span[a] - 1) - shift[a]) * dx[a]
-           for a in range(2)]
-    o0, o1 = off[0][:, None], off[1][None, :]
-    keep = tuple(slice(span[a] - 1, span[a] - 1 + n[a]) for a in range(2))
+    off = (np.arange(span + n - 1) - (span - 1) - shift) * dx
+    o0, o1 = off[:, None], off[None, :]
+    keep = (slice(span - 1, span - 1 + n),) * 2
     for z in zs:
         r2 = o0 * o0 + o1 * o1 + z * z
         t = c / (r2 * np.sqrt(r2))
@@ -291,31 +290,28 @@ PLANE_FORM_RTOL = 1e-13
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-       n=st.tuples(st.integers(1, 13), st.integers(1, 13)),
-       m=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-       shift=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
-       seed=st.integers(0, 2**32 - 1))
+@given(p=st.integers(1, 3), n=st.integers(1, 13), m=st.integers(1, 6),
+       shift=st.integers(-8, 8), seed=st.integers(0, 2**32 - 1))
 def test_plane_fft_matches_reference(p, n, m, shift, seed):
     rng = np.random.default_rng(seed)
-    dx = rng.uniform(0.05, 0.2, 2)
+    dx = rng.uniform(0.05, 0.2)
     x0 = rng.uniform(-1, 1, 2)
-    axes = [x0[a] + dx[a] * np.arange(n[a]) for a in range(2)]
+    axes = [x0[a] + dx * np.arange(n) for a in range(2)]
     cols = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
-    src = [x0[a] + dx[a] * (shift[a] + p[a] * np.arange(m[a])) for a in range(2)]
+    src = [x0[a] + dx * (shift + p * np.arange(m)) for a in range(2)]
     src = np.stack(np.meshgrid(*src, indexing="ij"), -1).reshape(-1, 2)
     nodes = np.column_stack([src, np.zeros(len(src))])
-    w = rng.uniform(0.5, 1.5, m)
+    w = rng.uniform(0.5, 1.5, (m, m))
     # down to half a box spacing, where the kernel peaks on the sources
-    zs = np.concatenate([[0.5 * dx.min()], rng.uniform(0.5 * dx.min(), 2.0, 2)])
-    planes = list(_fast.gradslp_plane(zs, w, p, shift, tuple(dx), n, C))
+    zs = np.concatenate([[0.5 * dx], rng.uniform(0.5 * dx, 2.0, 2)])
+    planes = list(_fast.gradslp_plane(zs, w, p, shift, dx, n, C))
     assert len(planes) == len(zs)
     for z, got in zip(zs, planes):
-        assert got.shape == (n[0], n[1], 3)
+        assert got.shape == (n, n, 3)
         xs = np.column_stack([cols, np.full(len(cols), z)])
         ref = gradslp_ref(xs, nodes, w.ravel(), C)
         assert _rel_err(got.reshape(-1, 3), ref) <= RTOL
-    form = np.stack(list(gradslp_plane_ref(zs, w, p, shift, tuple(dx), n, C)))
+    form = np.stack(list(gradslp_plane_ref(zs, w, p, shift, dx, n, C)))
     assert np.abs(np.stack(planes) - form).max() <= PLANE_FORM_RTOL * np.abs(form).max()
 
 
@@ -331,7 +327,7 @@ def test_plane_fft_matches_reference_96_box():
     pick = rng.choice(n * n, 400, replace=False)
     cols = -2.0 + dx * np.column_stack(np.unravel_index(pick, (n, n)))
     zs = [0.5 * dx, 0.1875, 2.0]
-    for z, got in zip(zs, _fast.gradslp_plane(zs, w, (3, 3), (-24, -24), (dx, dx), (n, n), C)):
+    for z, got in zip(zs, _fast.gradslp_plane(zs, w, 3, -24, dx, n, C)):
         ref = gradslp_ref(np.column_stack([cols, np.full(400, z)]), nodes, w.ravel(), C)
         assert _rel_err(got.reshape(-1, 3)[pick], ref) <= RTOL
 
@@ -343,7 +339,7 @@ def test_plane_moment_form_matches_component_form_on_benchmark_boxes(m, n, shift
     # weights, planes from half a box spacing to the top of the box
     w = np.random.default_rng(5).uniform(-1.0, 1.0, (m, m))
     zs = dx * np.array([0.5, 1.5, 4.5, 20.5, n - 0.5])
-    args = (zs, w, (3, 3), (shift, shift), (dx, dx), (n, n), C)
+    args = (zs, w, 3, shift, dx, n, C)
     got = np.stack(list(_fast.gradslp_plane(*args)))
     ref = np.stack(list(gradslp_plane_ref(*args)))
     assert np.abs(got - ref).max() <= PLANE_FORM_RTOL * np.abs(ref).max()

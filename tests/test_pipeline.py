@@ -305,20 +305,35 @@ class TestNormalTrace:
 
 
 class TestResample:
+    # node j of the quadrature lattice is box column shift + p j
     def test_identity_on_same_lattice(self):
-        from helmdecomp.sobolev import BoundaryDensity
-
-        g = BoundaryDensity.sample(4.0, 32, lambda p: np.exp(-np.sum(p * p, -1)))
-        r = resample_density(g, 4.0, 32)
-        assert np.abs(r.values - g.values).max() < 1e-12
+        g = BoundaryDensity.sample(4.0, 32, lambda p: np.exp(-np.sum(p * p, -1)), on_graph=True)
+        r = resample_density(g, 4.0, 32, 1, 0)
+        assert np.array_equal(r.values, g.values) and r.on_graph and r.extent == 4.0
 
     def test_zero_outside_source(self):
-        from helmdecomp.sobolev import BoundaryDensity
+        # a 16-column box under a lattice twice as wide, of spacing 2 box
+        # columns: nodes 0..3 and 12..15 of each axis lie off the box
+        g = BoundaryDensity(2.0, np.arange(256.0).reshape(16, 16))
+        r = resample_density(g, 4.0, 16, 2, -8)
+        on = np.zeros(16, bool)
+        on[4:12] = True
+        assert np.array_equal(r.values[np.ix_(on, on)], g.values[::2, ::2])
+        assert not r.values[~on].any() and not r.values[:, ~on].any()
 
-        g = BoundaryDensity(2.0, np.ones((16, 16)))
-        r = resample_density(g, 8.0, 32)
-        assert r.values[0, 0] == 0.0
-        assert abs(r.values[16, 16] - 1.0) < 1e-12
+    def test_every_box_column_is_copied(self):
+        # a box over [-1.7, 1.7)^2 with 32 columns and the lattice asked as
+        # 6.8 / 24: 7.0125 / 22 with p = 3 and shift -17, whose nodes 6..16
+        # are box columns 1, 4, ..., 31.  A lookup by node coordinates can
+        # miss column 31, the last one, by roundoff
+        grid = BoxGrid((-1.7, -1.7, -0.5), (1.7, 1.7, 2.9), (32, 32, 32))
+        extent, m, p, shift = _column_lattice(grid, 6.8, 24)
+        assert (m, p, shift) == (22, 3, -17) and abs(extent - 7.0125) < 1e-12
+        g = BoundaryDensity(3.4, np.arange(1.0, 1025.0).reshape(32, 32), on_graph=True)
+        r = resample_density(g, extent, m, p, shift)
+        want = np.zeros((m, m))
+        want[6:17, 6:17] = g.values[1::3, 1::3]
+        assert np.array_equal(r.values, want)
 
 
 class TestColumnLattice:
@@ -330,10 +345,7 @@ class TestColumnLattice:
     ])
     def test_configs(self, n, asked, want):
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (n, n, n))
-        extent, res, layout = _column_lattice(grid, *asked)
-        extent_w, res_w, p, shift = want
-        assert extent == extent_w and res == res_w
-        assert layout == ([p, p], [shift, shift])
+        assert _column_lattice(grid, *asked) == want
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(8, 128), width=st.floats(0.5, 8.0), wide=st.floats(0.25, 4.0),
@@ -341,8 +353,8 @@ class TestColumnLattice:
     def test_nodes_are_box_columns(self, n, width, wide, res):
         grid = BoxGrid((-width / 2, -width / 2, 0.0), (width / 2, width / 2, 1.0), (n, n, 8))
         asked = wide * width
-        extent, m, ([p, py], [shift, sy]) = _column_lattice(grid, asked, res)
-        assert (py, sy) == (p, shift) and 2 * shift == n - m * p
+        extent, m, p, shift = _column_lattice(grid, asked, res)
+        assert 2 * shift == n - m * p
         dx = grid.dx[0]
         # node j sits on box column shift + p j; check those within the box
         k = (BoundaryDensity(extent, np.zeros((m, m))).axis() - grid.lower[0]) / dx
@@ -421,22 +433,19 @@ def _counted_sums(pairs, planes):
         yield
 
 
-# a 24^3 box of spacing 1/8 over the gentle bump, and the same box with
-# spacing 1/4 along y
+# a 24^3 box of spacing 1/8 over the gentle bump
 Q2_LOWER, Q2_UPPER = (-1.5, -1.5, -0.4), (1.5, 1.5, 2.6)
 
 
 class TestGradQ2Paths:
-    @pytest.mark.parametrize("res, layout", [((24, 24, 24), ([2, 2], [-20, -20])),
-                                             ((24, 12, 24), ([2, 1], [-20, -10]))])
-    def test_aligned_curved_matches_direct(self, gentle_hs, res, layout):
-        # lattice spacing 1/4 on every p-th box column: plane FFT over the
+    def test_aligned_curved_matches_direct(self, gentle_hs):
+        # lattice spacing 1/4 on every 2nd box column: plane FFT over the
         # flat sources plus the direct sum over the bump ones, against the
         # all-direct sum
-        grid = BoxGrid(Q2_LOWER, Q2_UPPER, res)
+        grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
         wall = gentle_hs.box_wall(grid, q.delta_min)
-        got = _sample_grad_q2(q, wall, sol, grid, mask, layout)
+        got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
         ref, _ = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -446,7 +455,7 @@ class TestGradQ2Paths:
         wall = flat_hs.box_wall(grid, q.delta_min)
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
+            got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
         assert pairs == []
         # only box z-planes, each once
         assert sorted(planes) == sorted(set(planes)) and set(planes) <= set(grid.axis(2))
@@ -461,7 +470,7 @@ class TestGradQ2Paths:
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
         wall = bump_hs.box_wall(grid, q.delta_min)
-        got = _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-48, -48]))
+        got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -48)
         ref, safe = _direct_grad_q2(q, bump_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         near_cols = (mask & ~safe).any(axis=2)
@@ -478,7 +487,7 @@ class TestGradQ2Paths:
         wall = hs.box_wall(grid, q.delta_min)
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
+            got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
         ref, safe = _direct_grad_q2(q, hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         low = np.count_nonzero(safe & (grid.axis(2) < q.delta_min))
@@ -492,7 +501,7 @@ class TestGradQ2Paths:
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
         wall = flat_hs.box_wall(grid, q.delta_min)
         with pytest.raises(ConfigError, match="box column ends"):
-            _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
+            _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
@@ -504,7 +513,7 @@ class TestGradQ2Paths:
 
         def sample(values):
             sol = SimpleNamespace(density=BoundaryDensity(q.extent, values, on_graph=True))
-            return _sample_grad_q2(q, wall, sol, grid, mask, ([2, 2], [-20, -20]))
+            return _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
 
         f1, f2 = sample(g1), sample(g2)
         scale = np.abs(a * f1).max() + np.abs(b * f2).max()
@@ -621,7 +630,7 @@ class TestDecompose:
     def test_contraction_settles_in_30_steps(self, gentle_hs):
         # the 30 power steps of decompose against 60, on the criterion-7a lattice
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (64, 64, 64))
-        extent, res, _ = _column_lattice(grid, 8.0, 48)
+        extent, res, _, _ = _column_lattice(grid, 8.0, 48)
         q = SurfaceQuadrature(gentle_hs, extent, res)
         k30 = estimate_contraction(q, gentle_hs, steps=30, seed=5)
         k60 = estimate_contraction(q, gentle_hs, steps=60, seed=5)

@@ -51,8 +51,7 @@ def _sample_grad_q2_values(hs):
     dens = BoundaryDensity.sample(
         8.0, 32, lambda p: np.exp(-np.sum((p - [0.2, 0.1]) ** 2, -1) / 0.5), on_graph=True)
     wall = hs.box_wall(grid, q.delta_min)
-    out = _sample_grad_q2(q, wall, SimpleNamespace(density=dens), grid, mask,
-                          ([2, 2], [-20, -20]))
+    out = _sample_grad_q2(q, wall, SimpleNamespace(density=dens), grid, mask, 2, -20)
     return out[:, mask][:, ::13].ravel()
 
 
