@@ -208,7 +208,7 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
     from scipy.fft import next_fast_len
 
     span = p * (len(w) - 1) + 1
-    size = (next_fast_len(span + n - 1),) * 2
+    size = (next_fast_len(span + n - 1, real=True),) * 2
     # columns and sources, measured from the box centre
     xs = (np.arange(n) - 0.5 * (n - 1)) * dx
     ys = (shift + p * np.arange(len(w)) - 0.5 * (n - 1)) * dx

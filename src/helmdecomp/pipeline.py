@@ -33,7 +33,7 @@ import numpy as np
 from . import _fast
 from .errors import (ConfigError, ExtrapolationUnstable, NonDecayingInput, NotContractive,
                      ZeroFrequencyIll)
-from .geometry import BoxField, BoxGrid, extend_field, interp_masked
+from .geometry import BoxField, BoxGrid, extend_field, interp_masked, take_nodes
 from .layers import SurfaceQuadrature
 from .neumann import estimate_contraction, smallness_constants, solve_density
 from .sobolev import _RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, th_pull, vbmol2_norm
@@ -43,6 +43,8 @@ _TRACE_RTOL = 0.05
 # wall probes of _residual_normal: count and the seed of their positions
 _NORMAL_PROBES = 100
 _NORMAL_SEED = 0
+# the axis-0 passes of _free_space_gradient run in this many blocks of axis-1 rows
+_AXIS0_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class TraceReport:
 
 def _check_box_decay(v):
     inside = v.inside_mask
-    vmax = np.abs(v.data[:, inside]).max() if inside.any() else 0.0
+    vmax = np.abs(v.inside_values()).max() if inside.any() else 0.0
     if vmax == 0.0:
         return
     ring = np.zeros_like(inside)
@@ -123,7 +125,7 @@ def _check_box_decay(v):
     ring[:, 0, :] = ring[:, -1, :] = True
     ring[:, :, -1] = True  # bottom face sits outside the domain anyway
     sel = ring & inside
-    if sel.any() and np.abs(v.data[:, sel]).max() > _RING_TOL * vmax:
+    if sel.any() and np.abs(take_nodes(v.data, np.flatnonzero(sel))).max() > _RING_TOL * vmax:
         raise NonDecayingInput("field does not decay at the box boundary")
 
 
@@ -171,9 +173,32 @@ def _free_space_gradient(src, dx):
     c != d vanishes where exactly one of axes c, d sits at its Nyquist
     index.  So with xh = xi off Nyquist, 0 on it, and xn = xi on Nyquist, 0
     off it, component c is (xh_c sum_d xh_d F_d + xn_c sum_d xn_d F_d) /
-    |xi|^2; the second sum is needed only on the axis-c Nyquist plane and
-    is gathered there from each F_d before F_d is scaled.  The half axis
-    keeps fftfreq's negative sign at its Nyquist index.
+    |xi|^2, F_d the transform of src[d]; the second sum is needed only on
+    the axis-c Nyquist plane (the edge of c).  The half axis keeps
+    fftfreq's negative sign at its Nyquist index.
+
+    xh_2 depends on axis 2 alone and so commutes with the axis-1 and axis-0
+    transforms, and xh_1 with the axis-0 transform.  So components 1 and 2
+    share the largest transforms: the forward pass sums xh_1 T1(X_1) +
+    T1(xh_2 X_2) (X_d the axis-2 transform of src[d]) before one axis-0
+    transform, beside component 0's own, scaled by xh_0 after it; the
+    inverse takes one axis-0 inverse of P = sum_d xh_d F_d / |xi|^2 for
+    both, and one axis-1 inverse of that for component 2, where
+    component 0 keeps its own chain.  The edges come from small slice
+    transforms: F_0's axis-0 Nyquist plane is read off its own transform,
+    F_1's axis-1 Nyquist plane is an axis-0 transform of that plane of
+    T1(X_1), and F_2's axis-2 Nyquist plane a 2-D transform of that plane
+    of X_2; on the way back each edge is inverted alone and written over
+    its plane after the shared passes.  That makes 4 full axis-0 passes of
+    the half spectrum, not 6, and 16 axis-sized passes in all, not 18.
+
+    One half-spectrum buffer holds it all: Y0 = T1(X_0) and S, of n0 rows
+    each, sit in its two halves, and the axis-0 passes run in blocks of
+    ceil(2 n1 / _AXIS0_BLOCKS) axis-1 rows, each block of the spectrum
+    written over the two blocks of rows it was made from, and on the way
+    back each block of the two inverses over the block of spectrum.  So
+    the temporaries beside that buffer stay a fixed fraction of it on
+    every box.
 
     src is overwritten with the result, which is returned.  The transforms
     run through scipy.fft on every CPU this process may use; scipy is
@@ -185,52 +210,97 @@ def _free_space_gradient(src, dx):
     n = src.shape[1:]
     half = (2 * n[0], 2 * n[1], n[2] + 1)
     workers = len(os.sched_getaffinity(0))
-    # per axis a: xi as a broadcastable 1-D array, its value at the Nyquist
-    # index n[a], the same array with that entry zeroed, and the Nyquist plane
-    x, xn, xh, plane = [], [], [], []
+    # per axis a: xi, the same as a broadcastable array, and that with its
+    # Nyquist entry (index n[a]) zeroed; xn[a] is xi at that entry
+    xi, x, xh, xn = [], [], [], []
     for a in range(3):
-        xi = 2.0 * np.pi * np.fft.fftfreq(2 * n[a], d=dx[a])[: half[a]]
-        x.append(xi.reshape([-1 if b == a else 1 for b in range(3)]))
-        xn.append(xi[n[a]])
-        plane.append((slice(None),) * a + (slice(n[a], n[a] + 1),))
+        xi.append(2.0 * np.pi * np.fft.fftfreq(2 * n[a], d=dx[a])[: half[a]])
+        x.append(xi[a].reshape([-1 if b == a else 1 for b in range(3)]))
+        xn.append(xi[a][n[a]])
         xh.append(x[a].copy())
-        xh[a][plane[a]] = 0.0
-    # edge[c] gathers sum_d xn_d F_d on the axis-c Nyquist plane: F_c's whole
-    # plane, and of each other F_d the line where axis d is at Nyquist too
-    edge = [np.zeros(half[:a] + (1,) + half[a + 1:], dtype=complex) for a in range(3)]
-    # alive at once: the half-spectrum sum acc, one component's spectrum,
-    # its predecessor in the transform chain (padded on two axes), and src;
-    # each padding copy is transformed in place
-    for d in range(3):
-        F = scipy.fft.rfft(src[d], n=2 * n[2], axis=2, workers=workers)
-        F = scipy.fft.fft(F, n=2 * n[1], axis=1, workers=workers)
-        F = scipy.fft.fft(F, n=2 * n[0], axis=0, workers=workers)
-        for c in range(3):
-            if c == d:
-                edge[c] += xn[d] * F[plane[c]]
-            else:
-                edge[c][plane[d]] += xn[d] * F[plane[c]][plane[d]]
-        F *= xh[d]
-        if d == 0:
-            acc = F
-        else:
-            acc += F
-        del F
-    k2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
-    # acc vanishes at xi = 0, which no Nyquist plane holds; q has no mean mode
-    k2[0, 0, 0] = 1.0
-    acc /= k2
-    for c in range(3):
-        edge[c] *= xn[c] / k2[plane[c]]
-    del k2
-    # alive at once: acc, one component's product (its axis-0 inverse is
-    # taken in place), the axis-1 inverse of the cropped product, and src
-    for c in range(3):
-        G = acc * xh[c]
-        G[plane[c]] = edge[c]
-        G = scipy.fft.ifft(G, axis=0, workers=workers, overwrite_x=True)[: n[0]]
-        G = scipy.fft.ifft(G, axis=1, workers=workers)[:, : n[1]]
+        xh[a].flat[n[a]] = 0.0
+    step = -(-half[1] // _AXIS0_BLOCKS)
+    rows = [slice(j, j + step) for j in range(0, half[1], step)]
+
+    def fft(a, axis, size):
+        return scipy.fft.fft(a, n=size, axis=axis, workers=workers)
+
+    def ifft(a, axis, keep):
+        out = scipy.fft.ifft(a, axis=axis, workers=workers, overwrite_x=True)
+        return out[(slice(None),) * axis + (slice(keep),)]
+
+    def rfft(c):
+        return scipy.fft.rfft(src[c], n=2 * n[2], axis=2, workers=workers)
+
+    # forward, on the (n0, 2 n1, n2 + 1) rows: W holds Y0 = T1(X_0) in its
+    # first n0 axis-0 rows and S = xh_1 T1(X_1) + T1(xh_2 X_2) in the rest;
+    # f1 and f2 keep the Nyquist planes S zeroes
+    W = np.empty(half, dtype=complex)
+    Y0, S = W[: n[0]], W[n[0]:]
+    Y0[...] = fft(rfft(0), 1, half[1])
+    G = fft(rfft(1), 1, half[1])
+    f1 = fft(G[:, n[1]], 0, half[0])
+    np.multiply(G, xh[1], out=S)
+    G = rfft(2)
+    f2 = scipy.fft.fft2(G[..., n[2]], s=half[:2], workers=workers)
+    G *= xh[2]
+    S += fft(G, 1, half[1])
+    del G
+    # P = (xh_0 T0(Y0) + T0(S)) / |xi|^2 over W, block by block: each block
+    # of P takes the place of its two blocks of input; f0 is F_0 on its
+    # axis-0 Nyquist plane.  P vanishes at xi = 0, which no Nyquist plane
+    # holds: q has no mean mode
+    P = W
+    f0 = np.empty(half[1:], dtype=complex)
+    for js in rows:
+        F = fft(Y0[:, js], 0, half[0])
+        f0[js] = F[n[0]]
+        F *= xh[0]
+        F += fft(S[:, js], 0, half[0])
+        k2 = x[0] ** 2 + x[1][:, js] ** 2 + x[2] ** 2
+        if js.start == 0:
+            k2[0, 0, 0] = 1.0
+        np.divide(F, k2, out=P[:, js])
+    del F, Y0, S
+    # the edges xn_c sum_d xn_d F_d / |xi|^2: F_c's whole plane, and of each
+    # other F_d the line where axis d is at Nyquist too
+    edge0 = xn[0] * f0
+    edge0[n[1]] += xn[1] * f1[n[0]]
+    edge0[:, n[2]] += xn[2] * f2[n[0]]
+    edge0 *= xn[0] / (xn[0] ** 2 + xi[1][:, None] ** 2 + xi[2] ** 2)
+    edge1 = xn[1] * f1
+    edge1[n[0]] += xn[0] * f0[n[1]]
+    edge1[:, n[2]] += xn[2] * f2[:, n[1]]
+    edge1 *= xn[1] / (xi[0][:, None] ** 2 + xn[1] ** 2 + xi[2] ** 2)
+    edge2 = xn[2] * f2
+    edge2[n[0]] += xn[0] * f0[:, n[2]]
+    edge2[:, n[1]] += xn[1] * f1[:, n[2]]
+    edge2 *= xn[2] / (xi[0][:, None] ** 2 + xi[1] ** 2 + xn[2] ** 2)
+    del f0, f1, f2
+    # inverse, by the same blocks over W: Q = T0^-1(P), shared by components
+    # 1 and 2, into the first n0 rows, and T0^-1 of component 0's xh_0 P
+    # with its edge into the rest
+    for js in rows:
+        G = P[:, js] * xh[0]
+        G[n[0]] = edge0[js]
+        G = ifft(G, 0, n[0])
+        W[: n[0], js] = ifft(P[:, js], 0, n[0])
+        W[n[0]:, js] = G
+    del P, G
+    Q = W[: n[0]]
+
+    def finish(G, c):
         src[c] = scipy.fft.irfft(G, n=2 * n[2], axis=2, workers=workers)[..., : n[2]]
+
+    finish(ifft(W[n[0]:], 1, n[1]), 0)
+    G = Q * xh[1]
+    G[:, n[1]] = ifft(edge1, 0, n[0])
+    finish(ifft(G, 1, n[1]), 1)
+    del G
+    G = ifft(Q, 1, n[1])
+    G *= xh[2]
+    G[..., n[2]] = ifft(ifft(edge2, 0, n[0]), 1, n[1])
+    finish(G, 2)
     return src
 
 
@@ -259,7 +329,7 @@ def normal_trace(hs, w):
     grid = w.grid
     extent = square_section_width(grid)
     vals, diff = _shell_normals(hs, w, grid.columns().reshape(-1, 2))
-    scale = float(np.abs(w.data[:, w.inside_mask]).max()) if w.inside_mask.any() else 0.0
+    scale = float(np.abs(w.inside_values()).max()) if w.inside_mask.any() else 0.0
     gap = float(np.abs(diff).max())
     if scale > 0 and gap > 10.0 * _TRACE_RTOL * scale:
         raise ExtrapolationUnstable(f"trace shells disagree by {gap:.3e}")
@@ -360,7 +430,9 @@ def _sample_grad_q2(q, wall, sol, grid, mask, p, shift):
         raise ConfigError("a box column ends below 3 delta_min over the wall")
     w = (k - k1) / (k2 - k1)
     out[:, near] = out[:, col * nz + k1] * (1.0 - w) + out[:, col * nz + k2] * w
-    out[:, ~mask.ravel()] = 0.0
+    off = np.flatnonzero(~mask)
+    for comp in out:
+        comp[off] = 0.0
     return out.reshape((3,) + tuple(grid.resolution))
 
 
@@ -398,11 +470,12 @@ def _residual_div(v0, hs, ref):
     if not inner.any():
         return 0.0
     dnorm = float(np.sqrt(np.mean(div[inner] ** 2)))
-    grads = []
+    # |Jacobian|^2 at the inner nodes, its nine squares summed in order
+    jac2 = np.zeros(np.count_nonzero(inner))
     for c in range(3):
-        gr = np.gradient(ref.data[c], *g.dx)
-        grads.extend(x[inner] for x in gr)
-    jac = float(np.sqrt(np.mean(np.sum([gg**2 for gg in grads], axis=0))))
+        for x in np.gradient(ref.data[c], *g.dx):
+            jac2 += x[inner] ** 2
+    jac = float(np.sqrt(np.mean(jac2)))
     return dnorm / max(jac, 1e-30)
 
 
@@ -463,7 +536,7 @@ class DecompositionPlan:
                                                self.shift), v.inside_mask)
         v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
 
-        v_scale = float(np.abs(v.data[:, v.inside_mask]).max()) if v.inside_mask.any() else 0.0
+        v_scale = float(np.abs(v.inside_values()).max()) if v.inside_mask.any() else 0.0
         led_kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed)
         result = DecompositionResult(
             v=v, v0=v0, grad_q1=gq1, grad_q2=gq2, trace_g=g,
@@ -495,9 +568,12 @@ def verify(result, hs):
     """Gate the decomposition invariants in a TraceReport: the reconstruction
     error, recomputed, and the two residuals decompose took (hs unused)."""
     rep = TraceReport()
-    inside = result.v.inside_mask
-    recon = result.v.data - (result.v0.data + result.grad_q1.data + result.grad_q2.data)
-    rec_err = float(np.abs(recon[:, inside]).max()) if inside.any() else 0.0
+    index = np.flatnonzero(result.v.inside_mask)
+    # one box-sized temporary, taken inside once: v - (v0 + grad q1 + grad q2)
+    recon = result.v0.data + result.grad_q1.data
+    recon += result.grad_q2.data
+    np.subtract(result.v.data, recon, out=recon)
+    rec_err = float(np.abs(take_nodes(recon, index)).max()) if index.size else 0.0
     rep.add("reconstruction_max_err", rec_err, 1e-10)
     # each gate is the least power of ten 100x above the largest residual
     # seen: div 7.8e-3 on drawn fields of width 2.8 spacings on the flat 32^3

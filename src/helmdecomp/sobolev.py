@@ -24,6 +24,7 @@ xi' = 0 use the exact cell average of the weight (the point xi' = 0 itself
 is never evaluated).
 """
 
+import functools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -178,6 +179,37 @@ def _semidiscrete_fhat2(f, xis):
     return np.abs(fh[i1, i2] * f.dx**2) ** 2
 
 
+@functools.lru_cache(maxsize=16)
+def _fourier_weights(res, extent, s, origin_rings, sub):
+    """The weights of hs_norm_fourier, which depend on the lattice alone:
+    |xi|^{2s} on the res x res frequency lattice of a density of the given
+    extent, and for s = -1/2 the mask of the cells within origin_rings
+    spacings of xi = 0, the (cells, sub^2, 2) subcell centres of those
+    cells and the exact integrals of |xi|^{-1} over the subcells (else
+    None each).  Kept per lattice and read-only."""
+    dxi = 2.0 * np.pi / extent
+    xi = 2.0 * np.pi * np.fft.fftfreq(res, d=extent / res)
+    xi1, xi2 = np.meshgrid(xi, xi, indexing="ij")
+    w = _singular_weights(xi1, xi2, s, dxi)
+    near = subc = wsub = None
+    if s == -0.5:
+        near = np.hypot(xi1, xi2) <= origin_rings * dxi + 1e-12
+        centers = np.stack([xi1[near], xi2[near]], axis=-1)
+        dsub = dxi / sub
+        off = (np.arange(sub) + 0.5) * dsub - dxi / 2.0
+        ox, oy = np.meshgrid(off, off, indexing="ij")
+        subc = centers[:, None, :] + np.stack([ox.ravel(), oy.ravel()], axis=-1)[None]
+        flat = subc.reshape(-1, 2)
+        wsub = _inv_dist_rect(flat[:, 0] - dsub / 2, flat[:, 0] + dsub / 2,
+                              flat[:, 1] - dsub / 2, flat[:, 1] + dsub / 2)
+        wsub = wsub.reshape(len(centers), -1)
+    out = (w, near, subc, wsub)
+    for a in out:
+        if a is not None:
+            a.flags.writeable = False
+    return out
+
+
 def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
     """Homogeneous Sobolev norm of order s = -1/2 or 1/2 via the FFT.
 
@@ -194,24 +226,13 @@ def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
         _check_decay(f)
     p2 = _abs_fhat2(f)
     dxi = 2.0 * np.pi / f.extent
-    xi1, xi2 = _freq_axes(f)
-    w = _singular_weights(xi1, xi2, s, dxi)
+    w, near, subc, wsub = _fourier_weights(f.res, f.extent, s, origin_rings, sub)
     contrib = w * p2 * dxi**2
     origin_share = float(contrib[0, 0])
     total = float(contrib.sum())
     if s == -0.5:
-        near = np.hypot(xi1, xi2) <= origin_rings * dxi + 1e-12
         total -= float(contrib[near].sum())
-        centers = np.stack([xi1[near], xi2[near]], axis=-1)
-        dsub = dxi / sub
-        off = (np.arange(sub) + 0.5) * dsub - dxi / 2.0
-        ox, oy = np.meshgrid(off, off, indexing="ij")
-        subc = centers[:, None, :] + np.stack([ox.ravel(), oy.ravel()], axis=-1)[None]
-        flat = subc.reshape(-1, 2)
-        p2s = _semidiscrete_fhat2(f, flat).reshape(len(centers), -1)
-        wsub = _inv_dist_rect(flat[:, 0] - dsub / 2, flat[:, 0] + dsub / 2,
-                              flat[:, 1] - dsub / 2, flat[:, 1] + dsub / 2)
-        wsub = wsub.reshape(len(centers), -1)
+        p2s = _semidiscrete_fhat2(f, subc.reshape(-1, 2)).reshape(wsub.shape)
         refined = float(np.sum(wsub * p2s))
         origin_share = float(np.sum(wsub[0] * p2s[0])) if near[0, 0] else origin_share
         total += refined
@@ -377,14 +398,14 @@ def bmo_seminorm(v, hs, mu, samples=200, seed=0):
     if mu <= 0:
         raise ValueError("mu must be positive")
     g = v.grid
-    inside_idx = np.argwhere(v.inside_mask)
-    if len(inside_idx) == 0:
+    inside = np.flatnonzero(v.inside_mask)
+    if len(inside) == 0:
         raise NoAdmissibleBall("no inside nodes on this grid")
     rng = np.random.default_rng(seed)
     dmin = 2.5 * max(g.dx)
-    picks = rng.integers(0, len(inside_idx), size=samples)
+    picks = rng.integers(0, len(inside), size=samples)
     fracs = rng.random(samples)
-    centers = np.stack([g.axis(ax)[inside_idx[picks, ax]] for ax in range(3)], axis=-1)
+    centers = g.node_points(inside[picks])
     top = np.subtract(g.upper, g.dx)
     cap = np.minimum(np.minimum(centers - g.lower, top - centers).min(axis=1), mu)
     # d >= (x_n - h(x')) / C_s (BoundaryFunction.lipschitz, as box_wall bounds it):
@@ -457,9 +478,9 @@ def vbmol2_norm(v, hs, mu, nu, samples=200, seed=0):
     the bnu slot is 0 for every field: it bounds nothing on such a grid.
     """
     dV = float(np.prod(v.grid.dx))
-    inside = v.inside_mask
-    l2 = float(np.sqrt(np.sum(v.data[:, inside] ** 2) * dV))
-    linf = float(np.abs(v.data[:, inside]).max()) if inside.any() else 0.0
+    vals = v.inside_values()
+    l2 = float(np.sqrt(np.sum(vals**2) * dV))
+    linf = float(np.abs(vals).max()) if vals.size else 0.0
     try:
         bmo = bmo_seminorm(v, hs, mu, samples=samples, seed=seed)
     except NoAdmissibleBall:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helmdecomp import BoxField, BoxGrid
+from helmdecomp import BoxField, BoxGrid, sobolev
 from helmdecomp.errors import NonDecayingInput, ZeroFrequencyIll
 from helmdecomp.geometry import plateau
 from helmdecomp.sobolev import (BoundaryDensity, bmo_seminorm, bnu_seminorm,
@@ -15,6 +15,27 @@ from helmdecomp.sobolev import (BoundaryDensity, bmo_seminorm, bnu_seminorm,
 
 def gaussian_density(extent=16.0, res=128):
     return BoundaryDensity.sample(extent, res, lambda p: np.exp(-np.sum(p * p, -1)))
+
+
+def _hs_norm_ref(f, s, rings, sub=4):
+    """hs_norm_fourier with every weight computed in the call."""
+    dxi = 2.0 * np.pi / f.extent
+    xi1, xi2 = sobolev._freq_axes(f)
+    contrib = sobolev._singular_weights(xi1, xi2, s, dxi) * sobolev._abs_fhat2(f) * dxi**2
+    total = float(contrib.sum())
+    if s == -0.5:
+        near = np.hypot(xi1, xi2) <= rings * dxi + 1e-12
+        total -= float(contrib[near].sum())
+        dsub = dxi / sub
+        off = (np.arange(sub) + 0.5) * dsub - dxi / 2.0
+        ox, oy = np.meshgrid(off, off, indexing="ij")
+        flat = (np.stack([xi1[near], xi2[near]], axis=-1)[:, None, :]
+                + np.stack([ox.ravel(), oy.ravel()], axis=-1)[None]).reshape(-1, 2)
+        wsub = sobolev._inv_dist_rect(flat[:, 0] - dsub / 2, flat[:, 0] + dsub / 2,
+                                      flat[:, 1] - dsub / 2, flat[:, 1] + dsub / 2)
+        p2s = sobolev._semidiscrete_fhat2(f, flat)
+        total += float(np.sum(wsub.reshape(near.sum(), -1) * p2s.reshape(near.sum(), -1)))
+    return np.sqrt(total)
 
 
 class TestFourierNorms:
@@ -59,6 +80,22 @@ class TestFourierNorms:
         f = BoundaryDensity(8.0, np.ones((32, 32)))
         with pytest.raises(NonDecayingInput):
             hs_norm_fourier(f, 0.5)
+
+    @pytest.mark.parametrize("res, extent, rings", [(44, 8.0, 4), (48, 6.0, 4), (33, 9.0, 8)])
+    def test_cached_weights_equal_fresh_ones(self, res, extent, rings):
+        # the lattice weights are kept per lattice: the cached ones, the
+        # freshly computed ones and the norms of the uncached computation
+        # agree exactly, on the first call and on the cached one
+        f = BoundaryDensity.sample(extent, res,
+                                   lambda p: np.exp(-3.0 * np.sum((p - 0.3) ** 2, -1)))
+        for s in (-0.5, 0.5):
+            first = hs_norm_fourier(f, s, origin_rings=rings)
+            assert hs_norm_fourier(f, s, origin_rings=rings) == first == _hs_norm_ref(f, s, rings)
+            cached = sobolev._fourier_weights(res, extent, s, rings, 4)
+            fresh = sobolev._fourier_weights.__wrapped__(res, extent, s, rings, 4)
+            for a, b in zip(cached, fresh):
+                assert (a is None and b is None) or np.array_equal(a, b)
+                assert a is None or not a.flags.writeable
 
     def test_unresolved_mean_raises(self):
         # a wide blob: almost all Hdot^{-1/2} mass sits in the origin cell
