@@ -198,41 +198,60 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
     targets (x_i, z).  With t = c |x - y|^{-3} the sum is taken in moment
     form: x'_a (t*w) - t*(y'_a w) for the x'-components and z (t*w) for the
     last, with x' and y' measured from the box centre to keep the
-    cancellation small.  The weights w, y'_0 w and y'_1 w sit on every p-th
-    node of a zero-padded box lattice and are transformed once; per plane
-    the kernel t is sampled on the p (m - 1) + n offsets per axis, so the
-    circular product of the transforms equals the linear convolution on
-    the kept slice, and each plane takes one forward transform and three
-    inverses.  Only one plane's buffers are alive at a time.
-    """
-    from scipy.fft import next_fast_len
+    cancellation small.
 
-    span = p * (len(w) - 1) + 1
-    size = (next_fast_len(span + n - 1, real=True),) * 2
+    The convolutions are circular on an N x N lattice, N even and at least
+    2 D + 1 for D the largest |i - (shift + p j)|: target i sits at column
+    i, source j at its box column shift + p j taken mod N, and kernel entry
+    k holds t at the offset min(k, N - k) dx (0 at offsets no pair reads),
+    so each pair reads the kernel at its own distance.  That kernel is real
+    and even in both axes, so its real 2-D transform is real, and it is the
+    type-I DCT of the (N/2 + 1)^2 quadrant, the only part of the kernel
+    sampled.  The weights w, y'_0 w
+    and y'_1 w are transformed once; per plane their three spectra take one
+    product with the kernel's, are inverted along axis 0 and cut to the n
+    target rows, then inverted along axis 1 and cut to n columns.  Only one
+    plane's buffers are alive at a time.
+    """
+    import scipy.fft
+
+    cols = shift + p * np.arange(len(w))
+    size = scipy.fft.next_fast_len(2 * max(n - 1 - cols[0], cols[-1]) + 1, real=True)
+    size += size % 2
+    half = size // 2
     # columns and sources, measured from the box centre
     xs = (np.arange(n) - 0.5 * (n - 1)) * dx
-    ys = (shift + p * np.arange(len(w)) - 0.5 * (n - 1)) * dx
-    lat = np.zeros(size)
-    moments = []
-    for f in (w, ys[:, None] * w, ys[None, :] * w):
-        lat[:span:p, :span:p] = f
-        moments.append(np.fft.rfft2(lat))
+    ys = (cols - 0.5 * (n - 1)) * dx
+    lat = np.zeros((3, size, size))
+    at = np.ix_(cols % size, cols % size)
+    lat[0][at] = w
+    lat[1][at] = ys[:, None] * w
+    lat[2][at] = ys[None, :] * w
+    moments = scipy.fft.rfft2(lat)
     del lat
-    # offset x_i - y_j in box spacings is i - shift - p j; entry t of the
-    # kernel holds the offset t - (span - 1) - shift
-    off = (np.arange(span + n - 1) - (span - 1) - shift) * dx
-    r2_plane = off[:, None] ** 2 + off[None, :] ** 2
-    keep = (slice(span - 1, span - 1 + n),) * 2
-    r2 = np.empty_like(r2_plane)
-    t = np.empty_like(r2_plane)
+    off = np.arange(half + 1) * dx
+    r2_quad = off[:, None] ** 2 + off[None, :] ** 2
+    # no pair reads an offset below the least |i - (shift + p j)|: those
+    # entries are left 0, so the roundoff of the transforms scales with the
+    # largest entry read, as when the kernel was sampled on the read offsets
+    gap = np.maximum(np.maximum(cols - (n - 1), -cols), 0).min()
+    r2_quad[:gap] = r2_quad[:, :gap] = np.inf
+    r2 = np.empty_like(r2_quad)
+    t = np.empty_like(r2_quad)
+    # the kernel's spectrum: row a holds the DCT's row min(a, N - a)
+    spec = np.empty((size, half + 1))
+    prod = np.empty_like(moments)
     for z in zs:
         # t = c / rho2^{3/2}
-        np.add(r2_plane, z * z, out=r2)
+        np.add(r2_quad, z * z, out=r2)
         np.sqrt(r2, out=t)
         t *= r2
         np.divide(c, t, out=t)
-        spec = np.fft.rfft2(t, s=size)
-        tw, ty0, ty1 = (np.fft.irfft2(spec * m, s=size)[keep] for m in moments)
+        spec[: half + 1] = scipy.fft.dctn(t, type=1)
+        spec[half + 1:] = spec[half - 1: 0: -1]
+        np.multiply(moments, spec, out=prod)
+        rows = scipy.fft.ifft(prod, axis=1, overwrite_x=True)[:, :n]
+        tw, ty0, ty1 = scipy.fft.irfft(rows, n=size, axis=2)[..., :n]
         out = np.empty((n, n, 3))
         np.subtract(xs[:, None] * tw, ty0, out=out[..., 0])
         np.subtract(xs[None, :] * tw, ty1, out=out[..., 1])

@@ -22,6 +22,7 @@ dtype:"f64le", order:"row-major", payload} plus a raw little-endian
 float64 sidecar; reruns with fixed seeds are byte identical.
 """
 
+import functools
 import json
 import math
 import os
@@ -33,10 +34,11 @@ import numpy as np
 from . import _fast
 from .errors import (ConfigError, ExtrapolationUnstable, NonDecayingInput, NotContractive,
                      ZeroFrequencyIll)
-from .geometry import BoxField, BoxGrid, extend_field, interp_masked, take_nodes
+from .geometry import BoxField, BoxGrid, compact_index, extend_field, interp_masked, take_nodes
 from .layers import SurfaceQuadrature
 from .neumann import estimate_contraction, smallness_constants, solve_density
-from .sobolev import _RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, th_pull, vbmol2_norm
+from .sobolev import (_RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, ledger_geometry,
+                      th_pull, vbmol2_norm)
 
 # relative tolerance of the two-shell trace extrapolation in normal_trace
 _TRACE_RTOL = 0.05
@@ -134,16 +136,22 @@ def _extended_source(hs, v, rho):
     plus (1 - theta) v on the domain, theta the tube cutoff.
 
     A function of its own so that its box-sized temporaries are freed
-    before the padded transforms start.
+    before the padded transforms start; theta and theta v are reused in
+    place once read, and the sum is formed in the extension's buffer.
     """
     grid = v.grid
     wall = hs.box_wall(grid)
     # theta(d/rho) vanishes beyond 3 rho / 4 < rho0, so off the tube
     theta = np.zeros(grid.resolution)
     theta.flat[wall.index] = hs.cutoff_theta(rho, wall.distance)
-    near = BoxField(grid, v.data * theta[None], v.inside_mask)
-    vbar = extend_field(hs, near, rho)
-    return vbar.data + v.data * ((1.0 - theta) * v.inside_mask)[None]
+    part = v.data * theta[None]
+    vbar = extend_field(hs, BoxField(grid, part, v.inside_mask), rho).data
+    # (1 - theta) mask, then v times that, over theta and theta v
+    np.subtract(1.0, theta, out=theta)
+    theta *= v.inside_mask
+    np.multiply(v.data, theta[None], out=part)
+    vbar += part
+    return vbar
 
 
 def volume_potential_grad(hs, v, rho):
@@ -386,41 +394,46 @@ def _column_lattice(grid, extent, res):
     return m * p * width / n, m, p, shift
 
 
-def _sample_grad_q2(q, wall, sol, grid, mask, p, shift):
-    """grad q2 on the box, 0 off the mask, from a decaying density (so no tail closure).
+@dataclass(frozen=True, eq=False)
+class GradQ2Sites:
+    """Where _sample_grad_q2 sums and extrapolates on one box, inside mask
+    and quadrature, which no field changes (grad_q2_sites).  Flat node
+    indices: low, the safe nodes below delta_min, which take the direct
+    sum; planes, the box z-planes of the safe nodes at or above it, which
+    take the plane FFT; bump, those safe nodes, where the bump sources are
+    summed (none without a bump source); and per near node its index, the
+    two safe nodes of its column it extrapolates from and the weight of the
+    upper one.  mask is the flat inside mask."""
 
-    Mask nodes within q.delta_min of the wall (which reaches that far) are
-    near, the others safe.  Safe nodes at x_n >= delta_min take the plane FFT
-    on the lattice whose node j is box column shift + p j, with the weights
-    of the h_j != 0 sources zeroed, plus the direct sum over those sources
-    where they lie, so each source is summed once; lower ones (a dip makes
-    them) the direct sum.  A near node extrapolates linearly in x_n from the
-    safe node of its column nearest x_n - h(x') = 1.5 delta_min and the one
-    above it nearest 3 delta_min; ConfigError if the column ends below."""
-    wg = np.ascontiguousarray(q.weights * q.match(sol.density))
-    c = -q.ctx.grad_const
+    mask: np.ndarray
+    low: np.ndarray
+    planes: np.ndarray
+    bump: np.ndarray
+    near: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    weight: np.ndarray
+
+
+def grad_q2_sites(q, wall, grid, mask):
+    """The GradQ2Sites of _sample_grad_q2: mask nodes within q.delta_min of
+    the wall (which reaches that far) are near, the others safe; a near
+    node extrapolates linearly in x_n from the safe node of its column
+    nearest x_n - h(x') = 1.5 delta_min and the one above it nearest 3
+    delta_min.  ConfigError if the column ends below."""
     delta, nz = q.delta_min, grid.resolution[2]
     near = wall.index[mask.ravel()[wall.index] & (wall.distance < delta)]
     safe = mask.copy()
     safe.flat[near] = False
+    z = grid.axis(2)
     index = np.flatnonzero(safe)
-    z, k = grid.axis(2), index % nz
-    low = z[k] < delta
-    out = np.zeros((3, mask.size))
-    if low.any():
-        out[:, index[low]] = _fast.gradslp_sum(grid.node_points(index[low]), q.nodes, wg, c).T
-    index, planes = index[~low], np.unique(k[~low])
-    # the plane FFT takes the flat sources, the bump ones are summed where they are
-    bump = q.nodes[:, 2] != 0.0
-    flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
-    # whole planes: the near nodes are replaced and the off-mask ones zeroed below
-    for kz, g in zip(planes, _fast.gradslp_plane(z[planes], flat, p, shift, grid.dx[0],
-                                                 grid.resolution[0], c)):
-        out.reshape(3, -1, nz)[:, :, kz] = g.reshape(-1, 3).T
-    if bump.any():
-        out[:, index] += _fast.gradslp_sum(grid.node_points(index), q.nodes[bump], wg[bump], c).T
+    high = z[index % nz] >= delta
+    low = index[~high]
+    planes = np.flatnonzero(safe.reshape(-1, nz).any(axis=0) & (z >= delta))
+    bump = compact_index(index[high] if (q.nodes[:, 2] != 0.0).any() else index[:0], mask.size)
     col, k = np.divmod(near, nz)
     ok = safe.reshape(-1, nz)[col]
+    del safe, index, high
     # x_n >= h(x') - dz/2 + t first holds at the node nearest x_n - h(x') = t
     lift = wall.height.ravel()[col, None] - 0.5 * grid.dx[2]
     k1 = np.argmax(ok & (z >= lift + 1.5 * delta), axis=1)
@@ -428,54 +441,100 @@ def _sample_grad_q2(q, wall, sol, grid, mask, p, shift):
     k2 = np.argmax(two, axis=1)
     if not two[np.arange(len(near)), k2].all():
         raise ConfigError("a box column ends below 3 delta_min over the wall")
-    w = (k - k1) / (k2 - k1)
-    out[:, near] = out[:, col * nz + k1] * (1.0 - w) + out[:, col * nz + k2] * w
-    off = np.flatnonzero(~mask)
-    for comp in out:
-        comp[off] = 0.0
+    near, lower, upper = (compact_index(i, mask.size) for i in (near, col * nz + k1, col * nz + k2))
+    return GradQ2Sites(mask.ravel(), low, planes, bump, near, lower, upper, (k - k1) / (k2 - k1))
+
+
+def _sample_grad_q2(q, wall, sol, grid, mask, p, shift, sites=None):
+    """grad q2 on the box, 0 off the mask, from a decaying density (so no
+    tail closure).  sites is grad_q2_sites(q, wall, grid, mask), built here
+    when None.  The safe nodes at x_n >= delta_min take the plane FFT on
+    the lattice whose node j is box column shift + p j, with the weights of
+    the h_j != 0 sources zeroed, plus the direct sum over those sources
+    where they lie, so each source is summed once; lower ones (a dip makes
+    them) the direct sum.  Each near node is then extrapolated from its
+    column."""
+    if sites is None:
+        sites = grad_q2_sites(q, wall, grid, mask)
+    wg = np.ascontiguousarray(q.weights * q.match(sol.density))
+    c = -q.ctx.grad_const
+    nz = grid.resolution[2]
+    out = np.zeros((3, sites.mask.size))
+    if sites.low.size:
+        out[:, sites.low] = _fast.gradslp_sum(grid.node_points(sites.low), q.nodes, wg, c).T
+    # the plane FFT takes the flat sources, the bump ones are summed where they are
+    bump = q.nodes[:, 2] != 0.0
+    flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
+    # whole planes: the near nodes are replaced and the off-mask ones zeroed below
+    planes = sites.planes
+    for kz, g in zip(planes, _fast.gradslp_plane(grid.axis(2)[planes], flat, p, shift,
+                                                 grid.dx[0], grid.resolution[0], c)):
+        out.reshape(3, -1, nz)[:, :, kz] = g.reshape(-1, 3).T
+    if bump.any():
+        out[:, sites.bump] += _fast.gradslp_sum(grid.node_points(sites.bump), q.nodes[bump],
+                                                wg[bump], c).T
+    w = sites.weight
+    out[:, sites.near] = out[:, sites.lower] * (1.0 - w) + out[:, sites.upper] * w
+    out *= sites.mask
     return out.reshape((3,) + tuple(grid.resolution))
 
 
-def divergence_stencil(field):
-    """Interior divergence by 4th-order central differences.
-
-    Returns (div array, margin) where entries within ``margin`` cells of the
-    box faces are zero-filled.
-    """
-    g = field.grid
-    m = 2
-    div = np.zeros(g.resolution)
-    for c in range(3):
-        arr = field.data[c]
-        d = g.dx[c]
-        sl = [slice(m, -m)] * 3
-
-        def shift(k):
-            s = list(sl)
-            s[c] = slice(m + k, arr.shape[c] - m + k)
-            return arr[tuple(s)]
-
-        div[tuple(sl)] += (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * d)
-    return div, m
+def _inner_slab(hs, grid):
+    """(slab, inner) of _residual_div: the inner nodes, those 2 cells or more
+    in from the box faces and more than 3 max(dx) above the wall, as a mask
+    on slab, the smallest sub-box (a tuple of slices) that holds them."""
+    inner = np.zeros(grid.resolution, dtype=bool)
+    inner[2:-2, 2:-2, 2:-2] = True
+    inner &= hs.box_wall(grid).depth() > 3.0 * max(grid.dx)
+    slab = []
+    for ax in range(3):
+        hit = np.flatnonzero(inner.any(axis=tuple(b for b in range(3) if b != ax)))
+        slab.append(slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0))
+    slab = tuple(slab)
+    return slab, inner[slab].copy()
 
 
-def _residual_div(v0, hs, ref):
+def _residual_div(v0, hs, ref, inner_slab=None):
     """RMS interior divergence of v0, relative to the Jacobian scale of ref,
-    the input field, so that a vanishing v0 reports a vanishing residual."""
-    div, m = divergence_stencil(v0)
+    the input field, so that a vanishing v0 reports a vanishing residual.
+
+    The divergence takes 4th-order central differences, the Jacobian the
+    2nd-order ones of np.gradient, each only on the slab of inner_slab, the
+    _inner_slab(hs, v0.grid) built here when None, which keeps 2 cells from
+    the box faces.
+    """
     g = v0.grid
-    inner = np.zeros(g.resolution, dtype=bool)
-    inner[m:-m, m:-m, m:-m] = True
-    inner &= hs.box_wall(g).depth() > 3.0 * max(g.dx)
+    slab, inner = inner_slab or _inner_slab(hs, g)
     if not inner.any():
         return 0.0
-    dnorm = float(np.sqrt(np.mean(div[inner] ** 2)))
-    # |Jacobian|^2 at the inner nodes, its nine squares summed in order
-    jac2 = np.zeros(np.count_nonzero(inner))
+
+    def at(a, axis, k):
+        # a on the slab moved k nodes along axis
+        s = list(slab)
+        s[axis] = slice(slab[axis].start + k, slab[axis].stop + k)
+        return a[tuple(s)]
+
+    # per component (8 (f[+1] - f[-1]) - (f[+2] - f[-2])) / (12 dx), in place
+    acc, t, u = np.zeros(inner.shape), np.empty(inner.shape), np.empty(inner.shape)
     for c in range(3):
-        for x in np.gradient(ref.data[c], *g.dx):
-            jac2 += x[inner] ** 2
-    jac = float(np.sqrt(np.mean(jac2)))
+        f = v0.data[c]
+        np.subtract(at(f, c, 1), at(f, c, -1), out=t)
+        t *= 8.0
+        t -= np.subtract(at(f, c, 2), at(f, c, -2), out=u)
+        t /= 12.0 * g.dx[c]
+        acc += t
+    dnorm = float(np.sqrt(np.mean(acc[inner] ** 2)))
+    # |Jacobian|^2, its nine squares summed in order, each by np.gradient's
+    # interior rule (f[+1] - f[-1]) / (2 dx)
+    acc.fill(0.0)
+    for c in range(3):
+        f = ref.data[c]
+        for ax in range(3):
+            np.subtract(at(f, ax, 1), at(f, ax, -1), out=t)
+            t /= 2.0 * g.dx[ax]
+            t *= t
+            acc += t
+    jac = float(np.sqrt(np.mean(acc[inner])))
     return dnorm / max(jac, 1e-30)
 
 
@@ -498,7 +557,12 @@ class DecompositionPlan:
     S blocks, and the contraction and smallness report (ConfigError for a
     lattice too narrow for the quadrature's flat-tail closure).  The wall
     geometry stays with hs (PerturbedHalfSpace.box_wall).  It holds a copy
-    of cfg, not cfg, so no reference cycle forms."""
+    of cfg, not cfg, so no reference cycle forms.
+
+    The grad q2 sites, the ledger geometry and the residual's inner slab
+    are built at their first use in apply, after the first volume
+    potential, and kept: arrays kept across fields but taken before the
+    box-sized transforms of that stage raised the peak resident memory."""
 
     def __init__(self, hs, grid, mask, cfg):
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
@@ -513,6 +577,20 @@ class DecompositionPlan:
         self.report = smallness_constants(hs.boundary)
         self.report.empirical_2S_norm = self.contraction
 
+    @functools.cached_property
+    def grad_q2_sites(self):
+        wall = self.hs.box_wall(self.grid, self.q.delta_min)
+        return grad_q2_sites(self.q, wall, self.grid, self.mask)
+
+    @functools.cached_property
+    def ledger_geometry(self):
+        cfg = self.cfg
+        return ledger_geometry(self.hs, self.grid, self.mask, cfg.mu, cfg.nu, cfg.samples, cfg.seed)
+
+    @functools.cached_property
+    def inner_slab(self):
+        return _inner_slab(self.hs, self.grid)
+
     def fits(self, v):
         return v.grid == self.grid and np.array_equal(v.inside_mask, self.mask)
 
@@ -524,33 +602,42 @@ class DecompositionPlan:
         if not self.contraction < 1.0:
             raise NotContractive(f"empirical |2S| = {self.contraction:.3f} >= 1",
                                  report=self.report)
-        hs, cfg, q = self.hs, self.cfg, self.q
+        hs, cfg, q, grid, mask = self.hs, self.cfg, self.q, v.grid, v.inside_mask
         # out to the grad q2 near nodes, so every stage reads the one wall
-        wall = hs.box_wall(self.grid, q.delta_min)
+        wall = hs.box_wall(grid, q.delta_min)
         gq1 = volume_potential_grad(hs, v, cfg.rho)
-        w = BoxField(v.grid, (v.data - gq1.data) * v.inside_mask[None], v.inside_mask)
+        w = v.data - gq1.data
+        w *= mask
+        w = BoxField(grid, w, mask)
         g, g_linf, g_hminus = normal_trace(hs, w)
         g_quad = resample_density(g, q.extent, q.res, self.p, self.shift)
         sol = solve_density(q, hs, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
-        gq2 = BoxField(v.grid, _sample_grad_q2(q, wall, sol, v.grid, v.inside_mask, self.p,
-                                               self.shift), v.inside_mask)
-        v0 = BoxField(v.grid, (w.data - gq2.data) * v.inside_mask[None], v.inside_mask)
+        gq2 = BoxField(grid, _sample_grad_q2(q, wall, sol, grid, mask, self.p, self.shift,
+                                             self.grad_q2_sites), mask)
+        # v0 in the buffer of w, which nothing reads after this
+        v0 = w.data
+        v0 -= gq2.data
+        v0 *= mask
+        v0 = BoxField(grid, v0, mask)
+        del w
 
-        v_scale = float(np.abs(v.inside_values()).max()) if v.inside_mask.any() else 0.0
-        led_kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed)
+        led_kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed,
+                      geometry=self.ledger_geometry)
+        ledger_v = vbmol2_norm(v, hs, **led_kw)
+        # sup |v| inside, before the trace's sup joins it
+        v_scale = ledger_v.linf
         result = DecompositionResult(
             v=v, v0=v0, grad_q1=gq1, grad_q2=gq2, trace_g=g,
-            ledger_v=vbmol2_norm(v, hs, **led_kw),
+            ledger_v=ledger_v,
             ledger_v0=vbmol2_norm(v0, hs, **led_kw),
-            ledger_gradq=vbmol2_norm(
-                BoxField(v.grid, gq1.data + gq2.data, v.inside_mask), hs, **led_kw),
-            residual_div=_residual_div(v0, hs, ref=v),
+            ledger_gradq=vbmol2_norm(BoxField(grid, gq1.data + gq2.data, mask), hs, **led_kw),
+            residual_div=_residual_div(v0, hs, ref=v, inner_slab=self.inner_slab),
             residual_normal=_residual_normal(v0, hs, v_scale),
             smallness=self.report.to_dict(),
             lattice=dict(self.lattice),
         )
-        result.ledger_v.hminus_half = g_hminus
-        result.ledger_v.linf = max(result.ledger_v.linf, g_linf)
+        ledger_v.hminus_half = g_hminus
+        ledger_v.linf = max(ledger_v.linf, g_linf)
         return result
 
 

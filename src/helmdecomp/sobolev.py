@@ -30,7 +30,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import NoAdmissibleBall, NonDecayingInput, ZeroFrequencyIll
-from .geometry import BoxField, BoxGrid
+from .geometry import BoxField, BoxGrid, compact_index, take_nodes
 
 _RING_TOL = 1e-6
 
@@ -165,17 +165,25 @@ def _singular_weights(xi1, xi2, s, dxi):
     return _inv_dist_rect(x0, x1, y0, y1) / dxi**2
 
 
-def _semidiscrete_fhat2(f, xis):
+def _separable_dft(axis, xis):
+    """(E(u1), i1, E(u2)^T, i2) of _semidiscrete_fhat2 on a lattice axis:
+    u1 and u2 the unique coordinates of xis and i1, i2 where each
+    frequency reads them."""
+    u1, i1 = np.unique(xis[:, 0], return_inverse=True)
+    u2, i2 = np.unique(xis[:, 1], return_inverse=True)
+    return np.exp(-1j * np.outer(u1, axis)), i1, np.exp(-1j * np.outer(axis, u2)), i2
+
+
+def _semidiscrete_fhat2(f, xis, dft=None):
     """|fhat|^2 at arbitrary frequencies via the separable lattice sum.
 
     The lattice is a tensor product, so fhat(u1, u2) = dx^2 (E(u1) F
     E(u2)^T) with E(u)[k, a] = exp(-i u_k x_a), evaluated once on the
-    unique coordinates of xis and read off at each frequency.
+    unique coordinates of xis and read off at each frequency.  dft is
+    _separable_dft(f.axis(), xis), formed here when None.
     """
-    a = f.axis()
-    u1, i1 = np.unique(xis[:, 0], return_inverse=True)
-    u2, i2 = np.unique(xis[:, 1], return_inverse=True)
-    fh = np.exp(-1j * np.outer(u1, a)) @ f.values @ np.exp(-1j * np.outer(a, u2))
+    e1, i1, e2, i2 = _separable_dft(f.axis(), xis) if dft is None else dft
+    fh = e1 @ f.values @ e2
     return np.abs(fh[i1, i2] * f.dx**2) ** 2
 
 
@@ -185,13 +193,14 @@ def _fourier_weights(res, extent, s, origin_rings, sub):
     |xi|^{2s} on the res x res frequency lattice of a density of the given
     extent, and for s = -1/2 the mask of the cells within origin_rings
     spacings of xi = 0, the (cells, sub^2, 2) subcell centres of those
-    cells and the exact integrals of |xi|^{-1} over the subcells (else
-    None each).  Kept per lattice and read-only."""
+    cells, the exact integrals of |xi|^{-1} over the subcells and the
+    _separable_dft factors of the subcell centres (else None each).  Kept
+    per lattice and read-only."""
     dxi = 2.0 * np.pi / extent
     xi = 2.0 * np.pi * np.fft.fftfreq(res, d=extent / res)
     xi1, xi2 = np.meshgrid(xi, xi, indexing="ij")
     w = _singular_weights(xi1, xi2, s, dxi)
-    near = subc = wsub = None
+    near = subc = wsub = dft = None
     if s == -0.5:
         near = np.hypot(xi1, xi2) <= origin_rings * dxi + 1e-12
         centers = np.stack([xi1[near], xi2[near]], axis=-1)
@@ -203,11 +212,11 @@ def _fourier_weights(res, extent, s, origin_rings, sub):
         wsub = _inv_dist_rect(flat[:, 0] - dsub / 2, flat[:, 0] + dsub / 2,
                               flat[:, 1] - dsub / 2, flat[:, 1] + dsub / 2)
         wsub = wsub.reshape(len(centers), -1)
-    out = (w, near, subc, wsub)
-    for a in out:
+        dft = _separable_dft(lattice_axis(extent, res), flat)
+    for a in (w, near, subc, wsub) + (dft or ()):
         if a is not None:
             a.flags.writeable = False
-    return out
+    return w, near, subc, wsub, dft
 
 
 def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
@@ -226,13 +235,13 @@ def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
         _check_decay(f)
     p2 = _abs_fhat2(f)
     dxi = 2.0 * np.pi / f.extent
-    w, near, subc, wsub = _fourier_weights(f.res, f.extent, s, origin_rings, sub)
+    w, near, subc, wsub, dft = _fourier_weights(f.res, f.extent, s, origin_rings, sub)
     contrib = w * p2 * dxi**2
     origin_share = float(contrib[0, 0])
     total = float(contrib.sum())
     if s == -0.5:
         total -= float(contrib[near].sum())
-        p2s = _semidiscrete_fhat2(f, subc.reshape(-1, 2)).reshape(wsub.shape)
+        p2s = _semidiscrete_fhat2(f, subc.reshape(-1, 2), dft).reshape(wsub.shape)
         refined = float(np.sum(wsub * p2s))
         origin_share = float(np.sum(wsub[0] * p2s[0])) if near[0, 0] else origin_share
         total += refined
@@ -352,9 +361,9 @@ def lift_harmonic(f, check_decay=True):
 # Mean-oscillation and boundary-mass estimators
 # ---------------------------------------------------------------------------
 
-def _ball_values(field, center, r):
-    """Values of field at inside nodes within the ball; (ncomp, k) or None."""
-    g = field.grid
+def _ball_nodes(g, mask, center, r):
+    """Flat indices, in row-major order, of the nodes of mask within the
+    ball B_r(center); None when there are none."""
     lo_idx = []
     hi_idx = []
     for ax in range(3):
@@ -368,37 +377,40 @@ def _ball_values(field, center, r):
     axes = [g.axis(ax)[sl[ax]] for ax in range(3)]
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     inball = ((X - center[0]) ** 2 + (Y - center[1]) ** 2 + (Z - center[2]) ** 2) <= r * r
-    inball &= field.inside_mask[sl]
+    inball &= mask[sl]
     if not np.any(inball):
         return None
-    return field.data[(slice(None),) + sl][:, inball]
+    ijk = [i + i0 for i, i0 in zip(np.nonzero(inball), lo_idx)]
+    return np.ravel_multi_index(ijk, g.resolution)
 
 
-def _largest_over_balls(field, centers, radii, dmin, fewest, stat):
-    """Largest stat(values, r) over the balls B_r(center) with r >= dmin that
-    hold at least fewest inside nodes; NoAdmissibleBall if no ball is left."""
-    best, used = 0.0, 0
+def _admissible_balls(grid, mask, centers, radii, dmin, fewest):
+    """(r, flat node indices) of each ball B_r(center) with r >= dmin that
+    holds at least fewest nodes of mask, in the order drawn."""
+    balls = []
     for center, r in zip(centers, radii):
-        vals = None if r < dmin else _ball_values(field, center, r)
-        if vals is not None and vals.shape[1] >= fewest:
-            best = max(best, float(stat(vals, r)))
-            used += 1
-    if used == 0:
+        index = None if r < dmin else _ball_nodes(grid, mask, center, r)
+        if index is not None and len(index) >= fewest:
+            balls.append((r, compact_index(index, mask.size)))
+    return balls
+
+
+def _largest_over_balls(data, balls, stat):
+    """Largest stat(values, r) over the balls, values the (ncomp, k) entries
+    of data at the ball's nodes; NoAdmissibleBall if there is no ball."""
+    if not balls:
         raise NoAdmissibleBall("no admissible ball found; grid too thin for the radii")
+    best = 0.0
+    for r, index in balls:
+        best = max(best, float(stat(take_nodes(data, index), r)))
     return best
 
 
-def bmo_seminorm(v, hs, mu, samples=200, seed=0):
-    """Monte-Carlo lower bound for the mean-oscillation sup over interior balls.
-
-    Ball centers are drawn from inside nodes and radii from (0, mu) subject
-    to B_r(x) within Omega and the grid box.  The sample stream depends only
-    on ``seed``, so the estimate is nondecreasing in ``samples``.
-    """
+def _bmo_balls(hs, g, mask, mu, samples, seed):
+    """The balls of bmo_seminorm, which depend on the grid and mask alone."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    g = v.grid
-    inside = np.flatnonzero(v.inside_mask)
+    inside = np.flatnonzero(mask)
     if len(inside) == 0:
         raise NoAdmissibleBall("no inside nodes on this grid")
     rng = np.random.default_rng(seed)
@@ -413,20 +425,29 @@ def bmo_seminorm(v, hs, mu, samples=200, seed=0):
     b = hs.boundary
     exact = (centers[:, 2] - b.height(centers[:, :2])) / b.lipschitz() < cap
     cap[exact] = np.minimum(hs.signed_distance(centers[exact]), cap[exact])
-
-    def osc(vals, r):
-        return np.linalg.norm(vals - vals.mean(axis=1, keepdims=True), axis=0).mean()
-
-    return _largest_over_balls(v, centers, fracs * cap, dmin, 8, osc)
+    return _admissible_balls(g, mask, centers, fracs * cap, dmin, 8)
 
 
-def bnu_seminorm(f, hs, nu, samples=200, seed=0):
-    """Monte-Carlo lower bound for sup r^{-n} int_{Omega cap B_r(x)} |f|, x on the boundary."""
+def _oscillation(vals, r):
+    return np.linalg.norm(vals - vals.mean(axis=1, keepdims=True), axis=0).mean()
+
+
+def bmo_seminorm(v, hs, mu, samples=200, seed=0):
+    """Monte-Carlo lower bound for the mean-oscillation sup over interior balls.
+
+    Ball centers are drawn from inside nodes and radii from (0, mu) subject
+    to B_r(x) within Omega and the grid box.  The sample stream depends only
+    on ``seed``, so the estimate is nondecreasing in ``samples``.
+    """
+    return _largest_over_balls(v.data, _bmo_balls(hs, v.grid, v.inside_mask, mu, samples, seed),
+                               _oscillation)
+
+
+def _bnu_balls(hs, g, mask, nu, samples, seed):
+    """The balls of bnu_seminorm, which depend on the grid and mask alone."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    g = f.grid
     rng = np.random.default_rng(seed)
-    dV = float(np.prod(g.dx))
     dmin = 4.0 * max(g.dx)
     xr = (g.lower[0] + nu, g.upper[0] - nu)
     yr = (g.lower[1] + nu, g.upper[1] - nu)
@@ -436,11 +457,19 @@ def bnu_seminorm(f, hs, nu, samples=200, seed=0):
     u = rng.random((samples, 3))
     yp = np.column_stack([xr[0] + (xr[1] - xr[0]) * u[:, 0], yr[0] + (yr[1] - yr[0]) * u[:, 1]])
     centers = hs.boundary.surface_point(yp)
+    return _admissible_balls(g, mask, centers, u[:, 2] * nu, dmin, 4)
 
+
+def _boundary_mass(dV):
     def mass(vals, r):
         return np.linalg.norm(vals, axis=0).sum() * dV / r**3
+    return mass
 
-    return _largest_over_balls(f, centers, u[:, 2] * nu, dmin, 4, mass)
+
+def bnu_seminorm(f, hs, nu, samples=200, seed=0):
+    """Monte-Carlo lower bound for sup r^{-n} int_{Omega cap B_r(x)} |f|, x on the boundary."""
+    balls = _bnu_balls(hs, f.grid, f.inside_mask, nu, samples, seed)
+    return _largest_over_balls(f.data, balls, _boundary_mass(float(np.prod(f.grid.dx))))
 
 
 @dataclass
@@ -458,36 +487,75 @@ class NormLedger:
         return {k: float(v) for k, v in asdict(self).items()}
 
 
-def normal_component_field(v, hs):
-    """Scalar field grad d . v on the inside tube nodes, zero elsewhere."""
-    g = v.grid
-    wall = hs.box_wall(g)
-    inside = v.inside_mask.ravel()[wall.index] & (wall.distance < hs.rho0)
-    idx = wall.index[inside]
-    out = np.zeros(g.resolution)
-    out.flat[idx] = np.einsum("pc,cp->p", -wall.normal[inside],
-                              v.data.reshape(v.ncomp, -1)[:, idx])
-    return BoxField(g, out[None], v.inside_mask.copy())
+@dataclass(frozen=True, eq=False)
+class LedgerGeometry:
+    """The part of vbmol2_norm that depends on the grid and inside mask
+    alone: the flat indices of the inside nodes, the bmo_seminorm and
+    bnu_seminorm balls (empty where the seminorm finds none), and, only
+    when there is a bnu ball, the inside tube nodes (d < rho0) with the
+    inward normal grad d = -n at each, on which the normal part lives."""
+
+    inside: np.ndarray
+    bmo_balls: list
+    bnu_balls: list
+    tube: tuple
 
 
-def vbmol2_norm(v, hs, mu, nu, samples=200, seed=0):
+def ledger_geometry(hs, grid, mask, mu, nu, samples=200, seed=0):
+    """The LedgerGeometry of vbmol2_norm(v, hs, mu, nu, samples, seed) for
+    the fields v on grid with inside mask mask."""
+    try:
+        bmo = _bmo_balls(hs, grid, mask, mu, samples, seed)
+    except NoAdmissibleBall:
+        bmo = []
+    try:
+        bnu = _bnu_balls(hs, grid, mask, nu, samples, seed + 1)
+    except NoAdmissibleBall:
+        bnu = []
+    tube = normal_tube(hs, grid, mask) if bnu else None
+    return LedgerGeometry(compact_index(np.flatnonzero(mask), mask.size), bmo, bnu, tube)
+
+
+def normal_tube(hs, grid, mask):
+    """(flat indices, inward normals grad d = -n) of the nodes of mask
+    within rho0 of the wall."""
+    wall = hs.box_wall(grid)
+    sel = mask.ravel()[wall.index] & (wall.distance < hs.rho0)
+    return wall.index[sel], -wall.normal[sel]
+
+
+def normal_component_field(v, hs, tube=None):
+    """Scalar field grad d . v on the inside tube nodes, zero elsewhere; tube
+    is normal_tube(hs, v.grid, v.inside_mask), built here when None."""
+    index, inward = normal_tube(hs, v.grid, v.inside_mask) if tube is None else tube
+    out = np.zeros(v.grid.resolution)
+    out.flat[index] = np.einsum("pc,cp->p", inward, take_nodes(v.data, index))
+    return BoxField(v.grid, out[None], v.inside_mask.copy())
+
+
+def vbmol2_norm(v, hs, mu, nu, samples=200, seed=0, geometry=None):
     """Assemble the combined ledger: BMO + boundary mass of the normal part + L2.
 
-    A seminorm that finds no admissible ball reports 0.  bnu_seminorm draws
+    A seminorm that finds no admissible ball reports 0, and without a bnu
+    ball the normal part grad d . v is not formed.  bnu_seminorm draws
     radii below nu and skips those below 4 max(dx), so with nu <= 4 max(dx)
     the bnu slot is 0 for every field: it bounds nothing on such a grid.
+    geometry is ledger_geometry(hs, v.grid, v.inside_mask, mu, nu, samples,
+    seed), built here when None.
     """
+    if geometry is None:
+        geometry = ledger_geometry(hs, v.grid, v.inside_mask, mu, nu, samples, seed)
     dV = float(np.prod(v.grid.dx))
-    vals = v.inside_values()
-    l2 = float(np.sqrt(np.sum(vals**2) * dV))
-    linf = float(np.abs(vals).max()) if vals.size else 0.0
-    try:
-        bmo = bmo_seminorm(v, hs, mu, samples=samples, seed=seed)
-    except NoAdmissibleBall:
-        bmo = 0.0
-    nc = normal_component_field(v, hs)
-    try:
-        bnu = bnu_seminorm(nc, hs, nu, samples=samples, seed=seed + 1)
-    except NoAdmissibleBall:
-        bnu = 0.0
+    # |v| and then |v|^2 in the gathered buffer: |v|^2 is v^2 bit for bit
+    vals = take_nodes(v.data, geometry.inside)
+    np.abs(vals, out=vals)
+    linf = float(vals.max()) if vals.size else 0.0
+    vals *= vals
+    l2 = float(np.sqrt(np.sum(vals) * dV))
+    bmo = bnu = 0.0
+    if geometry.bmo_balls:
+        bmo = _largest_over_balls(v.data, geometry.bmo_balls, _oscillation)
+    if geometry.bnu_balls:
+        nc = normal_component_field(v, hs, geometry.tube)
+        bnu = _largest_over_balls(nc.data, geometry.bnu_balls, _boundary_mass(dV))
     return NormLedger(linf=linf, bmo=bmo, bnu=bnu, l2=l2)

@@ -20,7 +20,7 @@ from helmdecomp.pipeline import (DecompositionPlan, PipelineConfig, _column_latt
                                  _residual_div, _residual_normal, _sample_grad_q2, decompose,
                                  normal_trace, read_field, resample_density, verify,
                                  volume_potential_grad, write_field)
-from helmdecomp.sobolev import BoundaryDensity
+from helmdecomp.sobolev import BoundaryDensity, vbmol2_norm
 
 S2 = 0.12
 CENTER = np.array([0.0, 0.0, 1.5])
@@ -551,6 +551,57 @@ class TestGradQ2Paths:
         assert np.abs(sample(a * g1 + b * g2) - (a * f1 + b * f2)).max() <= 1e-12 * scale
 
 
+def residual_div_ref(v0, hs, ref):
+    """_residual_div on the whole box: the 4th-order divergence stencil with
+    a zero-filled margin of 2 cells and np.gradient's Jacobian, both read at
+    the inner nodes."""
+    g = v0.grid
+    m = 2
+    div = np.zeros(g.resolution)
+    for c in range(3):
+        arr, sl = v0.data[c], [slice(m, -m)] * 3
+
+        def shift(k):
+            s = list(sl)
+            s[c] = slice(m + k, arr.shape[c] - m + k)
+            return arr[tuple(s)]
+
+        div[tuple(sl)] += (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * g.dx[c])
+    inner = np.zeros(g.resolution, dtype=bool)
+    inner[m:-m, m:-m, m:-m] = True
+    inner &= hs.box_wall(g).depth() > 3.0 * max(g.dx)
+    if not inner.any():
+        return 0.0
+    dnorm = float(np.sqrt(np.mean(div[inner] ** 2)))
+    jac2 = np.zeros(np.count_nonzero(inner))
+    for c in range(3):
+        for x in np.gradient(ref.data[c], *g.dx):
+            jac2 += x[inner] ** 2
+    return dnorm / max(float(np.sqrt(np.mean(jac2))), 1e-30)
+
+
+class TestResidualDiv:
+    def test_slab_equals_whole_box(self, flat_hs, gentle_hs, grad_field, flat_cfg,
+                                   curved_case, curved_plan_case):
+        # decompose's residual, the standalone call and the whole-box
+        # reference agree bit for bit, on decompose outputs and on noise
+        grid, v1, v2 = curved_case
+        cases = [(flat_hs, decompose(flat_hs, grad_field, flat_cfg)),
+                 (gentle_hs, curved_plan_case[2]), (gentle_hs, curved_plan_case[3])]
+        for hs, res in cases:
+            want = residual_div_ref(res.v0, hs, res.v)
+            assert res.residual_div == _residual_div(res.v0, hs, ref=res.v) == want > 0.0
+        noise = np.random.default_rng(3).standard_normal((2, 3) + tuple(grid.resolution))
+        a, b = (BoxField(grid, x, v1.inside_mask) for x in noise)
+        assert _residual_div(a, gentle_hs, ref=b) == residual_div_ref(a, gentle_hs, b) > 0.0
+
+    def test_no_inner_node(self, flat_hs):
+        # 2 cells in from the faces, every node is within 3 spacings of the wall
+        grid = BoxGrid((-1.0, -1.0, -0.1), (1.0, 1.0, 0.5), (12, 12, 12))
+        v = BoxField(grid, np.ones((3, 12, 12, 12)), grid.inside(flat_hs))
+        assert _residual_div(v, flat_hs, ref=v) == residual_div_ref(v, flat_hs, v) == 0.0
+
+
 class TestDecompose:
     def test_pure_gradient_input(self, flat_hs, grad_field, flat_cfg):
         res = decompose(flat_hs, grad_field, flat_cfg)
@@ -776,7 +827,7 @@ class TestPlan:
     def test_cold_decompose_takes_one_projection(self, gentle_hs, curved_case):
         # the box wall, out to delta_min, is the one closest-point pass over
         # box nodes; the only distances are the ledgers' ball centres that
-        # the Lipschitz bound leaves open, the same few in each ledger
+        # the Lipschitz bound leaves open, taken once for the three ledgers
         grid, v1, _ = curved_case
         hs = PerturbedHalfSpace(gentle_hs.boundary)
         cfg = _curved_cfg()
@@ -788,7 +839,7 @@ class TestPlan:
         sized = [c for c in calls if isinstance(c, tuple)]
         assert sized[0][0] == "projection"
         assert len(wall.index) <= sized[0][1] < grid.points().size // 3
-        assert sized[1:] == [("distance", sized[1][1])] * 3
+        assert sized[1:] == [("distance", sized[1][1])]
         assert sized[1][1] <= cfg.samples // 10
 
     def test_second_decompose_reuses_the_plan(self, gentle_hs, curved_case):
@@ -801,10 +852,9 @@ class TestPlan:
         with _counting(calls):
             second = decompose(hs, v2, cfg)
         assert cfg._plan is plan
-        # no quadrature, contraction or projection; the only distances are
-        # the open ball centres of the three ledgers, which the plan does not hold
-        assert calls == [("distance", calls[0][1])] * 3
-        assert calls[0][1] <= cfg.samples // 10
+        # no quadrature, contraction, projection or distance: the plan holds
+        # the ledgers' balls
+        assert calls == []
         _same_result(second, decompose(PerturbedHalfSpace(gentle_hs.boundary), v2,
                                        _curved_cfg()))
 
@@ -849,6 +899,49 @@ class TestPlan:
             assert q() is None
         finally:
             gc.enable()
+
+    def test_ledgers_equal_standalone(self, flat_hs, gentle_hs, grad_field, flat_cfg,
+                                      curved_plan_case):
+        # the plan's ledger geometry gives the three ledgers of the
+        # standalone vbmol2_norm slot by slot; nu = 0.4 on the flat box
+        # admits bnu balls, so the normal part is formed there
+        wide = replace(flat_cfg, nu=0.4)
+        cases = [(flat_hs, flat_cfg, decompose(flat_hs, grad_field, flat_cfg)),
+                 (flat_hs, wide, decompose(flat_hs, grad_field, wide)),
+                 (gentle_hs, curved_plan_case[0], curved_plan_case[2]),
+                 (gentle_hs, curved_plan_case[0], curved_plan_case[3])]
+        for hs, cfg, res in cases:
+            kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed)
+            gradq = BoxField(res.v.grid, res.grad_q1.data + res.grad_q2.data, res.v.inside_mask)
+            want = [vbmol2_norm(f, hs, **kw) for f in (res.v, res.v0, gradq)]
+            # decompose adds the trace's norms to the ledger of v
+            want[0].hminus_half = res.ledger_v.hminus_half
+            want[0].linf = max(want[0].linf, float(np.abs(res.trace_g.values).max()))
+            got = [res.ledger_v, res.ledger_v0, res.ledger_gradq]
+            assert [g.to_dict() for g in got] == [w.to_dict() for w in want]
+        assert cases[1][2].ledger_v.bnu > 0.0 and cases[0][2].ledger_v.bnu == 0.0
+
+    def test_second_apply_memory_cap(self, flat_hs):
+        # what one apply allocates on a kept plan, whose own arrays the
+        # first apply built: measured 6.53 fields of 3 components on the
+        # flat 32^3 box, its peak inside volume_potential_grad
+        import scipy.fft  # noqa: F401  (its one-off import is not the apply's)
+
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        v1 = BoxField.sample(grid, flat_hs, grad_phi, ncomp=3)
+        v2 = BoxField.sample(grid, flat_hs, _swirl, ncomp=3)
+        cfg = PipelineConfig(rho=0.07, quad_extent=6.0, quad_res=24, mu=0.3, nu=0.1,
+                             samples=100, seed=5)
+        plan = DecompositionPlan(flat_hs, grid, v1.inside_mask, cfg)
+        plan.apply(v1)
+        field = v2.data.nbytes
+        tracemalloc.start()
+        try:
+            plan.apply(v2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.0 * field, f"peak {peak / field:.2f} fields"
 
     def test_apply_refuses_another_grid_or_mask(self, flat_hs):
         narrow, wide = _flat_twin_fields(flat_hs)

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from helmdecomp import BoxField, BoxGrid, sobolev
-from helmdecomp.errors import NonDecayingInput, ZeroFrequencyIll
-from helmdecomp.geometry import plateau
+from helmdecomp.errors import NoAdmissibleBall, NonDecayingInput, ZeroFrequencyIll
+from helmdecomp.geometry import plateau, take_nodes
 from helmdecomp.sobolev import (BoundaryDensity, bmo_seminorm, bnu_seminorm,
                                 gagliardo_half, hs_norm_fourier, l2_norm,
                                 lift_harmonic, pairing, th_pull, th_push,
@@ -93,7 +93,9 @@ class TestFourierNorms:
             assert hs_norm_fourier(f, s, origin_rings=rings) == first == _hs_norm_ref(f, s, rings)
             cached = sobolev._fourier_weights(res, extent, s, rings, 4)
             fresh = sobolev._fourier_weights.__wrapped__(res, extent, s, rings, 4)
-            for a, b in zip(cached, fresh):
+            # the last slot holds the separable DFT factors, None at s = 1/2
+            assert (cached[-1] is None) == (fresh[-1] is None) == (s == 0.5)
+            for a, b in zip(cached[:-1] + (cached[-1] or ()), fresh[:-1] + (fresh[-1] or ())):
                 assert (a is None and b is None) or np.array_equal(a, b)
                 assert a is None or not a.flags.writeable
 
@@ -260,9 +262,9 @@ class TestBMO:
         mu = 0.4
         est = bmo_seminorm(v, flat_hs, mu=mu, samples=400)
         # direct-summation oracle on one maximal admissible ball
-        from helmdecomp.sobolev import _ball_values
+        from helmdecomp.sobolev import _ball_nodes
         center = np.array([0.0, 0.0, 1.0])
-        vals = _ball_values(v, center, mu * 0.999)
+        vals = take_nodes(v.data, _ball_nodes(v.grid, v.inside_mask, center, mu * 0.999))
         oracle = np.abs(vals - vals.mean()).mean()
         assert est <= 0.375 * mu * 1.05
         assert est > 0.8 * oracle
@@ -293,14 +295,26 @@ class TestBMO:
                 ref.append((tuple(center), r))
         balls = []
 
-        def record(field, center, r):
+        def record(grid, mask, center, r):
             balls.append((tuple(center), r))
-            return ball_values(field, center, r)
+            return ball_nodes(grid, mask, center, r)
 
-        ball_values = sobolev._ball_values
-        with mock.patch.object(sobolev, "_ball_values", record):
+        ball_nodes = sobolev._ball_nodes
+        with mock.patch.object(sobolev, "_ball_nodes", record):
             bmo_seminorm(v, bump_hs, mu=mu, samples=150, seed=4)
         assert balls == ref
+
+    def test_no_admissible_ball_raises(self, flat_hs):
+        # radii below mu = 2 spacings all fall under the 2.5-spacing floor,
+        # and an empty mask has no centre: standalone raises, the ledger reads 0
+        v = box_with_mask(flat_hs, lambda p: np.sin(3 * p[..., 0]) * p[..., 2], ncomp=1)
+        mu = 2.0 * max(v.grid.dx)
+        empty = BoxField(v.grid, v.data, np.zeros_like(v.inside_mask))
+        for field, m in ((v, mu), (empty, 0.3)):
+            with pytest.raises(NoAdmissibleBall):
+                bmo_seminorm(field, flat_hs, mu=m, samples=100)
+            assert vbmol2_norm(field, flat_hs, mu=m, nu=0.1, samples=100).bmo == 0.0
+        assert vbmol2_norm(v, flat_hs, mu=0.3, nu=0.1, samples=100).bmo > 0.0
 
 
 class TestBnu:
