@@ -7,8 +7,8 @@ exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its buffers once and fills
 them in place, block after block.  Results differ from one whole-array sum
 by rounding only (summation order, and |x - y|^3 formed as rho2 *
 sqrt(rho2)).  ``gradslp_sum``, the grad q2 sum over the bump sources,
-splits its blocks into one contiguous row range per usable CPU and sums
-them on threads; the calling thread allocates every buffer, because arrays
+splits its blocks into one row range per usable CPU, summed on threads by
+``map_threads``; the calling thread allocates every buffer, because arrays
 allocated on the worker threads come from glibc's per-thread arenas and
 raise the peak resident memory.
 
@@ -102,15 +102,21 @@ def gradslp_sum(xs, nodes, wg, c):
 
     # worker k takes blocks [blocks k / workers, blocks (k + 1) / workers)
     cuts = [min(n, rows * (blocks * k // workers)) for k in range(workers + 1)]
-    if workers == 1:
-        run(0, n, *bufs[0])
-    else:
-        # imported here, as it pulls in logging: importing the package stays cheap
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, cuts[:-1], cuts[1:], *zip(*bufs)))
+    map_threads(run, cuts[:-1], cuts[1:], *zip(*bufs))
     return out
+
+
+def map_threads(fn, *iterables):
+    """list(map(fn, *iterables)), one worker thread per item (none for one
+    item).  Workers write into arrays the caller allocated: see the module."""
+    items = list(zip(*iterables))
+    if len(items) == 1:
+        return [fn(*items[0])]
+    # imported here, as it pulls in logging: importing the package stays cheap
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(items)) as pool:
+        return list(pool.map(lambda args: fn(*args), items))
 
 
 def dir_gradslp_rows(xs, dirs, nodes, weights, c):

@@ -587,6 +587,11 @@ class BoxWall:
         """x_n - h(x') at every box node."""
         return self.grid.axis(2) - self.height[..., None]
 
+    def outside_tube(self, mask, rho):
+        """Which wall nodes are off the inside mask and within rho of the
+        wall: the nodes extend_field writes."""
+        return (np.abs(self.distance) < rho) & ~mask.ravel()[self.index]
+
 
 def interp_masked(field, pts):
     """Trilinear interpolation honoring the inside mask.
@@ -636,7 +641,7 @@ def extend_field(hs, v, rho):
         raise ValueError("extension radius must satisfy rho <= rho0/2")
     out = v.data * v.inside_mask[None]
     wall = hs.box_wall(v.grid)
-    sel = (np.abs(wall.distance) < rho) & ~v.inside_mask.ravel()[wall.index]
+    sel = wall.outside_tube(v.inside_mask, rho)
     if np.any(sel):
         pi = wall.closest[sel]
         gd = -wall.normal[sel]

@@ -45,8 +45,12 @@ _TRACE_RTOL = 0.05
 # wall probes of _residual_normal: count and the seed of their positions
 _NORMAL_PROBES = 100
 _NORMAL_SEED = 0
-# the axis-0 passes of _free_space_gradient run in this many blocks of axis-1 rows
-_AXIS0_BLOCKS = 8
+# the z passes of _free_space_gradient: one thread per CPU and per this many
+# bytes of its half spectrum (each ufunc on a strided block takes numpy
+# buffers of up to 0.25 MB), and their block buffers, one per thread, hold
+# about 1 / _Z_SHARE of the spectrum together
+_Z_THREAD_BYTES = 1 << 23
+_Z_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,9 @@ class PipelineConfig:
 
 @dataclass
 class DecompositionResult:
+    """One decompose: v = v0 + grad q1 + grad q2, each field 0 off the inside
+    mask, with the trace, the ledgers, the residuals and the lattice used."""
+
     v: BoxField
     v0: BoxField
     grad_q1: BoxField
@@ -132,50 +139,52 @@ def _check_box_decay(v):
 
 
 def _extended_source(hs, v, rho):
-    """Source of the volume potential: the cutoff mirror extension of theta v
-    plus (1 - theta) v on the domain, theta the tube cutoff.
-
-    A function of its own so that its box-sized temporaries are freed
-    before the padded transforms start; theta and theta v are reused in
-    place once read, and the sum is formed in the extension's buffer.
-    """
-    grid = v.grid
+    """(src, k0, k1): the source of the volume potential, v inside plus the
+    mirror extension of theta v (theta the tube cutoff) at the outside tube
+    nodes; k1 the lowest plane of the domain slab and k0 <= k1 the lowest
+    plane src can be nonzero on, both from the mask and the wall alone."""
+    grid, mask = v.grid, v.inside_mask
     wall = hs.box_wall(grid)
     # theta(d/rho) vanishes beyond 3 rho / 4 < rho0, so off the tube
-    theta = np.zeros(grid.resolution)
-    theta.flat[wall.index] = hs.cutoff_theta(rho, wall.distance)
-    part = v.data * theta[None]
-    vbar = extend_field(hs, BoxField(grid, part, v.inside_mask), rho).data
-    # (1 - theta) mask, then v times that, over theta and theta v
-    np.subtract(1.0, theta, out=theta)
-    theta *= v.inside_mask
-    np.multiply(v.data, theta[None], out=part)
-    vbar += part
-    return vbar
+    theta = hs.cutoff_theta(rho, wall.distance)
+    part = np.zeros(v.data.shape)
+    part.reshape(v.ncomp, -1)[:, wall.index] = take_nodes(v.data, wall.index) * theta
+    src = extend_field(hs, BoxField(grid, part, mask), rho).data
+    np.copyto(src, v.data, where=mask)
+    nz = grid.resolution[2]
+    hit = mask.reshape(-1, nz).any(axis=0)
+    k1 = int(np.argmax(hit)) if hit.any() else nz
+    # the planes of the outside nodes extend_field writes
+    tube = wall.index[wall.outside_tube(mask, rho)]
+    k0 = min(k1, int((tube % nz).min())) if tube.size else k1
+    return src, k0, k1
 
 
 def volume_potential_grad(hs, v, rho):
     """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension.
 
     Restricted to the domain this solves the volume-potential equation for
-    v; the construction is linear in v.
+    v; it is 0 off the inside mask, and linear in v.
     """
     _check_box_decay(v)
-    out = _free_space_gradient(_extended_source(hs, v, rho), v.grid.dx)
+    src, k0, k1 = _extended_source(hs, v, rho)
+    out = _free_space_gradient(src, v.grid.dx, k0, k1)
+    out *= v.inside_mask
     return BoxField(v.grid, out, v.inside_mask.copy())
 
 
-def _free_space_gradient(src, dx):
-    """grad q on the box for Delta q = div src, src of shape (3, n0, n1, n2).
+def _free_space_gradient(src, dx, k0, k1):
+    """grad q on the box for Delta q = div src, src of shape (3, n0, n1, n2)
+    and 0 below z-plane k0: the result on the planes from k1 >= k0, 0 below.
 
     A Hockney zero-padded convolution: the |xi|^{-2} symbol on the doubled
     grid, whose values are those of the real part of the full complex
-    padded transforms.  The input is real and zero off the box, and only
-    the box is read back, so the transforms are pruned: the forward ones
-    take a real transform of the last axis over the box lines alone and
-    pad each axis as they reach it, and the inverse ones crop each axis as
-    soon as it is done, ending in a real inverse, on a half spectrum of
-    shape (2 n0, 2 n1, n2 + 1).
+    padded transforms, on a half spectrum of shape (n0 + 1, 2 n1, 2 n2).
+    x is the real axis and z the full one, transformed last going forward
+    and first coming back, so the x and y transforms run over the planes
+    from k0 going forward and from k1 coming back.  The padded z-axis is
+    circular and the solve commutes with a shift along it: plane k0 + j
+    sits at z-index j.
 
     The real part keeps the Hermitian part of xi_c xi_d / |xi|^2, which for
     c != d vanishes where exactly one of axes c, d sits at its Nyquist
@@ -185,93 +194,105 @@ def _free_space_gradient(src, dx):
     the axis-c Nyquist plane (the edge of c).  The half axis keeps
     fftfreq's negative sign at its Nyquist index.
 
-    xh_2 depends on axis 2 alone and so commutes with the axis-1 and axis-0
-    transforms, and xh_1 with the axis-0 transform.  So components 1 and 2
-    share the largest transforms: the forward pass sums xh_1 T1(X_1) +
-    T1(xh_2 X_2) (X_d the axis-2 transform of src[d]) before one axis-0
-    transform, beside component 0's own, scaled by xh_0 after it; the
-    inverse takes one axis-0 inverse of P = sum_d xh_d F_d / |xi|^2 for
-    both, and one axis-1 inverse of that for component 2, where
-    component 0 keeps its own chain.  The edges come from small slice
-    transforms: F_0's axis-0 Nyquist plane is read off its own transform,
-    F_1's axis-1 Nyquist plane is an axis-0 transform of that plane of
-    T1(X_1), and F_2's axis-2 Nyquist plane a 2-D transform of that plane
-    of X_2; on the way back each edge is inverted alone and written over
-    its plane after the shared passes.  That makes 4 full axis-0 passes of
-    the half spectrum, not 6, and 16 axis-sized passes in all, not 18.
+    xh_0 commutes with the y and z transforms, and xh_1 with the z one.  So
+    the forward pass sums S = xh_1 T1(X_1) + T1(xh_0 X_0) (X_d the x
+    transform of src[d]) before one z transform, beside component 2's own,
+    scaled by xh_2 after it; the inverse takes one z inverse of P = sum_d
+    xh_d F_d / |xi|^2 for components 0 and 1, and one y inverse of that for
+    component 0.  The edges come from small slice transforms: F_2's z
+    Nyquist plane is read off its own transform, F_1's y Nyquist plane is a
+    z transform of that plane of T1(X_1), and F_0's x Nyquist plane a 2-D
+    transform of that plane of X_0; each is inverted alone and written over
+    its plane after the shared passes: 4 z passes, 16 axis-sized passes.
 
-    One half-spectrum buffer holds it all: Y0 = T1(X_0) and S, of n0 rows
-    each, sit in its two halves, and the axis-0 passes run in blocks of
-    ceil(2 n1 / _AXIS0_BLOCKS) axis-1 rows, each block of the spectrum
-    written over the two blocks of rows it was made from, and on the way
-    back each block of the two inverses over the block of spectrum.  So
-    the temporaries beside that buffer stay a fixed fraction of it on
-    every box.
+    One buffer holds the half spectrum z-major, as a (2 n2, 2 n1, n0 + 1)
+    array, so that x is contiguous and a run of z-indices one slab: the
+    rows of T1(X_2) and of S sit in its two halves.  The z passes run on one
+    thread per CPU and per _Z_THREAD_BYTES of the spectrum, each with one
+    CPU and its own block buffer, allocated here, in blocks of
+    ceil(2 n1 / (_Z_SHARE threads)) y rows (thread t takes blocks t, t +
+    threads, ...), each written over the block it was made from.  So the
+    buffers beside the spectrum hold about 1 / _Z_SHARE of it, and the
+    threads' ufunc buffers under 1 / 32, whatever the box and the CPU count.
+    Products with real factors run on float views.
 
     src is overwritten with the result, which is returned.  The transforms
     run through scipy.fft on every CPU this process may use; scipy is
-    imported here, not at module level, so that importing the package
-    stays cheap.
+    imported here, so that importing the package stays cheap.
     """
     import scipy.fft
 
     n = src.shape[1:]
-    half = (2 * n[0], 2 * n[1], n[2] + 1)
+    m0, m1, d = n[2] - k0, n[2] - k1, k1 - k0
+    if m1 == 0:
+        src.fill(0.0)
+        return src
+    half = (n[0] + 1, 2 * n[1], 2 * n[2])
     workers = len(os.sched_getaffinity(0))
-    # per axis a: xi, the same as a broadcastable array, and that with its
-    # Nyquist entry (index n[a]) zeroed; xn[a] is xi at that entry
-    xi, x, xh, xn = [], [], [], []
-    for a in range(3):
-        xi.append(2.0 * np.pi * np.fft.fftfreq(2 * n[a], d=dx[a])[: half[a]])
-        x.append(xi[a].reshape([-1 if b == a else 1 for b in range(3)]))
-        xn.append(xi[a][n[a]])
-        xh.append(x[a].copy())
-        xh[a].flat[n[a]] = 0.0
-    step = -(-half[1] // _AXIS0_BLOCKS)
-    rows = [slice(j, j + step) for j in range(0, half[1], step)]
+    # per axis a: xi, xn[a] its Nyquist entry (index n[a]), and xi with and without
+    # it, broadcastable on float views in the buffer's (z, y, x) order (x in pairs)
+    xi = [2.0 * np.pi * np.fft.fftfreq(2 * n[a], d=dx[a])[: half[a]] for a in range(3)]
+    xn = [xi[a][n[a]] for a in range(3)]
+    x = [xi[0].repeat(2)[None, None], xi[1][None, :, None], xi[2][:, None, None]]
+    xh = [np.where(x[a] == xn[a], 0.0, x[a]) for a in range(3)]
+    threads = max(1, min(workers, half[1], 16 * math.prod(half) // _Z_THREAD_BYTES))
+    step = -(-half[1] // (_Z_SHARE * threads))
+    rows = [slice(j, min(j + step, half[1])) for j in range(0, half[1], step)]
 
-    def fft(a, axis, size):
-        return scipy.fft.fft(a, n=size, axis=axis, workers=workers)
-
-    def ifft(a, axis, keep):
-        out = scipy.fft.ifft(a, axis=axis, workers=workers, overwrite_x=True)
-        return out[(slice(None),) * axis + (slice(keep),)]
+    def over(t, a, axis, cpus=workers):  # t(a) over a, in place where scipy can
+        out = t(a, axis=axis, overwrite_x=True, workers=cpus)
+        if not np.may_share_memory(out, a):
+            a[...] = out
+        return a
 
     def rfft(c):
-        return scipy.fft.rfft(src[c], n=2 * n[2], axis=2, workers=workers)
+        return scipy.fft.rfft(src[c][..., k0:].T, n=2 * n[0], axis=2, workers=workers)
 
-    # forward, on the (n0, 2 n1, n2 + 1) rows: W holds Y0 = T1(X_0) in its
-    # first n0 axis-0 rows and S = xh_1 T1(X_1) + T1(xh_2 X_2) in the rest;
-    # f1 and f2 keep the Nyquist planes S zeroes
-    W = np.empty(half, dtype=complex)
-    Y0, S = W[: n[0]], W[n[0]:]
-    Y0[...] = fft(rfft(0), 1, half[1])
-    G = fft(rfft(1), 1, half[1])
-    f1 = fft(G[:, n[1]], 0, half[0])
-    np.multiply(G, xh[1], out=S)
-    G = rfft(2)
-    f2 = scipy.fft.fft2(G[..., n[2]], s=half[:2], workers=workers)
-    G *= xh[2]
-    S += fft(G, 1, half[1])
-    del G
-    # P = (xh_0 T0(Y0) + T0(S)) / |xi|^2 over W, block by block: each block
-    # of P takes the place of its two blocks of input; f0 is F_0 on its
-    # axis-0 Nyquist plane.  P vanishes at xi = 0, which no Nyquist plane
-    # holds: q has no mean mode
-    P = W
-    f0 = np.empty(half[1:], dtype=complex)
-    for js in rows:
-        F = fft(Y0[:, js], 0, half[0])
-        f0[js] = F[n[0]]
-        F *= xh[0]
-        F += fft(S[:, js], 0, half[0])
-        k2 = x[0] ** 2 + x[1][:, js] ** 2 + x[2] ** 2
-        if js.start == 0:
-            k2[0, 0, 0] = 1.0
-        np.divide(F, k2, out=P[:, js])
-    del F, Y0, S
-    # the edges xn_c sum_d xn_d F_d / |xi|^2: F_c's whole plane, and of each
-    # other F_d the line where axis d is at Nyquist too
+    def scale(a, c, out=None):  # xh_c a, over a or into out
+        out = a if out is None else out
+        return np.multiply(a.view(float), xh[c], out=out.view(float)).view(complex)
+
+    def rows_of(X, out):  # T1(X) over out, the y-axis padded in place
+        out[:, : n[1]] = X
+        out[:, n[1]:] = 0.0
+        over(scipy.fft.fft, out, 1)
+
+    # forward, on the z-indices of the planes from k0: A = T1(X_1), then
+    # B = S and A = T1(X_2); f0 and f1 keep the Nyquist planes S zeroes
+    W = np.empty(half[::-1], dtype=complex)
+    A, B = W[:m0], W[n[2]: n[2] + m0]
+    rows_of(rfft(1), A)
+    f1 = scipy.fft.fft(A[:, n[1]], n=half[2], axis=0, workers=workers).T
+    X = rfft(0)
+    f0 = scipy.fft.fft2(X[..., n[0]], s=half[:0:-1], workers=workers).T
+    rows_of(scale(X, 0), B)
+    del X
+    B += scale(A, 1)
+    rows_of(rfft(2), A)
+    # P = (xh_2 T2(A) + T2(B)) / |xi|^2 over W, T2(A) in place, T2(B) and then
+    # |xi|^2 in the buffer; f2 is F_2 on its z Nyquist plane.  P vanishes at
+    # xi = 0, which no Nyquist plane holds: q has no mean mode
+    f2 = np.empty(half[:2], dtype=complex)
+    bufs = [np.empty((half[2], step, half[0]), dtype=complex) for _ in range(threads)]
+
+    def forward(t):
+        for js in rows[t::threads]:
+            F, Pb = bufs[t][:, : js.stop - js.start], W[:, js]
+            F[:m0] = B[:, js]
+            F[m0:] = 0.0
+            over(scipy.fft.fft, F, 0, 1)
+            Pb[m0:] = 0.0
+            f2[:, js] = over(scipy.fft.fft, Pb, 0, 1)[n[2]].T
+            scale(Pb, 2)
+            Pb += F
+            k2 = np.add(x[0] ** 2 + x[1][:, js] ** 2, x[2] ** 2, out=F.view(float))
+            if js.start == 0:
+                k2[0, 0, :2] = 1.0
+            np.divide(Pb.view(float), k2, out=Pb.view(float))
+
+    _fast.map_threads(forward, range(threads))
+    # the edges xn_c sum_d xn_d F_d / |xi|^2, in (x, y, z) order: F_c's whole
+    # plane, and of each other F_d the line where axis d is at Nyquist too
     edge0 = xn[0] * f0
     edge0[n[1]] += xn[1] * f1[n[0]]
     edge0[:, n[2]] += xn[2] * f2[n[0]]
@@ -284,31 +305,33 @@ def _free_space_gradient(src, dx):
     edge2[n[0]] += xn[0] * f0[:, n[2]]
     edge2[:, n[1]] += xn[1] * f1[:, n[2]]
     edge2 *= xn[2] / (xi[0][:, None] ** 2 + xi[1] ** 2 + xn[2] ** 2)
-    del f0, f1, f2
-    # inverse, by the same blocks over W: Q = T0^-1(P), shared by components
-    # 1 and 2, into the first n0 rows, and T0^-1 of component 0's xh_0 P
-    # with its edge into the rest
-    for js in rows:
-        G = P[:, js] * xh[0]
-        G[n[0]] = edge0[js]
-        G = ifft(G, 0, n[0])
-        W[: n[0], js] = ifft(P[:, js], 0, n[0])
-        W[n[0]:, js] = G
-    del P, G
-    Q = W[: n[0]]
+
+    # inverse: Q = T2^-1(P) for components 0 and 1 in place, and T2^-1 of
+    # component 2's xh_2 P with its edge beside it, on the planes from k1
+    def inverse(t):
+        for js in rows[t::threads]:
+            G = scale(W[:, js], 2, bufs[t][:, : js.stop - js.start])
+            G[n[2]] = edge2[:, js].T
+            over(scipy.fft.ifft, G, 0, 1)
+            over(scipy.fft.ifft, W[:, js], 0, 1)
+            W[m0: m0 + m1, js] = G[d: m0]
+
+    _fast.map_threads(inverse, range(threads))
+    del bufs
+    Q, Z = W[d: m0], W[m0: m0 + m1]
+    src[..., :k1] = 0.0
 
     def finish(G, c):
-        src[c] = scipy.fft.irfft(G, n=2 * n[2], axis=2, workers=workers)[..., : n[2]]
+        src[c][..., k1:] = scipy.fft.irfft(G, n=2 * n[0], axis=2, workers=workers)[..., : n[0]].T
 
-    finish(ifft(W[n[0]:], 1, n[1]), 0)
-    G = Q * xh[1]
-    G[:, n[1]] = ifft(edge1, 0, n[0])
-    finish(ifft(G, 1, n[1]), 1)
-    del G
-    G = ifft(Q, 1, n[1])
-    G *= xh[2]
-    G[..., n[2]] = ifft(ifft(edge2, 0, n[0]), 1, n[1])
-    finish(G, 2)
+    finish(over(scipy.fft.ifft, Z, 1)[:, : n[1]], 2)
+    # component 1 in the place of component 2, then component 0 in Q's
+    G = scale(Q, 1, Z)
+    G[:, n[1]] = scipy.fft.ifft(edge1, axis=1)[:, d: m0].T
+    finish(over(scipy.fft.ifft, G, 1)[:, : n[1]], 1)
+    G = scale(over(scipy.fft.ifft, Q, 1)[:, : n[1]], 0)
+    G[..., n[0]] = scipy.fft.ifft(scipy.fft.ifft(edge0, axis=1)[:, d: m0], axis=0)[: n[1]].T
+    finish(G, 0)
     return src
 
 
@@ -465,11 +488,16 @@ def _sample_grad_q2(q, wall, sol, grid, mask, p, shift, sites=None):
     # the plane FFT takes the flat sources, the bump ones are summed where they are
     bump = q.nodes[:, 2] != 0.0
     flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
-    # whole planes: the near nodes are replaced and the off-mask ones zeroed below
+    # whole planes (near nodes replaced, off-mask ones zeroed below), written by runs
     planes = sites.planes
-    for kz, g in zip(planes, _fast.gradslp_plane(grid.axis(2)[planes], flat, p, shift,
-                                                 grid.dx[0], grid.resolution[0], c)):
-        out.reshape(3, -1, nz)[:, :, kz] = g.reshape(-1, 3).T
+    buf = np.empty((len(planes), grid.resolution[0] * grid.resolution[1], 3))
+    for i, g in enumerate(_fast.gradslp_plane(grid.axis(2)[planes], flat, p, shift,
+                                              grid.dx[0], grid.resolution[0], c)):
+        buf[i] = g.reshape(-1, 3)
+    starts = np.flatnonzero(np.diff(planes, prepend=-2) != 1)
+    for i, j in zip(starts, np.append(starts[1:], len(planes))):
+        out.reshape(3, -1, nz)[:, :, planes[i]: planes[j - 1] + 1] = buf[i:j].T
+    del buf
     if bump.any():
         out[:, sites.bump] += _fast.gradslp_sum(grid.node_points(sites.bump), q.nodes[bump],
                                                 wg[bump], c).T

@@ -196,6 +196,13 @@ def test_gradslp_sum_row_ranges_over_two_workers():
             assert spy.call_args == (None if workers is None else mock.call(workers))
 
 
+def test_map_threads_takes_iterators():
+    # the items are drawn once, so iterators and generators map like lists
+    for k in (1, 3):
+        got = _fast.map_threads(lambda a, b: a * b, iter(range(k)), (2 * i for i in range(k)))
+        assert got == [2 * i * i for i in range(k)]
+
+
 def test_gradslp_sum_same_on_one_and_three_cpus():
     # 301 bump-sized sources at the real block size: 217 rows a block, 10
     # blocks; three workers with a short switch interval, so a row range

@@ -103,41 +103,109 @@ def padded_solve_ref(src, dx):
                      for c in range(3)])
 
 
-# a non-cubic grid with unequal spacings and a cubic one
+# a non-cubic grid with unequal spacings, a cubic one, and one whose
+# z-nodes sit dz / 2 = 1/32 from the flat wall, where theta v and its
+# mirror are nonzero, so the source starts a plane below the domain slab
 REF_GRIDS = [BoxGrid((-2.0, -2.2, -0.5), (2.0, 2.2, 3.5), (12, 10, 14)),
-             BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (16, 16, 16))]
+             BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (16, 16, 16)),
+             BoxGrid((-2.0, -2.0, -0.53125), (2.0, 2.0, 3.46875), (16, 16, 64))]
+
+
+def _usable_cpus(k):
+    """Patch the CPUs the volume potential and gradslp_sum may use to k."""
+    return mock.patch.object(pipeline.os, "sched_getaffinity", return_value=set(range(k)))
 
 
 class TestVolumePotential:
     # against the full complex solve, relative to max |source|: for a
     # solenoidal source grad q1 is itself roundoff, so its own max is no
-    # scale.  Odd and one-node axes are drawn too; the padded axes stay even
-    @settings(max_examples=20, deadline=None)
+    # scale.  The source is 0 below plane k0 and the solve returns the
+    # planes from k1 >= k0, exact zeros below.  Odd and one-node axes are
+    # drawn too; the padded axes stay even
+    @settings(max_examples=30, deadline=None)
     @given(res=st.tuples(*[st.integers(1, 9)] * 3),
-           dx=st.tuples(*[st.floats(0.05, 2.0)] * 3), seed=st.integers(0, 2**32 - 1))
-    @example(res=REF_GRIDS[0].resolution, dx=REF_GRIDS[0].dx, seed=7)
-    @example(res=REF_GRIDS[1].resolution, dx=REF_GRIDS[1].dx, seed=7)
+           dx=st.tuples(*[st.floats(0.05, 2.0)] * 3), seed=st.integers(0, 2**32 - 1),
+           planes=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+    @example(res=REF_GRIDS[0].resolution, dx=REF_GRIDS[0].dx, seed=7, planes=(0, 0))
+    @example(res=REF_GRIDS[1].resolution, dx=REF_GRIDS[1].dx, seed=7, planes=(0, 0))
+    @example(res=REF_GRIDS[0].resolution, dx=REF_GRIDS[0].dx, seed=7, planes=(5, 8))
+    @example(res=REF_GRIDS[1].resolution, dx=REF_GRIDS[1].dx, seed=7, planes=(15, 15))
     # a one-node box, and odd and one-node axes, where the Nyquist edges
     # meet: each edge term is needed on these
-    @example(res=(1, 1, 1), dx=(0.3, 0.7, 1.1), seed=3)
-    @example(res=(3, 5, 7), dx=(0.3, 0.7, 1.1), seed=3)
-    @example(res=(2, 9, 4), dx=(1.3, 0.2, 0.6), seed=3)
-    def test_matches_complex_padded_solve_on_white_noise(self, res, dx, seed):
+    @example(res=(1, 1, 1), dx=(0.3, 0.7, 1.1), seed=3, planes=(0, 0))
+    @example(res=(3, 5, 7), dx=(0.3, 0.7, 1.1), seed=3, planes=(0, 0))
+    @example(res=(3, 5, 7), dx=(0.3, 0.7, 1.1), seed=3, planes=(2, 4))
+    @example(res=(3, 5, 7), dx=(0.3, 0.7, 1.1), seed=3, planes=(6, 6))
+    @example(res=(2, 9, 4), dx=(1.3, 0.2, 0.6), seed=3, planes=(1, 3))
+    @example(res=(8, 8, 1), dx=(0.3, 0.7, 1.1), seed=3, planes=(0, 0))
+    @example(res=(5, 1, 3), dx=(0.3, 0.7, 1.1), seed=3, planes=(0, 2))
+    @example(res=(5, 1, 3), dx=(0.3, 0.7, 1.1), seed=3, planes=(1, 1))
+    def test_matches_complex_padded_solve_on_white_noise(self, res, dx, seed, planes):
+        k0 = min(planes[0], res[2] - 1)
+        k1 = min(max(planes[1], k0), res[2] - 1)
         src = np.random.default_rng(seed).standard_normal((3,) + tuple(res))
+        src[..., :k0] = 0.0
         ref = padded_solve_ref(src, dx)
-        got = pipeline._free_space_gradient(src.copy(), dx)
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(src).max()
+        got = pipeline._free_space_gradient(src.copy(), dx, k0, k1)
+        assert np.abs(got[..., k1:] - ref[..., k1:]).max() <= 1e-14 * np.abs(src).max()
+        assert not got[..., :k1].any()
 
-    @settings(max_examples=10, deadline=None)
-    @given(terms=FIELD_TERMS, which=st.sampled_from([0, 1, None]))
+    def test_empty_slab_gives_zero(self):
+        src = np.random.default_rng(0).standard_normal((3, 4, 5, 6))
+        src[..., :4] = 0.0
+        assert not pipeline._free_space_gradient(src, (0.5, 0.5, 0.5), 4, 6).any()
+
+    @settings(max_examples=12, deadline=None)
+    @given(terms=FIELD_TERMS, which=st.sampled_from([0, 1, 2, None]))
     def test_matches_complex_padded_solve_on_drawn_fields(self, flat_hs, gentle_hs, terms,
                                                           which):
+        # on the planes the solve keeps; volume_potential_grad is that solve
+        # on the inside nodes and 0 off them
         hs = gentle_hs if which is None else flat_hs
         v = _drawn_field(hs, terms, None if which is None else REF_GRIDS[which])
-        got = volume_potential_grad(hs, v, rho=0.055).data
-        src = pipeline._extended_source(hs, v, 0.055)
+        src, k0, k1 = pipeline._extended_source(hs, v, 0.055)
+        assert not src[..., :k0].any() and v.inside_mask[..., k1].any()
+        assert not v.inside_mask[..., :k1].any()
+        if which == 2:
+            assert k0 == k1 - 1 and src[..., k0].any()
         ref = padded_solve_ref(src, v.grid.dx)
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(src).max()
+        got = pipeline._free_space_gradient(src.copy(), v.grid.dx, k0, k1)
+        assert np.abs(got[..., k1:] - ref[..., k1:]).max() <= 1e-14 * np.abs(src).max()
+        gq1 = volume_potential_grad(hs, v, rho=0.055).data
+        assert np.array_equal(gq1, got * v.inside_mask)
+
+    def test_source_is_v_inside(self, gentle_hs, curved_case):
+        # v itself on the inside nodes, the mirror of theta v off them, which
+        # only the outside tube nodes can hold; the planes below k0 hold no
+        # source node
+        v = curved_case[1]
+        src, k0, k1 = pipeline._extended_source(gentle_hs, v, 0.055)
+        mask = v.inside_mask
+        assert np.array_equal(src[:, mask], v.data[:, mask])
+        wall = gentle_hs.box_wall(v.grid)
+        tube = np.zeros(mask.shape, bool)
+        tube.flat[wall.index[np.abs(wall.distance) < 0.055]] = True
+        assert not src[:, ~mask & ~tube].any()
+        assert not src[..., :k0].any() and k0 <= k1
+        assert mask[..., k1].any() and not mask[..., :k1].any()
+
+    def test_zero_off_the_mask(self, flat_hs, gentle_hs, grad_field, curved_case):
+        # grad q1, like v0 and grad q2, is exactly 0 off the inside mask
+        for hs, v in ((flat_hs, grad_field), (gentle_hs, curved_case[1]),
+                      (gentle_hs, curved_case[2])):
+            gq1 = volume_potential_grad(hs, v, rho=0.055)
+            assert not gq1.data[:, ~v.inside_mask].any()
+            assert np.abs(gq1.inside_values()).max() > 0.0
+
+    def test_whole_box_reconstruction(self, flat_hs, grad_field, flat_cfg, curved_plan_case):
+        # for a field that is 0 off the mask, v = v0 + grad q1 + grad q2 on
+        # the whole box: to roundoff inside, exactly off the mask
+        for res in (decompose(flat_hs, grad_field, flat_cfg), curved_plan_case[2]):
+            off = ~res.v.inside_mask
+            assert not res.v.data[:, off].any()
+            total = res.v0.data + res.grad_q1.data + res.grad_q2.data
+            assert not total[:, off].any()
+            assert np.abs(res.v.data - total).max() <= 1e-12 * np.abs(res.v.data).max()
 
     def test_gradient_recovery(self, flat_hs, grad_field):
         gq1 = volume_potential_grad(flat_hs, grad_field, rho=0.07)
@@ -199,8 +267,12 @@ class TestVolumePotential:
 
     def test_peak_memory_cap(self, gentle_hs):
         # the pruned half-spectrum solve, whose input rows and inverse
-        # halves share the one half-spectrum buffer, holds about 1.25
-        # complex arrays of the 2x grid with its source; the one-off import
+        # halves share the one half-spectrum buffer, with its source:
+        # measured 1.004 to 1.006 complex arrays of the 2x grid on 1, 2, 4
+        # and 8 usable CPUs when the call builds the box wall, 0.96 when hs
+        # holds it; bound 1.1.  The z passes take one thread per 8 MB of
+        # spectrum, so one here, and their block buffers a fixed share of
+        # it, so the peak does not grow with the CPU count.  The one-off import
         # of scipy.fft, about 5 such arrays, is not the solve's and is paid
         # before tracing, whichever test runs first
         import scipy.fft  # noqa: F401
@@ -208,13 +280,29 @@ class TestVolumePotential:
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (32, 32, 32))
         v = BoxField.sample(grid, gentle_hs, grad_phi, ncomp=3)
         one_complex = 16 * np.prod([2 * r for r in grid.resolution])
-        tracemalloc.start()
-        try:
-            volume_potential_grad(gentle_hs, v, rho=0.055)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * one_complex, f"peak {peak / one_complex:.2f} complex arrays"
+        for cpus in (1, 2, 4, 8):
+            with _usable_cpus(cpus):
+                tracemalloc.start()
+                try:
+                    volume_potential_grad(gentle_hs, v, rho=0.055)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 1.1 * one_complex, f"{cpus} CPUs: {peak / one_complex:.3f} complex arrays"
+
+    def test_same_bytes_on_any_cpu_count(self):
+        # the z passes' blocks shrink as the threads grow, here one thread
+        # per CPU on a small box; each column's transforms and products are
+        # the same, and each block is done once
+        src = np.random.default_rng(4).standard_normal((3, 12, 10, 14))
+        src[..., :2] = 0.0
+        got = []
+        for cpus in (1, 3, 8):
+            with _usable_cpus(cpus), mock.patch.object(pipeline, "_Z_THREAD_BYTES", 1):
+                got.append(pipeline._free_space_gradient(src.copy(), (0.3, 0.4, 0.5), 2, 5))
+        assert all(np.array_equal(g, got[0]) for g in got[1:])
+        ref = padded_solve_ref(src, (0.3, 0.4, 0.5))
+        assert np.abs(got[0][..., 5:] - ref[..., 5:]).max() <= 1e-14 * np.abs(src).max()
 
 
 class TestInsideValues:
@@ -923,8 +1011,9 @@ class TestPlan:
 
     def test_second_apply_memory_cap(self, flat_hs):
         # what one apply allocates on a kept plan, whose own arrays the
-        # first apply built: measured 6.53 fields of 3 components on the
-        # flat 32^3 box, its peak inside volume_potential_grad
+        # first apply built: measured 5.20 to 5.23 fields of 3 components
+        # on the flat 32^3 box with 1, 2, 4 and 8 usable CPUs, its peak
+        # inside volume_potential_grad; bound 5.4 (3% margin)
         import scipy.fft  # noqa: F401  (its one-off import is not the apply's)
 
         grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
@@ -935,13 +1024,15 @@ class TestPlan:
         plan = DecompositionPlan(flat_hs, grid, v1.inside_mask, cfg)
         plan.apply(v1)
         field = v2.data.nbytes
-        tracemalloc.start()
-        try:
-            plan.apply(v2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7.0 * field, f"peak {peak / field:.2f} fields"
+        for cpus in (1, 2, 8):
+            with _usable_cpus(cpus):
+                tracemalloc.start()
+                try:
+                    plan.apply(v2)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 5.4 * field, f"{cpus} CPUs: {peak / field:.2f} fields"
 
     def test_apply_refuses_another_grid_or_mask(self, flat_hs):
         narrow, wide = _flat_twin_fields(flat_hs)
@@ -967,6 +1058,48 @@ class TestPlan:
         for key in ("v0", "grad_q1", "grad_q2"):
             want = a * getattr(r1, key).data + b * getattr(r2, key).data
             assert np.abs(getattr(r12, key).data - want).max() < bound
+
+
+# the manufactured fields on the bump: with F = x_n - h(x'), v_s = grad psi
+# x grad F is divergence free and tangent to every level set of F, the wall
+# included, so its v0 is v_s itself; v_g = grad phi has v0 = 0.  Gaussian
+# psi and phi of width^2 0.12 decay at the box faces
+MMS_PSI, MMS_PHI = np.array([0.2, -0.1, 1.0]), np.array([-0.3, 0.2, 1.2])
+
+
+def _grad_gauss(p, centre):
+    d = p - centre
+    return -2.0 / S2 * d * np.exp(-np.sum(d * d, -1) / S2)[..., None]
+
+
+class TestManufacturedSolution:
+    # max and l2 of |v0 - exact| relative to those of v on the inside nodes
+    # of the 32^3 bump box, with rho 0.055 and an 8.0 / 16 lattice.  Gated
+    # at the values of the solve before the volume potential was pruned to
+    # the domain slab (6.5563e-6, 2.6432e-6 for v_g and 8.0223e-6,
+    # 1.33267e-5 for v_s), rounded up in the third digit: the pruned solve
+    # leaves v0's error where it was.  The error next to the wall does not
+    # yet fall under refinement on the bump (ROADMAP item 1)
+    @pytest.mark.parametrize("field, gate", [("v_g", (6.56e-6, 2.65e-6)),
+                                             ("v_s", (8.03e-6, 1.34e-5))])
+    def test_v0_error_on_the_bump(self, gentle_hs, field, gate):
+        b = gentle_hs.boundary
+
+        def fn(p):
+            if field == "v_g":
+                return _grad_gauss(p, MMS_PHI)
+            grad_f = np.concatenate([-b.gradient(p[..., :2]), np.ones(p.shape[:-1] + (1,))], -1)
+            return np.cross(_grad_gauss(p, MMS_PSI), grad_f)
+
+        grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (32, 32, 32))
+        v = BoxField.sample(grid, gentle_hs, fn, ncomp=3)
+        res = decompose(gentle_hs, v, PipelineConfig(rho=0.055, quad_extent=8.0, quad_res=16))
+        exact = v.inside_values() if field == "v_s" else 0.0
+        err = res.v0.inside_values() - exact
+        vals = v.inside_values()
+        rel_max = np.abs(err).max() / np.abs(vals).max()
+        rel_l2 = np.sqrt(np.sum(err ** 2) / np.sum(vals ** 2))
+        assert rel_max <= gate[0] and rel_l2 <= gate[1], (rel_max, rel_l2)
 
 
 class TestFlatOracle:
