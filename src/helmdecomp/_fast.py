@@ -16,10 +16,20 @@ Two kernels are discrete 2-D convolutions on a lattice, done by Hockney's
 zero-padded FFT, exact up to transform roundoff: ``gradslp_plane`` (grad
 SLP over a z-plane of box columns, in a moment form whose cancellation
 scales that roundoff by up to the box half-width over the nearest source
-offset) and ``gagliardo_pairs`` (the Gagliardo
-pair sum, plus a row-blocked direct correction on the lifted bump rows).
-``gradslp_plane`` stays serial: threading its plane loop did not pay end
-to end on the 96^3 flat box and kept about 10 MB more resident.
+offset) and ``gagliardo_pairs`` (the Gagliardo pair sum, plus a direct
+K - K0 correction on the lifted bump rows).  ``gradslp_plane`` stays
+serial: threading its plane loop did not pay end to end on the 96^3 flat
+box and kept about 10 MB more resident.
+
+Everything of the Gagliardo sum that depends on the lattice and its
+measure alone, the real spectrum of the flat kernel, K0 * mu and the
+lifted nodes with their measure, is built by ``gagliardo_geometry``, which
+``sobolev.gagliardo_half`` keeps per lattice and boundary; a call then
+transforms the field once forward and once back, and forms the K - K0
+rows of the lifted nodes block by block.
+Those transforms use ``numpy.fft``: importing ``scipy.fft`` raises the
+resident memory of a process that needs nothing else of scipy, as the
+boundary norms alone do, by about 27 MB.
 """
 
 import os
@@ -151,7 +161,47 @@ def closest_on_grid(xp, xn, cand, ch):
     return out
 
 
-def gagliardo_pairs(coords, vals, mu):
+def _flat_conv(spec, w):
+    """(K0 * w) on the res^2 nodes of w, by the (2 res)^2 zero-padded FFT
+    with the real spectrum spec of K0; only the res target rows are
+    inverted along axis 1."""
+    res = len(w)
+    prod = np.fft.rfft2(w, s=(2 * res, 2 * res))
+    prod *= spec
+    rows = np.fft.ifft(prod, axis=0)[:res]
+    return np.fft.irfft(rows, n=2 * res, axis=1)[:, :res].ravel()
+
+
+def gagliardo_geometry(coords, mu):
+    """What gagliardo_pairs reads of the lattice and mu alone, read-only:
+    (spec, k0_mu, mu_sum, lifted, xs, ms, cw).
+
+    spec is the real spectrum of the flat kernel K0 on the (2 res)^2
+    circular lattice, entry k at the offset min(k, 2 res - k) dx: K0 is
+    real and even, so its transform is real and the imaginary part left by
+    the transform is roundoff, dropped.  k0_mu = K0 * mu on the nodes and
+    mu_sum = sum mu.  lifted are the indices S of the nodes off the plane
+    (height != 0), xs and ms their coordinates and mu, and cw = mu on S and
+    2 mu off it.
+    """
+    m = len(coords)
+    res = int(round(m**0.5))
+    dx = (coords[-1, :2] - coords[0, :2]) / (res - 1)
+    o = np.r_[0:res + 1, res - 1:0:-1]
+    r2 = (o[:, None] * dx[0]) ** 2 + (o[None, :] * dx[1]) ** 2
+    r2[0, 0] = np.inf
+    spec = np.fft.rfft2(r2**-1.5).real.copy()
+    k0_mu = _flat_conv(spec, mu.reshape(res, res))
+    lifted = np.flatnonzero(coords[:, 2] != 0.0)
+    cw = mu * 2.0
+    cw[lifted] = mu[lifted]
+    held = (spec, k0_mu, lifted, coords[lifted], mu[lifted], cw)
+    for a in held:
+        a.flags.writeable = False
+    return spec, k0_mu, float(mu.sum()), *held[2:]
+
+
+def gagliardo_pairs(coords, vals, mu, geometry=None):
     """sum_{i != j} (v_i - v_j)^2 |x_i - x_j|^{-3} mu_i mu_j on a lifted lattice.
 
     coords holds a row-major res^2 lattice in x', each node lifted to its
@@ -159,27 +209,22 @@ def gagliardo_pairs(coords, vals, mu):
     which keeps the cancelling terms small, the flat sum is the FFT pair
     2 sum_i u_i mu_i (u_i (K0 * mu)_i - (K0 * u mu)_i).  K differs from K0
     only on pairs with a lifted end, so K - K0 is summed directly over the
-    lifted rows S: twice S against all nodes, less S against S.
+    lifted rows S: twice S against all nodes, less S against S.  geometry
+    is gagliardo_geometry(coords, mu), built here when not given; per call
+    only u mu is transformed, once forward and once back.
     """
     m = len(coords)
     res = int(round(m**0.5))
     if res < 2:
         return 0.0
-    dx = (coords[-1, :2] - coords[0, :2]) / (res - 1)
-    # circular offsets 0..res-1, -res..-1; entry -res is never read back
-    o = np.r_[0:res, -res:0]
-    r2 = (o[:, None] * dx[0]) ** 2 + (o[None, :] * dx[1]) ** 2
-    r2[0, 0] = np.inf
-    u = vals - (vals @ mu) / mu.sum()
-    w = np.stack([mu, u * mu]).reshape(2, res, res)
-    size = (2 * res, 2 * res)
-    conv = np.fft.irfft2(np.fft.rfft2(w, s=size) * np.fft.rfft2(r2**-1.5), s=size)
-    conv = conv[:, :res, :res].reshape(2, m)
-    total = 2.0 * float((u * mu) @ (u * conv[0] - conv[1]))
+    if geometry is None:
+        geometry = gagliardo_geometry(coords, mu)
+    spec, k0_mu, mu_sum, lifted, xs, ms, cw = geometry
+    u = vals - (vals @ mu) / mu_sum
+    um = u * mu
+    total = 2.0 * float(um @ (u * k0_mu - _flat_conv(spec, um.reshape(res, res))))
 
-    lifted = coords[:, 2] != 0.0
-    xs, vs, ms = coords[lifted], vals[lifted], mu[lifted]
-    cw = mu * np.where(lifted, 1.0, 2.0)
+    vs = vals[lifted]
     for sl, (r, d, k) in _row_blocks(len(xs), m, (float, float, float)):
         _sq_dist(xs[sl, :2], coords[:, :2], r, d)
         r[r == 0.0] = np.inf  # the diagonal: numerator 0

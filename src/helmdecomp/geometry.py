@@ -597,35 +597,36 @@ def interp_masked(field, pts):
     """Trilinear interpolation honoring the inside mask.
 
     Corner weights at masked-out nodes are dropped and the rest renormalized;
-    points whose entire cell is outside evaluate to zero.
+    points whose entire cell is outside evaluate to zero.  Mask and data are
+    gathered by flat index, (i ny + j) nz + k plus each corner's offset.
     Returns array of shape (ncomp, npts).
     """
     g = field.grid
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     npts = pts.shape[0]
-    idx = []
+    _, ny, nz = g.resolution
+    flat = np.zeros(npts, dtype=np.intp)
     frac = []
     for ax in range(3):
         t = (pts[:, ax] - g.lower[ax]) / g.dx[ax]
         i0 = np.clip(np.floor(t).astype(int), 0, g.resolution[ax] - 2)
-        idx.append(i0)
+        flat = flat * g.resolution[ax] + i0
         frac.append(np.clip(t - i0, 0.0, 1.0))
+    mask = field.inside_mask.reshape(-1)
+    data = field.data.reshape(field.ncomp, -1)
     out = np.zeros((field.ncomp, npts))
     wsum = np.zeros(npts)
     for cx in (0, 1):
         for cy in (0, 1):
             for cz in (0, 1):
-                ii = (idx[0] + cx, idx[1] + cy, idx[2] + cz)
+                ii = flat + ((cx * ny + cy) * nz + cz)
                 w = (np.where(cx, frac[0], 1 - frac[0])
                      * np.where(cy, frac[1], 1 - frac[1])
                      * np.where(cz, frac[2], 1 - frac[2]))
-                w = w * field.inside_mask[ii]
-                out += w[None] * field.data[(slice(None),) + ii]
+                w = w * mask.take(ii)
+                out += w[None] * data.take(ii, axis=1)
                 wsum += w
-    ok = wsum > 1e-12
-    out[:, ok] /= wsum[ok]
-    out[:, ~ok] = 0.0
-    return out
+    return np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
 
 
 def extend_field(hs, v, rho):

@@ -270,47 +270,41 @@ def pairing(f, g):
 _UNIT_SQUARE_INV_DIST = 4.0 * np.log(1.0 + np.sqrt(2.0))
 
 
-def gagliardo_half(f, hs=None):
-    """Gagliardo realization of the 1/2-norm over the lattice pairs.
+# three entries: the norms of one density alternate three lattices (the
+# wide plane, the graph and the narrow plane); each entry holds about
+# 80 bytes per lattice node, 84 MB at res 1024
+@functools.lru_cache(maxsize=3)
+def _gagliardo_lattice(res, extent, boundary):
+    """What gagliardo_half reads of the lattice and the boundary alone:
+    (coords, mu, geometry, self_w, ext_w), kept per (res, extent, boundary)
+    and read-only; boundary is None on the plane.
 
-    Plane mode integrates |f(x')-f(y')|^2 / |x'-y'|^n dx' dy'; graph mode
-    (``f.on_graph``) uses ambient distances |x-y| in R^n and the surface
-    measure omega dy'.  The pair sum is two lattice FFT convolutions, plus
-    a direct sum over the pairs with an end on the bump in graph mode.  The self-cell uses the local-gradient surrogate
-    |grad f(x)|^2 |z|^{2-n}, integrated exactly over an equal-area disk.
+    coords are the res^2 nodes lifted to the graph (height 0 on the plane),
+    mu = omega dx^2 (dx^2 on the plane), geometry is
+    _fast.gagliardo_geometry(coords, mu), and self_w and ext_w are the
+    weights of the self-cell and exterior terms: c0 dx mu and 2 T mu.
     """
-    from ._fast import gagliardo_pairs
+    from ._fast import gagliardo_geometry
 
-    pts = f.points()
-    pts2 = pts.reshape(-1, 2)
-    vals = np.ascontiguousarray(f.values.ravel())
-    dx = f.dx
-    if f.on_graph:
-        if hs is None:
-            raise ValueError("graph-mode Gagliardo needs the half-space geometry")
-        b = hs.boundary
-        h = b.height(pts2)
-        om = b.omega(pts2)
-        coords = np.concatenate([pts2, h[:, None]], axis=1)
-        mu = om * dx**2
-    else:
-        coords = np.concatenate([pts2, np.zeros((len(pts2), 1))], axis=1)
+    dx = extent / res
+    pts2 = lattice_points(extent, res).reshape(-1, 2)
+    if boundary is None:
+        h = np.zeros(len(pts2))
         mu = np.full(len(pts2), dx**2)
+    else:
+        h = boundary.height(pts2)
+        mu = boundary.omega(pts2) * dx**2
+    coords = np.column_stack([pts2, h])
 
-    total = gagliardo_pairs(np.ascontiguousarray(coords), vals,
-                            np.ascontiguousarray(mu))
-
-    gx, gy = np.gradient(f.values, dx, dx)
-    grad2 = (gx**2 + gy**2).ravel()
     # int_cell |z|^{2-n} dz for the square cell == dx * c0 with c0 the
     # unit-square integral of 1/|z| (n == 3)
-    self_term = float(np.sum(grad2 * (_UNIT_SQUARE_INV_DIST * dx) * mu))
+    self_w = (_UNIT_SQUARE_INV_DIST * dx) * mu
 
     # pairs with one leg outside the lattice: f vanishes there, so each
     # lattice point contributes 2 |f|^2 * int_{exterior} |x-y|^{-3} dy,
-    # an exact half-plane/corner expression
-    half = f.extent / 2.0
-    gxx, gyy = np.moveaxis(pts, -1, 0)
+    # an exact half-plane/corner expression T
+    half = extent / 2.0
+    gxx, gyy = pts2.T
     d_w = np.maximum(gxx + half, dx / 2)
     d_e = np.maximum(half - gxx, dx / 2)
     d_s = np.maximum(gyy + half, dx / 2)
@@ -321,8 +315,36 @@ def gagliardo_half(f, hs=None):
 
     T = 2.0 / d_w + 2.0 / d_e + 2.0 / d_s + 2.0 / d_n \
         - corner(d_w, d_s) - corner(d_w, d_n) - corner(d_e, d_s) - corner(d_e, d_n)
-    exterior = float(np.sum(2.0 * f.values.ravel() ** 2 * T.ravel() * mu))
-    return np.sqrt(total + self_term + exterior)
+    ext_w = 2.0 * T * mu
+    for a in (coords, mu, self_w, ext_w):
+        a.flags.writeable = False
+    return coords, mu, gagliardo_geometry(coords, mu), self_w, ext_w
+
+
+def gagliardo_half(f, hs=None):
+    """Gagliardo realization of the 1/2-norm over the lattice pairs.
+
+    Plane mode integrates |f(x')-f(y')|^2 / |x'-y'|^n dx' dy'; graph mode
+    (``f.on_graph``) uses ambient distances |x-y| in R^n and the surface
+    measure omega dy'.  The pair sum is one lattice FFT convolution of the
+    field, plus a direct sum over the pairs with an end on the bump in graph
+    mode; everything that depends on the lattice and the boundary alone is
+    kept by _gagliardo_lattice.  The self-cell uses the local-gradient
+    surrogate |grad f(x)|^2 |z|^{2-n}, integrated exactly over the square
+    cell.
+    """
+    from ._fast import gagliardo_pairs
+
+    if f.on_graph and hs is None:
+        raise ValueError("graph-mode Gagliardo needs the half-space geometry")
+    boundary = hs.boundary if f.on_graph else None
+    coords, mu, geometry, self_w, ext_w = _gagliardo_lattice(f.res, f.extent, boundary)
+    vals = np.ascontiguousarray(f.values.ravel())
+    total = gagliardo_pairs(coords, vals, mu, geometry=geometry)
+
+    gx, gy = np.gradient(f.values, f.dx, f.dx)
+    grad2 = (gx**2 + gy**2).ravel()
+    return np.sqrt(total + float(grad2 @ self_w) + float((vals * vals) @ ext_w))
 
 
 def th_push(f):

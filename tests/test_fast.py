@@ -263,6 +263,21 @@ def test_gagliardo_matches_reference_on_lattices(res, extent, mode, reach, rough
     assert abs(got - ref) <= RTOL * ref
 
 
+@pytest.mark.parametrize("boundary", [None, BoundaryFunction.smooth_bump(0.3, 0.4)])
+def test_gagliardo_same_with_and_without_geometry(boundary):
+    # one geometry, held across fields, gives the value of the one each
+    # call builds itself
+    coords, mu = _lattice(10.0, 64, boundary)
+    geometry = _fast.gagliardo_geometry(coords, mu)
+    assert (len(geometry[3]) > 0) == (boundary is not None)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        vals = rng.normal(size=len(coords)) + rng.uniform(-5.0, 5.0)
+        fresh = _fast.gagliardo_pairs(coords, vals, mu)
+        assert abs(_fast.gagliardo_pairs(coords, vals, mu, geometry=geometry) - fresh) \
+            <= 1e-15 * fresh
+
+
 def test_gagliardo_matches_reference_real_block():
     # every node lifted: 2304 correction rows in blocks of 28 rows
     boundary = BoundaryFunction.gaussian_bump(0.3, 1.5)
@@ -284,7 +299,9 @@ def test_gagliardo_half_matches_reference_at_norms_sizes():
     f64 = BoundaryDensity.sample(10.0, 64, fn)
     cases = [(f96, None), (th_push(f64), hs), (f64, None)]
     got = [gagliardo_half(f, hs=h) for f, h in cases]
-    with mock.patch.object(_fast, "gagliardo_pairs", gagliardo_ref):
+    # the reference sums every pair itself and reads no held geometry
+    ref_pairs = lambda coords, vals, mu, geometry=None: gagliardo_ref(coords, vals, mu)  # noqa: E731
+    with mock.patch.object(_fast, "gagliardo_pairs", ref_pairs):
         ref = [gagliardo_half(f, hs=h) for f, h in cases]
     for g, r in zip(got, ref):
         assert abs(g - r) <= RTOL * r

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
 from helmdecomp.errors import NoUniqueProjection, OutOfChart
-from helmdecomp.geometry import extend_field
+from helmdecomp.geometry import extend_field, interp_masked
 from helmdecomp.sobolev import normal_component_field
 
 
@@ -231,6 +231,59 @@ class TestLipschitzGradD:
         ratio = num / np.maximum(den, 1e-12)
         assert np.isfinite(ratio).all()
         assert ratio.max() < 100.0  # fitted once: measured ~6 for this bump
+
+
+def interp_masked_ref(field, pts):
+    """interp_masked by three index arrays per corner and a boolean write."""
+    g = field.grid
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    idx, frac = [], []
+    for ax in range(3):
+        t = (pts[:, ax] - g.lower[ax]) / g.dx[ax]
+        i0 = np.clip(np.floor(t).astype(int), 0, g.resolution[ax] - 2)
+        idx.append(i0)
+        frac.append(np.clip(t - i0, 0.0, 1.0))
+    out = np.zeros((field.ncomp, len(pts)))
+    wsum = np.zeros(len(pts))
+    for cx in (0, 1):
+        for cy in (0, 1):
+            for cz in (0, 1):
+                ii = (idx[0] + cx, idx[1] + cy, idx[2] + cz)
+                w = (np.where(cx, frac[0], 1 - frac[0])
+                     * np.where(cy, frac[1], 1 - frac[1])
+                     * np.where(cz, frac[2], 1 - frac[2]))
+                w = w * field.inside_mask[ii]
+                out += w[None] * field.data[(slice(None),) + ii]
+                wsum += w
+    ok = wsum > 1e-12
+    out[:, ok] /= wsum[ok]
+    out[:, ~ok] = 0.0
+    return out
+
+
+class TestInterpMasked:
+    @settings(max_examples=40, deadline=None)
+    @given(res=st.tuples(*[st.integers(2, 9)] * 3), ncomp=st.sampled_from([1, 3]),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_index_array_form_bitwise(self, res, ncomp, density, seed):
+        # random masks; points anywhere in the box, in its last cell, on its
+        # upper faces and beyond it (clipped to the boundary cells)
+        rng = np.random.default_rng(seed)
+        grid = BoxGrid((-1.0, -0.5, 0.0), (1.0, 1.5, 3.0), res)
+        field = BoxField(grid, rng.normal(size=(ncomp,) + res),
+                         rng.uniform(size=res) < density)
+        lo, hi = np.asarray(grid.lower), np.asarray(grid.upper)
+        last = hi - np.asarray(grid.dx)
+        pts = np.concatenate([
+            rng.uniform(lo, hi, (40, 3)),
+            rng.uniform(last - np.asarray(grid.dx), last, (10, 3)),
+            np.broadcast_to(last, (1, 3)),
+            rng.uniform(lo - 1.0, hi + 1.0, (20, 3)),
+        ])
+        got = interp_masked(field, pts)
+        ref = interp_masked_ref(field, pts)
+        assert got.shape == (ncomp, len(pts))
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestExtendField:

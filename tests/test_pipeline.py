@@ -203,6 +203,7 @@ class TestVolumePotential:
         for res in (decompose(flat_hs, grad_field, flat_cfg), curved_plan_case[2]):
             off = ~res.v.inside_mask
             assert not res.v.data[:, off].any()
+            assert not res.v0.data[:, off].any()
             total = res.v0.data + res.grad_q1.data + res.grad_q2.data
             assert not total[:, off].any()
             assert np.abs(res.v.data - total).max() <= 1e-12 * np.abs(res.v.data).max()
@@ -264,6 +265,29 @@ class TestVolumePotential:
         v = BoxField(flat_grid, np.ones((3,) + tuple(flat_grid.resolution)))
         with pytest.raises(NonDecayingInput):
             volume_potential_grad(flat_hs, v, rho=0.07)
+
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_decay_gate_at_the_threshold(self, flat_hs, bump_hs, curved):
+        # a face value of exactly _RING_TOL sup|v| passes and the next float
+        # up raises, on an inside node of each checked face, of either sign;
+        # values off the mask are never read
+        hs = bump_hs if curved else flat_hs
+        grid = BoxGrid((-1.0, -1.0, -0.25), (1.0, 1.0, 1.75), (16, 12, 20))
+        mask = grid.inside(hs)
+        assert curved == (not mask[..., 3].all())
+        peak = 2.5
+        limit = pipeline._RING_TOL * peak
+        faces = [(0, 5, 9), (-1, 5, 9), (5, 0, 9), (5, -1, 9), (5, 5, -1)]
+        for face, sign, c in zip(faces, (1.0, -1.0, 1.0, -1.0, 1.0), (0, 1, 2, 0, 1)):
+            assert mask[face]
+            for value, raises in ((limit, False), (np.nextafter(limit, np.inf), True)):
+                data = np.zeros((3,) + grid.resolution)
+                data[2, 8, 6, 10] = -peak
+                data[(c,) + face] = sign * value
+                data[:, ~mask] = 10.0
+                v = BoxField(grid, data, mask)
+                with pytest.raises(NonDecayingInput) if raises else contextlib.nullcontext():
+                    pipeline._check_box_decay(v)
 
     def test_peak_memory_cap(self, gentle_hs):
         # the pruned half-spectrum solve, whose input rows and inverse

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helmdecomp import BoxField, BoxGrid, sobolev
+from helmdecomp import BoxField, BoxGrid, _fast, sobolev
 from helmdecomp.errors import NoAdmissibleBall, NonDecayingInput, ZeroFrequencyIll
 from helmdecomp.geometry import plateau, take_nodes
 from helmdecomp.sobolev import (BoundaryDensity, bmo_seminorm, bnu_seminorm,
@@ -137,6 +137,59 @@ class TestGagliardo:
         plane = gagliardo_half(f)
         graph = gagliardo_half(th_push(f), hs=flat_hs)
         assert np.isclose(plane, graph, rtol=1e-12)
+
+
+class TestGagliardoCache:
+    @staticmethod
+    def _norms_calls(hs, fn):
+        """The three Gagliardo calls of one op of the norms benchmark."""
+        f96 = BoundaryDensity.sample(14.0, 96, fn)
+        f64 = BoundaryDensity.sample(10.0, 64, fn)
+        return [gagliardo_half(f96), gagliardo_half(th_push(f64), hs=hs), gagliardo_half(f64)]
+
+    @staticmethod
+    def _flat(held):
+        """The arrays and numbers of one _gagliardo_lattice entry, in order."""
+        coords, mu, geometry, self_w, ext_w = held
+        return [coords, mu, self_w, ext_w, *geometry]
+
+    def test_held_arrays_are_read_only(self, bump_hs):
+        for boundary in (None, bump_hs.boundary):
+            held = self._flat(sobolev._gagliardo_lattice(24, 10.0, boundary))
+            arrays = [a for a in held if isinstance(a, np.ndarray)]
+            assert len(arrays) == 10
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_held_geometry_equals_a_fresh_build(self, bump_hs):
+        for boundary in (None, bump_hs.boundary):
+            held = self._flat(sobolev._gagliardo_lattice(32, 10.0, boundary))
+            fresh = self._flat(sobolev._gagliardo_lattice.__wrapped__(32, 10.0, boundary))
+            assert all(np.array_equal(a, b) for a, b in zip(held, fresh, strict=True))
+
+    def test_two_boundaries_on_one_lattice(self, bump_hs, gentle_hs):
+        # each boundary gets its own graph geometry, and a value as if alone
+        f = th_push(gaussian_density(10.0, 32))
+        got = [gagliardo_half(f, hs=h) for h in (bump_hs, gentle_hs, bump_hs)]
+        assert got[0] == got[2] != got[1]
+        coords = [sobolev._gagliardo_lattice(32, 10.0, h.boundary)[0]
+                  for h in (bump_hs, gentle_hs)]
+        assert not np.array_equal(*coords)
+        sobolev._gagliardo_lattice.cache_clear()
+        assert gagliardo_half(f, hs=gentle_hs) == got[1]
+
+    def test_built_once_per_lattice_and_boundary(self, bump_hs):
+        # three rounds of the norms benchmark's calls, whose three lattices
+        # alternate: one build each, and one pair sum per call
+        sobolev._gagliardo_lattice.cache_clear()
+        fn = lambda p: np.exp(-np.sum((p - 0.3) ** 2, -1) / 0.5)  # noqa: E731
+        with mock.patch.object(_fast, "gagliardo_geometry",
+                               wraps=_fast.gagliardo_geometry) as build, \
+                mock.patch.object(_fast, "gagliardo_pairs",
+                                  wraps=_fast.gagliardo_pairs) as pairs:
+            rounds = [self._norms_calls(bump_hs, fn) for _ in range(3)]
+        assert build.call_count == 3
+        assert pairs.call_count == 9
+        assert rounds[0] == rounds[1] == rounds[2]
 
 
 class TestPushPull:
