@@ -6,20 +6,28 @@ float64 values (512 KiB) and stays in cache; a block is one row when m
 exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its buffers once and fills
 them in place, block after block.  Results differ from one whole-array sum
 by rounding only (summation order, and |x - y|^3 formed as rho2 *
-sqrt(rho2)).  ``gradslp_sum``, the grad q2 sum over the bump sources,
-splits its blocks into one row range per usable CPU, summed on threads by
-``map_threads``; the calling thread allocates every buffer, because arrays
-allocated on the worker threads come from glibc's per-thread arenas and
-raise the peak resident memory.
+sqrt(rho2)).  ``gradslp_sum``, the direct grad q2 sum, splits its blocks
+into one row range per usable CPU, summed on threads by ``map_threads``;
+the calling thread allocates every buffer, because arrays allocated on the
+worker threads come from glibc's per-thread arenas and raise the peak
+resident memory.
 
-Two kernels are discrete 2-D convolutions on a lattice, done by Hockney's
+Three kernels are discrete 2-D convolutions on a lattice, done by Hockney's
 zero-padded FFT, exact up to transform roundoff: ``gradslp_plane`` (grad
-SLP over a z-plane of box columns, in a moment form whose cancellation
-scales that roundoff by up to the box half-width over the nearest source
-offset) and ``gagliardo_pairs`` (the Gagliardo pair sum, plus a direct
-K - K0 correction on the lifted bump rows).  ``gradslp_plane`` stays
-serial: threading its plane loop did not pay end to end on the 96^3 flat
-box and kept about 10 MB more resident.
+SLP over a z-plane of box columns from sources on the plane, in a moment
+form whose cancellation scales that roundoff by up to the box half-width
+over the nearest source offset), ``gradslp_series`` (the same from the
+sources off the plane, the bump sources, by a Chebyshev series in their
+height of at most ``_SERIES_KMAX`` terms, truncated where the next
+coefficient falls below ``_SERIES_TOL`` of the first) and
+``gagliardo_pairs`` (the Gagliardo pair sum, plus a direct K - K0
+correction on the lifted bump rows).  ``gradslp_plane`` stays serial:
+threading its plane loop did not pay end to end on the 96^3 flat box and
+kept about 10 MB more resident.  ``gradslp_series`` runs its planes on
+``map_threads`` workers, as many as fit in ``_SERIES_THREAD_BYTES`` of
+buffers, all allocated by the calling thread but one inverse's output per
+plane: on the 64^3 curved box one thread took 1.2 to 1.7 times as long as
+two.
 
 Everything of the Gagliardo sum that depends on the lattice and its
 measure alone, the real spectrum of the flat kernel, K0 * mu and the
@@ -41,6 +49,15 @@ _HAVE_NUMBA = False
 
 # float64 elements per (rows, m) buffer
 _BLOCK_ELEMS = 1 << 16
+# the Chebyshev series in source height of gradslp_series: the most terms
+# tried per plane, and the size, relative to the first, of the first
+# coefficient left out
+_SERIES_KMAX = 16
+_SERIES_TOL = 1e-15
+# the bytes of gradslp_series' per-worker buffers together: as many workers
+# as fit in it, and one at least, so the peak does not grow with the CPU
+# count (three workers at most on the 64^3 curved box)
+_SERIES_THREAD_BYTES = 1 << 23
 
 
 def _row_blocks(n, m, dtypes=(float, float)):
@@ -118,7 +135,14 @@ def gradslp_sum(xs, nodes, wg, c):
 
 def map_threads(fn, *iterables):
     """list(map(fn, *iterables)), one worker thread per item (none for one
-    item).  Workers write into arrays the caller allocated: see the module."""
+    item).  Workers write into arrays the caller allocated: see the module.
+    The workers of gradslp_series and of the volume potential make no BLAS
+    call, whose own threads would compete with them; gradslp_sum's workers
+    take two small matmuls per block, which ran as fast with
+    OPENBLAS_NUM_THREADS 1 as with 2 (0.19 to 0.20 s for the 65 M bump
+    pairs of the 64^3 curved box).  A tensordot in place of the series'
+    DCT-II along the height was not slower there either (0.09 to 0.105 s
+    against 0.106 to 0.113 s on 2 threads, with 1 or 2 BLAS threads)."""
     items = list(zip(*iterables))
     if len(items) == 1:
         return [fn(*items[0])]
@@ -240,6 +264,28 @@ def gagliardo_pairs(coords, vals, mu, geometry=None):
     return total
 
 
+def even_fast_len(k):
+    """The least even 2^a 3^b 5^c at or above k.  scipy's next_fast_len can
+    give an odd size, and one more, such as 126 = 2 3^2 7, took 1.3 to 1.5
+    times as long as 120 or 128 in the transforms of gradslp_series."""
+    import scipy.fft
+
+    return 2 * scipy.fft.next_fast_len(-(-k // 2), real=True)
+
+
+def plane_size(cols, n):
+    """The circular lattice size N of the plane kernels: even and at least
+    2 D + 1, D the largest offset from a box column i < n to a source on the
+    box columns cols, so no pair wraps around."""
+    return even_fast_len(2 * max(n - 1 - cols[0], cols[-1]) + 1)
+
+
+def _quadrant_r2(half, dx):
+    """|offset|^2 on the (half + 1)^2 kernel quadrant of spacing dx."""
+    off = np.arange(half + 1) * dx
+    return off[:, None] ** 2 + off[None, :] ** 2
+
+
 def gradslp_plane(zs, w, p, shift, dx, n, c):
     """Yield sum_j c (x - y_j)|x - y_j|^{-3} w_j on every box column, per height.
 
@@ -267,8 +313,7 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
     import scipy.fft
 
     cols = shift + p * np.arange(len(w))
-    size = scipy.fft.next_fast_len(2 * max(n - 1 - cols[0], cols[-1]) + 1, real=True)
-    size += size % 2
+    size = plane_size(cols, n)
     half = size // 2
     # columns and sources, measured from the box centre
     xs = (np.arange(n) - 0.5 * (n - 1)) * dx
@@ -280,8 +325,7 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
     lat[2][at] = ys[None, :] * w
     moments = scipy.fft.rfft2(lat)
     del lat
-    off = np.arange(half + 1) * dx
-    r2_quad = off[:, None] ** 2 + off[None, :] ** 2
+    r2_quad = _quadrant_r2(half, dx)
     # no pair reads an offset below the least |i - (shift + p j)|: those
     # entries are left 0, so the roundoff of the transforms scales with the
     # largest entry read, as when the kernel was sampled on the read offsets
@@ -308,3 +352,152 @@ def gradslp_plane(zs, w, p, shift, dx, n, c):
         np.subtract(xs[None, :] * tw, ty1, out=out[..., 1])
         np.multiply(tw, z, out=out[..., 2])
         yield out
+
+
+def _height_coefficients(z, lo, hi, r2_quad, buf, tmp):
+    """Chebyshev coefficients a_k, k < len(buf), in the source height h over
+    [lo, hi] of |x - y|^{-3} at x_n = z on the kernel quadrant r2_quad: the
+    kernel sampled at the len(buf) Chebyshev heights eta_l, then a DCT-II
+    along eta, in place in buf where scipy.fft works in place (tmp is a
+    work buffer of the same shape)."""
+    import scipy.fft
+
+    k = len(buf)
+    eta = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(k) + 0.5) / k)
+    np.add(r2_quad, ((z - eta) ** 2)[:, None, None], out=buf)
+    np.sqrt(buf, out=tmp)
+    buf *= tmp
+    np.divide(1.0, buf, out=buf)
+    buf = scipy.fft.dct(buf, type=2, axis=0, overwrite_x=True)
+    buf /= k
+    buf[0] *= 0.5
+    return buf
+
+
+def series_geometry(zs, h, cols, dx, n):
+    """What gradslp_series reads of the source heights and the planes alone,
+    read-only: (orders, poly, lo, hi).
+
+    h holds the source heights on an (m, m) lattice whose node (j0, j1) sits
+    on box columns (cols[j0], cols[j1]); nodes with h == 0 take no part.
+    Over [lo, hi], the range of the heights h != 0, the kernel at each
+    height zs[i] is sampled at _SERIES_KMAX Chebyshev heights on the whole
+    kernel quadrant, and orders[i] is the first k whose coefficient is
+    below _SERIES_TOL of the first one everywhere on it, or 0 when none is
+    (the series has not converged: a plane near the sources).  It is 0 too
+    for a plane within [lo, hi], where the kernel has its pole among the
+    heights (at offset 0): there the coefficients need not fall, and those
+    of odd k vanish on the plane midway, as the kernel is even about it.
+    poly holds T_k(hhat), k < max(orders), with hhat = h mapped from
+    [lo, hi] onto [-1, 1], and 0 at the nodes with h == 0.
+    """
+    on = h != 0.0
+    lo, hi = float(h[on].min()), float(h[on].max())
+    half = plane_size(cols, n) // 2
+    r2_quad = _quadrant_r2(half, dx)
+    buf, tmp = np.empty((2, _SERIES_KMAX) + r2_quad.shape)
+    orders = np.zeros(len(zs), dtype=int)
+    for i, z in enumerate(zs):
+        if lo <= z <= hi:
+            continue
+        a = np.abs(_height_coefficients(z, lo, hi, r2_quad, buf, tmp)).max(axis=(1, 2))
+        small = np.flatnonzero(a < _SERIES_TOL * a[0])
+        orders[i] = small[0] if small.size else 0
+    hhat = np.where(on, h - 0.5 * (hi + lo), 0.0)
+    if hi > lo:
+        hhat /= 0.5 * (hi - lo)
+    poly = np.empty((orders.max(initial=0),) + h.shape)
+    # T_0 = 1, T_1 = hhat, T_k = 2 hhat T_{k-1} - T_{k-2}
+    for k in range(len(poly)):
+        poly[k] = (1.0, hhat)[k] if k < 2 else 2.0 * hhat * poly[k - 1] - poly[k - 2]
+    poly *= on
+    for a in (orders, poly):
+        a.flags.writeable = False
+    return orders, poly, lo, hi
+
+
+def gradslp_series(zs, w, h, cols, dx, n, c, geometry, out):
+    """Add sum_j c (x - y_j)|x - y_j|^{-3} w_j over the sources y_j = (y'_j,
+    h_j), h_j != 0, to out[i], the (n, n, 3) plane at x_n = zs[i], for each
+    plane whose series order is not 0.
+
+    w and h are the weights and heights on the sources' (m, m) lattice, node
+    (j0, j1) on box columns (cols[j0], cols[j1]), and geometry is
+    series_geometry(zs, h, cols, dx, n).  With t = |x - y|^{-3} expanded in
+    Chebyshev polynomials of the mapped height, t = sum_k a_k(x' - y', z)
+    T_k(hhat), each sum is a sum over k of lattice convolutions of a_k with
+    the moments M_k of c w T_k(hhat), y'_0 c w T_k, y'_1 c w T_k and h c w
+    T_k, taken as in gradslp_plane on the N x N circular lattice:
+    x'_a (a_k * M_k) - (a_k * y'_a M_k) for the x'-components and
+    z (a_k * M_k) - (a_k * h M_k) for the last.  The moments are transformed
+    once per call.  Per plane of order K the kernel is sampled at K
+    Chebyshev heights (the interpolant of degree K - 1, whose error is
+    within twice the coefficients left out), each a_k takes a type-I DCT
+    and a product with the moments, and one inverse of the four sums gives
+    the plane.
+
+    The planes run on worker threads, one per usable CPU and per
+    _SERIES_THREAD_BYTES of their buffers, each taking every workers-th
+    plane, as the orders fall with the height.  The calling thread
+    allocates those buffers (see the module); a worker allocates only the
+    (4, n, N) output of its inverse real transforms, one per plane, which
+    scipy.fft cannot write into a given array.  No worker calls BLAS.
+    """
+    import scipy.fft
+
+    orders, poly, lo, hi = geometry
+    todo = np.flatnonzero(orders)
+    if not todo.size:
+        return
+    size = plane_size(cols, n)
+    half = size // 2
+    r2_quad = _quadrant_r2(half, dx)
+    xs = (np.arange(n) - 0.5 * (n - 1)) * dx
+    ys = (cols - 0.5 * (n - 1)) * dx
+    cw = c * w
+    lat = np.zeros((4, size, size))
+    at = np.ix_(cols % size, cols % size)
+    moments = np.empty((len(poly), 4, size, half + 1), dtype=complex)
+    for k, pk in enumerate(poly):
+        wk = cw * pk
+        lat[0][at] = wk
+        lat[1][at] = ys[:, None] * wk
+        lat[2][at] = ys[None, :] * wk
+        lat[3][at] = h * wk
+        moments[k] = scipy.fft.rfft2(lat)
+    del lat
+    kmax = len(poly)
+    # per worker: kernel samples and their work buffer, a kernel spectrum,
+    # the sums and a product, a component, and the inverse's output
+    per = 8 * (2 * kmax * (half + 1) ** 2 + 18 * size * (half + 1) + n * n + 4 * n * size)
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(todo), _SERIES_THREAD_BYTES // per))
+    # a kernel spectrum is real but held as complex: products of two complex
+    # arrays ran faster than those of a complex and a real one
+    bufs = [(np.empty((kmax, half + 1, half + 1)), np.empty((kmax, half + 1, half + 1)),
+             np.empty((size, half + 1), dtype=complex),
+             np.empty((4, size, half + 1), dtype=complex),
+             np.empty((4, size, half + 1), dtype=complex), np.empty((n, n)))
+            for _ in range(workers)]
+
+    def run(planes, buf, tmp, spec, acc, prod, t):
+        for i in planes:
+            z, k = zs[i], orders[i]
+            a = _height_coefficients(z, lo, hi, r2_quad, buf[:k], tmp[:k])
+            a = scipy.fft.dctn(a, type=1, axes=(1, 2), overwrite_x=True)
+            for j in range(k):
+                # the spectrum of the real, even a_j: row r holds row min(r, N - r)
+                spec[: half + 1] = a[j]
+                spec[half + 1:] = spec[half - 1: 0: -1]
+                if j:
+                    acc += np.multiply(moments[j], spec, out=prod)
+                else:
+                    np.multiply(moments[0], spec, out=acc)
+            rows = scipy.fft.ifft(acc, axis=1, overwrite_x=True)[:, :n]
+            tw, ty0, ty1, th = scipy.fft.irfft(rows, n=size, axis=2)[..., :n]
+            o = out[i]
+            for comp, (x, ty) in enumerate(((xs[:, None], ty0), (xs[None, :], ty1), (z, th))):
+                np.multiply(tw, x, out=t)
+                t -= ty
+                o[..., comp] += t
+
+    map_threads(run, [todo[k::workers] for k in range(workers)], *zip(*bufs))

@@ -593,12 +593,16 @@ class BoxWall:
         return (np.abs(self.distance) < rho) & ~mask.ravel()[self.index]
 
 
-def interp_masked(field, pts):
+def interp_masked(field, pts, scale=None):
     """Trilinear interpolation honoring the inside mask.
 
     Corner weights at masked-out nodes are dropped and the rest renormalized;
     points whose entire cell is outside evaluate to zero.  Mask and data are
     gathered by flat index, (i ny + j) nz + k plus each corner's offset.
+    scale, when given, is (index, values): the field interpolated is then
+    data times values at the sorted flat node indices index and 0 at every
+    other node, bit for bit as if that product had been formed on the box
+    (extend_field's theta v).
     Returns array of shape (ncomp, npts).
     """
     g = field.grid
@@ -624,31 +628,41 @@ def interp_masked(field, pts):
                      * np.where(cy, frac[1], 1 - frac[1])
                      * np.where(cz, frac[2], 1 - frac[2]))
                 w = w * mask.take(ii)
-                out += w[None] * data.take(ii, axis=1)
+                vals = data.take(ii, axis=1)
+                if scale is not None:
+                    at = np.minimum(np.searchsorted(scale[0], ii), len(scale[0]) - 1)
+                    hit = scale[0][at] == ii
+                    vals = np.where(hit, vals * scale[1][at], 0.0)
+                out += w[None] * vals
                 wsum += w
     return np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
 
 
 def extend_field(hs, v, rho):
-    """Mirror extension of v across the boundary into the rho-tube.
+    """Mirror extension of theta v across the boundary into the rho-tube,
+    theta = hs.cutoff_theta(rho, d) of the signed distance: the extension
+    of the volume potential's source.  It is returned at the nodes it
+    reaches, as (index, values): the sorted flat indices of the outside
+    nodes within rho of the wall and the (ncomp, len(index)) extension
+    there.  Inside Omega the extension is v, and 0 beyond the tube.
 
-    Inside Omega the result equals v.  At an outside point x in the tube the
-    value is taken from the mirror point x* = 2 pi(x) - x with the component
-    along grad d(pi x) flipped (odd) and the tangential part kept (even):
-        vbar(x) = v(x*) - 2 (v(x*) . grad d) grad d.
-    Beyond the tube the extension is identically zero.
+    At an outside point x in the tube the value is taken from the mirror
+    point x* = 2 pi(x) - x with the component along grad d(pi x) flipped
+    (odd) and the tangential part kept (even):
+        vbar(x) = u(x*) - 2 (u(x*) . grad d) grad d,  u = theta v.
+    theta vanishes off the wall nodes, so u is read at the mirror cells'
+    corners (interp_masked's scale), with no box-sized theta v.
     """
     if rho > hs.rho0 / 2.0 + 1e-15:
         raise ValueError("extension radius must satisfy rho <= rho0/2")
-    out = v.data * v.inside_mask[None]
     wall = hs.box_wall(v.grid)
     sel = wall.outside_tube(v.inside_mask, rho)
-    if np.any(sel):
-        pi = wall.closest[sel]
-        gd = -wall.normal[sel]
-        vstar = interp_masked(v, 2.0 * pi - wall.points[sel])
-        normal_part = np.einsum("cp,pc->p", vstar, gd)
-        val = vstar - 2.0 * normal_part[None] * gd.T
-        for c in range(v.ncomp):
-            out[c].flat[wall.index[sel]] = val[c]
-    return BoxField(v.grid, out, v.inside_mask.copy())
+    index = wall.index[sel]
+    if not index.size:
+        return index, np.zeros((v.ncomp, 0))
+    pi = wall.closest[sel]
+    gd = -wall.normal[sel]
+    theta = (wall.index, hs.cutoff_theta(rho, wall.distance))
+    vstar = interp_masked(v, 2.0 * pi - wall.points[sel], theta)
+    normal_part = np.einsum("cp,pc->p", vstar, gd)
+    return index, vstar - 2.0 * normal_part[None] * gd.T

@@ -51,6 +51,10 @@ _NORMAL_SEED = 0
 # about 1 / _Z_SHARE of the spectrum together
 _Z_THREAD_BYTES = 1 << 23
 _Z_SHARE = 4
+# time of one series term on one node of its N x N lattice, in units of one
+# direct bump-source pair (grad_q2_sites): 4.8 to 5.7 on the 64^3 and 6.0 to
+# 6.7 on the 32^3 curved boxes of the benchmark, 2 CPUs
+_SERIES_COST = 5.5
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,8 @@ class DecompositionResult:
     residual_div: float
     residual_normal: float
     smallness: dict = field(default_factory=dict)
-    # the quadrature lattice used: extent, resolution, stride in box spacings
+    # the quadrature lattice used: extent, resolution, stride in box spacings;
+    # and how grad q2 summed the bump sources (GradQ2Sites.report)
     lattice: dict = field(default_factory=dict)
 
 
@@ -124,22 +129,25 @@ class TraceReport:
         return {"ok": self.ok, "entries": [e.to_dict() for e in self.entries]}
 
 
+def _sup(a, mask):
+    """max |a| over the nodes of mask (0 for none), by masked max and min
+    reductions: the value of np.abs(a[:, mask]).max() without gathering the
+    inside values."""
+    return float(max(a.max(where=mask, initial=0.0), -a.min(where=mask, initial=0.0)))
+
+
 def _check_box_decay(v):
     """NonDecayingInput when |v| on an inside node of a side face or the top
     face exceeds _RING_TOL sup |v| over the inside nodes; the bottom face
     sits outside the domain anyway.  Both maxima are masked reductions, of
     the box and of the five face slices."""
     data, inside = v.data, v.inside_mask
-
-    def sup(a, m):
-        return max(a.max(where=m, initial=0.0), -a.min(where=m, initial=0.0))
-
-    vmax = sup(data, inside)
+    vmax = _sup(data, inside)
     if vmax == 0.0:
         return
     faces = ((0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1),
              (Ellipsis, -1))
-    ring = max(sup(data[(slice(None),) + f], inside[f]) for f in faces)
+    ring = max(_sup(data[(slice(None),) + f], inside[f]) for f in faces)
     if ring > _RING_TOL * vmax:
         raise NonDecayingInput("field does not decay at the box boundary")
 
@@ -149,19 +157,15 @@ def _extended_source(hs, v, rho):
     mirror extension of theta v (theta the tube cutoff) at the outside tube
     nodes; k1 the lowest plane of the domain slab and k0 <= k1 the lowest
     plane src can be nonzero on, both from the mask and the wall alone."""
-    grid, mask = v.grid, v.inside_mask
-    wall = hs.box_wall(grid)
-    # theta(d/rho) vanishes beyond 3 rho / 4 < rho0, so off the tube
-    theta = hs.cutoff_theta(rho, wall.distance)
-    part = np.zeros(v.data.shape)
-    part.reshape(v.ncomp, -1)[:, wall.index] = take_nodes(v.data, wall.index) * theta
-    src = extend_field(hs, BoxField(grid, part, mask), rho).data
-    np.copyto(src, v.data, where=mask)
-    nz = grid.resolution[2]
+    mask = v.inside_mask
+    tube, mirror = extend_field(hs, v, rho)
+    # one box pass, then the mirror values at the outside tube nodes
+    src = np.where(mask, v.data, 0.0)
+    src.reshape(v.ncomp, -1)[:, tube] = mirror
+    nz = v.grid.resolution[2]
     hit = mask.reshape(-1, nz).any(axis=0)
     k1 = int(np.argmax(hit)) if hit.any() else nz
     # the planes of the outside nodes extend_field writes
-    tube = wall.index[wall.outside_tube(mask, rho)]
     k0 = min(k1, int((tube % nz).min())) if tube.size else k1
     return src, k0, k1
 
@@ -366,7 +370,7 @@ def normal_trace(hs, w):
     grid = w.grid
     extent = square_section_width(grid)
     vals, diff = _shell_normals(hs, w, grid.columns().reshape(-1, 2))
-    scale = float(np.abs(w.inside_values()).max()) if w.inside_mask.any() else 0.0
+    scale = _sup(w.data, w.inside_mask)
     gap = float(np.abs(diff).max())
     if scale > 0 and gap > 10.0 * _TRACE_RTOL * scale:
         raise ExtrapolationUnstable(f"trace shells disagree by {gap:.3e}")
@@ -429,10 +433,13 @@ class GradQ2Sites:
     and quadrature, which no field changes (grad_q2_sites).  Flat node
     indices: low, the safe nodes below delta_min, which take the direct
     sum; planes, the box z-planes of the safe nodes at or above it, which
-    take the plane FFT; bump, those safe nodes, where the bump sources are
-    summed (none without a bump source); and per near node its index, the
-    two safe nodes of its column it extrapolates from and the weight of the
-    upper one.  mask is the flat inside mask."""
+    take the plane FFT; bump, those of these safe nodes where the bump
+    sources are summed directly; and per near node its index, the two safe
+    nodes of its column it extrapolates from and the weight of the upper
+    one.  mask is the flat inside mask.  bumps is the _bump_span of the
+    bump sources (None without one), and series their
+    _fast.series_geometry on its square over the planes when the series
+    sums them, else None."""
 
     mask: np.ndarray
     low: np.ndarray
@@ -442,14 +449,46 @@ class GradQ2Sites:
     lower: np.ndarray
     upper: np.ndarray
     weight: np.ndarray
+    bumps: tuple
+    series: tuple
+
+    def report(self):
+        """bump_sum, how the bump sources are summed ("series", "direct", or
+        "none" without one), the largest series order and how many planes
+        the series left to the direct sum as not converged (both 0 without
+        a series)."""
+        if self.series is None:
+            return {"bump_sum": "none" if self.bumps is None else "direct", "series_order": 0,
+                    "series_fallback_planes": 0}
+        orders = self.series[0]
+        return {"bump_sum": "series", "series_order": int(orders.max()),
+                "series_fallback_planes": int(np.count_nonzero(orders == 0))}
 
 
-def grad_q2_sites(q, wall, grid, mask):
-    """The GradQ2Sites of _sample_grad_q2: mask nodes within q.delta_min of
-    the wall (which reaches that far) are near, the others safe; a near
-    node extrapolates linearly in x_n from the safe node of its column
-    nearest x_n - h(x') = 1.5 delta_min and the one above it nearest 3
-    delta_min.  ConfigError if the column ends below."""
+def _bump_span(q, p, shift):
+    """(span, cols, h) of the bump sources: the range of lattice indices,
+    in both axes, that holds every node with h != 0, the box columns of
+    those indices and h on that square; None without a bump source."""
+    j0, j1 = np.divmod(np.flatnonzero(q.nodes[:, 2] != 0.0), q.res)
+    if not j0.size:
+        return None
+    span = slice(int(min(j0.min(), j1.min())), int(max(j0.max(), j1.max())) + 1)
+    cols = shift + p * np.arange(span.start, span.stop)
+    return span, cols, q.nodes[:, 2].reshape(q.res, q.res)[span, span]
+
+
+def grad_q2_sites(q, wall, grid, mask, p, shift):
+    """The GradQ2Sites of _sample_grad_q2, with the lattice node j on box
+    column shift + p j: mask nodes within q.delta_min of the wall (which
+    reaches that far) are near, the others safe; a near node extrapolates
+    linearly in x_n from the safe node of its column nearest x_n - h(x') =
+    1.5 delta_min and the one above it nearest 3 delta_min.  ConfigError if
+    the column ends below.
+
+    The bump sources take the series in source height on the planes where
+    it converges when _SERIES_COST sum (K + 1) N^2 over those planes, for
+    series order K and lattice size N, is below the direct pairs it spares,
+    and the direct sum everywhere else."""
     delta, nz = q.delta_min, grid.resolution[2]
     near = wall.index[mask.ravel()[wall.index] & (wall.distance < delta)]
     safe = mask.copy()
@@ -459,7 +498,20 @@ def grad_q2_sites(q, wall, grid, mask):
     high = z[index % nz] >= delta
     low = index[~high]
     planes = np.flatnonzero(safe.reshape(-1, nz).any(axis=0) & (z >= delta))
-    bump = compact_index(index[high] if (q.nodes[:, 2] != 0.0).any() else index[:0], mask.size)
+    bump, series = index[high], None
+    bumps = _bump_span(q, p, shift)
+    if bumps is None:
+        bump = bump[:0]
+    else:
+        _, cols, h = bumps
+        geometry = _fast.series_geometry(z[planes], h, cols, grid.dx[0], grid.resolution[0])
+        orders = geometry[0]
+        taken = orders[np.searchsorted(planes, bump % nz)] > 0
+        spared = np.count_nonzero(h) * np.count_nonzero(taken)
+        size = _fast.plane_size(cols, grid.resolution[0])
+        if _SERIES_COST * np.sum(orders[orders > 0] + 1) * size**2 < spared:
+            bump, series = bump[~taken], geometry
+    bump = compact_index(bump, mask.size)
     col, k = np.divmod(near, nz)
     ok = safe.reshape(-1, nz)[col]
     del safe, index, high
@@ -471,23 +523,25 @@ def grad_q2_sites(q, wall, grid, mask):
     if not two[np.arange(len(near)), k2].all():
         raise ConfigError("a box column ends below 3 delta_min over the wall")
     near, lower, upper = (compact_index(i, mask.size) for i in (near, col * nz + k1, col * nz + k2))
-    return GradQ2Sites(mask.ravel(), low, planes, bump, near, lower, upper, (k - k1) / (k2 - k1))
+    return GradQ2Sites(mask.ravel(), low, planes, bump, near, lower, upper, (k - k1) / (k2 - k1),
+                       bumps, series)
 
 
 def _sample_grad_q2(q, wall, sol, grid, mask, p, shift, sites=None):
     """grad q2 on the box, 0 off the mask, from a decaying density (so no
-    tail closure).  sites is grad_q2_sites(q, wall, grid, mask), built here
-    when None.  The safe nodes at x_n >= delta_min take the plane FFT on
-    the lattice whose node j is box column shift + p j, with the weights of
-    the h_j != 0 sources zeroed, plus the direct sum over those sources
-    where they lie, so each source is summed once; lower ones (a dip makes
-    them) the direct sum.  Each near node is then extrapolated from its
-    column."""
+    tail closure).  sites is grad_q2_sites(q, wall, grid, mask, p, shift),
+    built here when None.  The safe nodes at x_n >= delta_min take the
+    plane FFT on the lattice whose node j is box column shift + p j, with
+    the weights of the h_j != 0 sources zeroed, plus those sources where
+    they lie, so each source is summed once: by the series in source height
+    on its planes, by the direct sum at sites.bump; lower safe nodes (a dip
+    makes them) take the direct sum.  Each near node is then extrapolated
+    from its column."""
     if sites is None:
-        sites = grad_q2_sites(q, wall, grid, mask)
+        sites = grad_q2_sites(q, wall, grid, mask, p, shift)
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
-    nz = grid.resolution[2]
+    n, nz = grid.resolution[0], grid.resolution[2]
     out = np.zeros((3, sites.mask.size))
     if sites.low.size:
         out[:, sites.low] = _fast.gradslp_sum(grid.node_points(sites.low), q.nodes, wg, c).T
@@ -496,15 +550,20 @@ def _sample_grad_q2(q, wall, sol, grid, mask, p, shift, sites=None):
     flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
     # whole planes (near nodes replaced, off-mask ones zeroed below), written by runs
     planes = sites.planes
-    buf = np.empty((len(planes), grid.resolution[0] * grid.resolution[1], 3))
-    for i, g in enumerate(_fast.gradslp_plane(grid.axis(2)[planes], flat, p, shift,
-                                              grid.dx[0], grid.resolution[0], c)):
-        buf[i] = g.reshape(-1, 3)
+    zs = grid.axis(2)[planes]
+    buf = np.empty((len(planes), n, n, 3))
+    for i, g in enumerate(_fast.gradslp_plane(zs, flat, p, shift, grid.dx[0], n, c)):
+        buf[i] = g
+    if sites.series is not None:
+        span, cols, h = sites.bumps
+        _fast.gradslp_series(zs, wg.reshape(q.res, q.res)[span, span], h, cols, grid.dx[0], n, c,
+                             sites.series, buf)
+    buf = buf.reshape(len(planes), -1, 3)
     starts = np.flatnonzero(np.diff(planes, prepend=-2) != 1)
     for i, j in zip(starts, np.append(starts[1:], len(planes))):
         out.reshape(3, -1, nz)[:, :, planes[i]: planes[j - 1] + 1] = buf[i:j].T
     del buf
-    if bump.any():
+    if sites.bump.size:
         out[:, sites.bump] += _fast.gradslp_sum(grid.node_points(sites.bump), q.nodes[bump],
                                                 wg[bump], c).T
     w = sites.weight
@@ -593,10 +652,11 @@ class DecompositionPlan:
     geometry stays with hs (PerturbedHalfSpace.box_wall).  It holds a copy
     of cfg, not cfg, so no reference cycle forms.
 
-    The grad q2 sites, the ledger geometry and the residual's inner slab
-    are built at their first use in apply, after the first volume
-    potential, and kept: arrays kept across fields but taken before the
-    box-sized transforms of that stage raised the peak resident memory."""
+    The grad q2 sites (with the series geometry of the bump sources), the
+    ledger geometry and the residual's inner slab are built at their first
+    use in apply, after the first volume potential, and kept: arrays kept
+    across fields but taken before the box-sized transforms of that stage
+    raised the peak resident memory."""
 
     def __init__(self, hs, grid, mask, cfg):
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
@@ -614,7 +674,7 @@ class DecompositionPlan:
     @functools.cached_property
     def grad_q2_sites(self):
         wall = self.hs.box_wall(self.grid, self.q.delta_min)
-        return grad_q2_sites(self.q, wall, self.grid, self.mask)
+        return grad_q2_sites(self.q, wall, self.grid, self.mask, self.p, self.shift)
 
     @functools.cached_property
     def ledger_geometry(self):
@@ -668,7 +728,7 @@ class DecompositionPlan:
             residual_div=_residual_div(v0, hs, ref=v, inner_slab=self.inner_slab),
             residual_normal=_residual_normal(v0, hs, v_scale),
             smallness=self.report.to_dict(),
-            lattice=dict(self.lattice),
+            lattice={**self.lattice, **self.grad_q2_sites.report()},
         )
         ledger_v.hminus_half = g_hminus
         ledger_v.linf = max(ledger_v.linf, g_linf)

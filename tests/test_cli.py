@@ -14,6 +14,11 @@ from helmdecomp.errors import ConfigError
 from helmdecomp.pipeline import PipelineConfig, write_field
 
 
+# how a 32^3 curved decompose sums its bump sources: directly, as the
+# series in source height costs more there
+DIRECT_BUMP_SUM = {"bump_sum": "direct", "series_order": 0, "series_fallback_planes": 0}
+
+
 def base_config(**override):
     cfg = {
         "n": 3,
@@ -151,8 +156,9 @@ class TestCheckSmallness:
         capsys.readouterr()
         gate = json.loads((tmp_path / "smallness.json").read_text())
         dec = json.loads((tmp_path / "decompose.json").read_text())
-        assert gate["lattice"] == dec["lattice"] == {"extent": 8.25, "resolution": 22,
-                                                     "stride": 3}
+        assert gate["lattice"] == {"extent": 8.25, "resolution": 22, "stride": 3}
+        # decompose adds how it summed the bump sources: directly on the 32^3 box
+        assert dec["lattice"] == {**gate["lattice"], **DIRECT_BUMP_SUM}
         assert gate["verdict"]["empirical"] is True
         assert gate["empirical_2S_norm"] == dec["smallness"]["empirical_2S_norm"]
 
@@ -266,7 +272,8 @@ class TestDecompose:
         assert payload["residual_normal"] > 0.0
         assert payload["residual_normal"] == entry["residual_normal"]
         # the lattice asked as 8.0 / 24 lands on every third box column
-        assert payload["lattice"] == {"extent": 8.25, "resolution": 22, "stride": 3}
+        assert payload["lattice"] == {"extent": 8.25, "resolution": 22, "stride": 3,
+                                      **DIRECT_BUMP_SUM}
 
 
 class TestExitCodes:

@@ -21,6 +21,7 @@ direct sum.
 
 import concurrent.futures
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -367,6 +368,103 @@ def test_plane_moment_form_matches_component_form_on_benchmark_boxes(m, n, shift
     got = np.stack(list(_fast.gradslp_plane(*args)))
     ref = np.stack(list(gradslp_plane_ref(*args)))
     assert np.abs(got - ref).max() <= PLANE_FORM_RTOL * np.abs(ref).max()
+
+
+# the series in source height against gradslp_sum, relative to its max over
+# the box, the max of the sum over |w| where the weights take both signs:
+# the series stops where its next coefficient is below 1e-15 of its first,
+# and the heights of these boxes keep gradslp_sum's own cancellation below
+# 2e-14
+SERIES_RTOL = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 3), n=st.integers(2, 12), m=st.integers(1, 6),
+       shift=st.integers(-6, 6), kind=st.sampled_from(["bump", "dip", "mixed", "equal"]),
+       signed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_series_matches_gradslp_sum(p, n, m, shift, kind, signed, seed):
+    rng = np.random.default_rng(seed)
+    dx = rng.uniform(0.02, 0.1)
+    a = rng.uniform(0.005, 0.05) * (-1.0 if kind == "dip" else 1.0)
+    h = {"bump": a * rng.uniform(0.0, 1.0, (m, m)), "dip": a * rng.uniform(0.0, 1.0, (m, m)),
+         "mixed": a * rng.uniform(-1.0, 1.0, (m, m)), "equal": np.full((m, m), a)}[kind]
+    # some flat nodes, which the series leaves out, but not all
+    h[rng.random((m, m)) < 0.3] = 0.0
+    h[0, 0] = h[0, 0] or a
+    w = rng.uniform(0.5, 1.5, (m, m))
+    if signed:
+        w *= rng.choice([-1.0, 1.0], (m, m))
+    lo, hi = h[h != 0].min(), h[h != 0].max()
+    # planes 0.1 and more above the sources, up to 30 height ranges over
+    # them, and one amid them (at them when they are equal), which cannot
+    # converge
+    zs = np.concatenate([hi + 0.1 + (hi - lo) * rng.uniform(0.0, 30.0, 3),
+                         [0.5 * (lo + hi)], [hi + 0.1 + 30.0 * (hi - lo)]])
+    cols = shift + p * np.arange(m)
+    geometry = _fast.series_geometry(zs, h, cols, dx, n)
+    orders = geometry[0]
+    assert orders[3] == 0 and orders[-1] > 0 and orders.max() <= _fast._SERIES_KMAX
+    assert geometry[1].shape == (orders.max(), m, m)
+    start = rng.standard_normal((len(zs), n, n, 3))
+    out = start.copy()
+    _fast.gradslp_series(zs, w, h, cols, dx, n, C, geometry, out)
+    # no plane without a series is touched
+    assert np.array_equal(out[orders == 0], start[orders == 0])
+    xs = (np.arange(n) - 0.5 * (n - 1)) * dx
+    ys = (cols - 0.5 * (n - 1)) * dx
+    on = h != 0
+    nodes = np.column_stack([np.broadcast_to(ys[:, None], (m, m))[on],
+                             np.broadcast_to(ys[None, :], (m, m))[on], h[on]])
+    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
+    for i in np.flatnonzero(orders):
+        targets = np.column_stack([grid, np.full(n * n, zs[i])])
+        ref = _fast.gradslp_sum(targets, nodes, w[on], C)
+        scale = np.abs(_fast.gradslp_sum(targets, nodes, np.abs(w[on]), C)).max()
+        assert np.abs((out[i] - start[i]).reshape(-1, 3) - ref).max() <= SERIES_RTOL * scale
+
+
+def test_series_peak_does_not_grow_with_the_cpus():
+    # a bump lattice like that of the 64^3 curved box: 21^2 sources at
+    # stride 3, N = 128, 53 planes from 0.66 to 4 over heights up to 0.05.
+    # The workers' buffers stay within _SERIES_THREAD_BYTES on any CPU
+    # count, and each plane is summed alike whichever worker takes it
+    n, dx, m = 64, 4.0 / 64, 21
+    cols = 2 + 3 * np.arange(m)
+    ys = (cols - 0.5 * (n - 1)) * dx
+    h = 0.05 * np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2) / 0.25)
+    w = np.random.default_rng(7).uniform(-1.0, 1.0, (m, m))
+    zs = dx * (np.arange(10, 63) + 0.5)
+    geometry = _fast.series_geometry(zs, h, cols, dx, n)
+    assert geometry[0].min() > 0
+    peaks, outs = {}, {}
+    for cpus in (1, 2, 8, 64):
+        out = np.zeros((len(zs), n, n, 3))
+        with _cpus(cpus)[0]:
+            tracemalloc.start()
+            try:
+                _fast.gradslp_series(zs, w, h, cols, dx, n, C, geometry, out)
+                _, peaks[cpus] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        outs[cpus] = out
+    for cpus in (2, 8, 64):
+        assert peaks[cpus] <= peaks[1] + _fast._SERIES_THREAD_BYTES, (cpus, peaks)
+        assert np.array_equal(outs[cpus], outs[1])
+
+
+@pytest.mark.parametrize("k", [1, 7, 119, 120, 121, 125, 126, 127, 193, 201, 241])
+def test_even_fast_len(k):
+    # the least even 2^a 3^b 5^c at or above k: 120 and 128, not 126, near 125
+    got = _fast.even_fast_len(k)
+    smooth = [s for s in range(k, 2 * k + 2) if s % 2 == 0 and _is_5_smooth(s)]
+    assert got == smooth[0]
+
+
+def _is_5_smooth(s):
+    for f in (2, 3, 5):
+        while s % f == 0:
+            s //= f
+    return s == 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -286,67 +286,98 @@ class TestInterpMasked:
         assert got.tobytes() == ref.tobytes()
 
 
+def _extended(hs, v, rho):
+    """The extension of extend_field on the box: v inside, the mirror values
+    of theta v at the outside tube nodes, 0 elsewhere."""
+    index, values = extend_field(hs, v, rho)
+    data = v.data * v.inside_mask
+    data.reshape(v.ncomp, -1)[:, index] = values
+    return BoxField(v.grid, data, v.inside_mask)
+
+
+def _theta_v(hs, v, rho):
+    """theta v on the box, theta the tube cutoff of the signed distance,
+    which vanishes off the wall nodes."""
+    wall = hs.box_wall(v.grid)
+    theta = np.zeros(v.grid.resolution)
+    theta.flat[wall.index] = hs.cutoff_theta(rho, wall.distance)
+    return BoxField(v.grid, v.data * theta, v.inside_mask)
+
+
 class TestExtendField:
     @staticmethod
     def _make_field(hs, fn, res=48, lo=(-1.0, -1.0, -0.6), hi=(1.0, 1.0, 1.0)):
         grid = BoxGrid(lo, hi, (res, res, res))
         return BoxField.sample(grid, hs, fn, ncomp=3)
 
-    def test_flat_constant_normal_is_odd(self, flat_hs):
-        v = self._make_field(flat_hs, lambda p: np.broadcast_to(
-            np.array([0.0, 0.0, 1.0]), p.shape).copy())
-        rho = 0.07
-        vbar = extend_field(flat_hs, v, rho)
+    @staticmethod
+    def _planes(hs, v, rho):
+        """The planes k_in, k_out one spacing above and below the flat wall,
+        and theta at k_in: 1 for rho = 0.07, a ramp value for 0.06."""
         g = v.grid
         k0 = int(np.argmin(np.abs(g.axis(2))))
         k_in, k_out = k0 + 1, k0 - 1
         zin, zout = g.axis(2)[k_in], g.axis(2)[k_out]
         assert zin > 0 > zout and abs(zin + zout) < 1e-12
-        # normal component flips sign across the boundary
-        assert np.allclose(vbar.data[2][:, :, k_out], -vbar.data[2][:, :, k_in])
+        theta = float(hs.cutoff_theta(rho, hs.signed_distance(np.array([0.0, 0.0, zin]))))
+        assert theta == 1.0 if rho == 0.07 else 0.0 < theta < 1.0
+        return k_in, k_out, theta
+
+    # the mirror of a node below the flat wall is the node above it, where
+    # theta v is read: the normal component of theta v flips sign across the
+    # boundary, the tangential ones are kept
+    def test_flat_constant_normal_is_odd(self, flat_hs):
+        v = self._make_field(flat_hs, lambda p: np.broadcast_to(
+            np.array([0.0, 0.0, 1.0]), p.shape).copy())
+        for rho in (0.07, 0.06):
+            vbar = _extended(flat_hs, v, rho)
+            k_in, k_out, theta = self._planes(flat_hs, v, rho)
+            assert np.allclose(vbar.data[2][:, :, k_out], -theta * vbar.data[2][:, :, k_in])
+            assert np.allclose(vbar.data[:2][:, :, :, k_out], 0.0)
 
     def test_flat_tangential_is_even(self, flat_hs):
         v = self._make_field(flat_hs, lambda p: np.broadcast_to(
             np.array([1.0, 0.0, 0.0]), p.shape).copy())
-        vbar = extend_field(flat_hs, v, 0.07)
-        g = v.grid
-        k0 = int(np.argmin(np.abs(g.axis(2))))
-        k_in, k_out = k0 + 1, k0 - 1
-        assert np.allclose(vbar.data[0][:, :, k_out], vbar.data[0][:, :, k_in])
-        assert np.allclose(vbar.data[1][:, :, k_out], 0.0)
+        for rho in (0.07, 0.06):
+            vbar = _extended(flat_hs, v, rho)
+            k_in, k_out, theta = self._planes(flat_hs, v, rho)
+            assert np.allclose(vbar.data[0][:, :, k_out], theta * vbar.data[0][:, :, k_in])
+            assert np.allclose(vbar.data[1:][:, :, :, k_out], 0.0)
 
     def test_zero_beyond_tube(self, flat_hs):
         v = self._make_field(flat_hs, lambda p: np.broadcast_to(
             np.array([0.0, 0.0, 1.0]), p.shape).copy())
         rho = 0.07
-        vbar = extend_field(flat_hs, v, rho)
+        vbar = _extended(flat_hs, v, rho)
         pts = v.grid.points()
         deep = pts[..., 2] < -rho - max(v.grid.dx)
         assert np.abs(vbar.data[:, deep]).max() == 0.0
 
     def test_mirror_normal_component_flips(self, gentle_hs, rng):
+        # at outside tube nodes over the gentle bump, each projected on its
+        # own: the normal part of the extension is minus that of theta v at
+        # the mirror point x* = 2 pi(x) - x, formed on the box, and the
+        # tangential part is kept
         hs = gentle_hs
 
         def vfun(p):
-            gd = np.zeros(p.shape)
-            gd[..., 2] = 1.0  # close to grad d for the gentle bump
-            return gd
+            return np.stack([np.sin(p[..., 1]), 0.3 * p[..., 0], 1.0 + 0 * p[..., 2]], -1)
 
         grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 1.1), (64, 64, 64))
         v = BoxField.sample(grid, hs, vfun, ncomp=3)
         rho = hs.rho0 / 2
-        vbar = extend_field(hs, v, rho)
-        yp = rng.uniform(-0.8, 0.8, (100, 2))
-        base = hs.boundary.surface_point(yp)
-        nrm = hs.outward_normal(base)
-        out_pts = base + 0.4 * rho * nrm
-        gd = -nrm
-        from helmdecomp.geometry import interp_masked
-        mirror_pts = base - 0.4 * rho * nrm
-        v_mirror = np.einsum("cp,pc->p", interp_masked(v, mirror_pts), gd)
-        ext = BoxField(grid, vbar.data, np.ones(grid.resolution, bool))
-        v_out = np.einsum("cp,pc->p", interp_masked(ext, out_pts), gd)
-        assert np.abs(v_out + v_mirror).max() < 0.05
+        index, values = extend_field(hs, v, rho)
+        pick = rng.choice(len(index), 100, replace=False)
+        x = grid.node_points(index[pick])
+        base = hs.project_to_boundary(x)
+        gd = -hs.outward_normal(base)
+        ustar = interp_masked(_theta_v(hs, v, rho), 2.0 * base - x)
+        normal = np.einsum("cp,pc->p", ustar, gd)
+        got = values[:, pick]
+        assert np.abs(normal).max() > 0.5
+        assert np.abs(np.einsum("cp,pc->p", got, gd) + normal).max() < 1e-9
+        tangential = ustar - normal[None] * gd.T
+        assert np.abs(got - np.einsum("cp,pc->p", got, gd)[None] * gd.T - tangential).max() < 1e-9
 
     def test_linearity(self, flat_hs, rng):
         def f1(p):
@@ -358,9 +389,9 @@ class TestExtendField:
         v1 = self._make_field(flat_hs, f1)
         v2 = self._make_field(flat_hs, f2)
         both = BoxField(v1.grid, 2.0 * v1.data + 3.0 * v2.data, v1.inside_mask)
-        lhs = extend_field(flat_hs, both, 0.07).data
-        rhs = (2.0 * extend_field(flat_hs, v1, 0.07).data
-               + 3.0 * extend_field(flat_hs, v2, 0.07).data)
+        lhs = _extended(flat_hs, both, 0.07).data
+        rhs = (2.0 * _extended(flat_hs, v1, 0.07).data
+               + 3.0 * _extended(flat_hs, v2, 0.07).data)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -450,7 +481,8 @@ class TestBoxWall:
         wall = hs.box_wall(grid)
         assert wall.index.size == 0 and wall.normal.shape == (0, 3)
         v = BoxField.sample(grid, hs, lambda p: np.sin(p), ncomp=3)
-        assert np.array_equal(extend_field(hs, v, hs.rho0 / 2).data, v.data)
+        index, values = extend_field(hs, v, hs.rho0 / 2)
+        assert index.size == 0 and values.shape == (3, 0)
         assert not normal_component_field(v, hs).data.any()
 
     def test_normal_component_against_projection(self, wall_case):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, _fast, pipeline
 from helmdecomp.errors import ConfigError, NonDecayingInput
-from helmdecomp.geometry import take_nodes
+from helmdecomp.geometry import interp_masked, take_nodes
 from helmdecomp.layers import SurfaceQuadrature
 from helmdecomp.neumann import estimate_contraction
 from helmdecomp.pipeline import (DecompositionPlan, PipelineConfig, _column_lattice,
@@ -189,6 +189,33 @@ class TestVolumePotential:
         assert not src[..., :k0].any() and k0 <= k1
         assert mask[..., k1].any() and not mask[..., :k1].any()
 
+    @pytest.mark.parametrize("which", ["flat", "gentle", "dip"])
+    def test_source_matches_the_box_construction(self, flat_hs, gentle_hs, which):
+        # src against theta v formed on a zeroed box and interpolated at the
+        # mirror points, its mirror values placed on v times the mask, and v
+        # copied inside: equal bit for bit, up to the sign of the zeros the
+        # masking left off the tube
+        hs = {"flat": flat_hs, "gentle": gentle_hs,
+              "dip": PerturbedHalfSpace(BoundaryFunction.gaussian_bump(-0.2, 0.3))}[which]
+        grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 2.6), (32, 32, 40))
+        rho = min(0.055, hs.rho0 / 2)
+        mask = grid.inside(hs)
+        v = BoxField(grid, np.random.default_rng(2).standard_normal((3,) + grid.resolution), mask)
+        wall = hs.box_wall(grid)
+        part = np.zeros(v.data.shape)
+        part.reshape(3, -1)[:, wall.index] = (take_nodes(v.data, wall.index)
+                                              * hs.cutoff_theta(rho, wall.distance))
+        sel = wall.outside_tube(mask, rho)
+        mirror_pts = 2.0 * wall.closest[sel] - wall.points[sel]
+        ustar = interp_masked(BoxField(grid, part, mask), mirror_pts)
+        gd = -wall.normal[sel]
+        ref = part * mask
+        ref.reshape(3, -1)[:, wall.index[sel]] = (
+            ustar - 2.0 * np.einsum("cp,pc->p", ustar, gd)[None] * gd.T)
+        np.copyto(ref, v.data, where=mask)
+        src, _, _ = pipeline._extended_source(hs, v, rho)
+        assert sel.any() and (src + 0.0).tobytes() == (ref + 0.0).tobytes()
+
     def test_zero_off_the_mask(self, flat_hs, gentle_hs, grad_field, curved_case):
         # grad q1, like v0 and grad q2, is exactly 0 off the inside mask
         for hs, v in ((flat_hs, grad_field), (gentle_hs, curved_case[1]),
@@ -354,6 +381,19 @@ class TestInsideValues:
 
 
 class TestNormalTrace:
+    @pytest.mark.parametrize("fill", [None, False, True])
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+    def test_scale_is_the_gathered_sup(self, fill, sign):
+        # the masked max and min reductions give sup |w| inside bit for bit
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 9, 8, 7))
+        if sign:
+            a = sign * np.abs(a)
+        mask = rng.random((9, 8, 7)) < 0.4 if fill is None else np.full((9, 8, 7), fill)
+        w = BoxField(BoxGrid((0.0,) * 3, (1.0,) * 3, (9, 8, 7)), a, mask)
+        ref = float(np.abs(w.inside_values()).max()) if mask.any() else 0.0
+        assert pipeline._sup(a, mask) == ref
+
     def test_grad_d_gives_minus_one(self, gentle_hs):
         grid = BoxGrid((-1.5, -1.5, -0.3), (1.5, 1.5, 1.2), (64, 64, 64))
 
@@ -592,6 +632,27 @@ class TestGradQ2Paths:
         ref, _ = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_series_on_the_64_box_matches_direct(self, gentle_hs, signed):
+        # the 64^3 curved box and lattice of the benchmark: the bump sources
+        # take the series in source height on every plane, no direct sum,
+        # and grad q2 matches the all-direct sum, for the smooth density and
+        # for one of random signs
+        grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (64, 64, 64))
+        extent, res, p, shift = _column_lattice(grid, 8.0, 48)
+        q, sol, mask = _grad_q2_case(gentle_hs, grid, extent, res)
+        if signed:
+            values = np.random.default_rng(3).standard_normal((res, res))
+            sol = SimpleNamespace(density=BoundaryDensity(extent, values, on_graph=True))
+        wall = gentle_hs.box_wall(grid, q.delta_min)
+        sites = pipeline.grad_q2_sites(q, wall, grid, mask, p, shift)
+        assert sites.report() == {"bump_sum": "series", "series_order": 14,
+                                  "series_fallback_planes": 0}
+        assert sites.bump.size == 0 and sites.low.size == 0
+        got = _sample_grad_q2(q, wall, sol, grid, mask, p, shift, sites)
+        ref, _ = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
@@ -620,6 +681,30 @@ class TestGradQ2Paths:
         first = np.argmin(np.abs(bump_hs.box_wall(grid).depth() - 1.5 * q.delta_min), axis=2)
         passed = near_cols & ~np.take_along_axis(safe, first[..., None], axis=2)[..., 0]
         assert passed.any()
+
+    def test_unconverged_planes_take_the_direct_sum(self, bump_hs):
+        # the steep bump is 0.3 tall, so the series converges only on the
+        # planes well above it: the others, from delta_min up, take the
+        # direct sum over the bump sources.  The cost rule is set to take
+        # the series wherever it converges
+        grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
+        q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
+        wall = bump_hs.box_wall(grid, q.delta_min)
+        with mock.patch.object(pipeline, "_SERIES_COST", 0.0):
+            sites = pipeline.grad_q2_sites(q, wall, grid, mask, 2, -48)
+        orders = sites.series[0]
+        assert sites.report() == {"bump_sum": "series", "series_order": orders.max(),
+                                  "series_fallback_planes": 17}
+        # the fallback planes are the lowest ones
+        assert not orders[:17].any() and orders[17:].all()
+        z = grid.axis(2)
+        assert set(z[sites.bump % 32]) == set(z[sites.planes[:17]])
+        pairs, planes = [], []
+        with _counted_sums(pairs, planes):
+            got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -48, sites)
+        assert pairs == [(len(sites.bump), np.count_nonzero(q.nodes[:, 2] != 0.0))]
+        ref, _ = _direct_grad_q2(q, bump_hs, sol, grid, mask)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_dip_low_safe_nodes_take_direct_sum(self):
         # a dip puts safe nodes below the height delta_min of the plane
@@ -796,7 +881,8 @@ class TestDecompose:
     def test_curved_gradient_input(self, gentle_hs):
         # the criterion-7a config: the lattice asked as 8.0 / 48 lands on the
         # box columns as 8.25 / 44; grad q2 takes the plane FFT at every safe
-        # node and extrapolates the near ones from safe nodes of their columns
+        # node and extrapolates the near ones from safe nodes of their columns.
+        # The bump sources take the series in source height on every plane
         cfg = PipelineConfig(rho=0.055, quad_extent=8.0, quad_res=48,
                              mu=0.3, nu=0.08, samples=100, seed=5)
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (64, 64, 64))
@@ -811,14 +897,12 @@ class TestDecompose:
             res = decompose(gentle_hs, v, cfg)
         assert l2(res.v0) < 5e-2 * l2(v)
         assert res.smallness["empirical_2S_norm"] < 1.0
-        assert res.lattice == {"extent": 8.25, "resolution": 44, "stride": 3}
-        # the only direct sum is the bump sources at the safe nodes, each
-        # source once: no safe node lies below delta_min
-        q = cfg._plan.q
-        wall = gentle_hs.box_wall(grid, q.delta_min)
-        near = np.count_nonzero(v.inside_mask.ravel()[wall.index] & (wall.distance < q.delta_min))
-        safe = np.count_nonzero(v.inside_mask) - near
-        assert pairs == [(safe, np.count_nonzero(q.nodes[:, 2] != 0.0))]
+        assert res.lattice == {"extent": 8.25, "resolution": 44, "stride": 3,
+                               "bump_sum": "series", "series_order": 14,
+                               "series_fallback_planes": 0}
+        # no direct sum: no safe node lies below delta_min, and the series
+        # converges on every plane
+        assert pairs == []
         assert set(planes) <= set(grid.axis(2))
 
     def test_contraction_settles_in_30_steps(self, gentle_hs):
