@@ -3,14 +3,10 @@
 The dense kernels walk the targets in blocks of ``max(1, _BLOCK_ELEMS // m)``
 rows for m sources, so a (rows, m) buffer holds about ``_BLOCK_ELEMS``
 float64 values (512 KiB) and stays in cache; a block is one row when m
-exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its buffers once and fills
-them in place, block after block.  Results differ from one whole-array sum
-by rounding only (summation order, and |x - y|^3 formed as rho2 *
-sqrt(rho2)).  ``gradslp_sum``, the direct grad q2 sum, splits its blocks
-into one row range per usable CPU, summed on threads by ``map_threads``;
-the calling thread allocates every buffer, because arrays allocated on the
-worker threads come from glibc's per-thread arenas and raise the peak
-resident memory.
+exceeds ``_BLOCK_ELEMS``.  Each kernel allocates its (rows, m) buffers
+once and fills them in place, block after block, on the calling thread.
+Results differ from one whole-array sum by rounding only (summation order,
+and |x - y|^3 formed as rho2 * sqrt(rho2)).
 
 Three kernels are discrete 2-D convolutions on a lattice, done by Hockney's
 zero-padded FFT, exact up to transform roundoff: ``gradslp_plane`` (grad
@@ -26,8 +22,9 @@ threading its plane loop did not pay end to end on the 96^3 flat box and
 kept about 10 MB more resident.  ``gradslp_series`` runs its planes on
 ``map_threads`` workers, as many as fit in ``_SERIES_THREAD_BYTES`` of
 buffers, all allocated by the calling thread but one inverse's output per
-plane: on the 64^3 curved box one thread took 1.2 to 1.7 times as long as
-two.
+plane, because arrays allocated on worker threads come from glibc's
+per-thread arenas and raise the peak resident memory: on the 64^3 curved
+box one thread took 1.2 to 1.7 times as long as two.
 
 Everything of the Gagliardo sum that depends on the lattice and its
 measure alone, the real spectrum of the flat kernel, K0 * mu and the
@@ -92,13 +89,6 @@ def gradslp_sum(xs, nodes, wg, c):
     both signs, the error reaches 3.3e-13 of the largest value at height 1/32
     and 2.5e-14 at delta_min = 0.28125, the least distance from the wall at
     which the pipeline sums.  Exact differences took 2 to 4 times as long.
-
-    The row blocks are split into one contiguous range per usable CPU, each
-    summed by a worker thread (numpy releases the GIL in the block loops);
-    with one CPU or one block the calling thread sums them all.  Every
-    buffer is allocated here and the workers only write into views of it:
-    with arrays allocated by the workers, which come from glibc's
-    per-thread arenas, the 64^3 curved benchmark peaked near 250 MB, not 230.
     """
     # rho2 = |x|^2 - 2 x.y + |y|^2 is one product of [-2x, |x|^2, 1] and
     # [y, 1, |y|^2]; sum_j t_j and sum_j t_j y_j are one product with [1, y]
@@ -108,28 +98,15 @@ def gradslp_sum(xs, nodes, wg, c):
     one_y = np.column_stack([np.ones(m), nodes])
     cwg = c * wg
     out = np.empty((n, 3))
-    rows = max(1, _BLOCK_ELEMS // max(m, 1))
-    blocks = -(-n // rows)
-    workers = max(1, min(len(os.sched_getaffinity(0)), blocks))
-    bufs = [(np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, 4)))
-            for _ in range(workers)]
-
-    def run(lo, hi, r, t, s):
-        for i in range(lo, hi, rows):
-            j = min(i + rows, hi)
-            rj, tj, sj = r[: j - i], t[: j - i], s[: j - i]
-            np.matmul(a[i:j], b, out=rj)
-            # t = c wg / rho2^{3/2}
-            np.sqrt(rj, out=tj)
-            tj *= rj
-            np.divide(cwg, tj, out=tj)
-            np.matmul(tj, one_y, out=sj)
-            np.multiply(xs[i:j], sj[:, :1], out=out[i:j])
-            out[i:j] -= sj[:, 1:]
-
-    # worker k takes blocks [blocks k / workers, blocks (k + 1) / workers)
-    cuts = [min(n, rows * (blocks * k // workers)) for k in range(workers + 1)]
-    map_threads(run, cuts[:-1], cuts[1:], *zip(*bufs))
+    for sl, (r, t) in _row_blocks(n, m):
+        np.matmul(a[sl], b, out=r)
+        # t = c wg / rho2^{3/2}
+        np.sqrt(r, out=t)
+        t *= r
+        np.divide(cwg, t, out=t)
+        s = t @ one_y
+        np.multiply(xs[sl], s[:, :1], out=out[sl])
+        out[sl] -= s[:, 1:]
     return out
 
 
@@ -137,12 +114,10 @@ def map_threads(fn, *iterables):
     """list(map(fn, *iterables)), one worker thread per item (none for one
     item).  Workers write into arrays the caller allocated: see the module.
     The workers of gradslp_series and of the volume potential make no BLAS
-    call, whose own threads would compete with them; gradslp_sum's workers
-    take two small matmuls per block, which ran as fast with
-    OPENBLAS_NUM_THREADS 1 as with 2 (0.19 to 0.20 s for the 65 M bump
-    pairs of the 64^3 curved box).  A tensordot in place of the series'
-    DCT-II along the height was not slower there either (0.09 to 0.105 s
-    against 0.106 to 0.113 s on 2 threads, with 1 or 2 BLAS threads)."""
+    call, whose own threads would compete with them.  A tensordot in place
+    of the series' DCT-II along the height was not slower on the 64^3
+    curved box (0.09 to 0.105 s against 0.106 to 0.113 s on 2 threads,
+    with 1 or 2 BLAS threads)."""
     items = list(zip(*iterables))
     if len(items) == 1:
         return [fn(*items[0])]

@@ -52,9 +52,9 @@ _NORMAL_SEED = 0
 _Z_THREAD_BYTES = 1 << 23
 _Z_SHARE = 4
 # time of one series term on one node of its N x N lattice, in units of one
-# direct bump-source pair (grad_q2_sites): 4.8 to 5.7 on the 64^3 and 6.0 to
-# 6.7 on the 32^3 curved boxes of the benchmark, 2 CPUs
-_SERIES_COST = 5.5
+# direct bump-source pair (grad_q2_sites): 2.5 to 3.8 on the 64^3 and 3.0
+# to 5.2 on the 32^3 curved boxes of the benchmark, on 1 or 2 CPUs
+_SERIES_COST = 3.0
 
 
 @dataclass(frozen=True)

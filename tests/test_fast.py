@@ -6,21 +6,18 @@ than the Gagliardo reference's 128-row chunks, which keep a 96^2 lattice
 in memory.  The dense kernels are checked on scattered points with the block size shrunk,
 so that small inputs cross many blocks with a ragged last one and blocks
 of one row, and with the real block size, including a source count above
-``_BLOCK_ELEMS``.  ``gradslp_sum`` is also checked with its row ranges
-split over two workers, and for the same values on one CPU and on three.
-The two lattice FFT kernels are checked on lattices:
+``_BLOCK_ELEMS``.  The lattice FFT kernels are checked on lattices:
 ``gradslp_plane`` on box columns over a strided source lattice, against
 the direct sum and against the three-component transform form kept here
-as ``gradslp_plane_ref``, and
-``gagliardo_pairs`` on the row-major boundary lattice, flat or lifted to a
-drawn bump, with its direct bump-row correction crossing shrunk blocks.
+as ``gradslp_plane_ref``, ``gradslp_series`` against ``gradslp_sum`` over
+the bump sources, and ``gagliardo_pairs`` on the row-major boundary
+lattice, flat or lifted to a drawn bump, with its direct bump-row
+correction crossing shrunk blocks.
 ``gagliardo_half`` is checked end to end at the sizes of the ``norms``
 benchmark, and the separable near-origin DFT of ``sobolev`` against its
 direct sum.
 """
 
-import concurrent.futures
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -176,25 +173,8 @@ def test_gradslp_sum_cancellation_above_delta_min(seed):
 
 
 def _cpus(k):
-    """Patch the usable CPUs that gradslp_sum sees to k, and spy on its pool."""
-    return (mock.patch.object(_fast.os, "sched_getaffinity", return_value=set(range(k))),
-            mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
-                              wraps=concurrent.futures.ThreadPoolExecutor))
-
-
-def test_gradslp_sum_row_ranges_over_two_workers():
-    # 9 sources and 7 rows per block: no rows and one row sum serially, as
-    # does one block less a row; more rows split over the 2 workers
-    rng = np.random.default_rng(11)
-    nodes, w = _boundary(rng, 9)
-    affinity, pool = _cpus(2)
-    with mock.patch.object(_fast, "_BLOCK_ELEMS", 63), affinity, pool as spy:
-        assert _fast.gradslp_sum(_targets(rng, 0), nodes, w, C).shape == (0, 3)
-        for n, workers in ((1, None), (6, None), (8, 2), (29, 2), (50, 2)):
-            spy.reset_mock()
-            xs = _targets(rng, n)
-            assert _rel_err(_fast.gradslp_sum(xs, nodes, w, C), gradslp_ref(xs, nodes, w, C)) <= RTOL
-            assert spy.call_args == (None if workers is None else mock.call(workers))
+    """Patch the usable CPUs that gradslp_series sees to k."""
+    return mock.patch.object(_fast.os, "sched_getaffinity", return_value=set(range(k)))
 
 
 def test_map_threads_takes_iterators():
@@ -202,28 +182,6 @@ def test_map_threads_takes_iterators():
     for k in (1, 3):
         got = _fast.map_threads(lambda a, b: a * b, iter(range(k)), (2 * i for i in range(k)))
         assert got == [2 * i * i for i in range(k)]
-
-
-def test_gradslp_sum_same_on_one_and_three_cpus():
-    # 301 bump-sized sources at the real block size: 217 rows a block, 10
-    # blocks; three workers with a short switch interval, so a row range
-    # written twice or not at all would show
-    rng = np.random.default_rng(5)
-    nodes, w = _boundary(rng, 301)
-    xs = _targets(rng, 2000)
-    wg = w * rng.normal(size=len(w))
-    got = {}
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for k in (1, 3):
-            affinity, pool = _cpus(k)
-            with affinity, pool as spy:
-                got[k] = _fast.gradslp_sum(xs, nodes, wg, C)
-            assert spy.called == (k > 1)
-    finally:
-        sys.setswitchinterval(interval)
-    assert _rel_err(got[3], got[1]) <= 1e-15
 
 
 def _lattice(extent, res, boundary=None):
@@ -439,7 +397,7 @@ def test_series_peak_does_not_grow_with_the_cpus():
     peaks, outs = {}, {}
     for cpus in (1, 2, 8, 64):
         out = np.zeros((len(zs), n, n, 3))
-        with _cpus(cpus)[0]:
+        with _cpus(cpus):
             tracemalloc.start()
             try:
                 _fast.gradslp_series(zs, w, h, cols, dx, n, C, geometry, out)
