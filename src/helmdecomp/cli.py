@@ -4,8 +4,9 @@ Exit codes: 0 ok, 2 smallness/contraction gate failed or the series hit
 kmax, 3 identity or residual tolerance breached, 4 invalid input (command
 line, config, rho above rho0/2, a lattice over LATTICE_MEMORY_CAP or too
 narrow for the flat-tail closure, a box too short for the grad q2 columns,
-missing or malformed field file, a field that is not a 3-vector field,
-non-decaying field, target or ladder the lattice cannot resolve).
+a field file that is missing, unreadable (a directory, say) or malformed, a
+field that is not a 3-vector field, non-decaying field, target or ladder the
+lattice cannot resolve, an --out that cannot be made a directory or written).
 """
 
 import argparse
@@ -320,7 +321,7 @@ def main(argv=None):
         if args.command == "decompose":
             return cmd_decompose(cfg, args.field, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError, NonDecayingInput, TooCloseToSurface) as exc:
+    except (ConfigError, OSError, NonDecayingInput, TooCloseToSurface) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 4
     except HelmdecompError as exc:

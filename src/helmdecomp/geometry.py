@@ -32,11 +32,9 @@ def plateau(t):
 
 
 class _ZeroProfile:
-    def value(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    d1 = value
-    d2 = value
+    def jet(self, r):
+        z = np.zeros_like(np.asarray(r, dtype=float))
+        return z, z, z
 
 
 class _CompactBump:
@@ -46,27 +44,17 @@ class _CompactBump:
         self.a = float(a)
         self.R = float(R)
 
-    def _parts(self, r):
+    def jet(self, r):
+        """(p, p', p'') at r."""
         r = np.asarray(r, dtype=float)
         t2 = np.clip((r / self.R) ** 2, 0.0, 1.0)
         inside = t2 < 1.0 - 1e-14
         u = np.where(inside, 1.0 - t2, 1.0)
         p = np.where(inside, self.a * np.exp(1.0 - 1.0 / u), 0.0)
-        return r, u, p, inside
-
-    def value(self, r):
-        return self._parts(r)[2]
-
-    def d1(self, r):
-        r, u, p, inside = self._parts(r)
-        phi1 = -2.0 * r / (self.R**2 * u**2)
-        return np.where(inside, p * phi1, 0.0)
-
-    def d2(self, r):
-        r, u, p, inside = self._parts(r)
-        phi1 = -2.0 * r / (self.R**2 * u**2)
-        phi2 = -2.0 / (self.R**2 * u**2) - 8.0 * r**2 / (self.R**4 * u**3)
-        return np.where(inside, p * (phi1**2 + phi2), 0.0)
+        Ru2 = self.R**2 * u**2
+        phi1 = -2.0 * r / Ru2
+        phi2 = -2.0 / Ru2 - 8.0 * r**2 / (self.R**4 * u**3)
+        return p, np.where(inside, p * phi1, 0.0), np.where(inside, p * (phi1**2 + phi2), 0.0)
 
 
 class _WindowedGaussian:
@@ -82,13 +70,12 @@ class _WindowedGaussian:
         self.r0 = 2.0 * self.s
         self.r1 = 4.0 * self.s
 
-    def _gauss(self, r):
+    def jet(self, r):
+        """(p, p', p'') at r: the Gaussian g times the window w, by the product rule."""
+        r = np.asarray(r, dtype=float)
         g = self.a * np.exp(-(r**2) / (2.0 * self.s**2))
         g1 = g * (-r / self.s**2)
         g2 = g * ((r / self.s**2) ** 2 - 1.0 / self.s**2)
-        return g, g1, g2
-
-    def _window(self, r):
         den = self.r1 - self.r0
         t = np.clip((self.r1 - r) / den, 0.0, 1.0)
         w = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
@@ -96,25 +83,7 @@ class _WindowedGaussian:
         dt = -1.0 / den
         w1 = np.where(ramp, (30.0 * t**4 - 60.0 * t**3 + 30.0 * t**2) * dt, 0.0)
         w2 = np.where(ramp, (120.0 * t**3 - 180.0 * t**2 + 60.0 * t) * dt**2, 0.0)
-        return w, w1, w2
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        g, _, _ = self._gauss(r)
-        w, _, _ = self._window(r)
-        return g * w
-
-    def d1(self, r):
-        r = np.asarray(r, dtype=float)
-        g, g1, _ = self._gauss(r)
-        w, w1, _ = self._window(r)
-        return g1 * w + g * w1
-
-    def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        g, g1, g2 = self._gauss(r)
-        w, w1, w2 = self._window(r)
-        return g2 * w + 2.0 * g1 * w1 + g * w2
+        return g * w, g1 * w + g * w1, g2 * w + 2.0 * g1 * w1 + g * w2
 
 
 class BoundaryFunction:
@@ -142,31 +111,26 @@ class BoundaryFunction:
     # -- presets ----------------------------------------------------------
     @classmethod
     def _from_profile(cls, profile, support_radius, n=3, curvature_bound=None):
-        """h(x') = p(|x'|) for a radial profile whose value, d1 and d2 give p, p', p''."""
-        d = n - 1
+        """h(x') = p(|x'|) for a radial profile whose jet(r) gives (p, p', p'')."""
+        eye = np.eye(n - 1)
 
         def height(xp):
-            xp = np.asarray(xp, dtype=float)
-            r = np.linalg.norm(xp, axis=-1)
-            return profile.value(r)
+            return profile.jet(np.linalg.norm(xp, axis=-1))[0]
 
-        def gradient(xp):
-            xp = np.asarray(xp, dtype=float)
-            r = np.linalg.norm(xp, axis=-1)
-            small = r < 1e-12
-            ratio = np.where(small, profile.d2(r), profile.d1(r) / np.where(small, 1.0, r))
-            return ratio[..., None] * xp
-
-        def hessian(xp):
-            xp = np.asarray(xp, dtype=float)
+        def radial(xp):
+            """|x'| clamped off 0, p'' and p'/|x'|, whose limit at 0 is p''."""
             r = np.linalg.norm(xp, axis=-1)
             small = r < 1e-12
             rs = np.where(small, 1.0, r)
-            p1 = profile.d1(r)
-            p2 = profile.d2(r)
-            ratio = np.where(small, p2, p1 / rs)
+            _, p1, p2 = profile.jet(r)
+            return rs, p2, np.where(small, p2, p1 / rs)
+
+        def gradient(xp):
+            return radial(xp)[2][..., None] * xp
+
+        def hessian(xp):
+            rs, p2, ratio = radial(xp)
             xhat = xp / rs[..., None]
-            eye = np.eye(d)
             outer = xhat[..., :, None] * xhat[..., None, :]
             return (p2 - ratio)[..., None, None] * outer + ratio[..., None, None] * eye
 

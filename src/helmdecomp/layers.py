@@ -359,8 +359,8 @@ def trace_S(q, hs, g, x0, refine=True):
     return q._closed_sum(g, x0, direction=gd, refine=refine)
 
 
-def _assemble_s_blocks(q, hs):
-    """Lattice discretization of S (targets x sources) in blocks, cached.
+def _assemble_s_blocks(q):
+    """Lattice discretization of S on q.hs (targets x sources) in blocks, cached.
 
     B holds the nodes within _REFINE_CELLS + 1 spacings of the bump support,
     F the rest.  Both ends of an F-F pair lie on the plane, where
@@ -374,19 +374,19 @@ def _assemble_s_blocks(q, hs):
     from ._fast import dir_gradslp_rows
 
     ctx = q.ctx
-    pad = hs.boundary.support_radius + (_REFINE_CELLS + 1) * q.dx
+    pad = q.hs.boundary.support_radius + (_REFINE_CELLS + 1) * q.dx
     near_bump = np.linalg.norm(q.yp, axis=-1) <= pad
     B = np.flatnonzero(near_bump)
     F = np.flatnonzero(~near_bump)
-    gd = -hs.outward_normal(q.nodes)
+    gd = -q.hs.outward_normal(q.nodes)
     rows = dir_gradslp_rows(q.nodes[B], gd[B], q.nodes, q.weights, -ctx.grad_const)
     cols = dir_gradslp_rows(q.nodes[F], gd[F], q.nodes[B], q.weights[B], -ctx.grad_const)
-    _refine_rows(q, hs, B, gd, rows)
+    _refine_rows(q, B, gd, rows)
     q._s_blocks = (B, F, rows, cols)
     return q._s_blocks
 
 
-def _refine_rows(q, hs, B, gd, rows):
+def _refine_rows(q, B, gd, rows):
     """Replace the near-diagonal entries of the B rows by subcell means.
 
     Every cell within _REFINE_CELLS spacings (max norm) of a B node, other
@@ -428,11 +428,15 @@ def apply_S(q, hs, gvalues):
 
     Every lattice size uses the cached blocks of ``_assemble_s_blocks``
     (near-diagonal refinement in the bump rows); S is 0 on a flat boundary.
+    S is that of q.hs, the half space q was built on; ValueError unless hs is
+    that object.
     """
+    if hs is not q.hs:
+        raise ValueError("apply_S: hs is not the half space of the quadrature")
     gvec = np.asarray(gvalues, dtype=float).ravel()
     if hs.boundary.is_flat:
         return np.zeros_like(gvec)
-    B, F, rows, cols = _assemble_s_blocks(q, hs)
+    B, F, rows, cols = _assemble_s_blocks(q)
     out = np.empty_like(gvec)
     out[B] = rows @ gvec
     out[F] = cols @ gvec[B]

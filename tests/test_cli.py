@@ -383,6 +383,36 @@ class TestExitCodes:
         assert main(["--config", cfg, command, str(tmp_path / "s.json")]) == 4
         assert "3-vector" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("where", ["header", "payload"])
+    @pytest.mark.parametrize("command", ["norms", "decompose"])
+    def test_field_file_that_is_a_directory_is_bad_input(self, tmp_path, capsys, command,
+                                                          where):
+        # an OSError other than FileNotFoundError (here IsADirectoryError)
+        cfg = write_config(tmp_path)
+        if where == "header":
+            (tmp_path / "v.json").mkdir()
+        else:
+            grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+            write_field(BoxField(grid, np.zeros((3, 32, 32, 32))), tmp_path / "v.json")
+            payload = tmp_path / json.loads((tmp_path / "v.json").read_text())["payload"]
+            payload.unlink()
+            payload.mkdir()
+        assert main(["--config", cfg, command, str(tmp_path / "v.json")]) == 4
+        assert "error" in json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["check-smallness", "decompose"])
+    def test_out_that_names_a_file_is_bad_input(self, tmp_path, capsys, command):
+        # mkdir of --out raises FileExistsError
+        cfg = write_config(tmp_path)
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        write_field(BoxField.sample(grid, PerturbedHalfSpace(BoundaryFunction.zero()),
+                                    grad_gaussian, ncomp=3), tmp_path / "v.json")
+        (tmp_path / "out").write_text("kept\n")
+        argv = [command] + ([str(tmp_path / "v.json")] if command == "decompose" else [])
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")] + argv) == 4
+        assert "error" in json.loads(capsys.readouterr().err)
+        assert (tmp_path / "out").read_text() == "kept\n"
+
     def test_series_cap_is_gate_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, box={"lower": [-2.0, -2.0, -0.5],
                                           "upper": [2.0, 2.0, 3.5],

@@ -137,6 +137,42 @@ class TestNormals:
         assert np.allclose(np.sum(n * gd, axis=1), -1.0)
 
 
+class TestPresetDerivatives:
+    """gradient and hessian of each preset against central differences of
+    height and of gradient, at r = 0 (the p'' limit), inside the bump, in
+    the Gaussian's taper [2s, 4s], near the smooth bump's edge R and beyond
+    the support."""
+
+    PRESETS = {
+        "zero": BoundaryFunction.zero(),
+        "smooth-bump": BoundaryFunction.smooth_bump(0.3, 0.4),
+        "gaussian-bump": BoundaryFunction.gaussian_bump(0.05, 0.5),
+    }
+    RADII = {"origin": 0.0, "inside": 0.15, "taper": 1.5, "edge": 0.38, "beyond": 2.5}
+    EPS = 1e-6
+
+    @staticmethod
+    def _central(f, yp, eps):
+        """(d/dy1 f, d/dy2 f) at yp by central differences, stacked last."""
+        steps = eps * np.eye(2)
+        return np.stack([(f(yp + e) - f(yp - e)) / (2.0 * eps) for e in steps], axis=-1)
+
+    @pytest.mark.parametrize("where", list(RADII))
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_against_central_differences(self, name, where):
+        b = self.PRESETS[name]
+        yp = self.RADII[where] * np.array([np.cos(0.7), np.sin(0.7)])
+        grad = b.gradient(yp)
+        hess = b.hessian(yp)
+        assert hess.shape == (2, 2) and np.array_equal(hess, hess.T)
+        fd_grad = self._central(b.height, yp, self.EPS)
+        fd_hess = self._central(b.gradient, yp, self.EPS)
+        assert np.abs(grad - fd_grad).max() <= 1e-9 * max(1.0, np.abs(grad).max())
+        assert np.abs(hess - fd_hess).max() <= 1e-7 * max(1.0, np.abs(hess).max())
+        if where == "beyond" or name == "zero":
+            assert not grad.any() and not hess.any()
+
+
 class TestNormalCoordinates:
     def test_flat_translation(self, flat_hs):
         z0 = np.array([0.5, -0.3, 0.0])

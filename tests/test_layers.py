@@ -291,7 +291,7 @@ class TestOperatorBatch:
 
         hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(0.045, 0.475))
         q = SurfaceQuadrature(hs, 8.0, 48)
-        bump, far = _assemble_s_blocks(q, hs)[:2]
+        bump, far = _assemble_s_blocks(q)[:2]
         assert 0 < len(bump) and 0 < len(far)
         gd = -hs.outward_normal(q.nodes[far])
         ff = dir_gradslp_rows(q.nodes[far], gd, q.nodes[far], q.weights[far],
@@ -307,8 +307,17 @@ class TestOperatorBatch:
 
         g = scale * np.random.default_rng(seed).standard_normal(flat_quad.res ** 2)
         assert not apply_S(flat_quad, flat_hs, g).any()
-        B, _, rows, cols = _assemble_s_blocks(flat_quad, flat_hs)
+        B, _, rows, cols = _assemble_s_blocks(flat_quad)
         assert not (rows @ g).any() and not (cols @ g[B]).any()
+
+    def test_apply_refuses_another_half_space(self, small_bump_quad, flat_hs):
+        # S is that of the quadrature's own half space: a flat one, or another
+        # bump of the same support, must not read q's blocks (or skip them)
+        g = gauss_dens(2.0, 64, w=0.1).values
+        other = PerturbedHalfSpace(BoundaryFunction.smooth_bump(0.02, 0.3), reach_estimate=0.3)
+        for hs in (flat_hs, other):
+            with pytest.raises(ValueError, match="half space"):
+                apply_S(small_bump_quad, hs, g)
 
     def test_apply_matches_pointwise(self, small_bump_quad, small_bump_hs):
         g = gauss_dens(2.0, 64, w=0.1)
