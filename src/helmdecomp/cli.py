@@ -5,8 +5,9 @@ kmax, 3 identity or residual tolerance breached, 4 invalid input (command
 line, config, rho above rho0/2, a lattice over LATTICE_MEMORY_CAP or too
 narrow for the flat-tail closure, a box too short for the grad q2 columns,
 a field file that is missing, unreadable (a directory, say) or malformed, a
-field that is not a 3-vector field, non-decaying field, target or ladder the
-lattice cannot resolve, an --out that cannot be made a directory or written).
+field that is not a 3-vector field or has a NaN or infinite value,
+non-decaying field, target or ladder the lattice cannot resolve, an --out
+that cannot be made a directory or written).
 """
 
 import argparse
@@ -198,7 +199,7 @@ def cmd_verify_identities(cfg, out_dir=None):
         ht = rng.uniform(lo, hi)
         probes.append(np.array([off[0], off[1],
                                 float(hs.boundary.height(off)) + ht]))
-    worst = max(abs(gauss_flux(q, hs, p) + 0.5) for p in probes)
+    worst = max(abs(gauss_flux(q, p) + 0.5) for p in probes)
     tol = 1e-6 if hs.boundary.is_flat else 2e-3
     rep.add("gauss_flux_dev", worst, tol)
 
@@ -218,8 +219,8 @@ def cmd_verify_identities(cfg, out_dir=None):
 
     dens = BoundaryDensity.sample(q.extent, q.res, gfun)
     x0 = hs.boundary.surface_point(np.array([0.25 * Rh, 0.0]))
-    est, _, order = trace_limit_Q(q, hs, dens, x0)
-    target = 0.5 * float(gfun(x0[:2])) - trace_S(q, hs, dens, x0)
+    est, _, order = trace_limit_Q(q, dens, x0)
+    target = 0.5 * float(gfun(x0[:2])) - trace_S(q, dens, x0)
     gmax = float(np.abs(dens.values).max())
     tol = (1e-3 if hs.boundary.is_flat else 5e-3) * gmax
     rep.add("jump_relation_gap", abs(est - target), tol)
@@ -232,7 +233,7 @@ def cmd_verify_identities(cfg, out_dir=None):
 
 
 def _read_box_field(cfg, field_path, hs):
-    """The field at field_path, which must be a 3-vector field on the config box."""
+    """The field at field_path, which must be a finite 3-vector field on the config box."""
     try:
         v = read_field(field_path, hs=hs)
     except (KeyError, TypeError, ValueError) as exc:
@@ -244,6 +245,9 @@ def _read_box_field(cfg, field_path, hs):
                               f"{list(cfg.box[key])}")
     if v.ncomp != 3:
         raise ConfigError(f"field has {v.ncomp} component(s); a 3-vector field is needed")
+    # min and max are NaN when a value is, and +-inf bound any infinite one
+    if not np.isfinite([v.data.min(), v.data.max()]).all():
+        raise ConfigError(f"malformed field file {field_path}: a value is NaN or infinite")
     return v
 
 

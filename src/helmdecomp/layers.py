@@ -30,6 +30,9 @@ no truncated tail remains.
 Boundary traces use the principal-value convention: the self cell of an
 on-surface target is omitted (all kernels here are weakly singular on the
 graph, order |x-y|^{2-n} relative to the surface measure).
+
+Every operator reads the boundary from its quadrature, q.hs.  Only apply_S
+also takes hs, which must be q.hs: perfbench/tracer.py sizes S from it.
 """
 
 import numpy as np
@@ -245,7 +248,7 @@ def grad_single_layer(q, g, x):
     return q._closed_sum(g, x)
 
 
-def double_layer_Q(q, hs, g, x, refine=True):
+def double_layer_Q(q, g, x, refine=True):
     """Directional-derivative potential int dE/dn_x (x-y) g(y) dH(y).
 
     n_x is the outward normal at the projection of x, so the kernel equals
@@ -253,22 +256,22 @@ def double_layer_Q(q, hs, g, x, refine=True):
     than the tube radius so trace-extrapolation ladders stay usable.
     """
     x = np.asarray(x, dtype=float)
-    d = hs.signed_distance(x)
-    if not (0.0 < d < hs.reach_estimate):
+    d = q.hs.signed_distance(x)
+    if not (0.0 < d < q.hs.reach_estimate):
         raise TooCloseToSurface("double layer needs 0 < d(x) < reach")
     if d < q.delta_min:
         raise TooCloseToSurface("target below delta_min; extrapolate instead")
-    return q._closed_sum(g, x, direction=-hs.grad_distance(x), refine=refine)
+    return q._closed_sum(g, x, direction=-q.hs.grad_distance(x), refine=refine)
 
 
-def gauss_flux(q, hs, x):
+def gauss_flux(q, x):
     """Boundary flux int dE/dn_y (x-y) dH(y); equals -1/2 at interior points.
 
     Computed as -1/2 plus the bump-support correction of the kernel against
     its flat reference, which vanishes identically for a flat boundary.
     """
     x = np.asarray(x, dtype=float)
-    d = hs.signed_distance(x)
+    d = q.hs.signed_distance(x)
     if d <= 0:
         raise TooCloseToSurface("flux identity holds at interior points")
     if d < q.delta_min:
@@ -276,17 +279,12 @@ def gauss_flux(q, hs, x):
     return -0.5 + q._bump_correction(q._kern_dEdny, x)
 
 
-def abs_flux(q, hs, x):
+def abs_flux(q, x):
     """Absolute-kernel flux int |dE/dn_y (x-y)| dH(y) for x in the tube."""
     x = np.asarray(x, dtype=float)
-    d = hs.signed_distance(x)
-    if not (0.0 < d):
+    if not (0.0 < q.hs.signed_distance(x)):
         raise TooCloseToSurface("absolute flux evaluated at interior points")
-
-    def kern_abs(*sample):
-        return np.abs(q._kern_dEdny(*sample))
-
-    return 0.5 + q._bump_correction(kern_abs, x)
+    return 0.5 + q._bump_correction(lambda *sample: np.abs(q._kern_dEdny(*sample)), x)
 
 
 def poisson_smoothing_deficit(q, g, x0p, t):
@@ -310,7 +308,7 @@ def poisson_smoothing_deficit(q, g, x0p, t):
     return main - 0.5 * float(g.bilinear(x0p[0], x0p[1]))
 
 
-def trace_limit_Q(q, hs, g, x0, ladder=(8.0, 4.0, 2.0, 1.0)):
+def trace_limit_Q(q, g, x0, ladder=(8.0, 4.0, 2.0, 1.0)):
     """Boundary-trace estimate of the normal-derivative potential at x0.
 
     Evaluates Qg along the inward normal at the ladder heights, removes the
@@ -321,16 +319,16 @@ def trace_limit_Q(q, hs, g, x0, ladder=(8.0, 4.0, 2.0, 1.0)):
     """
     top = max(ladder)
     delta0 = 2.0 * q.delta_min
-    if np.isfinite(hs.reach_estimate):
-        delta0 = min(delta0, 0.8 * hs.reach_estimate / top)
+    if np.isfinite(q.hs.reach_estimate):
+        delta0 = min(delta0, 0.8 * q.hs.reach_estimate / top)
     if delta0 < q.delta_min:
         raise TooCloseToSurface("ladder cannot fit between delta_min and the reach")
-    nrm = hs.outward_normal(x0)
+    nrm = q.hs.outward_normal(x0)
     raw = []
     corrected = []
     for s in sorted(ladder, reverse=True):
         t = s * delta0
-        val = double_layer_Q(q, hs, g, x0 - t * nrm)
+        val = double_layer_Q(q, g, x0 - t * nrm)
         raw.append(val)
         corrected.append(val - poisson_smoothing_deficit(q, g, x0[:2], t))
     est = 2.0 * corrected[-1] - corrected[-2]
@@ -341,7 +339,7 @@ def trace_limit_Q(q, hs, g, x0, ladder=(8.0, 4.0, 2.0, 1.0)):
     return est, raw, order
 
 
-def trace_S(q, hs, g, x0, refine=True):
+def trace_S(q, g, x0, refine=True):
     """Boundary trace operator: (S g)(x0) = -int dE/dn_{x0}(x0-y) g(y) dH(y).
 
     x0 lies on the boundary; the weakly singular self cell is omitted
@@ -352,9 +350,9 @@ def trace_S(q, hs, g, x0, refine=True):
     boundary is flat.
     """
     x0 = np.asarray(x0, dtype=float)
-    if abs(x0[2] - hs.boundary.height(x0[:2])) > 1e-9:
+    if abs(x0[2] - q.hs.boundary.height(x0[:2])) > 1e-9:
         raise ValueError("trace target must lie on the boundary graph")
-    gd = -hs.outward_normal(x0)  # grad d at the boundary point itself
+    gd = -q.hs.outward_normal(x0)  # grad d at the boundary point itself
     # S = +grad d . grad E convolved with g
     return q._closed_sum(g, x0, direction=gd, refine=refine)
 
@@ -443,9 +441,9 @@ def apply_S(q, hs, gvalues):
     return out
 
 
-def trace_S_norms(q, hs, g):
+def trace_S_norms(q, g):
     """(sup, L^{(2n-2)/n}(Gamma), pullback Hdot^{-1/2}) of S g on the lattice."""
-    vals = apply_S(q, hs, q.match(g))
+    vals = apply_S(q, q.hs, q.match(g))
     dens = q.density(vals)
     linf = float(np.abs(vals).max())
     p = (2.0 * q.ctx.n - 2.0) / q.ctx.n

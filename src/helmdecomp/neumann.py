@@ -10,7 +10,8 @@ Convergence is gated at runtime by the empirical operator norm of 2S on
 the discretized lattice (power iteration in the combined sup / pullback
 Hdot^{-1/2} metric); the closed-form smallness constants are reported as
 advisory output since their dimensional prefactor is not pinned down by
-theory.  C_{*,2} uses the support-radius exponent 1/(2n).
+theory.  C_{*,2} uses the support-radius exponent 1/(2n).  S is that of
+q.hs, the quadrature's half space; apply_S takes it again as hs (see layers).
 """
 
 from dataclasses import dataclass, asdict, field
@@ -84,7 +85,7 @@ def _combined_norm(q, values):
     return max(linf, hm)
 
 
-def estimate_contraction(q, hs, steps=30, seed=0):
+def estimate_contraction(q, steps=30, seed=0):
     """Empirical norm of 2S by power iteration in the combined metric.
 
     Returns the largest growth ratio over the second half of the iteration;
@@ -96,7 +97,7 @@ def estimate_contraction(q, hs, steps=30, seed=0):
     g /= nrm
     ratios = []
     for _ in range(steps):
-        g = 2.0 * apply_S(q, hs, g)
+        g = 2.0 * apply_S(q, q.hs, g)
         nrm = _combined_norm(q, g)
         if nrm < 1e-250:
             return 0.0
@@ -116,13 +117,13 @@ class NeumannSolution:
     increments: list = field(default_factory=list)
 
 
-def solve_density(q, hs, g, contraction, tol=1e-8, kmax=64):
+def solve_density(q, g, contraction, tol=1e-8, kmax=64):
     """Sum the geometric series for (I - 2S)^{-1}(2g) on the lattice.
 
     contraction is the measured norm of 2S (``estimate_contraction``).
     Stops when the sup norm of the increment falls below tol * sup|g|;
     raises NotContractive when contraction is >= 1 and MaxIterations
-    (carrying the partial solution) when kmax is hit.
+    (carrying the partial solution) when kmax is hit, as a NaN series is.
     """
     if not contraction < 1.0:
         raise NotContractive(f"empirical |2S| = {contraction:.3f} >= 1")
@@ -131,20 +132,20 @@ def solve_density(q, hs, g, contraction, tol=1e-8, kmax=64):
     term = 2.0 * gvec
     acc = term.copy()
     increments = [float(np.abs(term).max())]
-    terms = 1
     converged = gmax == 0.0
-    while not converged and terms < kmax:
-        term = 2.0 * apply_S(q, hs, term)
+    # kmax - 1 applications of S at most: a NaN increment neither counts nor converges
+    for _ in range(0 if converged else kmax - 1):
+        term = 2.0 * apply_S(q, q.hs, term)
         acc += term
         inc = float(np.abs(term).max())
         if inc > 0.0:
             increments.append(inc)
-            terms += 1
         if inc < tol * gmax:
             converged = True
-    residual = float(np.abs(acc - 2.0 * gvec - 2.0 * apply_S(q, hs, acc)).max())
+            break
+    residual = float(np.abs(acc - 2.0 * gvec - 2.0 * apply_S(q, q.hs, acc)).max())
     sol = NeumannSolution(density=q.density(acc),
-                          series_terms_used=terms, residual=residual,
+                          series_terms_used=len(increments), residual=residual,
                           increments=increments)
     if not converged:
         raise MaxIterations(f"series hit kmax={kmax}, residual={residual:.3e}", solution=sol)

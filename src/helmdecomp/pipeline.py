@@ -477,19 +477,20 @@ def _bump_span(q, p, shift):
     return span, cols, q.nodes[:, 2].reshape(q.res, q.res)[span, span]
 
 
-def grad_q2_sites(q, wall, grid, mask, p, shift):
+def grad_q2_sites(q, grid, mask, p, shift):
     """The GradQ2Sites of _sample_grad_q2, with the lattice node j on box
-    column shift + p j: mask nodes within q.delta_min of the wall (which
-    reaches that far) are near, the others safe; a near node extrapolates
-    linearly in x_n from the safe node of its column nearest x_n - h(x') =
-    1.5 delta_min and the one above it nearest 3 delta_min.  ConfigError if
-    the column ends below.
+    column shift + p j: mask nodes within q.delta_min of the wall of q.hs
+    (its box_wall out that far) are near, the others safe; a near node
+    extrapolates linearly in x_n from the safe node of its column nearest
+    x_n - h(x') = 1.5 delta_min and the one above it nearest 3 delta_min.
+    ConfigError if the column ends below.
 
     The bump sources take the series in source height on the planes where
     it converges when _SERIES_COST sum (K + 1) N^2 over those planes, for
     series order K and lattice size N, is below the direct pairs it spares,
     and the direct sum everywhere else."""
     delta, nz = q.delta_min, grid.resolution[2]
+    wall = q.hs.box_wall(grid, delta)
     near = wall.index[mask.ravel()[wall.index] & (wall.distance < delta)]
     safe = mask.copy()
     safe.flat[near] = False
@@ -527,18 +528,15 @@ def grad_q2_sites(q, wall, grid, mask, p, shift):
                        bumps, series)
 
 
-def _sample_grad_q2(q, wall, sol, grid, mask, p, shift, sites=None):
+def _sample_grad_q2(q, sol, grid, p, shift, sites):
     """grad q2 on the box, 0 off the mask, from a decaying density (so no
-    tail closure).  sites is grad_q2_sites(q, wall, grid, mask, p, shift),
-    built here when None.  The safe nodes at x_n >= delta_min take the
-    plane FFT on the lattice whose node j is box column shift + p j, with
-    the weights of the h_j != 0 sources zeroed, plus those sources where
-    they lie, so each source is summed once: by the series in source height
-    on its planes, by the direct sum at sites.bump; lower safe nodes (a dip
-    makes them) take the direct sum.  Each near node is then extrapolated
-    from its column."""
-    if sites is None:
-        sites = grad_q2_sites(q, wall, grid, mask, p, shift)
+    tail closure).  sites is grad_q2_sites(q, grid, mask, p, shift).  The
+    safe nodes at x_n >= delta_min take the plane FFT on the lattice whose
+    node j is box column shift + p j, with the weights of the h_j != 0
+    sources zeroed, plus those sources where they lie, so each source is
+    summed once: by the series in source height on its planes, by the
+    direct sum at sites.bump; lower safe nodes (a dip makes them) take the
+    direct sum.  Each near node is then extrapolated from its column."""
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
     n, nz = grid.resolution[0], grid.resolution[2]
@@ -667,14 +665,13 @@ class DecompositionPlan:
             raise ConfigError(f"lattice {extent:g} / {res} on the box columns: {exc}") from exc
         # the quadrature lattice: extent, resolution and stride in box spacings
         self.lattice = {"extent": self.q.extent, "resolution": res, "stride": self.p}
-        self.contraction = estimate_contraction(self.q, hs, seed=cfg.seed)
+        self.contraction = estimate_contraction(self.q, seed=cfg.seed)
         self.report = smallness_constants(hs.boundary)
         self.report.empirical_2S_norm = self.contraction
 
     @functools.cached_property
     def grad_q2_sites(self):
-        wall = self.hs.box_wall(self.grid, self.q.delta_min)
-        return grad_q2_sites(self.q, wall, self.grid, self.mask, self.p, self.shift)
+        return grad_q2_sites(self.q, self.grid, self.mask, self.p, self.shift)
 
     @functools.cached_property
     def ledger_geometry(self):
@@ -697,16 +694,16 @@ class DecompositionPlan:
             raise NotContractive(f"empirical |2S| = {self.contraction:.3f} >= 1",
                                  report=self.report)
         hs, cfg, q, grid, mask = self.hs, self.cfg, self.q, v.grid, v.inside_mask
-        # out to the grad q2 near nodes, so every stage reads the one wall
-        wall = hs.box_wall(grid, q.delta_min)
+        # the wall out to delta_min first, so every stage reads that one wall
+        hs.box_wall(grid, q.delta_min)
         gq1 = volume_potential_grad(hs, v, cfg.rho)
         w = v.data - gq1.data
         w *= mask
         w = BoxField(grid, w, mask)
         g, g_linf, g_hminus = normal_trace(hs, w)
         g_quad = resample_density(g, q.extent, q.res, self.p, self.shift)
-        sol = solve_density(q, hs, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
-        gq2 = BoxField(grid, _sample_grad_q2(q, wall, sol, grid, mask, self.p, self.shift,
+        sol = solve_density(q, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
+        gq2 = BoxField(grid, _sample_grad_q2(q, sol, grid, self.p, self.shift,
                                              self.grad_q2_sites), mask)
         # v0 in the buffer of w, which nothing reads after this; w and
         # grad q2 are 0 off the mask, so v0 is too

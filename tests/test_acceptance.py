@@ -39,19 +39,19 @@ def l2(f):
     return float(np.sqrt(np.sum(f.data[:, f.inside_mask] ** 2) * dV))
 
 
-def test_criterion_1_gauss_flux(flat_hs, flat_quad, bump_setup):
+def test_criterion_1_gauss_flux(flat_quad, bump_setup):
     rng = np.random.default_rng(11)
     worst_flat = 0.0
     for _ in range(5):
         x = np.array([*rng.uniform(-1.5, 1.5, 2), rng.uniform(0.3, 2.0)])
-        worst_flat = max(worst_flat, abs(gauss_flux(flat_quad, flat_hs, x) + 0.5))
+        worst_flat = max(worst_flat, abs(gauss_flux(flat_quad, x) + 0.5))
     hs, q = bump_setup
     worst_bump = 0.0
     heights = np.linspace(0.1, 2.0, 10)
     offsets = np.linspace(0.0, 5 * 0.3, 10)
     for ht, off in zip(heights, offsets):
         x = np.array([off, 0.0, float(hs.boundary.height(np.array([off, 0.0]))) + ht])
-        worst_bump = max(worst_bump, abs(gauss_flux(q, hs, x) + 0.5))
+        worst_bump = max(worst_bump, abs(gauss_flux(q, x) + 0.5))
     ok = worst_flat < 1e-6 and worst_bump < 2e-3
     verdict(1, "gauss flux = -1/2",
             ok, f"flat dev {worst_flat:.2e} (tol 1e-6), bump dev {worst_bump:.2e} (tol 2e-3)")
@@ -87,9 +87,9 @@ def test_criterion_2_poisson_half_limit(flat_hs):
 def test_criterion_3_jump_relation(flat_hs, small_bump_hs):
     qf = SurfaceQuadrature(flat_hs, 6.0, 128)
     gf = BoundaryDensity.sample(6.0, 128, lambda p: np.exp(-np.sum(p * p, -1)))
-    s_dev = max(abs(trace_S(qf, flat_hs, gf, np.array([x, y, 0.0])))
+    s_dev = max(abs(trace_S(qf, gf, np.array([x, y, 0.0])))
                 for x, y in ((0.0, 0.0), (0.75, -0.5), (1.5, 1.0)))
-    est, _, _ = trace_limit_Q(qf, flat_hs, gf, np.array([0.046875, 0.0, 0.0]))
+    est, _, _ = trace_limit_Q(qf, gf, np.array([0.046875, 0.0, 0.0]))
     flat_gap = abs(est - 0.5 * np.exp(-0.046875**2))
 
     qb = SurfaceQuadrature(small_bump_hs, 2.0, 128)
@@ -98,9 +98,9 @@ def test_criterion_3_jump_relation(flat_hs, small_bump_hs):
     worst_order = np.inf
     for xp in ([0.078125, 0.0], [0.171875, 0.03125], [0.0, 0.0]):
         x0 = small_bump_hs.boundary.surface_point(np.array(xp))
-        est, _, order = trace_limit_Q(qb, small_bump_hs, gb, x0)
+        est, _, order = trace_limit_Q(qb, gb, x0)
         target = 0.5 * np.exp(-np.sum(x0[:2] ** 2) / 0.11) \
-            - trace_S(qb, small_bump_hs, gb, x0)
+            - trace_S(qb, gb, x0)
         worst_gap = max(worst_gap, abs(est - target))
         worst_order = min(worst_order, order)
     ok = s_dev == 0.0 and flat_gap < 1e-3 and worst_order >= 0.8 \
@@ -180,9 +180,9 @@ def test_criterion_5_lifting_identity():
 
 def test_criterion_6_neumann_series(bump_setup):
     hs, q = bump_setup
-    contraction = estimate_contraction(q, hs)
+    contraction = estimate_contraction(q)
     g = BoundaryDensity.sample(2.0, 64, lambda p: np.exp(-np.sum(p * p, -1) / 0.11))
-    sol = solve_density(q, hs, g, contraction=contraction)
+    sol = solve_density(q, g, contraction=contraction)
     decay = [b / a for a, b in zip(sol.increments[1:-1], sol.increments[2:])]
     geometric = bool(decay) and max(decay) < 1.0
     rng = np.random.default_rng(9)

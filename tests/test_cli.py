@@ -383,6 +383,21 @@ class TestExitCodes:
         assert main(["--config", cfg, command, str(tmp_path / "s.json")]) == 4
         assert "3-vector" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["norms", "decompose"])
+    def test_non_finite_field_is_bad_input(self, tmp_path, capsys, command, value):
+        # one such value at an inside node of a decaying field: norms would
+        # print NaN or Infinity, which is not JSON, and the series of
+        # decompose would not converge on it
+        cfg = write_config(tmp_path)
+        grid = BoxGrid((-2.0, -2.0, -0.5), (2.0, 2.0, 3.5), (32, 32, 32))
+        v = BoxField.sample(grid, PerturbedHalfSpace(BoundaryFunction.zero()), grad_gaussian,
+                            ncomp=3)
+        v.data[0, 16, 16, 16] = value
+        write_field(v, tmp_path / "v.json")
+        assert main(["--config", cfg, command, str(tmp_path / "v.json")]) == 4
+        assert "NaN or infinite" in json.loads(capsys.readouterr().err)["error"]
+
     @pytest.mark.parametrize("where", ["header", "payload"])
     @pytest.mark.parametrize("command", ["norms", "decompose"])
     def test_field_file_that_is_a_directory_is_bad_input(self, tmp_path, capsys, command,

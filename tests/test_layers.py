@@ -127,11 +127,11 @@ class TestGradSingleLayer:
 
 
 class TestDoubleLayer:
-    def test_zero(self, flat_quad, flat_hs):
+    def test_zero(self, flat_quad):
         g = BoundaryDensity(6.0, np.zeros((64, 64)))
-        assert double_layer_Q(flat_quad, flat_hs, g, np.array([0, 0, 0.5])) == 0.0
+        assert double_layer_Q(flat_quad, g, np.array([0, 0, 0.5])) == 0.0
 
-    def test_flat_poisson_convolution(self, flat_quad, flat_hs):
+    def test_flat_poisson_convolution(self, flat_quad):
         # kernels agree pointwise, so plain midpoint sums match to roundoff
         ctx = KernelContext(3)
         g = gauss_dens(6.0, 64, w=0.8)
@@ -140,19 +140,19 @@ class TestDoubleLayer:
             x = np.array([0.15, -0.1, t])
             conv = 0.5 * np.sum(poisson_kernel(ctx, t, x[:2] - pts)
                                 * g.values.ravel()) * g.dx**2
-            ours = double_layer_Q(flat_quad, flat_hs, g, x, refine=False)
+            ours = double_layer_Q(flat_quad, g, x, refine=False)
             assert abs(ours - conv) < 1e-6
 
-    def test_flat_constant_is_half(self, flat_quad, flat_hs):
+    def test_flat_constant_is_half(self, flat_quad):
         g = BoundaryDensity(6.0, np.ones((64, 64)))
-        val = double_layer_Q(flat_quad, flat_hs, g, np.array([0.2, 0.4, 0.9]))
+        val = double_layer_Q(flat_quad, g, np.array([0.2, 0.4, 0.9]))
         assert abs(val - 0.5) < 1e-12
 
 
 class TestFluxes:
-    def test_flat_exact(self, flat_quad, flat_hs):
+    def test_flat_exact(self, flat_quad):
         for x in ([0, 0, 1.0], [0.5, -0.2, 0.3], [2.0, 2.0, 2.0]):
-            assert abs(gauss_flux(flat_quad, flat_hs, np.array(x)) + 0.5) < 1e-6
+            assert abs(gauss_flux(flat_quad, np.array(x)) + 0.5) < 1e-6
 
     def test_bump_probes(self, small_bump_quad, small_bump_hs, rng):
         Rh = 0.3
@@ -162,21 +162,21 @@ class TestFluxes:
             x = np.array([off / np.sqrt(2), off / np.sqrt(2), ht])
             if x[2] < small_bump_hs.boundary.height(x[:2]) + 0.1:
                 x[2] += 0.1
-            assert abs(gauss_flux(small_bump_quad, small_bump_hs, x) + 0.5) < 2e-3
+            assert abs(gauss_flux(small_bump_quad, x) + 0.5) < 2e-3
 
-    def test_far_probe(self, small_bump_quad, small_bump_hs):
+    def test_far_probe(self, small_bump_quad):
         x = np.array([30.0, 30.0, 20.0])  # |x| ~ 50
-        assert abs(gauss_flux(small_bump_quad, small_bump_hs, x) + 0.5) < 1e-3
+        assert abs(gauss_flux(small_bump_quad, x) + 0.5) < 1e-3
 
-    def test_constancy_across_interior(self, small_bump_quad, small_bump_hs, rng):
+    def test_constancy_across_interior(self, small_bump_quad, rng):
         vals = []
         for _ in range(20):
             x = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.2, 1.5)])
-            vals.append(gauss_flux(small_bump_quad, small_bump_hs, x))
+            vals.append(gauss_flux(small_bump_quad, x))
         assert np.ptp(vals) < 2e-3
 
-    def test_abs_flux_flat_exact(self, flat_quad, flat_hs):
-        assert abs(abs_flux(flat_quad, flat_hs, np.array([0, 0, 0.3])) - 0.5) < 1e-12
+    def test_abs_flux_flat_exact(self, flat_quad):
+        assert abs(abs_flux(flat_quad, np.array([0, 0, 0.3])) - 0.5) < 1e-12
 
     def test_abs_flux_tube_bounded(self, small_bump_hs, rng):
         q = SurfaceQuadrature(small_bump_hs, 2.0, 192)
@@ -191,7 +191,7 @@ class TestFluxes:
             base = small_bump_hs.boundary.surface_point(yp)
             t = rng.uniform(q.delta_min, rho)
             x = base - t * small_bump_hs.outward_normal(base)
-            vals.append(abs_flux(q, small_bump_hs, x))
+            vals.append(abs_flux(q, x))
         assert np.isfinite(vals).all()
         assert max(vals) < 1.0 * c_ep  # fitted prefactor stays modest
 
@@ -199,17 +199,17 @@ class TestFluxes:
         base = small_bump_hs.boundary.surface_point(np.array([0.1, 0.0]))
         nrm = small_bump_hs.outward_normal(base)
         ts = [0.3, 0.15, 0.08, 0.05]
-        vals = [abs_flux(small_bump_quad, small_bump_hs, base - t * nrm) for t in ts]
+        vals = [abs_flux(small_bump_quad, base - t * nrm) for t in ts]
         assert np.isfinite(vals).all()
         assert max(vals) < 2.0  # bounded as the probe approaches the wall
 
 
 class TestTraceS:
-    def test_flat_zero_everywhere(self, flat_quad, flat_hs, rng):
+    def test_flat_zero_everywhere(self, flat_quad, rng):
         g = gauss_dens(6.0, 64)
         for _ in range(5):
             x0 = np.array([*rng.uniform(-1.5, 1.5, 2), 0.0])
-            assert trace_S(flat_quad, flat_hs, g, x0) == 0.0
+            assert trace_S(flat_quad, g, x0) == 0.0
 
     def test_amplitude_scaling(self):
         # halving the bump amplitude halves S g (leading order in the
@@ -223,7 +223,7 @@ class TestTraceS:
             q = SurfaceQuadrature(hs, 8.0, 64)
             g = BoundaryDensity(8.0, np.ones((64, 64)))
             x0 = np.array([3.0, 0.0, 0.0])  # |x0'| = 10 R_h
-            vals[a] = trace_S(q, hs, g, x0)
+            vals[a] = trace_S(q, g, x0)
         ratio = vals[0.02] / vals[0.01]
         assert abs(ratio - 2.0) < 0.2
 
@@ -231,9 +231,9 @@ class TestTraceS:
         q = SurfaceQuadrature(small_bump_hs, 2.0, 128)
         g = gauss_dens(2.0, 128, w=0.11)
         x0 = small_bump_hs.boundary.surface_point(np.array([0.078125, 0.0]))
-        est, raw, order = trace_limit_Q(q, small_bump_hs, g, x0)
+        est, raw, order = trace_limit_Q(q, g, x0)
         gv = np.exp(-np.sum(x0[:2] ** 2) / 0.11)
-        target = 0.5 * gv - trace_S(q, small_bump_hs, g, x0)
+        target = 0.5 * gv - trace_S(q, g, x0)
         assert order >= 0.8
         assert abs(est - target) < 5e-3 * np.abs(g.values).max()
 
@@ -243,18 +243,18 @@ class TestTraceS:
                                     lambda p: p[..., 0] * np.exp(-np.sum(p * p, -1) / 0.08))
         both = BoundaryDensity(2.0, 2.0 * g1.values - 1.5 * g2.values)
         x0 = small_bump_hs.boundary.surface_point(np.array([0.1, -0.05]))
-        lhs = trace_S(small_bump_quad, small_bump_hs, both, x0)
-        rhs = (2.0 * trace_S(small_bump_quad, small_bump_hs, g1, x0)
-               - 1.5 * trace_S(small_bump_quad, small_bump_hs, g2, x0))
+        lhs = trace_S(small_bump_quad, both, x0)
+        rhs = (2.0 * trace_S(small_bump_quad, g1, x0)
+               - 1.5 * trace_S(small_bump_quad, g2, x0))
         assert abs(lhs - rhs) < 1e-12
 
-    def test_norms_zero_cases(self, flat_quad, flat_hs, small_bump_quad, small_bump_hs):
+    def test_norms_zero_cases(self, flat_quad, small_bump_quad, small_bump_hs):
         gz = BoundaryDensity(6.0, np.zeros((64, 64)))
-        assert trace_S_norms(flat_quad, flat_hs, gz) == (0.0, 0.0, 0.0)
+        assert trace_S_norms(flat_quad, gz) == (0.0, 0.0, 0.0)
         gflat = gauss_dens(6.0, 64)
-        assert trace_S_norms(flat_quad, flat_hs, gflat)[0] == 0.0
+        assert trace_S_norms(flat_quad, gflat)[0] == 0.0
 
-    def test_branch_restriction_immaterial(self, small_bump_quad, small_bump_hs):
+    def test_branch_restriction_immaterial(self, small_bump_quad):
         # restricting the integration to the bump neighborhood changes
         # nothing for flat-region targets: the flat-flat kernel vanishes
         # pointwise, so the full-boundary definition is used everywhere
@@ -263,16 +263,16 @@ class TestTraceS:
         g_restricted = BoundaryDensity(
             2.0, (g.values.ravel() * mask).reshape(64, 64))
         x0 = np.array([0.65, 0.0, 0.0])  # |x0'| > 2 R_h, on the flat part
-        full = trace_S(small_bump_quad, small_bump_hs, g, x0)
-        restricted = trace_S(small_bump_quad, small_bump_hs, g_restricted, x0)
+        full = trace_S(small_bump_quad, g, x0)
+        restricted = trace_S(small_bump_quad, g_restricted, x0)
         assert abs(full - restricted) < 1e-15
 
-    def test_norms_regression_pinned(self, small_bump_quad, small_bump_hs):
+    def test_norms_regression_pinned(self, small_bump_quad):
         import json
         from pathlib import Path
 
         g = BoundaryDensity(2.0, np.ones((64, 64)))
-        linf, lp, hminus = trace_S_norms(small_bump_quad, small_bump_hs, g)
+        linf, lp, hminus = trace_S_norms(small_bump_quad, g)
         baseline_path = Path(__file__).parent / "data" / "trace_s_baseline.json"
         current = {"linf": linf, "lp": lp, "hminus": hminus}
         if not baseline_path.exists():
@@ -324,7 +324,7 @@ class TestOperatorBatch:
         vals = apply_S(small_bump_quad, small_bump_hs, g.values)
         for idx in (2080, 2512, 3000):
             x0 = small_bump_quad.nodes[idx]
-            ref = trace_S(small_bump_quad, small_bump_hs, g, x0, refine=False)
+            ref = trace_S(small_bump_quad, g, x0, refine=False)
             # matrix rows refine near-diagonal cells; compare against the
             # unrefined point value with a tolerance covering that gap
             assert abs(vals[idx] - ref) < 5e-4 * np.abs(g.values).max() + 1e-12

@@ -86,14 +86,14 @@ def _double_layer_Q(q):
                 x = _along_normal(q, yp, t)
                 for refine in (True, False):
                     yield (f"{dn}|{foot}|{hn}|refine={refine}",
-                           double_layer_Q(q, q.hs, g, x, refine=refine))
+                           double_layer_Q(q, g, x, refine=refine))
 
 
 def _trace_S(q):
     for dn, g in _densities(q).items():
         for tn, x0 in _on_surface(q).items():
             for refine in (True, False):
-                yield f"{dn}|{tn}|refine={refine}", trace_S(q, q.hs, g, x0, refine=refine)
+                yield f"{dn}|{tn}|refine={refine}", trace_S(q, g, x0, refine=refine)
 
 
 def _apply_S(q):
@@ -107,13 +107,13 @@ def _apply_S(q):
 def _gauss_flux(q):
     for foot, yp in FEET.items():
         for hn, t in _heights(q).items():
-            yield f"{foot}|{hn}", gauss_flux(q, q.hs, _along_normal(q, yp, t))
+            yield f"{foot}|{hn}", gauss_flux(q, _along_normal(q, yp, t))
 
 
 def _abs_flux(q):
     for foot, yp in FEET.items():
         for hn, t in _heights(q).items():
-            yield f"{foot}|{hn}", abs_flux(q, q.hs, _along_normal(q, yp, t))
+            yield f"{foot}|{hn}", abs_flux(q, _along_normal(q, yp, t))
 
 
 def _poisson_smoothing_deficit(q):
@@ -128,7 +128,7 @@ def _trace_limit_Q(q):
     for dn, g in _densities(q).items():
         for foot, yp in FEET.items():
             x0 = q.hs.boundary.surface_point(np.array(yp))
-            est, raw, _ = trace_limit_Q(q, q.hs, g, x0, ladder=(4.0, 2.0, 1.0))
+            est, raw, _ = trace_limit_Q(q, g, x0, ladder=(4.0, 2.0, 1.0))
             yield f"{dn}|{foot}", [est] + list(raw)
 
 

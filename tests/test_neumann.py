@@ -60,17 +60,17 @@ class TestSmallnessArithmetic:
 
 
 class TestContraction:
-    def test_flat_zero_norm(self, flat_quad, flat_hs):
-        assert estimate_contraction(flat_quad, flat_hs, steps=5) == 0.0
+    def test_flat_zero_norm(self, flat_quad):
+        assert estimate_contraction(flat_quad, steps=5) == 0.0
 
-    def test_small_bump_contracts(self, small_bump_quad, small_bump_hs):
-        c = estimate_contraction(small_bump_quad, small_bump_hs)
+    def test_small_bump_contracts(self, small_bump_quad):
+        c = estimate_contraction(small_bump_quad)
         assert 0.0 < c < 1.0
 
-    def test_matches_series_decay(self, small_bump_quad, small_bump_hs):
-        c = estimate_contraction(small_bump_quad, small_bump_hs)
+    def test_matches_series_decay(self, small_bump_quad):
+        c = estimate_contraction(small_bump_quad)
         g = gauss_dens(2.0, 64)
-        sol = solve_density(small_bump_quad, small_bump_hs, g, contraction=c)
+        sol = solve_density(small_bump_quad, g, contraction=c)
         decay = [b / a for a, b in zip(sol.increments[1:-1], sol.increments[2:])]
         assert decay  # geometric regime reached
         rel = abs(np.median(decay) - c) / c
@@ -78,46 +78,60 @@ class TestContraction:
 
 
 class TestSeries:
-    def test_flat_single_term(self, flat_quad, flat_hs):
+    def test_flat_single_term(self, flat_quad):
         g = gauss_dens(6.0, 64, w=0.5)
-        sol = solve_density(flat_quad, flat_hs, g, contraction=0.0)
+        sol = solve_density(flat_quad, g, contraction=0.0)
         assert sol.series_terms_used == 1
         assert np.abs(sol.density.values - 2 * g.values).max() == 0.0
         assert sol.residual < 1e-14
 
-    def test_linearity(self, small_bump_quad, small_bump_hs):
+    def test_linearity(self, small_bump_quad):
         g = gauss_dens(2.0, 64)
-        sol1 = solve_density(small_bump_quad, small_bump_hs, g, contraction=0.05)
+        sol1 = solve_density(small_bump_quad, g, contraction=0.05)
         g3 = BoundaryDensity(2.0, 3.0 * g.values)
-        sol3 = solve_density(small_bump_quad, small_bump_hs, g3, contraction=0.05)
+        sol3 = solve_density(small_bump_quad, g3, contraction=0.05)
         assert np.abs(sol3.density.values - 3 * sol1.density.values).max() < 1e-10
 
-    def test_fixed_point_residual(self, small_bump_quad, small_bump_hs):
+    def test_fixed_point_residual(self, small_bump_quad):
         g = gauss_dens(2.0, 64)
-        sol = solve_density(small_bump_quad, small_bump_hs, g, tol=1e-8,
+        sol = solve_density(small_bump_quad, g, tol=1e-8,
                             contraction=0.05)
         assert sol.residual <= 1e-8 * np.abs(g.values).max() * 10
 
-    def test_not_contractive_refuses(self, small_bump_quad, small_bump_hs):
+    def test_not_contractive_refuses(self, small_bump_quad):
         g = gauss_dens(2.0, 64)
         with pytest.raises(NotContractive):
-            solve_density(small_bump_quad, small_bump_hs, g, contraction=1.2)
+            solve_density(small_bump_quad, g, contraction=1.2)
 
-    def test_max_iterations_carries_partial(self, small_bump_quad, small_bump_hs):
+    def test_max_iterations_carries_partial(self, small_bump_quad):
         from helmdecomp.errors import MaxIterations
 
         g = gauss_dens(2.0, 64)
         with pytest.raises(MaxIterations) as exc:
-            solve_density(small_bump_quad, small_bump_hs, g, tol=1e-300, kmax=3,
+            solve_density(small_bump_quad, g, tol=1e-300, kmax=3,
                           contraction=0.05)
         assert isinstance(exc.value.solution, NeumannSolution)
         assert exc.value.solution.series_terms_used == 3
 
+    @pytest.mark.parametrize("quad", ["flat_quad", "small_bump_quad"])
+    def test_nan_density_stops_at_kmax(self, request, quad):
+        # a NaN increment neither counts as a term nor falls below the tol:
+        # the series still stops after kmax - 1 applications of S (on the
+        # flat wall, where S g = 0, as on the bump)
+        from helmdecomp.errors import MaxIterations
+
+        q = request.getfixturevalue(quad)
+        values = gauss_dens(q.extent, q.res).values.copy()
+        values[q.res // 2, q.res // 2] = np.nan
+        with pytest.raises(MaxIterations, match="kmax=64") as exc:
+            solve_density(q, BoundaryDensity(q.extent, values), contraction=0.05)
+        assert np.isnan(exc.value.solution.residual)
+
 
 class TestNeumannGradient:
-    def test_zero_data(self, flat_quad, flat_hs):
+    def test_zero_data(self, flat_quad):
         g = BoundaryDensity(6.0, np.zeros((64, 64)))
-        sol = solve_density(flat_quad, flat_hs, g, contraction=0.0)
+        sol = solve_density(flat_quad, g, contraction=0.0)
         val = grad_single_layer(flat_quad, sol.density, np.array([0.1, 0.0, 0.5]))
         assert np.all(val == 0.0)
 
@@ -136,7 +150,7 @@ class TestNeumannGradient:
             c = rng.uniform(-1.5, 1.5, 2)
             g = BoundaryDensity.sample(
                 16.0, 128, lambda p: np.exp(-np.sum((p - c) ** 2, -1) / w))
-            sol = solve_density(q, flat_hs, g, contraction=0.0)
+            sol = solve_density(q, g, contraction=0.0)
             zn = rng.uniform(0.6, 1.5)
             ref, _ = squad(lambda r: r * np.exp(-zn * r) * np.pi * w
                            * np.exp(-w * r * r / 4), 0, np.inf)
@@ -152,7 +166,7 @@ class TestNeumannGradient:
 
         q = SurfaceQuadrature(flat_hs, 12.0, 128)
         g = gauss_dens(12.0, 128, w=1.0)
-        sol = solve_density(q, flat_hs, g, contraction=0.0)
+        sol = solve_density(q, g, contraction=0.0)
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(50):
@@ -168,9 +182,9 @@ class TestNeumannGradient:
             worst = max(worst, abs(val - ref))
         assert worst < 0.02 * 1.0  # sup over probes within 2 percent
 
-    def test_harmonicity_stencil(self, small_bump_quad, small_bump_hs, rng):
+    def test_harmonicity_stencil(self, small_bump_quad, rng):
         g = gauss_dens(2.0, 64)
-        sol = solve_density(small_bump_quad, small_bump_hs, g, contraction=0.05)
+        sol = solve_density(small_bump_quad, g, contraction=0.05)
         h = 0.02
         for _ in range(8):
             x = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),

@@ -568,7 +568,7 @@ def _grad_q2_case(hs, grid, extent, res):
     return q, SimpleNamespace(density=dens), grid.inside(hs)
 
 
-def _direct_grad_q2(q, hs, sol, grid, mask):
+def _direct_grad_q2(q, sol, grid, mask):
     """The column rule over all-direct sums, written out node by node.
 
     Classify by the distance to the wall, take one direct sum at every safe
@@ -577,7 +577,7 @@ def _direct_grad_q2(q, hs, sol, grid, mask):
     safe node nearest 3 delta_min (a tie goes to the lower node).  Returns
     (values on the box, safe mask).
     """
-    pts = grid.points()
+    hs, pts = q.hs, grid.points()
     wg = q.weights * q.match(sol.density)
     c = -q.ctx.grad_const
     gap = hs.box_wall(grid).depth()
@@ -628,9 +628,9 @@ class TestGradQ2Paths:
         # all-direct sum
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        wall = gentle_hs.box_wall(grid, q.delta_min)
-        got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
-        ref, _ = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
+        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
+        got = _sample_grad_q2(q, sol, grid, 2, -20, sites)
+        ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("signed", [False, True])
@@ -645,26 +645,25 @@ class TestGradQ2Paths:
         if signed:
             values = np.random.default_rng(3).standard_normal((res, res))
             sol = SimpleNamespace(density=BoundaryDensity(extent, values, on_graph=True))
-        wall = gentle_hs.box_wall(grid, q.delta_min)
-        sites = pipeline.grad_q2_sites(q, wall, grid, mask, p, shift)
+        sites = pipeline.grad_q2_sites(q, grid, mask, p, shift)
         assert sites.report() == {"bump_sum": "series", "series_order": 14,
                                   "series_fallback_planes": 0}
         assert sites.bump.size == 0 and sites.low.size == 0
-        got = _sample_grad_q2(q, wall, sol, grid, mask, p, shift, sites)
-        ref, _ = _direct_grad_q2(q, gentle_hs, sol, grid, mask)
+        got = _sample_grad_q2(q, sol, grid, p, shift, sites)
+        ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
-        wall = flat_hs.box_wall(grid, q.delta_min)
+        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
+            got = _sample_grad_q2(q, sol, grid, 2, -20, sites)
         assert pairs == []
         # only box z-planes, each once
         assert sorted(planes) == sorted(set(planes)) and set(planes) <= set(grid.axis(2))
-        ref, _ = _direct_grad_q2(q, flat_hs, sol, grid, mask)
+        ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_steep_bump_skips_unsafe_column_nodes(self, bump_hs):
@@ -674,9 +673,9 @@ class TestGradQ2Paths:
         # spacing 1/16 under a lattice of spacing 1/8 (p = 2)
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
-        wall = bump_hs.box_wall(grid, q.delta_min)
-        got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -48)
-        ref, safe = _direct_grad_q2(q, bump_hs, sol, grid, mask)
+        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -48)
+        got = _sample_grad_q2(q, sol, grid, 2, -48, sites)
+        ref, safe = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         near_cols = (mask & ~safe).any(axis=2)
         first = np.argmin(np.abs(bump_hs.box_wall(grid).depth() - 1.5 * q.delta_min), axis=2)
@@ -690,9 +689,8 @@ class TestGradQ2Paths:
         # the series wherever it converges
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
-        wall = bump_hs.box_wall(grid, q.delta_min)
         with mock.patch.object(pipeline, "_SERIES_COST", 0.0):
-            sites = pipeline.grad_q2_sites(q, wall, grid, mask, 2, -48)
+            sites = pipeline.grad_q2_sites(q, grid, mask, 2, -48)
         orders = sites.series[0]
         assert sites.report() == {"bump_sum": "series", "series_order": orders.max(),
                                   "series_fallback_planes": 17}
@@ -702,9 +700,9 @@ class TestGradQ2Paths:
         assert set(z[sites.bump % 32]) == set(z[sites.planes[:17]])
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -48, sites)
+            got = _sample_grad_q2(q, sol, grid, 2, -48, sites)
         assert pairs == [(len(sites.bump), np.count_nonzero(q.nodes[:, 2] != 0.0))]
-        ref, _ = _direct_grad_q2(q, bump_hs, sol, grid, mask)
+        ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_dip_low_safe_nodes_take_direct_sum(self):
@@ -713,11 +711,11 @@ class TestGradQ2Paths:
         hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(-0.2, 0.3))
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(hs, grid, 8.0, 32)
-        wall = hs.box_wall(grid, q.delta_min)
+        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
-        ref, safe = _direct_grad_q2(q, hs, sol, grid, mask)
+            got = _sample_grad_q2(q, sol, grid, 2, -20, sites)
+        ref, safe = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         low = np.count_nonzero(safe & (grid.axis(2) < q.delta_min))
         bump = np.count_nonzero(q.nodes[:, 2] != 0.0)
@@ -727,10 +725,9 @@ class TestGradQ2Paths:
     def test_short_box_is_refused(self, flat_hs):
         # the columns end at x_n = 0.4625, below 3 delta_min = 0.5625
         grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 0.5), (24, 24, 24))
-        q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
-        wall = flat_hs.box_wall(grid, q.delta_min)
+        q, _, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
         with pytest.raises(ConfigError, match="box column ends"):
-            _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
+            pipeline.grad_q2_sites(q, grid, mask, 2, -20)
 
     @pytest.mark.parametrize("bump, n, quad_res, path", [
         ((0.05, 0.5), 32, 24, "direct"),
@@ -749,8 +746,7 @@ class TestGradQ2Paths:
         extent, res, p, shift = _column_lattice(grid, 8.0, quad_res)
         q = SurfaceQuadrature(hs, extent, res)
         mask = grid.inside(hs)
-        wall = hs.box_wall(grid, q.delta_min)
-        sites = pipeline.grad_q2_sites(q, wall, grid, mask, p, shift)
+        sites = pipeline.grad_q2_sites(q, grid, mask, p, shift)
         assert sites.report()["bump_sum"] == path
 
     @settings(max_examples=5, deadline=None)
@@ -758,12 +754,12 @@ class TestGradQ2Paths:
     def test_linear_in_the_density(self, gentle_hs, seed, a, b):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, _, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        wall = gentle_hs.box_wall(grid, q.delta_min)
+        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
         g1, g2 = np.random.default_rng(seed).standard_normal((2, q.res, q.res))
 
         def sample(values):
             sol = SimpleNamespace(density=BoundaryDensity(q.extent, values, on_graph=True))
-            return _sample_grad_q2(q, wall, sol, grid, mask, 2, -20)
+            return _sample_grad_q2(q, sol, grid, 2, -20, sites)
 
         f1, f2 = sample(g1), sample(g2)
         scale = np.abs(a * f1).max() + np.abs(b * f2).max()
@@ -932,8 +928,8 @@ class TestDecompose:
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (64, 64, 64))
         extent, res, _, _ = _column_lattice(grid, 8.0, 48)
         q = SurfaceQuadrature(gentle_hs, extent, res)
-        k30 = estimate_contraction(q, gentle_hs, steps=30, seed=5)
-        k60 = estimate_contraction(q, gentle_hs, steps=60, seed=5)
+        k30 = estimate_contraction(q, steps=30, seed=5)
+        k60 = estimate_contraction(q, steps=60, seed=5)
         assert abs(k30 - k60) <= 1e-6 * k60
 
     def test_verify_report(self, flat_hs, grad_field, flat_cfg):

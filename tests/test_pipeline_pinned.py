@@ -23,7 +23,7 @@ import pytest
 
 from helmdecomp import BoxField, BoxGrid
 from helmdecomp.layers import SurfaceQuadrature
-from helmdecomp.pipeline import _sample_grad_q2, volume_potential_grad
+from helmdecomp.pipeline import _sample_grad_q2, grad_q2_sites, volume_potential_grad
 from helmdecomp.sobolev import BoundaryDensity
 
 PINNED = Path(__file__).parent / "data" / "pipeline_pinned.json"
@@ -54,8 +54,8 @@ def _sample_grad_q2_values(hs):
     q = SurfaceQuadrature(hs, 8.0, 32)
     dens = BoundaryDensity.sample(
         8.0, 32, lambda p: np.exp(-np.sum((p - [0.2, 0.1]) ** 2, -1) / 0.5), on_graph=True)
-    wall = hs.box_wall(grid, q.delta_min)
-    out = _sample_grad_q2(q, wall, SimpleNamespace(density=dens), grid, mask, 2, -20)
+    sites = grad_q2_sites(q, grid, mask, 2, -20)
+    out = _sample_grad_q2(q, SimpleNamespace(density=dens), grid, 2, -20, sites)
     vals = out[:, mask][:, ::13].ravel()
     return vals, np.ones(vals.shape, bool)
 
