@@ -8,23 +8,22 @@ once and fills them in place, block after block, on the calling thread.
 Results differ from one whole-array sum by rounding only (summation order,
 and |x - y|^3 formed as rho2 * sqrt(rho2)).
 
-Three kernels are discrete 2-D convolutions on a lattice, done by Hockney's
-zero-padded FFT, exact up to transform roundoff: ``gradslp_plane`` (grad
-SLP over a z-plane of box columns from sources on the plane, in a moment
-form whose cancellation scales that roundoff by up to the box half-width
-over the nearest source offset), ``gradslp_series`` (the same from the
-sources off the plane, the bump sources, by a Chebyshev series in their
+Two kernels are discrete 2-D convolutions on a lattice, done by Hockney's
+zero-padded FFT, exact up to transform roundoff: ``gradslp_series`` (grad
+SLP over the z-planes of box columns by a Chebyshev series in the source
 height of at most ``_SERIES_KMAX`` terms, truncated where the next
-coefficient falls below ``_SERIES_TOL`` of the first) and
+coefficient falls below ``_SERIES_TOL`` of the first, one term for sources
+all on x_n = 0, in a moment form whose cancellation scales that roundoff
+by up to the box half-width over the nearest source offset) and
 ``gagliardo_pairs`` (the Gagliardo pair sum, plus a direct K - K0
-correction on the lifted bump rows).  ``gradslp_plane`` stays serial:
-threading its plane loop did not pay end to end on the 96^3 flat box and
-kept about 10 MB more resident.  ``gradslp_series`` runs its planes on
-``map_threads`` workers, as many as fit in ``_SERIES_THREAD_BYTES`` of
-buffers, all allocated by the calling thread but one inverse's output per
-plane, because arrays allocated on worker threads come from glibc's
-per-thread arenas and raise the peak resident memory: on the 64^3 curved
-box one thread took 1.2 to 1.7 times as long as two.
+correction on the lifted bump rows).  ``gradslp_series`` runs its planes
+on ``map_threads`` workers, no more than it has terms and as many as fit
+in ``_SERIES_THREAD_BYTES`` of buffers, all allocated by the calling
+thread but one inverse's output per plane, because arrays allocated on
+worker threads come from glibc's per-thread arenas and raise the peak
+resident memory: on the 64^3 curved box one thread took 1.2 to 1.7 times
+as long as two, while threading the one-term planes of the 96^3 flat box
+did not pay end to end and kept about 10 MB more resident.
 
 Everything of the Gagliardo sum that depends on the lattice and its
 measure alone, the real spectrum of the flat kernel, K0 * mu and the
@@ -248,85 +247,19 @@ def even_fast_len(k):
     return 2 * scipy.fft.next_fast_len(-(-k // 2), real=True)
 
 
-def plane_size(cols, n):
-    """The circular lattice size N of the plane kernels: even and at least
-    2 D + 1, D the largest offset from a box column i < n to a source on the
-    box columns cols, so no pair wraps around."""
-    return even_fast_len(2 * max(n - 1 - cols[0], cols[-1]) + 1)
-
-
-def _quadrant_r2(half, dx):
-    """|offset|^2 on the (half + 1)^2 kernel quadrant of spacing dx."""
-    off = np.arange(half + 1) * dx
-    return off[:, None] ** 2 + off[None, :] ** 2
-
-
-def gradslp_plane(zs, w, p, shift, dx, n, c):
-    """Yield sum_j c (x - y_j)|x - y_j|^{-3} w_j on every box column, per height.
-
-    In each x'-axis the box columns are x_i = x0 + i dx for i < n and the
-    sources y_j = (x0 + (shift + p j) dx, 0), with square weights w of
-    shape (m, m).  For each z in zs, one (n, n, 3) array is yielded for the
-    targets (x_i, z).  With t = c |x - y|^{-3} the sum is taken in moment
-    form: x'_a (t*w) - t*(y'_a w) for the x'-components and z (t*w) for the
-    last, with x' and y' measured from the box centre to keep the
-    cancellation small.
-
-    The convolutions are circular on an N x N lattice, N even and at least
-    2 D + 1 for D the largest |i - (shift + p j)|: target i sits at column
-    i, source j at its box column shift + p j taken mod N, and kernel entry
-    k holds t at the offset min(k, N - k) dx (0 at offsets no pair reads),
-    so each pair reads the kernel at its own distance.  That kernel is real
-    and even in both axes, so its real 2-D transform is real, and it is the
-    type-I DCT of the (N/2 + 1)^2 quadrant, the only part of the kernel
-    sampled.  The weights w, y'_0 w
-    and y'_1 w are transformed once; per plane their three spectra take one
-    product with the kernel's, are inverted along axis 0 and cut to the n
-    target rows, then inverted along axis 1 and cut to n columns.  Only one
-    plane's buffers are alive at a time.
-    """
-    import scipy.fft
-
-    cols = shift + p * np.arange(len(w))
-    size = plane_size(cols, n)
-    half = size // 2
-    # columns and sources, measured from the box centre
-    xs = (np.arange(n) - 0.5 * (n - 1)) * dx
-    ys = (cols - 0.5 * (n - 1)) * dx
-    lat = np.zeros((3, size, size))
-    at = np.ix_(cols % size, cols % size)
-    lat[0][at] = w
-    lat[1][at] = ys[:, None] * w
-    lat[2][at] = ys[None, :] * w
-    moments = scipy.fft.rfft2(lat)
-    del lat
-    r2_quad = _quadrant_r2(half, dx)
-    # no pair reads an offset below the least |i - (shift + p j)|: those
-    # entries are left 0, so the roundoff of the transforms scales with the
-    # largest entry read, as when the kernel was sampled on the read offsets
+def plane_lattice(cols, n, dx):
+    """(N, r2) of gradslp_series for box columns i < n and sources on the
+    box columns cols.  N is even and at least 2 D + 1, D the largest offset
+    |i - cols_j|, so no pair wraps around on the N x N lattice.  r2 is
+    |offset|^2 on the (N/2 + 1)^2 kernel quadrant of spacing dx, inf below
+    the least offset any pair reads, so the kernel is 0 there and the
+    roundoff of the transforms scales with the largest entry read."""
+    size = even_fast_len(2 * max(n - 1 - cols[0], cols[-1]) + 1)
+    off = np.arange(size // 2 + 1) * dx
+    r2 = off[:, None] ** 2 + off[None, :] ** 2
     gap = np.maximum(np.maximum(cols - (n - 1), -cols), 0).min()
-    r2_quad[:gap] = r2_quad[:, :gap] = np.inf
-    r2 = np.empty_like(r2_quad)
-    t = np.empty_like(r2_quad)
-    # the kernel's spectrum: row a holds the DCT's row min(a, N - a)
-    spec = np.empty((size, half + 1))
-    prod = np.empty_like(moments)
-    for z in zs:
-        # t = c / rho2^{3/2}
-        np.add(r2_quad, z * z, out=r2)
-        np.sqrt(r2, out=t)
-        t *= r2
-        np.divide(c, t, out=t)
-        spec[: half + 1] = scipy.fft.dctn(t, type=1)
-        spec[half + 1:] = spec[half - 1: 0: -1]
-        np.multiply(moments, spec, out=prod)
-        rows = scipy.fft.ifft(prod, axis=1, overwrite_x=True)[:, :n]
-        tw, ty0, ty1 = scipy.fft.irfft(rows, n=size, axis=2)[..., :n]
-        out = np.empty((n, n, 3))
-        np.subtract(xs[:, None] * tw, ty0, out=out[..., 0])
-        np.subtract(xs[None, :] * tw, ty1, out=out[..., 1])
-        np.multiply(tw, z, out=out[..., 2])
-        yield out
+    r2[:gap] = r2[:, :gap] = np.inf
+    return size, r2
 
 
 def _height_coefficients(z, lo, hi, r2_quad, buf, tmp):
@@ -334,7 +267,7 @@ def _height_coefficients(z, lo, hi, r2_quad, buf, tmp):
     [lo, hi] of |x - y|^{-3} at x_n = z on the kernel quadrant r2_quad: the
     kernel sampled at the len(buf) Chebyshev heights eta_l, then a DCT-II
     along eta, in place in buf where scipy.fft works in place (tmp is a
-    work buffer of the same shape)."""
+    work buffer of the same shape); one sample is its own coefficient."""
     import scipy.fft
 
     k = len(buf)
@@ -343,9 +276,10 @@ def _height_coefficients(z, lo, hi, r2_quad, buf, tmp):
     np.sqrt(buf, out=tmp)
     buf *= tmp
     np.divide(1.0, buf, out=buf)
-    buf = scipy.fft.dct(buf, type=2, axis=0, overwrite_x=True)
-    buf /= k
-    buf[0] *= 0.5
+    if k > 1:
+        buf = scipy.fft.dct(buf, type=2, axis=0, overwrite_x=True)
+        buf /= k
+        buf[0] *= 0.5
     return buf
 
 
@@ -354,38 +288,43 @@ def series_geometry(zs, h, cols, dx, n):
     read-only: (orders, poly, lo, hi).
 
     h holds the source heights on an (m, m) lattice whose node (j0, j1) sits
-    on box columns (cols[j0], cols[j1]); nodes with h == 0 take no part.
-    Over [lo, hi], the range of the heights h != 0, the kernel at each
-    height zs[i] is sampled at _SERIES_KMAX Chebyshev heights on the whole
-    kernel quadrant, and orders[i] is the first k whose coefficient is
-    below _SERIES_TOL of the first one everywhere on it, or 0 when none is
-    (the series has not converged: a plane near the sources).  It is 0 too
-    for a plane within [lo, hi], where the kernel has its pole among the
-    heights (at offset 0): there the coefficients need not fall, and those
-    of odd k vanish on the plane midway, as the kernel is even about it.
-    poly holds T_k(hhat), k < max(orders), with hhat = h mapped from
-    [lo, hi] onto [-1, 1], and 0 at the nodes with h == 0.
+    on box columns (cols[j0], cols[j1]).  When every h is 0, every node is a
+    source on x_n = 0, where the series is the kernel itself: one term on
+    every plane, poly = [1] and lo = hi = 0, with nothing sampled.
+    Otherwise the nodes with h != 0 are the sources.  Over [lo, hi], their
+    range of heights, the kernel at each height zs[i] is sampled at
+    _SERIES_KMAX Chebyshev heights on the whole kernel quadrant, and
+    orders[i] is the first k whose coefficient is below _SERIES_TOL of the
+    first one everywhere on it, or 0 when none is (the series has not
+    converged: a plane near the sources).  It is 0 too for a plane within
+    [lo, hi], where the kernel has its pole among the heights (at offset
+    0): there the coefficients need not fall, and those of odd k vanish on
+    the plane midway, as the kernel is even about it.  poly holds T_k(hhat),
+    k < max(orders), with hhat = h mapped from [lo, hi] onto [-1, 1], and 0
+    at the other nodes.
     """
     on = h != 0.0
-    lo, hi = float(h[on].min()), float(h[on].max())
-    half = plane_size(cols, n) // 2
-    r2_quad = _quadrant_r2(half, dx)
-    buf, tmp = np.empty((2, _SERIES_KMAX) + r2_quad.shape)
-    orders = np.zeros(len(zs), dtype=int)
-    for i, z in enumerate(zs):
-        if lo <= z <= hi:
-            continue
-        a = np.abs(_height_coefficients(z, lo, hi, r2_quad, buf, tmp)).max(axis=(1, 2))
-        small = np.flatnonzero(a < _SERIES_TOL * a[0])
-        orders[i] = small[0] if small.size else 0
-    hhat = np.where(on, h - 0.5 * (hi + lo), 0.0)
-    if hi > lo:
-        hhat /= 0.5 * (hi - lo)
-    poly = np.empty((orders.max(initial=0),) + h.shape)
-    # T_0 = 1, T_1 = hhat, T_k = 2 hhat T_{k-1} - T_{k-2}
-    for k in range(len(poly)):
-        poly[k] = (1.0, hhat)[k] if k < 2 else 2.0 * hhat * poly[k - 1] - poly[k - 2]
-    poly *= on
+    if not on.any():
+        orders, poly, lo, hi = np.ones(len(zs), dtype=int), np.ones((1,) + h.shape), 0.0, 0.0
+    else:
+        lo, hi = float(h[on].min()), float(h[on].max())
+        r2_quad = plane_lattice(cols, n, dx)[1]
+        buf, tmp = np.empty((2, _SERIES_KMAX) + r2_quad.shape)
+        orders = np.zeros(len(zs), dtype=int)
+        for i, z in enumerate(zs):
+            if lo <= z <= hi:
+                continue
+            a = np.abs(_height_coefficients(z, lo, hi, r2_quad, buf, tmp)).max(axis=(1, 2))
+            small = np.flatnonzero(a < _SERIES_TOL * a[0])
+            orders[i] = small[0] if small.size else 0
+        hhat = np.where(on, h - 0.5 * (hi + lo), 0.0)
+        if hi > lo:
+            hhat /= 0.5 * (hi - lo)
+        poly = np.empty((orders.max(initial=0),) + h.shape)
+        # T_0 = 1, T_1 = hhat, T_k = 2 hhat T_{k-1} - T_{k-2}
+        for k in range(len(poly)):
+            poly[k] = (1.0, hhat)[k] if k < 2 else 2.0 * hhat * poly[k - 1] - poly[k - 2]
+        poly *= on
     for a in (orders, poly):
         a.flags.writeable = False
     return orders, poly, lo, hi
@@ -393,30 +332,35 @@ def series_geometry(zs, h, cols, dx, n):
 
 def gradslp_series(zs, w, h, cols, dx, n, c, geometry, out):
     """Add sum_j c (x - y_j)|x - y_j|^{-3} w_j over the sources y_j = (y'_j,
-    h_j), h_j != 0, to out[i], the (n, n, 3) plane at x_n = zs[i], for each
-    plane whose series order is not 0.
+    h_j) to out[i], the (n, n, 3) plane at x_n = zs[i], for each plane whose
+    series order is not 0.
 
-    w and h are the weights and heights on the sources' (m, m) lattice, node
+    In each x'-axis the box columns are x_i = x0 + i dx for i < n; w and h
+    are the weights and heights on the sources' (m, m) lattice, node
     (j0, j1) on box columns (cols[j0], cols[j1]), and geometry is
-    series_geometry(zs, h, cols, dx, n).  With t = |x - y|^{-3} expanded in
-    Chebyshev polynomials of the mapped height, t = sum_k a_k(x' - y', z)
-    T_k(hhat), each sum is a sum over k of lattice convolutions of a_k with
-    the moments M_k of c w T_k(hhat), y'_0 c w T_k, y'_1 c w T_k and h c w
-    T_k, taken as in gradslp_plane on the N x N circular lattice:
-    x'_a (a_k * M_k) - (a_k * y'_a M_k) for the x'-components and
-    z (a_k * M_k) - (a_k * h M_k) for the last.  The moments are transformed
-    once per call.  Per plane of order K the kernel is sampled at K
-    Chebyshev heights (the interpolant of degree K - 1, whose error is
-    within twice the coefficients left out), each a_k takes a type-I DCT
-    and a product with the moments, and one inverse of the four sums gives
-    the plane.
+    series_geometry(zs, h, cols, dx, n), which names the sources.  With
+    t = |x - y|^{-3} = sum_k a_k(x' - y', z) T_k(hhat), each sum is a sum
+    over k of lattice convolutions of a_k with the moments M_k of
+    c w T_k(hhat), y'_0 c w T_k, y'_1 c w T_k and h c w T_k (left out when
+    lo = hi = 0, as it is 0): x'_a (a_k * M_k) - (a_k * y'_a M_k) for the
+    x'-components and z (a_k * M_k) - (a_k * h M_k) for the last, with x'
+    and y' measured from the box centre to keep the cancellation small.
+    The convolutions are circular on the N x N lattice of plane_lattice:
+    target i sits at column i, source j at column cols[j] mod N, and kernel
+    entry k holds a_k at the offset min(k, N - k) dx.  That kernel is real
+    and even, so its real 2-D transform is the type-I DCT of the quadrant.
+    The moments are transformed once per call.  Per plane of order K the
+    kernel is sampled at K Chebyshev heights (the interpolant of degree
+    K - 1, whose error is within twice the coefficients left out), each a_k
+    takes a type-I DCT and a product with the moments, and one inverse of
+    the sums, cut to the n target rows and then to n columns, gives the plane.
 
-    The planes run on worker threads, one per usable CPU and per
+    The planes run on worker threads, one per usable CPU, series term and
     _SERIES_THREAD_BYTES of their buffers, each taking every workers-th
     plane, as the orders fall with the height.  The calling thread
     allocates those buffers (see the module); a worker allocates only the
-    (4, n, N) output of its inverse real transforms, one per plane, which
-    scipy.fft cannot write into a given array.  No worker calls BLAS.
+    output of its inverse real transforms, one per plane, which scipy.fft
+    cannot write into a given array.  No worker calls BLAS.
     """
     import scipy.fft
 
@@ -424,34 +368,33 @@ def gradslp_series(zs, w, h, cols, dx, n, c, geometry, out):
     todo = np.flatnonzero(orders)
     if not todo.size:
         return
-    size = plane_size(cols, n)
+    size, r2_quad = plane_lattice(cols, n, dx)
     half = size // 2
-    r2_quad = _quadrant_r2(half, dx)
     xs = (np.arange(n) - 0.5 * (n - 1)) * dx
     ys = (cols - 0.5 * (n - 1)) * dx
-    cw = c * w
-    lat = np.zeros((4, size, size))
+    lat = np.zeros((4 if lo or hi else 3, size, size))
     at = np.ix_(cols % size, cols % size)
-    moments = np.empty((len(poly), 4, size, half + 1), dtype=complex)
-    for k, pk in enumerate(poly):
-        wk = cw * pk
-        lat[0][at] = wk
-        lat[1][at] = ys[:, None] * wk
-        lat[2][at] = ys[None, :] * wk
-        lat[3][at] = h * wk
-        moments[k] = scipy.fft.rfft2(lat)
+    moments = []
+    for pk in poly:
+        wk = c * w * pk
+        for a, f in zip(lat, (1.0, ys[:, None], ys[None, :], h)):
+            a[at] = f * wk
+        moments.append(scipy.fft.rfft2(lat))
+    nm, kmax = len(lat), len(poly)
     del lat
-    kmax = len(poly)
     # per worker: kernel samples and their work buffer, a kernel spectrum,
     # the sums and a product, a component, and the inverse's output
-    per = 8 * (2 * kmax * (half + 1) ** 2 + 18 * size * (half + 1) + n * n + 4 * n * size)
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(todo), _SERIES_THREAD_BYTES // per))
+    per = 8 * (2 * kmax * (half + 1) ** 2 + (2 + 4 * nm) * size * (half + 1) + n * n
+               + nm * n * size)
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(todo), kmax,
+                         _SERIES_THREAD_BYTES // per))
     # a kernel spectrum is real but held as complex: products of two complex
-    # arrays ran faster than those of a complex and a real one
+    # arrays ran faster than those of a complex and a real one (README)
     bufs = [(np.empty((kmax, half + 1, half + 1)), np.empty((kmax, half + 1, half + 1)),
              np.empty((size, half + 1), dtype=complex),
-             np.empty((4, size, half + 1), dtype=complex),
-             np.empty((4, size, half + 1), dtype=complex), np.empty((n, n)))
+             np.empty((nm, size, half + 1), dtype=complex),
+             np.empty((nm, size, half + 1), dtype=complex) if kmax > 1 else None,
+             np.empty((n, n)))
             for _ in range(workers)]
 
     def run(planes, buf, tmp, spec, acc, prod, t):
@@ -468,11 +411,11 @@ def gradslp_series(zs, w, h, cols, dx, n, c, geometry, out):
                 else:
                     np.multiply(moments[0], spec, out=acc)
             rows = scipy.fft.ifft(acc, axis=1, overwrite_x=True)[:, :n]
-            tw, ty0, ty1, th = scipy.fft.irfft(rows, n=size, axis=2)[..., :n]
-            o = out[i]
-            for comp, (x, ty) in enumerate(((xs[:, None], ty0), (xs[None, :], ty1), (z, th))):
+            tw, ty0, ty1, *th = scipy.fft.irfft(rows, n=size, axis=2)[..., :n]
+            for comp, (x, ty) in enumerate(((xs[:, None], ty0), (xs[None, :], ty1),
+                                            (z, th[0] if th else 0.0))):
                 np.multiply(tw, x, out=t)
                 t -= ty
-                o[..., comp] += t
+                out[i, ..., comp] += t
 
     map_threads(run, [todo[k::workers] for k in range(workers)], *zip(*bufs))

@@ -123,7 +123,8 @@ def solve_density(q, g, contraction, tol=1e-8, kmax=64):
     contraction is the measured norm of 2S (``estimate_contraction``).
     Stops when the sup norm of the increment falls below tol * sup|g|;
     raises NotContractive when contraction is >= 1 and MaxIterations
-    (carrying the partial solution) when kmax is hit, as a NaN series is.
+    (carrying the partial solution) when kmax is hit, as a series of a NaN
+    or infinite g is.
     """
     if not contraction < 1.0:
         raise NotContractive(f"empirical |2S| = {contraction:.3f} >= 1")
@@ -133,6 +134,8 @@ def solve_density(q, g, contraction, tol=1e-8, kmax=64):
     acc = term.copy()
     increments = [float(np.abs(term).max())]
     converged = gmax == 0.0
+    # inc < NaN never holds: a NaN or infinite g never converges, even where S g = 0
+    stop = tol * gmax if np.isfinite(gmax) else np.nan
     # kmax - 1 applications of S at most: a NaN increment neither counts nor converges
     for _ in range(0 if converged else kmax - 1):
         term = 2.0 * apply_S(q, q.hs, term)
@@ -140,7 +143,7 @@ def solve_density(q, g, contraction, tol=1e-8, kmax=64):
         inc = float(np.abs(term).max())
         if inc > 0.0:
             increments.append(inc)
-        if inc < tol * gmax:
+        if inc < stop:
             converged = True
             break
     residual = float(np.abs(acc - 2.0 * gvec - 2.0 * apply_S(q, q.hs, acc)).max())

@@ -140,9 +140,12 @@ def _check_box_decay(v):
     """NonDecayingInput when |v| on an inside node of a side face or the top
     face exceeds _RING_TOL sup |v| over the inside nodes; the bottom face
     sits outside the domain anyway.  Both maxima are masked reductions, of
-    the box and of the five face slices."""
+    the box and of the five face slices.  ValueError when an inside value
+    is NaN or infinite: no comparison with sup |v| would hold then."""
     data, inside = v.data, v.inside_mask
     vmax = _sup(data, inside)
+    if not np.isfinite(vmax):
+        raise ValueError("the field holds a NaN or infinite value inside the domain")
     if vmax == 0.0:
         return
     faces = ((0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1),
@@ -509,7 +512,7 @@ def grad_q2_sites(q, grid, mask, p, shift):
         orders = geometry[0]
         taken = orders[np.searchsorted(planes, bump % nz)] > 0
         spared = np.count_nonzero(h) * np.count_nonzero(taken)
-        size = _fast.plane_size(cols, grid.resolution[0])
+        size = _fast.plane_lattice(cols, grid.resolution[0], grid.dx[0])[0]
         if _SERIES_COST * np.sum(orders[orders > 0] + 1) * size**2 < spared:
             bump, series = bump[~taken], geometry
     bump = compact_index(bump, mask.size)
@@ -531,27 +534,28 @@ def grad_q2_sites(q, grid, mask, p, shift):
 def _sample_grad_q2(q, sol, grid, p, shift, sites):
     """grad q2 on the box, 0 off the mask, from a decaying density (so no
     tail closure).  sites is grad_q2_sites(q, grid, mask, p, shift).  The
-    safe nodes at x_n >= delta_min take the plane FFT on the lattice whose
-    node j is box column shift + p j, with the weights of the h_j != 0
-    sources zeroed, plus those sources where they lie, so each source is
-    summed once: by the series in source height on its planes, by the
-    direct sum at sites.bump; lower safe nodes (a dip makes them) take the
-    direct sum.  Each near node is then extrapolated from its column."""
+    safe nodes at x_n >= delta_min take _fast.gradslp_series on the lattice
+    whose node j is box column shift + p j, once over the flat sources (the
+    bump ones' weights zeroed), a series of one term, and once over the bump
+    sources on their planes of the series; at sites.bump these take the
+    direct sum, so each source is summed once.  Lower safe nodes (a dip
+    makes them) take the direct sum over all sources.  Each near node is
+    then extrapolated from its column."""
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
     n, nz = grid.resolution[0], grid.resolution[2]
     out = np.zeros((3, sites.mask.size))
     if sites.low.size:
         out[:, sites.low] = _fast.gradslp_sum(grid.node_points(sites.low), q.nodes, wg, c).T
-    # the plane FFT takes the flat sources, the bump ones are summed where they are
     bump = q.nodes[:, 2] != 0.0
     flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
     # whole planes (near nodes replaced, off-mask ones zeroed below), written by runs
     planes = sites.planes
     zs = grid.axis(2)[planes]
-    buf = np.empty((len(planes), n, n, 3))
-    for i, g in enumerate(_fast.gradslp_plane(zs, flat, p, shift, grid.dx[0], n, c)):
-        buf[i] = g
+    buf = np.zeros((len(planes), n, n, 3))
+    cols, level = shift + p * np.arange(q.res), np.zeros_like(flat)
+    _fast.gradslp_series(zs, flat, level, cols, grid.dx[0], n, c,
+                         _fast.series_geometry(zs, level, cols, grid.dx[0], n), buf)
     if sites.series is not None:
         span, cols, h = sites.bumps
         _fast.gradslp_series(zs, wg.reshape(q.res, q.res)[span, span], h, cols, grid.dx[0], n, c,

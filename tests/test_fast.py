@@ -7,9 +7,10 @@ in memory.  The dense kernels are checked on scattered points with the block siz
 so that small inputs cross many blocks with a ragged last one and blocks
 of one row, and with the real block size, including a source count above
 ``_BLOCK_ELEMS``.  The lattice FFT kernels are checked on lattices:
-``gradslp_plane`` on box columns over a strided source lattice, against
-the direct sum and against the three-component transform form kept here
-as ``gradslp_plane_ref``, ``gradslp_series`` against ``gradslp_sum`` over
+``gradslp_series`` with its one term, the sources on the plane x_n = 0, on
+box columns over a strided source lattice, against the direct sum and
+against the three-component transform form kept here as
+``gradslp_plane_ref``, ``gradslp_series`` against ``gradslp_sum`` over
 the bump sources, and ``gagliardo_pairs`` on the row-major boundary
 lattice, flat or lifted to a drawn bump, with its direct bump-row
 correction crossing shrunk blocks.
@@ -50,7 +51,7 @@ def gradslp_ref(xs, nodes, wg, c):
 
 
 def gradslp_plane_ref(zs, w, p, shift, dx, n, c):
-    """gradslp_plane with each kernel component c (x - y)|x - y|^{-3}
+    """The planes of _plane_sum with each kernel component c (x - y)|x - y|^{-3}
     transformed on its own: three forward transforms and three inverses
     per plane, no moments."""
     from scipy.fft import next_fast_len
@@ -68,6 +69,17 @@ def gradslp_plane_ref(zs, w, p, shift, dx, n, c):
         t = c / (r2 * np.sqrt(r2))
         yield np.stack([np.fft.irfft2(np.fft.rfft2(comp, s=size) * what, s=size)[keep]
                         for comp in (t * o0, t * o1, t * z)], -1)
+
+
+def _plane_sum(zs, w, p, shift, dx, n):
+    """The (len(zs), n, n, 3) planes of gradslp_series with one term: the
+    sources, of weights w, on the plane x_n = 0 at box columns shift + p j."""
+    cols, level = shift + p * np.arange(len(w)), np.zeros_like(w)
+    geometry = _fast.series_geometry(zs, level, cols, dx, n)
+    assert np.array_equal(geometry[0], np.ones(len(zs))) and geometry[1].shape == (1,) + w.shape
+    out = np.zeros((len(zs), n, n, 3))
+    _fast.gradslp_series(zs, w, level, cols, dx, n, C, geometry, out)
+    return out
 
 
 def dir_rows_ref(xs, dirs, nodes, weights, c):
@@ -287,7 +299,7 @@ def test_plane_fft_matches_reference(p, n, m, shift, seed):
     w = rng.uniform(0.5, 1.5, (m, m))
     # down to half a box spacing, where the kernel peaks on the sources
     zs = np.concatenate([[0.5 * dx], rng.uniform(0.5 * dx, 2.0, 2)])
-    planes = list(_fast.gradslp_plane(zs, w, p, shift, dx, n, C))
+    planes = _plane_sum(zs, w, p, shift, dx, n)
     assert len(planes) == len(zs)
     for z, got in zip(zs, planes):
         assert got.shape == (n, n, 3)
@@ -295,7 +307,7 @@ def test_plane_fft_matches_reference(p, n, m, shift, seed):
         ref = gradslp_ref(xs, nodes, w.ravel(), C)
         assert _rel_err(got.reshape(-1, 3), ref) <= RTOL
     form = np.stack(list(gradslp_plane_ref(zs, w, p, shift, dx, n, C)))
-    assert np.abs(np.stack(planes) - form).max() <= PLANE_FORM_RTOL * np.abs(form).max()
+    assert np.abs(planes - form).max() <= PLANE_FORM_RTOL * np.abs(form).max()
 
 
 def test_plane_fft_matches_reference_96_box():
@@ -310,7 +322,7 @@ def test_plane_fft_matches_reference_96_box():
     pick = rng.choice(n * n, 400, replace=False)
     cols = -2.0 + dx * np.column_stack(np.unravel_index(pick, (n, n)))
     zs = [0.5 * dx, 0.1875, 2.0]
-    for z, got in zip(zs, _fast.gradslp_plane(zs, w, 3, -24, dx, n, C)):
+    for z, got in zip(zs, _plane_sum(zs, w, 3, -24, dx, n)):
         ref = gradslp_ref(np.column_stack([cols, np.full(400, z)]), nodes, w.ravel(), C)
         assert _rel_err(got.reshape(-1, 3)[pick], ref) <= RTOL
 
@@ -322,9 +334,8 @@ def test_plane_moment_form_matches_component_form_on_benchmark_boxes(m, n, shift
     # weights, planes from half a box spacing to the top of the box
     w = np.random.default_rng(5).uniform(-1.0, 1.0, (m, m))
     zs = dx * np.array([0.5, 1.5, 4.5, 20.5, n - 0.5])
-    args = (zs, w, 3, shift, dx, n, C)
-    got = np.stack(list(_fast.gradslp_plane(*args)))
-    ref = np.stack(list(gradslp_plane_ref(*args)))
+    got = _plane_sum(zs, w, 3, shift, dx, n)
+    ref = np.stack(list(gradslp_plane_ref(zs, w, 3, shift, dx, n, C)))
     assert np.abs(got - ref).max() <= PLANE_FORM_RTOL * np.abs(ref).max()
 
 
@@ -385,29 +396,35 @@ def test_series_peak_does_not_grow_with_the_cpus():
     # a bump lattice like that of the 64^3 curved box: 21^2 sources at
     # stride 3, N = 128, 53 planes from 0.66 to 4 over heights up to 0.05.
     # The workers' buffers stay within _SERIES_THREAD_BYTES on any CPU
-    # count, and each plane is summed alike whichever worker takes it
+    # count, and each plane is summed alike whichever worker takes it.  The
+    # same sources on x_n = 0 take the one-term series, on one worker on any
+    # CPU count: no more workers than terms
     n, dx, m = 64, 4.0 / 64, 21
     cols = 2 + 3 * np.arange(m)
     ys = (cols - 0.5 * (n - 1)) * dx
     h = 0.05 * np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2) / 0.25)
     w = np.random.default_rng(7).uniform(-1.0, 1.0, (m, m))
     zs = dx * (np.arange(10, 63) + 0.5)
-    geometry = _fast.series_geometry(zs, h, cols, dx, n)
-    assert geometry[0].min() > 0
-    peaks, outs = {}, {}
-    for cpus in (1, 2, 8, 64):
-        out = np.zeros((len(zs), n, n, 3))
-        with _cpus(cpus):
-            tracemalloc.start()
-            try:
-                _fast.gradslp_series(zs, w, h, cols, dx, n, C, geometry, out)
-                _, peaks[cpus] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        outs[cpus] = out
-    for cpus in (2, 8, 64):
-        assert peaks[cpus] <= peaks[1] + _fast._SERIES_THREAD_BYTES, (cpus, peaks)
-        assert np.array_equal(outs[cpus], outs[1])
+    for heights in (h, np.zeros_like(h)):
+        geometry = _fast.series_geometry(zs, heights, cols, dx, n)
+        assert geometry[0].min() > 0
+        peaks, outs = {}, {}
+        for cpus in (1, 2, 8, 64):
+            out = np.zeros((len(zs), n, n, 3))
+            with _cpus(cpus):
+                tracemalloc.start()
+                try:
+                    _fast.gradslp_series(zs, w, heights, cols, dx, n, C, geometry, out)
+                    _, peaks[cpus] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            outs[cpus] = out
+        # one term, one worker: the peak moves by much less than the 1.2 MB
+        # of a second worker's buffers
+        grow = _fast._SERIES_THREAD_BYTES if heights.any() else 1 << 16
+        for cpus in (2, 8, 64):
+            assert peaks[cpus] <= peaks[1] + grow, (cpus, peaks)
+            assert np.array_equal(outs[cpus], outs[1])
 
 
 @pytest.mark.parametrize("k", [1, 7, 119, 120, 121, 125, 126, 127, 193, 201, 241])

@@ -127,6 +127,21 @@ class TestSeries:
             solve_density(q, BoundaryDensity(q.extent, values), contraction=0.05)
         assert np.isnan(exc.value.solution.residual)
 
+    @pytest.mark.parametrize("quad", ["flat_quad", "small_bump_quad"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_density_stops_at_kmax(self, request, quad, bad):
+        # sup |g| is inf, so tol sup |g| is no stopping rule: on the flat
+        # wall S g = 0 would meet it at once.  The series runs to kmax, as
+        # a NaN one does
+        from helmdecomp.errors import MaxIterations
+
+        q = request.getfixturevalue(quad)
+        values = gauss_dens(q.extent, q.res).values.copy()
+        values[q.res // 2, q.res // 2] = bad
+        with pytest.raises(MaxIterations, match="kmax=64") as exc:
+            solve_density(q, BoundaryDensity(q.extent, values), contraction=0.05)
+        assert not np.isfinite(exc.value.solution.residual)
+
 
 class TestNeumannGradient:
     def test_zero_data(self, flat_quad):
