@@ -172,15 +172,15 @@ def _flat_conv(spec, w):
 
 def gagliardo_geometry(coords, mu):
     """What gagliardo_pairs reads of the lattice and mu alone, read-only:
-    (spec, k0_mu, mu_sum, lifted, xs, ms, cw).
+    (spec, k0_mu, mu, mu_sum, lifted, xs, ms, cw).
 
     spec is the real spectrum of the flat kernel K0 on the (2 res)^2
     circular lattice, entry k at the offset min(k, 2 res - k) dx: K0 is
     real and even, so its transform is real and the imaginary part left by
-    the transform is roundoff, dropped.  k0_mu = K0 * mu on the nodes and
-    mu_sum = sum mu.  lifted are the indices S of the nodes off the plane
-    (height != 0), xs and ms their coordinates and mu, and cw = mu on S and
-    2 mu off it.
+    the transform is roundoff, dropped.  k0_mu = K0 * mu on the nodes, mu
+    a read-only view of mu, and mu_sum = sum mu.  lifted are the indices S
+    of the nodes off the plane (height != 0), xs and ms their coordinates
+    and mu, and cw = mu on S and 2 mu off it.
     """
     m = len(coords)
     res = int(round(m**0.5))
@@ -193,13 +193,13 @@ def gagliardo_geometry(coords, mu):
     lifted = np.flatnonzero(coords[:, 2] != 0.0)
     cw = mu * 2.0
     cw[lifted] = mu[lifted]
-    held = (spec, k0_mu, lifted, coords[lifted], mu[lifted], cw)
+    held = (spec, k0_mu, mu.view(), lifted, coords[lifted], mu[lifted], cw)
     for a in held:
         a.flags.writeable = False
-    return spec, k0_mu, float(mu.sum()), *held[2:]
+    return *held[:3], float(mu.sum()), *held[3:]
 
 
-def gagliardo_pairs(coords, vals, mu, geometry=None):
+def gagliardo_pairs(coords, vals, geometry):
     """sum_{i != j} (v_i - v_j)^2 |x_i - x_j|^{-3} mu_i mu_j on a lifted lattice.
 
     coords holds a row-major res^2 lattice in x', each node lifted to its
@@ -208,16 +208,14 @@ def gagliardo_pairs(coords, vals, mu, geometry=None):
     2 sum_i u_i mu_i (u_i (K0 * mu)_i - (K0 * u mu)_i).  K differs from K0
     only on pairs with a lifted end, so K - K0 is summed directly over the
     lifted rows S: twice S against all nodes, less S against S.  geometry
-    is gagliardo_geometry(coords, mu), built here when not given; per call
-    only u mu is transformed, once forward and once back.
+    is gagliardo_geometry(coords, mu), unread on one node (no pair); per
+    call only u mu is transformed, once forward and once back.
     """
     m = len(coords)
     res = int(round(m**0.5))
     if res < 2:
         return 0.0
-    if geometry is None:
-        geometry = gagliardo_geometry(coords, mu)
-    spec, k0_mu, mu_sum, lifted, xs, ms, cw = geometry
+    spec, k0_mu, mu, mu_sum, lifted, xs, ms, cw = geometry
     u = vals - (vals @ mu) / mu_sum
     um = u * mu
     total = 2.0 * float(um @ (u * k0_mu - _flat_conv(spec, um.reshape(res, res))))

@@ -7,7 +7,9 @@ narrow for the flat-tail closure, a box too short for the grad q2 columns,
 a field file that is missing, unreadable (a directory, say) or malformed, a
 field that is not a 3-vector field or has a NaN or infinite value,
 non-decaying field, target or ladder the lattice cannot resolve, an --out
-that cannot be made a directory or written).
+that cannot be made a directory or written).  Reports are strict JSON:
+a non-finite value, such as the H^-1/2 norm of a trace with a nonzero
+mean, is null (the library result keeps inf).
 """
 
 import argparse
@@ -26,7 +28,7 @@ from .layers import (_REFINE_CELLS, SurfaceQuadrature, gauss_flux, grad_single_l
                      trace_S, trace_limit_Q)
 from .pipeline import (DecompositionPlan, PipelineConfig, TraceReport, decompose, read_field,
                        square_section_width, verify, write_field)
-from .sobolev import BoundaryDensity, vbmol2_norm
+from .sobolev import BoundaryDensity, ledger_geometry, vbmol2_norm
 
 
 # bytes the lattice of a run may take; see RunConfig.build_geometry
@@ -158,7 +160,9 @@ class RunConfig:
 
 
 def _emit(payload, out_dir, name):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # strict JSON: each non-finite float, however nested, becomes null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if out_dir is not None:
         out = Path(out_dir)
@@ -255,8 +259,8 @@ def cmd_norms(cfg, field_path, out_dir=None):
     hs = cfg.build_geometry()
     v = _read_box_field(cfg, field_path, hs)
     p = cfg.pipeline
-    ledger = vbmol2_norm(v, hs, p.mu, p.nu, samples=p.samples, seed=p.seed)
-    _emit(ledger.to_dict(), out_dir, "norms.json")
+    geometry = ledger_geometry(hs, v.grid, v.inside_mask, p.mu, p.nu, p.samples, p.seed)
+    _emit(vbmol2_norm(v, geometry).to_dict(), out_dir, "norms.json")
     return 0
 
 

@@ -432,8 +432,9 @@ def _column_lattice(grid, extent, res):
 
 @dataclass(frozen=True, eq=False)
 class GradQ2Sites:
-    """Where _sample_grad_q2 sums and extrapolates on one box, inside mask
-    and quadrature, which no field changes (grad_q2_sites).  Flat node
+    """Where _sample_grad_q2 sums and extrapolates on one box grid, inside
+    mask and quadrature q, which no field changes (grad_q2_sites); cols
+    holds the box column of each lattice index in both x'-axes.  Flat node
     indices: low, the safe nodes below delta_min, which take the direct
     sum; planes, the box z-planes of the safe nodes at or above it, which
     take the plane FFT; bump, those of these safe nodes where the bump
@@ -444,6 +445,9 @@ class GradQ2Sites:
     _fast.series_geometry on its square over the planes when the series
     sums them, else None."""
 
+    q: object
+    grid: object
+    cols: np.ndarray
     mask: np.ndarray
     low: np.ndarray
     planes: np.ndarray
@@ -468,16 +472,15 @@ class GradQ2Sites:
                 "series_fallback_planes": int(np.count_nonzero(orders == 0))}
 
 
-def _bump_span(q, p, shift):
-    """(span, cols, h) of the bump sources: the range of lattice indices,
-    in both axes, that holds every node with h != 0, the box columns of
-    those indices and h on that square; None without a bump source."""
+def _bump_span(q, cols):
+    """(span, cols[span], h) of the bump sources: the range of lattice
+    indices, in both axes, that holds every node with h != 0, their box
+    columns and h on that square; None without a bump source."""
     j0, j1 = np.divmod(np.flatnonzero(q.nodes[:, 2] != 0.0), q.res)
     if not j0.size:
         return None
     span = slice(int(min(j0.min(), j1.min())), int(max(j0.max(), j1.max())) + 1)
-    cols = shift + p * np.arange(span.start, span.stop)
-    return span, cols, q.nodes[:, 2].reshape(q.res, q.res)[span, span]
+    return span, cols[span], q.nodes[:, 2].reshape(q.res, q.res)[span, span]
 
 
 def grad_q2_sites(q, grid, mask, p, shift):
@@ -503,16 +506,17 @@ def grad_q2_sites(q, grid, mask, p, shift):
     low = index[~high]
     planes = np.flatnonzero(safe.reshape(-1, nz).any(axis=0) & (z >= delta))
     bump, series = index[high], None
-    bumps = _bump_span(q, p, shift)
+    cols = shift + p * np.arange(q.res)
+    bumps = _bump_span(q, cols)
     if bumps is None:
         bump = bump[:0]
     else:
-        _, cols, h = bumps
-        geometry = _fast.series_geometry(z[planes], h, cols, grid.dx[0], grid.resolution[0])
+        _, span_cols, h = bumps
+        geometry = _fast.series_geometry(z[planes], h, span_cols, grid.dx[0], grid.resolution[0])
         orders = geometry[0]
         taken = orders[np.searchsorted(planes, bump % nz)] > 0
         spared = np.count_nonzero(h) * np.count_nonzero(taken)
-        size = _fast.plane_lattice(cols, grid.resolution[0], grid.dx[0])[0]
+        size = _fast.plane_lattice(span_cols, grid.resolution[0], grid.dx[0])[0]
         if _SERIES_COST * np.sum(orders[orders > 0] + 1) * size**2 < spared:
             bump, series = bump[~taken], geometry
     bump = compact_index(bump, mask.size)
@@ -527,20 +531,21 @@ def grad_q2_sites(q, grid, mask, p, shift):
     if not two[np.arange(len(near)), k2].all():
         raise ConfigError("a box column ends below 3 delta_min over the wall")
     near, lower, upper = (compact_index(i, mask.size) for i in (near, col * nz + k1, col * nz + k2))
-    return GradQ2Sites(mask.ravel(), low, planes, bump, near, lower, upper, (k - k1) / (k2 - k1),
-                       bumps, series)
+    return GradQ2Sites(q, grid, cols, mask.ravel(), low, planes, bump, near, lower, upper,
+                       (k - k1) / (k2 - k1), bumps, series)
 
 
-def _sample_grad_q2(q, sol, grid, p, shift, sites):
-    """grad q2 on the box, 0 off the mask, from a decaying density (so no
-    tail closure).  sites is grad_q2_sites(q, grid, mask, p, shift).  The
-    safe nodes at x_n >= delta_min take _fast.gradslp_series on the lattice
-    whose node j is box column shift + p j, once over the flat sources (the
-    bump ones' weights zeroed), a series of one term, and once over the bump
-    sources on their planes of the series; at sites.bump these take the
-    direct sum, so each source is summed once.  Lower safe nodes (a dip
-    makes them) take the direct sum over all sources.  Each near node is
-    then extrapolated from its column."""
+def _sample_grad_q2(sites, sol):
+    """grad q2 on the box of sites (GradQ2Sites), 0 off its mask, from a
+    decaying density (so no tail closure).  The safe nodes at x_n >=
+    delta_min take _fast.gradslp_series on the lattice whose node j is box
+    column sites.cols[j], once over the flat sources (the bump ones' weights
+    zeroed), a series of one term, and once over the bump sources on their
+    planes of the series; at sites.bump these take the direct sum, so each
+    source is summed once.  Lower safe nodes (a dip makes them) take the
+    direct sum over all sources.  Each near node is then extrapolated from
+    its column."""
+    q, grid = sites.q, sites.grid
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
     n, nz = grid.resolution[0], grid.resolution[2]
@@ -553,7 +558,7 @@ def _sample_grad_q2(q, sol, grid, p, shift, sites):
     planes = sites.planes
     zs = grid.axis(2)[planes]
     buf = np.zeros((len(planes), n, n, 3))
-    cols, level = shift + p * np.arange(q.res), np.zeros_like(flat)
+    cols, level = sites.cols, np.zeros_like(flat)
     _fast.gradslp_series(zs, flat, level, cols, grid.dx[0], n, c,
                          _fast.series_geometry(zs, level, cols, grid.dx[0], n), buf)
     if sites.series is not None:
@@ -589,17 +594,16 @@ def _inner_slab(hs, grid):
     return slab, inner[slab].copy()
 
 
-def _residual_div(v0, hs, ref, inner_slab=None):
+def _residual_div(v0, ref, inner_slab):
     """RMS interior divergence of v0, relative to the Jacobian scale of ref,
     the input field, so that a vanishing v0 reports a vanishing residual.
 
     The divergence takes 4th-order central differences, the Jacobian the
-    2nd-order ones of np.gradient, each only on the slab of inner_slab, the
-    _inner_slab(hs, v0.grid) built here when None, which keeps 2 cells from
-    the box faces.
+    2nd-order ones of np.gradient, each only on the slab of inner_slab,
+    _inner_slab(hs, v0.grid), which keeps 2 cells from the box faces.
     """
     g = v0.grid
-    slab, inner = inner_slab or _inner_slab(hs, g)
+    slab, inner = inner_slab
     if not inner.any():
         return 0.0
 
@@ -707,8 +711,7 @@ class DecompositionPlan:
         g, g_linf, g_hminus = normal_trace(hs, w)
         g_quad = resample_density(g, q.extent, q.res, self.p, self.shift)
         sol = solve_density(q, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
-        gq2 = BoxField(grid, _sample_grad_q2(q, sol, grid, self.p, self.shift,
-                                             self.grad_q2_sites), mask)
+        gq2 = BoxField(grid, _sample_grad_q2(self.grad_q2_sites, sol), mask)
         # v0 in the buffer of w, which nothing reads after this; w and
         # grad q2 are 0 off the mask, so v0 is too
         v0 = w.data
@@ -716,17 +719,16 @@ class DecompositionPlan:
         v0 = BoxField(grid, v0, mask)
         del w
 
-        led_kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed,
-                      geometry=self.ledger_geometry)
-        ledger_v = vbmol2_norm(v, hs, **led_kw)
+        geometry = self.ledger_geometry
+        ledger_v = vbmol2_norm(v, geometry)
         # sup |v| inside, before the trace's sup joins it
         v_scale = ledger_v.linf
         result = DecompositionResult(
             v=v, v0=v0, grad_q1=gq1, grad_q2=gq2, trace_g=g,
             ledger_v=ledger_v,
-            ledger_v0=vbmol2_norm(v0, hs, **led_kw),
-            ledger_gradq=vbmol2_norm(BoxField(grid, gq1.data + gq2.data, mask), hs, **led_kw),
-            residual_div=_residual_div(v0, hs, ref=v, inner_slab=self.inner_slab),
+            ledger_v0=vbmol2_norm(v0, geometry),
+            ledger_gradq=vbmol2_norm(BoxField(grid, gq1.data + gq2.data, mask), geometry),
+            residual_div=_residual_div(v0, v, self.inner_slab),
             residual_normal=_residual_normal(v0, hs, v_scale),
             smallness=self.report.to_dict(),
             lattice={**self.lattice, **self.grad_q2_sites.report()},

@@ -174,15 +174,15 @@ def _separable_dft(axis, xis):
     return np.exp(-1j * np.outer(u1, axis)), i1, np.exp(-1j * np.outer(axis, u2)), i2
 
 
-def _semidiscrete_fhat2(f, xis, dft=None):
-    """|fhat|^2 at arbitrary frequencies via the separable lattice sum.
+def _semidiscrete_fhat2(f, dft):
+    """|fhat|^2 at arbitrary frequencies xis via the separable lattice sum.
 
     The lattice is a tensor product, so fhat(u1, u2) = dx^2 (E(u1) F
     E(u2)^T) with E(u)[k, a] = exp(-i u_k x_a), evaluated once on the
     unique coordinates of xis and read off at each frequency.  dft is
-    _separable_dft(f.axis(), xis), formed here when None.
+    _separable_dft(f.axis(), xis).
     """
-    e1, i1, e2, i2 = _separable_dft(f.axis(), xis) if dft is None else dft
+    e1, i1, e2, i2 = dft
     fh = e1 @ f.values @ e2
     return np.abs(fh[i1, i2] * f.dx**2) ** 2
 
@@ -192,31 +192,31 @@ def _fourier_weights(res, extent, s, origin_rings, sub):
     """The weights of hs_norm_fourier, which depend on the lattice alone:
     |xi|^{2s} on the res x res frequency lattice of a density of the given
     extent, and for s = -1/2 the mask of the cells within origin_rings
-    spacings of xi = 0, the (cells, sub^2, 2) subcell centres of those
-    cells, the exact integrals of |xi|^{-1} over the subcells and the
-    _separable_dft factors of the subcell centres (else None each).  Kept
-    per lattice and read-only."""
+    spacings of xi = 0, the exact (cells, sub^2) integrals of |xi|^{-1}
+    over the sub x sub subcells of those cells and the _separable_dft
+    factors of the subcell centres (else None each).  Kept per lattice and
+    read-only."""
     dxi = 2.0 * np.pi / extent
     xi = 2.0 * np.pi * np.fft.fftfreq(res, d=extent / res)
     xi1, xi2 = np.meshgrid(xi, xi, indexing="ij")
     w = _singular_weights(xi1, xi2, s, dxi)
-    near = subc = wsub = dft = None
+    near = wsub = dft = None
     if s == -0.5:
         near = np.hypot(xi1, xi2) <= origin_rings * dxi + 1e-12
         centers = np.stack([xi1[near], xi2[near]], axis=-1)
         dsub = dxi / sub
         off = (np.arange(sub) + 0.5) * dsub - dxi / 2.0
         ox, oy = np.meshgrid(off, off, indexing="ij")
-        subc = centers[:, None, :] + np.stack([ox.ravel(), oy.ravel()], axis=-1)[None]
-        flat = subc.reshape(-1, 2)
+        flat = (centers[:, None, :]
+                + np.stack([ox.ravel(), oy.ravel()], axis=-1)[None]).reshape(-1, 2)
         wsub = _inv_dist_rect(flat[:, 0] - dsub / 2, flat[:, 0] + dsub / 2,
                               flat[:, 1] - dsub / 2, flat[:, 1] + dsub / 2)
         wsub = wsub.reshape(len(centers), -1)
         dft = _separable_dft(lattice_axis(extent, res), flat)
-    for a in (w, near, subc, wsub) + (dft or ()):
+    for a in (w, near, wsub) + (dft or ()):
         if a is not None:
             a.flags.writeable = False
-    return w, near, subc, wsub, dft
+    return w, near, wsub, dft
 
 
 def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
@@ -235,23 +235,19 @@ def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
         _check_decay(f)
     p2 = _abs_fhat2(f)
     dxi = 2.0 * np.pi / f.extent
-    w, near, subc, wsub, dft = _fourier_weights(f.res, f.extent, s, origin_rings, sub)
+    w, near, wsub, dft = _fourier_weights(f.res, f.extent, s, origin_rings, sub)
     contrib = w * p2 * dxi**2
     origin_share = float(contrib[0, 0])
     total = float(contrib.sum())
     if s == -0.5:
         total -= float(contrib[near].sum())
-        p2s = _semidiscrete_fhat2(f, subc.reshape(-1, 2), dft).reshape(wsub.shape)
+        p2s = _semidiscrete_fhat2(f, dft).reshape(wsub.shape)
         refined = float(np.sum(wsub * p2s))
         origin_share = float(np.sum(wsub[0] * p2s[0])) if near[0, 0] else origin_share
         total += refined
     if s == -0.5 and total > 0 and origin_share > 0.5 * total:
         raise ZeroFrequencyIll("Hdot^{-1/2} value dominated by the origin cell")
     return np.sqrt(total)
-
-
-def l2_norm(f):
-    return float(np.sqrt(np.sum(f.values**2) * f.dx**2))
 
 
 def lp_norm(f, p, weight=None):
@@ -276,12 +272,12 @@ _UNIT_SQUARE_INV_DIST = 4.0 * np.log(1.0 + np.sqrt(2.0))
 @functools.lru_cache(maxsize=3)
 def _gagliardo_lattice(res, extent, boundary):
     """What gagliardo_half reads of the lattice and the boundary alone:
-    (coords, mu, geometry, self_w, ext_w), kept per (res, extent, boundary)
+    (coords, geometry, self_w, ext_w), kept per (res, extent, boundary)
     and read-only; boundary is None on the plane.
 
     coords are the res^2 nodes lifted to the graph (height 0 on the plane),
-    mu = omega dx^2 (dx^2 on the plane), geometry is
-    _fast.gagliardo_geometry(coords, mu), and self_w and ext_w are the
+    geometry is _fast.gagliardo_geometry(coords, mu) with the measure
+    mu = omega dx^2 (dx^2 on the plane), and self_w and ext_w are the
     weights of the self-cell and exterior terms: c0 dx mu and 2 T mu.
     """
     from ._fast import gagliardo_geometry
@@ -318,7 +314,7 @@ def _gagliardo_lattice(res, extent, boundary):
     ext_w = 2.0 * T * mu
     for a in (coords, mu, self_w, ext_w):
         a.flags.writeable = False
-    return coords, mu, gagliardo_geometry(coords, mu), self_w, ext_w
+    return coords, gagliardo_geometry(coords, mu), self_w, ext_w
 
 
 def gagliardo_half(f, hs=None):
@@ -338,9 +334,9 @@ def gagliardo_half(f, hs=None):
     if f.on_graph and hs is None:
         raise ValueError("graph-mode Gagliardo needs the half-space geometry")
     boundary = hs.boundary if f.on_graph else None
-    coords, mu, geometry, self_w, ext_w = _gagliardo_lattice(f.res, f.extent, boundary)
+    coords, geometry, self_w, ext_w = _gagliardo_lattice(f.res, f.extent, boundary)
     vals = np.ascontiguousarray(f.values.ravel())
-    total = gagliardo_pairs(coords, vals, mu, geometry=geometry)
+    total = gagliardo_pairs(coords, vals, geometry)
 
     gx, gy = np.gradient(f.values, f.dx, f.dx)
     grad2 = (gx**2 + gy**2).ravel()
@@ -511,11 +507,11 @@ class NormLedger:
 
 @dataclass(frozen=True, eq=False)
 class LedgerGeometry:
-    """The part of vbmol2_norm that depends on the grid and inside mask
-    alone: the flat indices of the inside nodes, the bmo_seminorm and
-    bnu_seminorm balls (empty where the seminorm finds none), and, only
-    when there is a bnu ball, the inside tube nodes (d < rho0) with the
-    inward normal grad d = -n at each, on which the normal part lives."""
+    """What vbmol2_norm reads of the grid and inside mask alone: the flat
+    indices of the inside nodes, the bmo_seminorm and bnu_seminorm balls
+    (empty where the seminorm finds none), and, only when there is a bnu
+    ball, the inside tube nodes (d < rho0) with the inward normal
+    grad d = -n at each, on which the normal part lives."""
 
     inside: np.ndarray
     bmo_balls: list
@@ -524,8 +520,9 @@ class LedgerGeometry:
 
 
 def ledger_geometry(hs, grid, mask, mu, nu, samples=200, seed=0):
-    """The LedgerGeometry of vbmol2_norm(v, hs, mu, nu, samples, seed) for
-    the fields v on grid with inside mask mask."""
+    """The LedgerGeometry of the fields on grid with inside mask mask: the
+    balls of bmo_seminorm at (mu, samples, seed) and of bnu_seminorm at
+    (nu, samples, seed + 1)."""
     try:
         bmo = _bmo_balls(hs, grid, mask, mu, samples, seed)
     except NoAdmissibleBall:
@@ -546,27 +543,25 @@ def normal_tube(hs, grid, mask):
     return wall.index[sel], -wall.normal[sel]
 
 
-def normal_component_field(v, hs, tube=None):
+def normal_component_field(v, tube):
     """Scalar field grad d . v on the inside tube nodes, zero elsewhere; tube
-    is normal_tube(hs, v.grid, v.inside_mask), built here when None."""
-    index, inward = normal_tube(hs, v.grid, v.inside_mask) if tube is None else tube
+    is normal_tube(hs, v.grid, v.inside_mask)."""
+    index, inward = tube
     out = np.zeros(v.grid.resolution)
     out.flat[index] = np.einsum("pc,cp->p", inward, take_nodes(v.data, index))
     return BoxField(v.grid, out[None], v.inside_mask.copy())
 
 
-def vbmol2_norm(v, hs, mu, nu, samples=200, seed=0, geometry=None):
+def vbmol2_norm(v, geometry):
     """Assemble the combined ledger: BMO + boundary mass of the normal part + L2.
 
-    A seminorm that finds no admissible ball reports 0, and without a bnu
-    ball the normal part grad d . v is not formed.  bnu_seminorm draws
-    radii below nu and skips those below 4 max(dx), so with nu <= 4 max(dx)
-    the bnu slot is 0 for every field: it bounds nothing on such a grid.
     geometry is ledger_geometry(hs, v.grid, v.inside_mask, mu, nu, samples,
-    seed), built here when None.
+    seed), which fixes the balls.  A seminorm that finds no admissible ball
+    reports 0, and without a bnu ball the normal part grad d . v is not
+    formed.  bnu_seminorm draws radii below nu and skips those below
+    4 max(dx), so with nu <= 4 max(dx) the bnu slot is 0 for every field:
+    it bounds nothing on such a grid.
     """
-    if geometry is None:
-        geometry = ledger_geometry(hs, v.grid, v.inside_mask, mu, nu, samples, seed)
     dV = float(np.prod(v.grid.dx))
     # |v| and then |v|^2 in the gathered buffer: |v|^2 is v^2 bit for bit
     vals = take_nodes(v.data, geometry.inside)
@@ -578,6 +573,6 @@ def vbmol2_norm(v, hs, mu, nu, samples=200, seed=0, geometry=None):
     if geometry.bmo_balls:
         bmo = _largest_over_balls(v.data, geometry.bmo_balls, _oscillation)
     if geometry.bnu_balls:
-        nc = normal_component_field(v, hs, geometry.tube)
+        nc = normal_component_field(v, geometry.tube)
         bnu = _largest_over_balls(nc.data, geometry.bnu_balls, _boundary_mass(dV))
     return NormLedger(linf=linf, bmo=bmo, bnu=bnu, l2=l2)

@@ -129,9 +129,9 @@ class TestCheckSmallness:
                                 "resolution": [32, 32, 32]},
                            lattice={"extent": 2.0, "resolution": 48},
                            reach=0.3, rho="remove", cstar_n=1e-4)
-        raw = json.loads(open(cfg).read())
+        raw = json.loads(Path(cfg).read_text())
         raw["rho"] = 0.015
-        open(cfg, "w").write(json.dumps(raw))
+        Path(cfg).write_text(json.dumps(raw))
         code = main(["--config", cfg, "check-smallness"])
         out = json.loads(capsys.readouterr().out)
         assert out["empirical_2S_norm"] < 0.1
@@ -251,6 +251,34 @@ class TestDecompose:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "decompose.json").read_text() == \
             (out2 / "decompose.json").read_text()
+
+    def test_reports_are_strict_json(self, tmp_path, capsys):
+        # the flat case of test_decompose_pinned: a gradient plus a swirl
+        # with a normal part, whose trace has a nonzero mean, so the
+        # H^-1/2 norm of the trace is inf; both reports write it as null
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        def field(p):
+            d = p - [0.0, 0.0, 1.5]
+            e = p - [0.2, -0.1, 1.3]
+            g = np.exp(-np.sum(e * e, -1) / 0.1)
+            return (-2.0 * d / 0.12 * np.exp(-np.sum(d * d, -1) / 0.12)[..., None]
+                    + np.stack([-e[..., 1] * g, e[..., 0] * g, 0.5 * g], -1))
+
+        box = {"lower": [-2.0, -2.0, -0.5], "upper": [2.0, 2.0, 3.5],
+               "resolution": [64, 64, 64]}
+        cfg = write_config(tmp_path, box=box, samples=100, seed=5)
+        grid = BoxGrid(tuple(box["lower"]), tuple(box["upper"]), (64, 64, 64))
+        v = BoxField.sample(grid, PerturbedHalfSpace(BoundaryFunction.zero()), field, ncomp=3)
+        write_field(v, tmp_path / "v.json")
+        out = tmp_path / "out"
+        code = main(["--config", cfg, "--out", str(out), "decompose", str(tmp_path / "v.json")])
+        assert code == 0
+        for text in (capsys.readouterr().out, (out / "decompose.json").read_text()):
+            payload = json.loads(text, parse_constant=refuse)
+            assert payload["ledger_v"]["hminus_half"] is None
+            assert payload["ledger_v0"]["hminus_half"] == 0.0
 
 
     def test_residual_normal_matches_verify(self, tmp_path, capsys):

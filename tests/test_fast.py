@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 
 from helmdecomp import _fast
 from helmdecomp.geometry import BoundaryFunction, PerturbedHalfSpace
-from helmdecomp.sobolev import (BoundaryDensity, _semidiscrete_fhat2, gagliardo_half,
-                                lattice_points, th_push)
+from helmdecomp.sobolev import (BoundaryDensity, _semidiscrete_fhat2, _separable_dft,
+                                gagliardo_half, lattice_points, th_push)
 
 RTOL = 1e-12
 C = -0.25 / np.pi
@@ -228,25 +228,26 @@ def test_gagliardo_matches_reference_on_lattices(res, extent, mode, reach, rough
         c = rng.uniform(-0.25, 0.25, 2) * extent
         w = rng.uniform(0.01, 10.0) * extent**2
         vals = rng.uniform(-100, 100) + np.exp(-np.sum((coords[:, :2] - c) ** 2, -1) / w)
+    # one node: no pair, and no spacing to build a geometry on
+    geometry = _fast.gagliardo_geometry(coords, mu) if res > 1 else None
     with mock.patch.object(_fast, "_BLOCK_ELEMS", block):
-        got = _fast.gagliardo_pairs(coords, vals, mu)
+        got = _fast.gagliardo_pairs(coords, vals, geometry)
     ref = gagliardo_ref(coords, vals, mu)
     assert abs(got - ref) <= RTOL * ref
 
 
 @pytest.mark.parametrize("boundary", [None, BoundaryFunction.smooth_bump(0.3, 0.4)])
 def test_gagliardo_same_with_and_without_geometry(boundary):
-    # one geometry, held across fields, gives the value of the one each
-    # call builds itself
+    # one geometry, held across fields, gives the value of a geometry
+    # built afresh for each call
     coords, mu = _lattice(10.0, 64, boundary)
     geometry = _fast.gagliardo_geometry(coords, mu)
-    assert (len(geometry[3]) > 0) == (boundary is not None)
+    assert (len(geometry[4]) > 0) == (boundary is not None)
     rng = np.random.default_rng(11)
     for _ in range(3):
         vals = rng.normal(size=len(coords)) + rng.uniform(-5.0, 5.0)
-        fresh = _fast.gagliardo_pairs(coords, vals, mu)
-        assert abs(_fast.gagliardo_pairs(coords, vals, mu, geometry=geometry) - fresh) \
-            <= 1e-15 * fresh
+        fresh = _fast.gagliardo_pairs(coords, vals, _fast.gagliardo_geometry(coords, mu))
+        assert abs(_fast.gagliardo_pairs(coords, vals, geometry) - fresh) <= 1e-15 * fresh
 
 
 def test_gagliardo_matches_reference_real_block():
@@ -256,7 +257,8 @@ def test_gagliardo_matches_reference_real_block():
     assert np.all(coords[:, 2] != 0.0)
     vals = np.random.default_rng(3).normal(size=len(coords))
     ref = gagliardo_ref(coords, vals, mu)
-    assert abs(_fast.gagliardo_pairs(coords, vals, mu) - ref) <= RTOL * ref
+    got = _fast.gagliardo_pairs(coords, vals, _fast.gagliardo_geometry(coords, mu))
+    assert abs(got - ref) <= RTOL * ref
 
 
 def test_gagliardo_half_matches_reference_at_norms_sizes():
@@ -270,8 +272,12 @@ def test_gagliardo_half_matches_reference_at_norms_sizes():
     f64 = BoundaryDensity.sample(10.0, 64, fn)
     cases = [(f96, None), (th_push(f64), hs), (f64, None)]
     got = [gagliardo_half(f, hs=h) for f, h in cases]
-    # the reference sums every pair itself and reads no held geometry
-    ref_pairs = lambda coords, vals, mu, geometry=None: gagliardo_ref(coords, vals, mu)  # noqa: E731
+
+    # the reference sums every pair itself and reads only the measure mu of
+    # the held geometry
+    def ref_pairs(coords, vals, geometry):
+        return gagliardo_ref(coords, vals, geometry[2])
+
     with mock.patch.object(_fast, "gagliardo_pairs", ref_pairs):
         ref = [gagliardo_half(f, hs=h) for f, h in cases]
     for g, r in zip(got, ref):
@@ -456,4 +462,4 @@ def test_separable_dft_matches_direct_sum(res, k1, k2, seed):
     xis = rng.permutation(np.concatenate([xis, xis]))
     pts = f.points().reshape(-1, 2)
     ref = np.abs(np.exp(-1j * xis @ pts.T) @ f.values.ravel() * f.dx**2) ** 2
-    assert _rel_err(_semidiscrete_fhat2(f, xis), ref) <= RTOL
+    assert _rel_err(_semidiscrete_fhat2(f, _separable_dft(f.axis(), xis)), ref) <= RTOL

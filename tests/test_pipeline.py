@@ -17,10 +17,10 @@ from helmdecomp.geometry import interp_masked, take_nodes
 from helmdecomp.layers import SurfaceQuadrature
 from helmdecomp.neumann import estimate_contraction
 from helmdecomp.pipeline import (DecompositionPlan, PipelineConfig, _column_lattice,
-                                 _residual_div, _residual_normal, _sample_grad_q2, decompose,
-                                 normal_trace, read_field, resample_density, verify,
+                                 _inner_slab, _residual_div, _residual_normal, _sample_grad_q2,
+                                 decompose, normal_trace, read_field, resample_density, verify,
                                  volume_potential_grad, write_field)
-from helmdecomp.sobolev import BoundaryDensity, vbmol2_norm
+from helmdecomp.sobolev import BoundaryDensity, ledger_geometry, vbmol2_norm
 
 S2 = 0.12
 CENTER = np.array([0.0, 0.0, 1.5])
@@ -631,7 +631,7 @@ class TestGradQ2Paths:
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
         sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
-        got = _sample_grad_q2(q, sol, grid, 2, -20, sites)
+        got = _sample_grad_q2(sites, sol)
         ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -651,7 +651,7 @@ class TestGradQ2Paths:
         assert sites.report() == {"bump_sum": "series", "series_order": 14,
                                   "series_fallback_planes": 0}
         assert sites.bump.size == 0 and sites.low.size == 0
-        got = _sample_grad_q2(q, sol, grid, p, shift, sites)
+        got = _sample_grad_q2(sites, sol)
         ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -661,7 +661,7 @@ class TestGradQ2Paths:
         sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, sol, grid, 2, -20, sites)
+            got = _sample_grad_q2(sites, sol)
         assert pairs == []
         # only box z-planes, each once
         assert sorted(planes) == sorted(set(planes)) and set(planes) <= set(grid.axis(2))
@@ -676,7 +676,7 @@ class TestGradQ2Paths:
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
         sites = pipeline.grad_q2_sites(q, grid, mask, 2, -48)
-        got = _sample_grad_q2(q, sol, grid, 2, -48, sites)
+        got = _sample_grad_q2(sites, sol)
         ref, safe = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         near_cols = (mask & ~safe).any(axis=2)
@@ -702,7 +702,7 @@ class TestGradQ2Paths:
         assert set(z[sites.bump % 32]) == set(z[sites.planes[:17]])
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, sol, grid, 2, -48, sites)
+            got = _sample_grad_q2(sites, sol)
         assert pairs == [(len(sites.bump), np.count_nonzero(q.nodes[:, 2] != 0.0))]
         ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -716,7 +716,7 @@ class TestGradQ2Paths:
         sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
-            got = _sample_grad_q2(q, sol, grid, 2, -20, sites)
+            got = _sample_grad_q2(sites, sol)
         ref, safe = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         low = np.count_nonzero(safe & (grid.axis(2) < q.delta_min))
@@ -761,7 +761,7 @@ class TestGradQ2Paths:
 
         def sample(values):
             sol = SimpleNamespace(density=BoundaryDensity(q.extent, values, on_graph=True))
-            return _sample_grad_q2(q, sol, grid, 2, -20, sites)
+            return _sample_grad_q2(sites, sol)
 
         f1, f2 = sample(g1), sample(g2)
         scale = np.abs(a * f1).max() + np.abs(b * f2).max()
@@ -807,16 +807,19 @@ class TestResidualDiv:
                  (gentle_hs, curved_plan_case[2]), (gentle_hs, curved_plan_case[3])]
         for hs, res in cases:
             want = residual_div_ref(res.v0, hs, res.v)
-            assert res.residual_div == _residual_div(res.v0, hs, ref=res.v) == want > 0.0
+            got = _residual_div(res.v0, res.v, _inner_slab(hs, res.v.grid))
+            assert res.residual_div == got == want > 0.0
         noise = np.random.default_rng(3).standard_normal((2, 3) + tuple(grid.resolution))
         a, b = (BoxField(grid, x, v1.inside_mask) for x in noise)
-        assert _residual_div(a, gentle_hs, ref=b) == residual_div_ref(a, gentle_hs, b) > 0.0
+        got = _residual_div(a, b, _inner_slab(gentle_hs, grid))
+        assert got == residual_div_ref(a, gentle_hs, b) > 0.0
 
     def test_no_inner_node(self, flat_hs):
         # 2 cells in from the faces, every node is within 3 spacings of the wall
         grid = BoxGrid((-1.0, -1.0, -0.1), (1.0, 1.0, 0.5), (12, 12, 12))
         v = BoxField(grid, np.ones((3, 12, 12, 12)), grid.inside(flat_hs))
-        assert _residual_div(v, flat_hs, ref=v) == residual_div_ref(v, flat_hs, v) == 0.0
+        got = _residual_div(v, v, _inner_slab(flat_hs, grid))
+        assert got == residual_div_ref(v, flat_hs, v) == 0.0
 
 
 class TestDecompose:
@@ -944,7 +947,8 @@ class TestDecompose:
         # verify gates the residuals decompose took, which a fresh
         # computation on the same arrays reproduces
         v_scale = float(np.abs(grad_field.data[:, grad_field.inside_mask]).max())
-        assert vals["residual_div"] == _residual_div(res.v0, flat_hs, ref=grad_field)
+        slab = _inner_slab(flat_hs, grad_field.grid)
+        assert vals["residual_div"] == _residual_div(res.v0, grad_field, slab)
         assert vals["residual_normal"] == _residual_normal(res.v0, flat_hs, v_scale)
 
     def test_verify_gates(self, flat_hs, grad_field, flat_cfg):
@@ -1131,25 +1135,31 @@ class TestPlan:
             gc.enable()
 
     def test_ledgers_equal_standalone(self, flat_hs, gentle_hs, grad_field, flat_cfg,
-                                      curved_plan_case):
-        # the plan's ledger geometry gives the three ledgers of the
-        # standalone vbmol2_norm slot by slot; nu = 0.4 on the flat box
-        # admits bnu balls, so the normal part is formed there
+                                      curved_case, curved_plan_case):
+        # the plan's ledger geometry gives the three ledgers of vbmol2_norm
+        # on a geometry built afresh, slot by slot; nu above 4 max(dx)
+        # admits bnu balls, so the normal part is formed there: nu = 0.4 on
+        # the flat box, and nu = 0.6 on the curved one, whose wall normals
+        # vary
         wide = replace(flat_cfg, nu=0.4)
+        bump = replace(_curved_cfg(), nu=0.6)
         cases = [(flat_hs, flat_cfg, decompose(flat_hs, grad_field, flat_cfg)),
                  (flat_hs, wide, decompose(flat_hs, grad_field, wide)),
                  (gentle_hs, curved_plan_case[0], curved_plan_case[2]),
-                 (gentle_hs, curved_plan_case[0], curved_plan_case[3])]
+                 (gentle_hs, curved_plan_case[0], curved_plan_case[3]),
+                 (gentle_hs, bump, decompose(gentle_hs, curved_case[1], bump))]
         for hs, cfg, res in cases:
-            kw = dict(mu=cfg.mu, nu=cfg.nu, samples=cfg.samples, seed=cfg.seed)
-            gradq = BoxField(res.v.grid, res.grad_q1.data + res.grad_q2.data, res.v.inside_mask)
-            want = [vbmol2_norm(f, hs, **kw) for f in (res.v, res.v0, gradq)]
+            grid, mask = res.v.grid, res.v.inside_mask
+            geometry = ledger_geometry(hs, grid, mask, cfg.mu, cfg.nu, cfg.samples, cfg.seed)
+            gradq = BoxField(grid, res.grad_q1.data + res.grad_q2.data, mask)
+            want = [vbmol2_norm(f, geometry) for f in (res.v, res.v0, gradq)]
             # decompose adds the trace's norms to the ledger of v
             want[0].hminus_half = res.ledger_v.hminus_half
             want[0].linf = max(want[0].linf, float(np.abs(res.trace_g.values).max()))
             got = [res.ledger_v, res.ledger_v0, res.ledger_gradq]
             assert [g.to_dict() for g in got] == [w.to_dict() for w in want]
         assert cases[1][2].ledger_v.bnu > 0.0 and cases[0][2].ledger_v.bnu == 0.0
+        assert cases[4][2].ledger_v.bnu > 0.0
 
     def test_second_apply_memory_cap(self, flat_hs):
         # what one apply allocates on a kept plan, whose own arrays the

@@ -55,7 +55,7 @@ def _sample_grad_q2_values(hs):
     dens = BoundaryDensity.sample(
         8.0, 32, lambda p: np.exp(-np.sum((p - [0.2, 0.1]) ** 2, -1) / 0.5), on_graph=True)
     sites = grad_q2_sites(q, grid, mask, 2, -20)
-    out = _sample_grad_q2(q, SimpleNamespace(density=dens), grid, 2, -20, sites)
+    out = _sample_grad_q2(sites, SimpleNamespace(density=dens))
     vals = out[:, mask][:, ::13].ravel()
     return vals, np.ones(vals.shape, bool)
 
