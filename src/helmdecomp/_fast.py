@@ -37,6 +37,7 @@ boundary norms alone do, by about 27 MB.
 """
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,21 +246,6 @@ def even_fast_len(k):
     return 2 * scipy.fft.next_fast_len(-(-k // 2), real=True)
 
 
-def plane_lattice(cols, n, dx):
-    """(N, r2) of gradslp_series for box columns i < n and sources on the
-    box columns cols.  N is even and at least 2 D + 1, D the largest offset
-    |i - cols_j|, so no pair wraps around on the N x N lattice.  r2 is
-    |offset|^2 on the (N/2 + 1)^2 kernel quadrant of spacing dx, inf below
-    the least offset any pair reads, so the kernel is 0 there and the
-    roundoff of the transforms scales with the largest entry read."""
-    size = even_fast_len(2 * max(n - 1 - cols[0], cols[-1]) + 1)
-    off = np.arange(size // 2 + 1) * dx
-    r2 = off[:, None] ** 2 + off[None, :] ** 2
-    gap = np.maximum(np.maximum(cols - (n - 1), -cols), 0).min()
-    r2[:gap] = r2[:, :gap] = np.inf
-    return size, r2
-
-
 def _height_coefficients(z, lo, hi, r2_quad, buf, tmp):
     """Chebyshev coefficients a_k, k < len(buf), in the source height h over
     [lo, hi] of |x - y|^{-3} at x_n = z on the kernel quadrant r2_quad: the
@@ -281,38 +267,67 @@ def _height_coefficients(z, lo, hi, r2_quad, buf, tmp):
     return buf
 
 
-def series_geometry(zs, h, cols, dx, n):
-    """What gradslp_series reads of the source heights and the planes alone,
-    read-only: (orders, poly, lo, hi).
+@dataclass(frozen=True, eq=False)
+class SeriesGeometry:
+    """The read-only record of series_geometry, which describes its fields."""
 
-    h holds the source heights on an (m, m) lattice whose node (j0, j1) sits
-    on box columns (cols[j0], cols[j1]).  When every h is 0, every node is a
-    source on x_n = 0, where the series is the kernel itself: one term on
-    every plane, poly = [1] and lo = hi = 0, with nothing sampled.
-    Otherwise the nodes with h != 0 are the sources.  Over [lo, hi], their
-    range of heights, the kernel at each height zs[i] is sampled at
-    _SERIES_KMAX Chebyshev heights on the whole kernel quadrant, and
-    orders[i] is the first k whose coefficient is below _SERIES_TOL of the
-    first one everywhere on it, or 0 when none is (the series has not
-    converged: a plane near the sources).  It is 0 too for a plane within
-    [lo, hi], where the kernel has its pole among the heights (at offset
-    0): there the coefficients need not fall, and those of odd k vanish on
-    the plane midway, as the kernel is even about it.  poly holds T_k(hhat),
-    k < max(orders), with hhat = h mapped from [lo, hi] onto [-1, 1], and 0
-    at the other nodes.
+    zs: np.ndarray
+    h: np.ndarray
+    cols: np.ndarray
+    dx: float
+    n: int
+    size: int
+    r2: np.ndarray
+    orders: np.ndarray
+    poly: np.ndarray
+    lo: float
+    hi: float
+
+
+def series_geometry(zs, h, cols, dx, n):
+    """The SeriesGeometry that gradslp_series reads: its inputs, for box
+    columns i < n of spacing dx, the planes x_n = zs[i] and the sources of
+    heights h on an (m, m) lattice whose node (j0, j1) sits on box columns
+    (cols[j0], cols[j1]), and what depends on them alone: size N, r2,
+    orders, poly, lo and hi.
+
+    N is even and at least 2 D + 1, D the largest offset |i - cols_j|, so
+    no pair wraps around on the N x N lattice.  r2 is |offset|^2 on the
+    (N/2 + 1)^2 kernel quadrant of spacing dx, inf below the least offset
+    any pair reads, so the kernel is 0 there and the roundoff of the
+    transforms scales with the largest entry read.
+
+    When every h is 0, every node is a source on x_n = 0, where the series
+    is the kernel itself: one term on every plane, poly = [1] and
+    lo = hi = 0, with nothing sampled.  Otherwise the nodes with h != 0 are
+    the sources.  Over [lo, hi], their range of heights, the kernel at each
+    height zs[i] is sampled at _SERIES_KMAX Chebyshev heights on the whole
+    kernel quadrant, and orders[i] is the first k whose coefficient is
+    below _SERIES_TOL of the first one everywhere on it, or 0 when none is
+    (the series has not converged: a plane near the sources).  It is 0 too
+    for a plane within [lo, hi], where the kernel has its pole among the
+    heights (at offset 0): there the coefficients need not fall, and those
+    of odd k vanish on the plane midway, as the kernel is even about it.
+    poly holds T_k(hhat), k < max(orders), with hhat = h mapped from
+    [lo, hi] onto [-1, 1], and 0 at the other nodes.
     """
+    zs, h, cols = (np.array(a) for a in (zs, h, cols))
+    size = even_fast_len(2 * max(n - 1 - cols[0], cols[-1]) + 1)
+    off = np.arange(size // 2 + 1) * dx
+    r2 = off[:, None] ** 2 + off[None, :] ** 2
+    gap = np.maximum(np.maximum(cols - (n - 1), -cols), 0).min()
+    r2[:gap] = r2[:, :gap] = np.inf
     on = h != 0.0
     if not on.any():
         orders, poly, lo, hi = np.ones(len(zs), dtype=int), np.ones((1,) + h.shape), 0.0, 0.0
     else:
         lo, hi = float(h[on].min()), float(h[on].max())
-        r2_quad = plane_lattice(cols, n, dx)[1]
-        buf, tmp = np.empty((2, _SERIES_KMAX) + r2_quad.shape)
+        buf, tmp = np.empty((2, _SERIES_KMAX) + r2.shape)
         orders = np.zeros(len(zs), dtype=int)
         for i, z in enumerate(zs):
             if lo <= z <= hi:
                 continue
-            a = np.abs(_height_coefficients(z, lo, hi, r2_quad, buf, tmp)).max(axis=(1, 2))
+            a = np.abs(_height_coefficients(z, lo, hi, r2, buf, tmp)).max(axis=(1, 2))
             small = np.flatnonzero(a < _SERIES_TOL * a[0])
             orders[i] = small[0] if small.size else 0
         hhat = np.where(on, h - 0.5 * (hi + lo), 0.0)
@@ -323,30 +338,28 @@ def series_geometry(zs, h, cols, dx, n):
         for k in range(len(poly)):
             poly[k] = (1.0, hhat)[k] if k < 2 else 2.0 * hhat * poly[k - 1] - poly[k - 2]
         poly *= on
-    for a in (orders, poly):
+    for a in (zs, h, cols, r2, orders, poly):
         a.flags.writeable = False
-    return orders, poly, lo, hi
+    return SeriesGeometry(zs, h, cols, dx, n, size, r2, orders, poly, lo, hi)
 
 
-def gradslp_series(zs, w, h, cols, dx, n, c, geometry, out):
+def gradslp_series(geometry, w, c, out):
     """Add sum_j c (x - y_j)|x - y_j|^{-3} w_j over the sources y_j = (y'_j,
     h_j) to out[i], the (n, n, 3) plane at x_n = zs[i], for each plane whose
-    series order is not 0.
+    series order is not 0; geometry is the SeriesGeometry of zs, h, the
+    box columns and the sources' (see series_geometry), which names the
+    sources, and w their weights on its (m, m) lattice.
 
-    In each x'-axis the box columns are x_i = x0 + i dx for i < n; w and h
-    are the weights and heights on the sources' (m, m) lattice, node
-    (j0, j1) on box columns (cols[j0], cols[j1]), and geometry is
-    series_geometry(zs, h, cols, dx, n), which names the sources.  With
-    t = |x - y|^{-3} = sum_k a_k(x' - y', z) T_k(hhat), each sum is a sum
-    over k of lattice convolutions of a_k with the moments M_k of
+    With t = |x - y|^{-3} = sum_k a_k(x' - y', z) T_k(hhat), each sum is a
+    sum over k of lattice convolutions of a_k with the moments M_k of
     c w T_k(hhat), y'_0 c w T_k, y'_1 c w T_k and h c w T_k (left out when
     lo = hi = 0, as it is 0): x'_a (a_k * M_k) - (a_k * y'_a M_k) for the
     x'-components and z (a_k * M_k) - (a_k * h M_k) for the last, with x'
     and y' measured from the box centre to keep the cancellation small.
-    The convolutions are circular on the N x N lattice of plane_lattice:
-    target i sits at column i, source j at column cols[j] mod N, and kernel
-    entry k holds a_k at the offset min(k, N - k) dx.  That kernel is real
-    and even, so its real 2-D transform is the type-I DCT of the quadrant.
+    The convolutions are circular on the N x N plane lattice: target i
+    sits at column i, source j at column cols[j] mod N, and kernel entry k
+    holds a_k at the offset min(k, N - k) dx.  That kernel is real and
+    even, so its real 2-D transform is the type-I DCT of the quadrant.
     The moments are transformed once per call.  Per plane of order K the
     kernel is sampled at K Chebyshev heights (the interpolant of degree
     K - 1, whose error is within twice the coefficients left out), each a_k
@@ -362,20 +375,20 @@ def gradslp_series(zs, w, h, cols, dx, n, c, geometry, out):
     """
     import scipy.fft
 
-    orders, poly, lo, hi = geometry
+    g = geometry
+    zs, orders, poly, lo, hi, n, size = g.zs, g.orders, g.poly, g.lo, g.hi, g.n, g.size
     todo = np.flatnonzero(orders)
     if not todo.size:
         return
-    size, r2_quad = plane_lattice(cols, n, dx)
     half = size // 2
-    xs = (np.arange(n) - 0.5 * (n - 1)) * dx
-    ys = (cols - 0.5 * (n - 1)) * dx
+    xs = (np.arange(n) - 0.5 * (n - 1)) * g.dx
+    ys = (g.cols - 0.5 * (n - 1)) * g.dx
     lat = np.zeros((4 if lo or hi else 3, size, size))
-    at = np.ix_(cols % size, cols % size)
+    at = np.ix_(g.cols % size, g.cols % size)
     moments = []
     for pk in poly:
         wk = c * w * pk
-        for a, f in zip(lat, (1.0, ys[:, None], ys[None, :], h)):
+        for a, f in zip(lat, (1.0, ys[:, None], ys[None, :], g.h)):
             a[at] = f * wk
         moments.append(scipy.fft.rfft2(lat))
     nm, kmax = len(lat), len(poly)
@@ -398,7 +411,7 @@ def gradslp_series(zs, w, h, cols, dx, n, c, geometry, out):
     def run(planes, buf, tmp, spec, acc, prod, t):
         for i in planes:
             z, k = zs[i], orders[i]
-            a = _height_coefficients(z, lo, hi, r2_quad, buf[:k], tmp[:k])
+            a = _height_coefficients(z, lo, hi, g.r2, buf[:k], tmp[:k])
             a = scipy.fft.dctn(a, type=1, axes=(1, 2), overwrite_x=True)
             for j in range(k):
                 # the spectrum of the real, even a_j: row r holds row min(r, N - r)

@@ -340,9 +340,22 @@ class PerturbedHalfSpace:
         x = np.asarray(x, dtype=float)
         if self.boundary.is_flat:
             return x[..., 2].copy()
-        _, d2 = self._closest_param(x)
+        yp, d2 = self._closest_param(x)
         sign = np.where(x[..., 2] > self.boundary.height(x[..., :2]), 1.0, -1.0)
-        return sign * np.sqrt(d2)
+        d = self._distance(np.atleast_2d(x), np.atleast_2d(yp), np.atleast_1d(d2))
+        return sign * d.reshape(np.shape(d2))
+
+    def _distance(self, x, yp, d2):
+        """|x - (yp, h(yp))| per row, from d2, its square as _closest_param
+        sums it: sqrt(d2), but the rows with d2 below 1e-300, where the
+        squares underflow (gaps below about 1e-154 read 0), take the scaled
+        norm np.hypot from the same closest parameter."""
+        d = np.sqrt(d2)
+        tiny = np.flatnonzero(d2 < 1e-300)
+        if tiny.size:
+            gap = x[tiny] - self.boundary.surface_point(yp[tiny])
+            d[tiny] = np.hypot(np.hypot(gap[:, 0], gap[:, 1]), gap[:, 2])
+        return d
 
     def project_to_boundary(self, x, check_reach=True):
         """Closest boundary point pi(x); NoUniqueProjection beyond the reach."""
@@ -417,7 +430,8 @@ class PerturbedHalfSpace:
         pts = grid.node_points(cand)
         pi = self.project_to_boundary(pts, check_reach=False)
         # d^2 summed as _closest_param sums it: signed_distance's d for the same solve
-        d = np.sqrt(np.sum((pts[:, :2] - pi[:, :2]) ** 2, axis=-1) + (pts[:, 2] - pi[:, 2]) ** 2)
+        d2 = np.sum((pts[:, :2] - pi[:, :2]) ** 2, axis=-1) + (pts[:, 2] - pi[:, 2]) ** 2
+        d = self._distance(pts, pi[:, :2], d2)
         d = np.where(pts[:, 2] > height.ravel()[cand // grid.resolution[2]], d, -d)
         keep = (d > -self.rho0) & (d < width)
         self._wall = BoxWall(grid, width, height, cand[keep], pts[keep], d[keep], pi[keep],

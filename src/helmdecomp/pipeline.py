@@ -388,15 +388,14 @@ def normal_trace(hs, w):
     return g, linf, hminus
 
 
-def resample_density(g, extent, m, p, shift):
-    """g, a density on the box columns, on the m x m lattice of the given
-    extent whose node j is box column shift + p j: a copy of g's values
+def resample_density(g, q, cols):
+    """g, a density on the box columns, on the lattice of quadrature q whose
+    node j sits on box column cols[j] in both x'-axes: a copy of g's values
     there, 0 at the nodes off the box."""
-    cols = shift + p * np.arange(m)
     on = (cols >= 0) & (cols < g.res)
-    values = np.zeros((m, m))
+    values = np.zeros((len(cols),) * 2)
     values[np.ix_(on, on)] = g.values[np.ix_(cols[on], cols[on])]
-    return BoundaryDensity(extent, values, on_graph=g.on_graph)
+    return BoundaryDensity(q.extent, values, on_graph=g.on_graph)
 
 
 def square_section_width(grid):
@@ -433,21 +432,20 @@ def _column_lattice(grid, extent, res):
 @dataclass(frozen=True, eq=False)
 class GradQ2Sites:
     """Where _sample_grad_q2 sums and extrapolates on one box grid, inside
-    mask and quadrature q, which no field changes (grad_q2_sites); cols
-    holds the box column of each lattice index in both x'-axes.  Flat node
-    indices: low, the safe nodes below delta_min, which take the direct
+    mask and quadrature q, which no field changes (grad_q2_sites).  Flat
+    node indices: low, the safe nodes below delta_min, which take the direct
     sum; planes, the box z-planes of the safe nodes at or above it, which
     take the plane FFT; bump, those of these safe nodes where the bump
     sources are summed directly; and per near node its index, the two safe
     nodes of its column it extrapolates from and the weight of the upper
-    one.  mask is the flat inside mask.  bumps is the _bump_span of the
-    bump sources (None without one), and series their
-    _fast.series_geometry on its square over the planes when the series
-    sums them, else None."""
+    one.  mask is the flat inside mask.  flat is the _fast.SeriesGeometry
+    of the flat sources over the planes, span the range of lattice indices,
+    in both axes, that holds every bump source (None without one), and
+    series the SeriesGeometry of the bump sources on that square when the
+    series sums them, else None."""
 
     q: object
     grid: object
-    cols: np.ndarray
     mask: np.ndarray
     low: np.ndarray
     planes: np.ndarray
@@ -456,8 +454,9 @@ class GradQ2Sites:
     lower: np.ndarray
     upper: np.ndarray
     weight: np.ndarray
-    bumps: tuple
-    series: tuple
+    flat: _fast.SeriesGeometry
+    span: slice
+    series: _fast.SeriesGeometry
 
     def report(self):
         """bump_sum, how the bump sources are summed ("series", "direct", or
@@ -465,29 +464,18 @@ class GradQ2Sites:
         the series left to the direct sum as not converged (both 0 without
         a series)."""
         if self.series is None:
-            return {"bump_sum": "none" if self.bumps is None else "direct", "series_order": 0,
+            return {"bump_sum": "none" if self.span is None else "direct", "series_order": 0,
                     "series_fallback_planes": 0}
-        orders = self.series[0]
+        orders = self.series.orders
         return {"bump_sum": "series", "series_order": int(orders.max()),
                 "series_fallback_planes": int(np.count_nonzero(orders == 0))}
 
 
-def _bump_span(q, cols):
-    """(span, cols[span], h) of the bump sources: the range of lattice
-    indices, in both axes, that holds every node with h != 0, their box
-    columns and h on that square; None without a bump source."""
-    j0, j1 = np.divmod(np.flatnonzero(q.nodes[:, 2] != 0.0), q.res)
-    if not j0.size:
-        return None
-    span = slice(int(min(j0.min(), j1.min())), int(max(j0.max(), j1.max())) + 1)
-    return span, cols[span], q.nodes[:, 2].reshape(q.res, q.res)[span, span]
-
-
-def grad_q2_sites(q, grid, mask, p, shift):
+def grad_q2_sites(q, grid, mask, cols):
     """The GradQ2Sites of _sample_grad_q2, with the lattice node j on box
-    column shift + p j: mask nodes within q.delta_min of the wall of q.hs
-    (its box_wall out that far) are near, the others safe; a near node
-    extrapolates linearly in x_n from the safe node of its column nearest
+    column cols[j] in both x'-axes: mask nodes within q.delta_min of the
+    wall of q.hs (its box_wall out that far) are near, the others safe; a
+    near node extrapolates linearly in x_n from the safe node of its column nearest
     x_n - h(x') = 1.5 delta_min and the one above it nearest 3 delta_min.
     ConfigError if the column ends below.
 
@@ -505,19 +493,21 @@ def grad_q2_sites(q, grid, mask, p, shift):
     high = z[index % nz] >= delta
     low = index[~high]
     planes = np.flatnonzero(safe.reshape(-1, nz).any(axis=0) & (z >= delta))
-    bump, series = index[high], None
-    cols = shift + p * np.arange(q.res)
-    bumps = _bump_span(q, cols)
-    if bumps is None:
+    bump, span, series = index[high], None, None
+    dx, n = grid.dx[0], grid.resolution[0]
+    flat = _fast.series_geometry(z[planes], np.zeros((q.res, q.res)), cols, dx, n)
+    # the bump sources, on the least square of lattice indices that holds them
+    j0, j1 = np.divmod(np.flatnonzero(q.nodes[:, 2] != 0.0), q.res)
+    if not j0.size:
         bump = bump[:0]
     else:
-        _, span_cols, h = bumps
-        geometry = _fast.series_geometry(z[planes], h, span_cols, grid.dx[0], grid.resolution[0])
-        orders = geometry[0]
+        span = slice(int(min(j0.min(), j1.min())), int(max(j0.max(), j1.max())) + 1)
+        h = q.nodes[:, 2].reshape(q.res, q.res)[span, span]
+        geometry = _fast.series_geometry(z[planes], h, cols[span], dx, n)
+        orders = geometry.orders
         taken = orders[np.searchsorted(planes, bump % nz)] > 0
         spared = np.count_nonzero(h) * np.count_nonzero(taken)
-        size = _fast.plane_lattice(span_cols, grid.resolution[0], grid.dx[0])[0]
-        if _SERIES_COST * np.sum(orders[orders > 0] + 1) * size**2 < spared:
+        if _SERIES_COST * np.sum(orders[orders > 0] + 1) * geometry.size**2 < spared:
             bump, series = bump[~taken], geometry
     bump = compact_index(bump, mask.size)
     col, k = np.divmod(near, nz)
@@ -531,20 +521,19 @@ def grad_q2_sites(q, grid, mask, p, shift):
     if not two[np.arange(len(near)), k2].all():
         raise ConfigError("a box column ends below 3 delta_min over the wall")
     near, lower, upper = (compact_index(i, mask.size) for i in (near, col * nz + k1, col * nz + k2))
-    return GradQ2Sites(q, grid, cols, mask.ravel(), low, planes, bump, near, lower, upper,
-                       (k - k1) / (k2 - k1), bumps, series)
+    return GradQ2Sites(q, grid, mask.ravel(), low, planes, bump, near, lower, upper,
+                       (k - k1) / (k2 - k1), flat, span, series)
 
 
 def _sample_grad_q2(sites, sol):
     """grad q2 on the box of sites (GradQ2Sites), 0 off its mask, from a
     decaying density (so no tail closure).  The safe nodes at x_n >=
-    delta_min take _fast.gradslp_series on the lattice whose node j is box
-    column sites.cols[j], once over the flat sources (the bump ones' weights
-    zeroed), a series of one term, and once over the bump sources on their
-    planes of the series; at sites.bump these take the direct sum, so each
-    source is summed once.  Lower safe nodes (a dip makes them) take the
-    direct sum over all sources.  Each near node is then extrapolated from
-    its column."""
+    delta_min take _fast.gradslp_series with the records sites keeps, once
+    over the flat sources (the bump ones' weights zeroed), a series of one
+    term, and once over the bump sources on their planes of the series; at
+    sites.bump these take the direct sum, so each source is summed once.
+    Lower safe nodes (a dip makes them) take the direct sum over all
+    sources.  Each near node is then extrapolated from its column."""
     q, grid = sites.q, sites.grid
     wg = np.ascontiguousarray(q.weights * q.match(sol.density))
     c = -q.ctx.grad_const
@@ -556,15 +545,11 @@ def _sample_grad_q2(sites, sol):
     flat = np.where(bump, 0.0, wg).reshape(q.res, q.res)
     # whole planes (near nodes replaced, off-mask ones zeroed below), written by runs
     planes = sites.planes
-    zs = grid.axis(2)[planes]
     buf = np.zeros((len(planes), n, n, 3))
-    cols, level = sites.cols, np.zeros_like(flat)
-    _fast.gradslp_series(zs, flat, level, cols, grid.dx[0], n, c,
-                         _fast.series_geometry(zs, level, cols, grid.dx[0], n), buf)
+    _fast.gradslp_series(sites.flat, flat, c, buf)
     if sites.series is not None:
-        span, cols, h = sites.bumps
-        _fast.gradslp_series(zs, wg.reshape(q.res, q.res)[span, span], h, cols, grid.dx[0], n, c,
-                             sites.series, buf)
+        span = sites.span
+        _fast.gradslp_series(sites.series, wg.reshape(q.res, q.res)[span, span], c, buf)
     buf = buf.reshape(len(planes), -1, 3)
     starts = np.flatnonzero(np.diff(planes, prepend=-2) != 1)
     for i, j in zip(starts, np.append(starts[1:], len(planes))):
@@ -658,28 +643,29 @@ class DecompositionPlan:
     geometry stays with hs (PerturbedHalfSpace.box_wall).  It holds a copy
     of cfg, not cfg, so no reference cycle forms.
 
-    The grad q2 sites (with the series geometry of the bump sources), the
-    ledger geometry and the residual's inner slab are built at their first
-    use in apply, after the first volume potential, and kept: arrays kept
-    across fields but taken before the box-sized transforms of that stage
-    raised the peak resident memory."""
+    The grad q2 sites (with the series records of the flat and bump
+    sources), the ledger geometry and the residual's inner slab are built
+    at their first use in apply, after the first volume potential, and
+    kept: arrays kept across fields but taken before the box-sized
+    transforms of that stage raised the peak resident memory."""
 
     def __init__(self, hs, grid, mask, cfg):
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
-        extent, res, self.p, self.shift = _column_lattice(grid, cfg.quad_extent, cfg.quad_res)
+        extent, res, p, shift = _column_lattice(grid, cfg.quad_extent, cfg.quad_res)
+        self.cols = shift + p * np.arange(res)
         try:
             self.q = SurfaceQuadrature(hs, extent, res)
         except ValueError as exc:  # too narrow for the flat-tail closure
             raise ConfigError(f"lattice {extent:g} / {res} on the box columns: {exc}") from exc
         # the quadrature lattice: extent, resolution and stride in box spacings
-        self.lattice = {"extent": self.q.extent, "resolution": res, "stride": self.p}
+        self.lattice = {"extent": self.q.extent, "resolution": res, "stride": p}
         self.contraction = estimate_contraction(self.q, seed=cfg.seed)
         self.report = smallness_constants(hs.boundary)
         self.report.empirical_2S_norm = self.contraction
 
     @functools.cached_property
     def grad_q2_sites(self):
-        return grad_q2_sites(self.q, self.grid, self.mask, self.p, self.shift)
+        return grad_q2_sites(self.q, self.grid, self.mask, self.cols)
 
     @functools.cached_property
     def ledger_geometry(self):
@@ -709,7 +695,7 @@ class DecompositionPlan:
         w *= mask
         w = BoxField(grid, w, mask)
         g, g_linf, g_hminus = normal_trace(hs, w)
-        g_quad = resample_density(g, q.extent, q.res, self.p, self.shift)
+        g_quad = resample_density(g, q, self.cols)
         sol = solve_density(q, g_quad, self.contraction, tol=cfg.tol, kmax=cfg.kmax)
         gq2 = BoxField(grid, _sample_grad_q2(self.grad_q2_sites, sol), mask)
         # v0 in the buffer of w, which nothing reads after this; w and

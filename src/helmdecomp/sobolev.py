@@ -558,9 +558,9 @@ def vbmol2_norm(v, geometry):
     geometry is ledger_geometry(hs, v.grid, v.inside_mask, mu, nu, samples,
     seed), which fixes the balls.  A seminorm that finds no admissible ball
     reports 0, and without a bnu ball the normal part grad d . v is not
-    formed.  bnu_seminorm draws radii below nu and skips those below
-    4 max(dx), so with nu <= 4 max(dx) the bnu slot is 0 for every field:
-    it bounds nothing on such a grid.
+    formed.  Radii are drawn below mu (BMO) and nu (bnu) and dropped below
+    2.5 max(dx) and 4 max(dx): with mu <= 2.5 max(dx) the bmo slot, and with
+    nu <= 4 max(dx) the bnu slot, is 0 for every field, bounding nothing.
     """
     dV = float(np.prod(v.grid.dx))
     # |v| and then |v|^2 in the gathered buffer: |v|^2 is v^2 bit for bit

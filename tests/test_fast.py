@@ -74,11 +74,12 @@ def gradslp_plane_ref(zs, w, p, shift, dx, n, c):
 def _plane_sum(zs, w, p, shift, dx, n):
     """The (len(zs), n, n, 3) planes of gradslp_series with one term: the
     sources, of weights w, on the plane x_n = 0 at box columns shift + p j."""
-    cols, level = shift + p * np.arange(len(w)), np.zeros_like(w)
-    geometry = _fast.series_geometry(zs, level, cols, dx, n)
-    assert np.array_equal(geometry[0], np.ones(len(zs))) and geometry[1].shape == (1,) + w.shape
+    cols = shift + p * np.arange(len(w))
+    geometry = _fast.series_geometry(zs, np.zeros_like(w), cols, dx, n)
+    assert np.array_equal(geometry.orders, np.ones(len(zs)))
+    assert geometry.poly.shape == (1,) + w.shape
     out = np.zeros((len(zs), n, n, 3))
-    _fast.gradslp_series(zs, w, level, cols, dx, n, C, geometry, out)
+    _fast.gradslp_series(geometry, w, C, out)
     return out
 
 
@@ -377,12 +378,12 @@ def test_series_matches_gradslp_sum(p, n, m, shift, kind, signed, seed):
                          [0.5 * (lo + hi)], [hi + 0.1 + 30.0 * (hi - lo)]])
     cols = shift + p * np.arange(m)
     geometry = _fast.series_geometry(zs, h, cols, dx, n)
-    orders = geometry[0]
+    orders = geometry.orders
     assert orders[3] == 0 and orders[-1] > 0 and orders.max() <= _fast._SERIES_KMAX
-    assert geometry[1].shape == (orders.max(), m, m)
+    assert geometry.poly.shape == (orders.max(), m, m)
     start = rng.standard_normal((len(zs), n, n, 3))
     out = start.copy()
-    _fast.gradslp_series(zs, w, h, cols, dx, n, C, geometry, out)
+    _fast.gradslp_series(geometry, w, C, out)
     # no plane without a series is touched
     assert np.array_equal(out[orders == 0], start[orders == 0])
     xs = (np.arange(n) - 0.5 * (n - 1)) * dx
@@ -413,14 +414,14 @@ def test_series_peak_does_not_grow_with_the_cpus():
     zs = dx * (np.arange(10, 63) + 0.5)
     for heights in (h, np.zeros_like(h)):
         geometry = _fast.series_geometry(zs, heights, cols, dx, n)
-        assert geometry[0].min() > 0
+        assert geometry.orders.min() > 0
         peaks, outs = {}, {}
         for cpus in (1, 2, 8, 64):
             out = np.zeros((len(zs), n, n, 3))
             with _cpus(cpus):
                 tracemalloc.start()
                 try:
-                    _fast.gradslp_series(zs, w, heights, cols, dx, n, C, geometry, out)
+                    _fast.gradslp_series(geometry, w, C, out)
                     _, peaks[cpus] = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -431,6 +432,24 @@ def test_series_peak_does_not_grow_with_the_cpus():
         for cpus in (2, 8, 64):
             assert peaks[cpus] <= peaks[1] + grow, (cpus, peaks)
             assert np.array_equal(outs[cpus], outs[1])
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_series_geometry_is_read_only(flat):
+    # the record holds copies of its inputs and nothing in it can be written
+    n, dx, m = 16, 0.125, 5
+    cols = 1 + 3 * np.arange(m)
+    h = np.zeros((m, m)) if flat else np.full((m, m), 0.05)
+    zs = np.array([0.5, 1.0])
+    geometry = _fast.series_geometry(zs, h, cols, dx, n)
+    h[...], zs[...], cols[...] = 1.0, 0.0, 0
+    assert not geometry.h.any() if flat else (geometry.h == 0.05).all()
+    assert (geometry.zs == [0.5, 1.0]).all() and (geometry.cols == 1 + 3 * np.arange(m)).all()
+    for name in ("orders", "poly", "r2", "zs", "h", "cols"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(geometry, name)[0] = 0
+    with pytest.raises(AttributeError):
+        geometry.lo = 1.0
 
 
 @pytest.mark.parametrize("k", [1, 7, 119, 120, 121, 125, 126, 127, 193, 201, 241])

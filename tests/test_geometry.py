@@ -42,12 +42,11 @@ class TestSignedDistance:
 
     @settings(max_examples=30, deadline=None)
     @given(u=st.tuples(st.floats(-1.25, 1.25), st.floats(-1.25, 1.25)),
-           t=st.floats(-1.5, 1.5).filter(lambda t: t == 0.0 or abs(t) > 1e-150))
+           t=st.floats(-1.5, 1.5))
     def test_lipschitz_bound(self, bump_hs, gentle_hs, u, t):
         # |x_n - h(x')| / C_s <= |d| <= |x_n - h(x')|, the bound box_wall and
         # bmo_seminorm prefilter with; the steep bump takes the grid fallback.
-        # d is the root of a sum of squares, so gaps whose square underflows
-        # (below about 1e-154) read d = 0 and are not drawn
+        # Gaps whose square underflows (below about 1e-154) are drawn too
         for hs in (bump_hs, gentle_hs):
             b = hs.boundary
             xp = b.support_radius * np.array(u)
@@ -55,6 +54,16 @@ class TestSignedDistance:
             gap = abs(x[2] - float(b.height(xp)))
             d = abs(float(hs.signed_distance(x)))
             assert gap / b.lipschitz() <= d <= gap
+
+    @pytest.mark.parametrize("gap", [1e-201, 1e-160, -1e-201])
+    def test_underflowing_gap(self, bump_hs, gap):
+        # over the steep bump's flat part, where the root of the sum of
+        # squares read 0 for 1e-201 and 9.99994e-161 for 1e-160; box_wall
+        # takes its d from the same helper
+        x = np.array([[1.0, 1.0, gap]])
+        assert bump_hs.signed_distance(x[0]) == gap
+        assert bump_hs.signed_distance(x)[0] == gap
+        assert bump_hs._distance(x, x[:, :2], np.array([gap * gap]))[0] == abs(gap)
 
     def test_outside_negative(self, bump_hs):
         assert bump_hs.signed_distance(np.array([0.0, 0.0, -0.2])) < 0

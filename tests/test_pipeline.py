@@ -489,17 +489,18 @@ class TestNormalTrace:
 
 
 class TestResample:
-    # node j of the quadrature lattice is box column shift + p j
+    # node j of the quadrature lattice is box column cols[j], here shift + p j;
+    # resample_density reads only the extent of the quadrature
     def test_identity_on_same_lattice(self):
         g = BoundaryDensity.sample(4.0, 32, lambda p: np.exp(-np.sum(p * p, -1)), on_graph=True)
-        r = resample_density(g, 4.0, 32, 1, 0)
+        r = resample_density(g, SimpleNamespace(extent=4.0), np.arange(32))
         assert np.array_equal(r.values, g.values) and r.on_graph and r.extent == 4.0
 
     def test_zero_outside_source(self):
         # a 16-column box under a lattice twice as wide, of spacing 2 box
         # columns: nodes 0..3 and 12..15 of each axis lie off the box
         g = BoundaryDensity(2.0, np.arange(256.0).reshape(16, 16))
-        r = resample_density(g, 4.0, 16, 2, -8)
+        r = resample_density(g, SimpleNamespace(extent=4.0), -8 + 2 * np.arange(16))
         on = np.zeros(16, bool)
         on[4:12] = True
         assert np.array_equal(r.values[np.ix_(on, on)], g.values[::2, ::2])
@@ -514,7 +515,7 @@ class TestResample:
         extent, m, p, shift = _column_lattice(grid, 6.8, 24)
         assert (m, p, shift) == (22, 3, -17) and abs(extent - 7.0125) < 1e-12
         g = BoundaryDensity(3.4, np.arange(1.0, 1025.0).reshape(32, 32), on_graph=True)
-        r = resample_density(g, extent, m, p, shift)
+        r = resample_density(g, SimpleNamespace(extent=extent), shift + p * np.arange(m))
         want = np.zeros((m, m))
         want[6:17, 6:17] = g.values[1::3, 1::3]
         assert np.array_equal(r.values, want)
@@ -560,6 +561,11 @@ class TestColumnLattice:
             _column_lattice(BoxGrid(lower, upper, res), 6.0, 48)
 
 
+def _cols(q, p, shift):
+    """The box column shift + p j of each lattice index j of q."""
+    return shift + p * np.arange(q.res)
+
+
 def _grad_q2_case(hs, grid, extent, res):
     """(quadrature, stand-in series solution, inside mask) for _sample_grad_q2."""
     q = SurfaceQuadrature(hs, extent, res)
@@ -602,17 +608,17 @@ def _direct_grad_q2(q, sol, grid, mask):
 def _counted_sums(pairs, planes):
     """Record the (targets, sources) of every direct sum and the heights of
     the planes of every lattice sum over the flat sources, the one-term
-    series of sources all on x_n = 0."""
+    series of sources all on x_n = 0, whose record holds no height."""
     direct, series = _fast.gradslp_sum, _fast.gradslp_series
 
     def counted_sum(xs, nodes, wg, c):
         pairs.append((len(xs), len(nodes)))
         return direct(xs, nodes, wg, c)
 
-    def counted_series(zs, w, h, *args):
-        if not h.any():
-            planes.extend(zs)
-        return series(zs, w, h, *args)
+    def counted_series(geometry, *args):
+        if not geometry.h.any():
+            planes.extend(geometry.zs)
+        return series(geometry, *args)
 
     with mock.patch.object(_fast, "gradslp_sum", counted_sum), \
          mock.patch.object(_fast, "gradslp_series", counted_series):
@@ -630,7 +636,7 @@ class TestGradQ2Paths:
         # all-direct sum
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
+        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
         got = _sample_grad_q2(sites, sol)
         ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -647,7 +653,7 @@ class TestGradQ2Paths:
         if signed:
             values = np.random.default_rng(3).standard_normal((res, res))
             sol = SimpleNamespace(density=BoundaryDensity(extent, values, on_graph=True))
-        sites = pipeline.grad_q2_sites(q, grid, mask, p, shift)
+        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, p, shift))
         assert sites.report() == {"bump_sum": "series", "series_order": 14,
                                   "series_fallback_planes": 0}
         assert sites.bump.size == 0 and sites.low.size == 0
@@ -658,7 +664,7 @@ class TestGradQ2Paths:
     def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
+        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
             got = _sample_grad_q2(sites, sol)
@@ -675,7 +681,7 @@ class TestGradQ2Paths:
         # spacing 1/16 under a lattice of spacing 1/8 (p = 2)
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
-        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -48)
+        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -48))
         got = _sample_grad_q2(sites, sol)
         ref, safe = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -692,8 +698,8 @@ class TestGradQ2Paths:
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
         with mock.patch.object(pipeline, "_SERIES_COST", 0.0):
-            sites = pipeline.grad_q2_sites(q, grid, mask, 2, -48)
-        orders = sites.series[0]
+            sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -48))
+        orders = sites.series.orders
         assert sites.report() == {"bump_sum": "series", "series_order": orders.max(),
                                   "series_fallback_planes": 17}
         # the fallback planes are the lowest ones
@@ -713,7 +719,7 @@ class TestGradQ2Paths:
         hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(-0.2, 0.3))
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
+        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
             got = _sample_grad_q2(sites, sol)
@@ -729,7 +735,7 @@ class TestGradQ2Paths:
         grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 0.5), (24, 24, 24))
         q, _, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
         with pytest.raises(ConfigError, match="box column ends"):
-            pipeline.grad_q2_sites(q, grid, mask, 2, -20)
+            pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
 
     @pytest.mark.parametrize("bump, n, quad_res, path", [
         ((0.05, 0.5), 32, 24, "direct"),
@@ -748,7 +754,7 @@ class TestGradQ2Paths:
         extent, res, p, shift = _column_lattice(grid, 8.0, quad_res)
         q = SurfaceQuadrature(hs, extent, res)
         mask = grid.inside(hs)
-        sites = pipeline.grad_q2_sites(q, grid, mask, p, shift)
+        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, p, shift))
         assert sites.report()["bump_sum"] == path
 
     @settings(max_examples=5, deadline=None)
@@ -756,7 +762,7 @@ class TestGradQ2Paths:
     def test_linear_in_the_density(self, gentle_hs, seed, a, b):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, _, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, 2, -20)
+        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
         g1, g2 = np.random.default_rng(seed).standard_normal((2, q.res, q.res))
 
         def sample(values):
@@ -1092,6 +1098,23 @@ class TestPlan:
         _same_result(second, decompose(PerturbedHalfSpace(gentle_hs.boundary), v2,
                                        _curved_cfg()))
 
+    def test_second_apply_builds_no_series_geometry(self, gentle_hs, curved_case):
+        # the grad q2 sites keep the series records of the flat sources and
+        # of the bump ones, both built at the first apply and read after
+        _, v1, v2 = curved_case
+        plan = DecompositionPlan(gentle_hs, v1.grid, v1.inside_mask, _curved_cfg())
+        build, flat = _fast.series_geometry, []
+
+        def counted(zs, h, *args):
+            flat.append(not h.any())
+            return build(zs, h, *args)
+
+        with mock.patch.object(_fast, "series_geometry", counted):
+            plan.apply(v1)
+            assert sorted(flat) == [False, True]
+            plan.apply(v2)
+        assert len(flat) == 2
+
     def test_new_plan_for_new_cfg_hs_grid_or_mask(self, gentle_hs, flat_hs, curved_case):
         grid, v1, _ = curved_case
         hs = PerturbedHalfSpace(gentle_hs.boundary)
@@ -1140,9 +1163,10 @@ class TestPlan:
         # on a geometry built afresh, slot by slot; nu above 4 max(dx)
         # admits bnu balls, so the normal part is formed there: nu = 0.4 on
         # the flat box, and nu = 0.6 on the curved one, whose wall normals
-        # vary
+        # vary.  mu above 2.5 max(dx) admits BMO balls: mu = 0.6 on the
+        # curved box, where 0.3 admits none
         wide = replace(flat_cfg, nu=0.4)
-        bump = replace(_curved_cfg(), nu=0.6)
+        bump = replace(_curved_cfg(), nu=0.6, mu=0.6)
         cases = [(flat_hs, flat_cfg, decompose(flat_hs, grad_field, flat_cfg)),
                  (flat_hs, wide, decompose(flat_hs, grad_field, wide)),
                  (gentle_hs, curved_plan_case[0], curved_plan_case[2]),
@@ -1159,7 +1183,7 @@ class TestPlan:
             got = [res.ledger_v, res.ledger_v0, res.ledger_gradq]
             assert [g.to_dict() for g in got] == [w.to_dict() for w in want]
         assert cases[1][2].ledger_v.bnu > 0.0 and cases[0][2].ledger_v.bnu == 0.0
-        assert cases[4][2].ledger_v.bnu > 0.0
+        assert cases[4][2].ledger_v.bnu > 0.0 and cases[4][2].ledger_v.bmo > 0.0
 
     def test_second_apply_memory_cap(self, flat_hs):
         # what one apply allocates on a kept plan, whose own arrays the

@@ -54,7 +54,7 @@ def _sample_grad_q2_values(hs):
     q = SurfaceQuadrature(hs, 8.0, 32)
     dens = BoundaryDensity.sample(
         8.0, 32, lambda p: np.exp(-np.sum((p - [0.2, 0.1]) ** 2, -1) / 0.5), on_graph=True)
-    sites = grad_q2_sites(q, grid, mask, 2, -20)
+    sites = grad_q2_sites(q, grid, mask, -20 + 2 * np.arange(q.res))
     out = _sample_grad_q2(sites, SimpleNamespace(density=dens))
     vals = out[:, mask][:, ::13].ravel()
     return vals, np.ones(vals.shape, bool)
