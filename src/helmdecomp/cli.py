@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ConfigError, HelmdecompError, MaxIterations, NonDecayingInput,
                      NotContractive, TooCloseToSurface)
-from .geometry import PRESET_PARAMS, BoundaryFunction, BoxGrid, PerturbedHalfSpace
+from .geometry import PRESET_PARAMS, BoundaryFunction, BoxGrid, PerturbedHalfSpace, box_wall
 from .layers import (_REFINE_CELLS, SurfaceQuadrature, gauss_flux, grad_single_layer,
                      trace_S, trace_limit_Q)
 from .pipeline import (DecompositionPlan, PipelineConfig, TraceReport, decompose, read_field,
@@ -259,7 +259,7 @@ def cmd_norms(cfg, field_path, out_dir=None):
     hs = cfg.build_geometry()
     v = _read_box_field(cfg, field_path, hs)
     p = cfg.pipeline
-    geometry = ledger_geometry(hs, v.grid, v.inside_mask, p.mu, p.nu, p.samples, p.seed)
+    geometry = ledger_geometry(box_wall(hs, v.grid), v.inside_mask, p.mu, p.nu, p.samples, p.seed)
     _emit(vbmol2_norm(v, geometry).to_dict(), out_dir, "norms.json")
     return 0
 

@@ -9,9 +9,9 @@ extension of vector fields across the boundary (normal component odd,
 tangential component even).
 
 Box grids and sampled fields used throughout the pipeline live here as well,
-with the wall geometry of a box (``PerturbedHalfSpace.box_wall``): the
-height of the graph over its node columns and the distance, projection and
-normal at its nodes near the wall, computed in one pass per grid.
+with the wall geometry of a box (``box_wall``, a ``BoxWall`` its caller
+keeps): the height of the graph over its node columns and the distance,
+projection and normal at its nodes near the wall, computed in one pass.
 """
 
 from dataclasses import dataclass, field
@@ -245,7 +245,6 @@ class PerturbedHalfSpace:
         if not (0.0 < rho0 < cap * (1.0 + 1e-12)):
             raise ValueError(f"rho0={rho0:.4g} outside (0, {cap:.4g})")
         self.rho0 = float(rho0)
-        self._wall = None
 
     # -- signed distance and projection -------------------------------------
     def _newton_param(self, x, seed, iters=40):
@@ -408,36 +407,6 @@ class PerturbedHalfSpace:
             raise ValueError("rho must lie in (0, rho0/2]")
         return plateau(np.asarray(d, dtype=float) / rho)
 
-    # -- wall geometry of a box ------------------------------------------------
-    def box_wall(self, grid, width=0.0):
-        """The BoxWall of grid out to width, kept for the last grid asked and
-        rebuilt when a wider one is asked.
-
-        It holds the nodes with -rho0 < d < max(width, rho0).  The Lipschitz
-        bound of BoundaryFunction.lipschitz picks the candidates; each takes
-        one closest-point solve, and d follows from its projection.
-        """
-        width = max(width, self.rho0)
-        wall = self._wall
-        if wall is not None and wall.grid == grid and wall.width >= width:
-            return wall
-        b = self.boundary
-        height = b.height(grid.columns())
-        cs = b.lipschitz()
-        zgap = grid.axis(2) - height[..., None]
-        cand = np.flatnonzero((zgap > -self.rho0 * cs) & (zgap < width * cs))
-        del zgap  # box-sized; freed before the projection for a lower peak RSS
-        pts = grid.node_points(cand)
-        pi = self.project_to_boundary(pts, check_reach=False)
-        # d^2 summed as _closest_param sums it: signed_distance's d for the same solve
-        d2 = np.sum((pts[:, :2] - pi[:, :2]) ** 2, axis=-1) + (pts[:, 2] - pi[:, 2]) ** 2
-        d = self._distance(pts, pi[:, :2], d2)
-        d = np.where(pts[:, 2] > height.ravel()[cand // grid.resolution[2]], d, -d)
-        keep = (d > -self.rho0) & (d < width)
-        self._wall = BoxWall(grid, width, height, cand[keep], pts[keep], d[keep], pi[keep],
-                             self.outward_normal(pi[keep]))
-        return self._wall
-
 
 # ---------------------------------------------------------------------------
 # Box grids and sampled fields
@@ -544,7 +513,7 @@ class BoxField:
 
 @dataclass(frozen=True, eq=False)
 class BoxWall:
-    """Field-independent wall geometry of one box grid.
+    """Field-independent wall geometry of one half space hs on one box grid.
 
     ``height`` is h(x') on the (nx, ny) node columns.  The other arrays run
     over the wall nodes, those with -rho0 < d < width (width >= rho0): flat
@@ -552,6 +521,7 @@ class BoxWall:
     and the outward normal there.
     """
 
+    hs: PerturbedHalfSpace
     grid: BoxGrid
     width: float
     height: np.ndarray
@@ -565,10 +535,29 @@ class BoxWall:
         """x_n - h(x') at every box node."""
         return self.grid.axis(2) - self.height[..., None]
 
-    def outside_tube(self, mask, rho):
-        """Which wall nodes are off the inside mask and within rho of the
-        wall: the nodes extend_field writes."""
-        return (np.abs(self.distance) < rho) & ~mask.ravel()[self.index]
+
+def box_wall(hs, grid, width=0.0):
+    """The BoxWall of hs on grid out to width: the nodes with -rho0 < d <
+    max(width, rho0).  The Lipschitz bound of BoundaryFunction.lipschitz
+    picks the candidates; each takes one closest-point solve, and d follows
+    from its projection.
+    """
+    width = max(width, hs.rho0)
+    b = hs.boundary
+    height = b.height(grid.columns())
+    cs = b.lipschitz()
+    zgap = grid.axis(2) - height[..., None]
+    cand = np.flatnonzero((zgap > -hs.rho0 * cs) & (zgap < width * cs))
+    del zgap  # box-sized; freed before the projection for a lower peak RSS
+    pts = grid.node_points(cand)
+    pi = hs.project_to_boundary(pts, check_reach=False)
+    # d^2 summed as _closest_param sums it: signed_distance's d for the same solve
+    d2 = np.sum((pts[:, :2] - pi[:, :2]) ** 2, axis=-1) + (pts[:, 2] - pi[:, 2]) ** 2
+    d = hs._distance(pts, pi[:, :2], d2)
+    d = np.where(pts[:, 2] > height.ravel()[cand // grid.resolution[2]], d, -d)
+    keep = (d > -hs.rho0) & (d < width)
+    return BoxWall(hs, grid, width, height, cand[keep], pts[keep], d[keep], pi[keep],
+                   hs.outward_normal(pi[keep]))
 
 
 def interp_masked(field, pts, scale=None):
@@ -616,13 +605,14 @@ def interp_masked(field, pts, scale=None):
     return np.divide(out, wsum, out=np.zeros_like(out), where=wsum > 1e-12)
 
 
-def extend_field(hs, v, rho):
-    """Mirror extension of theta v across the boundary into the rho-tube,
-    theta = hs.cutoff_theta(rho, d) of the signed distance: the extension
-    of the volume potential's source.  It is returned at the nodes it
-    reaches, as (index, values): the sorted flat indices of the outside
-    nodes within rho of the wall and the (ncomp, len(index)) extension
-    there.  Inside Omega the extension is v, and 0 beyond the tube.
+def extend_field(wall, v, rho):
+    """Mirror extension of theta v across the BoxWall wall of v's grid into
+    the rho-tube, theta = wall.hs.cutoff_theta(rho, d) of the signed
+    distance: the extension of the volume potential's source.  It is
+    returned at the nodes it reaches, as (index, values): the sorted flat
+    indices of the outside nodes within rho of the wall and the (ncomp,
+    len(index)) extension there.  Inside Omega the extension is v, and 0
+    beyond the tube.  ValueError for v off wall's grid or rho off (0, rho0/2].
 
     At an outside point x in the tube the value is taken from the mirror
     point x* = 2 pi(x) - x with the component along grad d(pi x) flipped
@@ -631,16 +621,15 @@ def extend_field(hs, v, rho):
     theta vanishes off the wall nodes, so u is read at the mirror cells'
     corners (interp_masked's scale), with no box-sized theta v.
     """
-    if rho > hs.rho0 / 2.0 + 1e-15:
-        raise ValueError("extension radius must satisfy rho <= rho0/2")
-    wall = hs.box_wall(v.grid)
-    sel = wall.outside_tube(v.inside_mask, rho)
+    if v.grid != wall.grid:
+        raise ValueError("the field is not on the wall's grid")
+    theta = (wall.index, wall.hs.cutoff_theta(rho, wall.distance))
+    sel = (np.abs(wall.distance) < rho) & ~v.inside_mask.ravel()[wall.index]
     index = wall.index[sel]
     if not index.size:
         return index, np.zeros((v.ncomp, 0))
     pi = wall.closest[sel]
     gd = -wall.normal[sel]
-    theta = (wall.index, hs.cutoff_theta(rho, wall.distance))
     vstar = interp_masked(v, 2.0 * pi - wall.points[sel], theta)
     normal_part = np.einsum("cp,pc->p", vstar, gd)
     return index, vstar - 2.0 * normal_part[None] * gd.T

@@ -34,7 +34,8 @@ import numpy as np
 from . import _fast
 from .errors import (ConfigError, ExtrapolationUnstable, NonDecayingInput, NotContractive,
                      ZeroFrequencyIll)
-from .geometry import BoxField, BoxGrid, compact_index, extend_field, interp_masked, take_nodes
+from .geometry import (BoxField, BoxGrid, box_wall, compact_index, extend_field, interp_masked,
+                       take_nodes)
 from .layers import SurfaceQuadrature
 from .neumann import estimate_contraction, smallness_constants, solve_density
 from .sobolev import (_RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, ledger_geometry,
@@ -155,13 +156,13 @@ def _check_box_decay(v):
         raise NonDecayingInput("field does not decay at the box boundary")
 
 
-def _extended_source(hs, v, rho):
+def _extended_source(wall, v, rho):
     """(src, k0, k1): the source of the volume potential, v inside plus the
     mirror extension of theta v (theta the tube cutoff) at the outside tube
     nodes; k1 the lowest plane of the domain slab and k0 <= k1 the lowest
     plane src can be nonzero on, both from the mask and the wall alone."""
     mask = v.inside_mask
-    tube, mirror = extend_field(hs, v, rho)
+    tube, mirror = extend_field(wall, v, rho)
     # one box pass, then the mirror values at the outside tube nodes
     src = np.where(mask, v.data, 0.0)
     src.reshape(v.ncomp, -1)[:, tube] = mirror
@@ -173,14 +174,14 @@ def _extended_source(hs, v, rho):
     return src, k0, k1
 
 
-def volume_potential_grad(hs, v, rho):
-    """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension.
+def volume_potential_grad(wall, v, rho):
+    """grad q1 with Delta q1 = div vbar, vbar the cutoff mirror extension over wall.
 
     Restricted to the domain this solves the volume-potential equation for
     v; it is 0 off the inside mask, and linear in v.
     """
     _check_box_decay(v)
-    src, k0, k1 = _extended_source(hs, v, rho)
+    src, k0, k1 = _extended_source(wall, v, rho)
     out = _free_space_gradient(src, v.grid.dx, k0, k1)
     out *= v.inside_mask
     return BoxField(v.grid, out, v.inside_mask.copy())
@@ -471,20 +472,21 @@ class GradQ2Sites:
                 "series_fallback_planes": int(np.count_nonzero(orders == 0))}
 
 
-def grad_q2_sites(q, grid, mask, cols):
-    """The GradQ2Sites of _sample_grad_q2, with the lattice node j on box
-    column cols[j] in both x'-axes: mask nodes within q.delta_min of the
-    wall of q.hs (its box_wall out that far) are near, the others safe; a
-    near node extrapolates linearly in x_n from the safe node of its column nearest
-    x_n - h(x') = 1.5 delta_min and the one above it nearest 3 delta_min.
-    ConfigError if the column ends below.
+def grad_q2_sites(q, wall, mask, cols):
+    """The GradQ2Sites of _sample_grad_q2 on the grid of wall, a BoxWall of
+    q.hs out to q.delta_min (ValueError if not), with the lattice node j on
+    box column cols[j] in both x'-axes: mask nodes within delta_min of the
+    wall are near, the others safe; a near node extrapolates linearly in x_n
+    from the safe node of its column nearest x_n - h(x') = 1.5 delta_min and
+    the one above it nearest 3 delta_min.  ConfigError if the column ends below.
 
     The bump sources take the series in source height on the planes where
     it converges when _SERIES_COST sum (K + 1) N^2 over those planes, for
     series order K and lattice size N, is below the direct pairs it spares,
     and the direct sum everywhere else."""
-    delta, nz = q.delta_min, grid.resolution[2]
-    wall = q.hs.box_wall(grid, delta)
+    if wall.hs is not q.hs or wall.width < q.delta_min:
+        raise ValueError("the wall is not of q's half space out to delta_min")
+    delta, grid, nz = q.delta_min, wall.grid, wall.grid.resolution[2]
     near = wall.index[mask.ravel()[wall.index] & (wall.distance < delta)]
     safe = mask.copy()
     safe.flat[near] = False
@@ -564,13 +566,13 @@ def _sample_grad_q2(sites, sol):
     return out.reshape((3,) + tuple(grid.resolution))
 
 
-def _inner_slab(hs, grid):
-    """(slab, inner) of _residual_div: the inner nodes, those 2 cells or more
-    in from the box faces and more than 3 max(dx) above the wall, as a mask
-    on slab, the smallest sub-box (a tuple of slices) that holds them."""
-    inner = np.zeros(grid.resolution, dtype=bool)
+def _inner_slab(wall):
+    """(slab, inner) of _residual_div: the inner nodes of wall's grid, 2 cells
+    or more in from the box faces and more than 3 max(dx) above the wall, as
+    a mask on slab, the smallest sub-box (a tuple of slices) that holds them."""
+    inner = np.zeros(wall.grid.resolution, dtype=bool)
     inner[2:-2, 2:-2, 2:-2] = True
-    inner &= hs.box_wall(grid).depth() > 3.0 * max(grid.dx)
+    inner &= wall.depth() > 3.0 * max(wall.grid.dx)
     slab = []
     for ax in range(3):
         hit = np.flatnonzero(inner.any(axis=tuple(b for b in range(3) if b != ax)))
@@ -585,7 +587,7 @@ def _residual_div(v0, ref, inner_slab):
 
     The divergence takes 4th-order central differences, the Jacobian the
     2nd-order ones of np.gradient, each only on the slab of inner_slab,
-    _inner_slab(hs, v0.grid), which keeps 2 cells from the box faces.
+    _inner_slab of a BoxWall of v0.grid, which keeps 2 cells from the box faces.
     """
     g = v0.grid
     slab, inner = inner_slab
@@ -639,15 +641,15 @@ class DecompositionPlan:
     """The field-independent half of decompose for one half space, box grid
     and inside mask: the lattice on the box columns, the quadrature with its
     S blocks, and the contraction and smallness report (ConfigError for a
-    lattice too narrow for the quadrature's flat-tail closure).  The wall
-    geometry stays with hs (PerturbedHalfSpace.box_wall).  It holds a copy
-    of cfg, not cfg, so no reference cycle forms.
+    lattice too narrow for the quadrature's flat-tail closure).  It holds a
+    copy of cfg, not cfg, so no reference cycle forms.
 
-    The grad q2 sites (with the series records of the flat and bump
-    sources), the ledger geometry and the residual's inner slab are built
-    at their first use in apply, after the first volume potential, and
-    kept: arrays kept across fields but taken before the box-sized
-    transforms of that stage raised the peak resident memory."""
+    The box wall out to delta_min, which every stage reads, is built at the
+    first volume potential; the grad q2 sites (with the series records of
+    the flat and bump sources), the ledger geometry and the residual's inner
+    slab at their first use in apply, after it.  All are kept: arrays kept
+    across fields but taken before the box-sized transforms of that stage
+    raised the peak resident memory."""
 
     def __init__(self, hs, grid, mask, cfg):
         self.hs, self.grid, self.mask, self.cfg = hs, grid, mask.copy(), replace(cfg)
@@ -664,17 +666,21 @@ class DecompositionPlan:
         self.report.empirical_2S_norm = self.contraction
 
     @functools.cached_property
+    def wall(self):
+        return box_wall(self.hs, self.grid, self.q.delta_min)
+
+    @functools.cached_property
     def grad_q2_sites(self):
-        return grad_q2_sites(self.q, self.grid, self.mask, self.cols)
+        return grad_q2_sites(self.q, self.wall, self.mask, self.cols)
 
     @functools.cached_property
     def ledger_geometry(self):
         cfg = self.cfg
-        return ledger_geometry(self.hs, self.grid, self.mask, cfg.mu, cfg.nu, cfg.samples, cfg.seed)
+        return ledger_geometry(self.wall, self.mask, cfg.mu, cfg.nu, cfg.samples, cfg.seed)
 
     @functools.cached_property
     def inner_slab(self):
-        return _inner_slab(self.hs, self.grid)
+        return _inner_slab(self.wall)
 
     def fits(self, v):
         return v.grid == self.grid and np.array_equal(v.inside_mask, self.mask)
@@ -688,9 +694,7 @@ class DecompositionPlan:
             raise NotContractive(f"empirical |2S| = {self.contraction:.3f} >= 1",
                                  report=self.report)
         hs, cfg, q, grid, mask = self.hs, self.cfg, self.q, v.grid, v.inside_mask
-        # the wall out to delta_min first, so every stage reads that one wall
-        hs.box_wall(grid, q.delta_min)
-        gq1 = volume_potential_grad(hs, v, cfg.rho)
+        gq1 = volume_potential_grad(self.wall, v, cfg.rho)
         w = v.data - gq1.data
         w *= mask
         w = BoxField(grid, w, mask)

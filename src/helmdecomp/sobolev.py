@@ -519,33 +519,36 @@ class LedgerGeometry:
     tube: tuple
 
 
-def ledger_geometry(hs, grid, mask, mu, nu, samples=200, seed=0):
-    """The LedgerGeometry of the fields on grid with inside mask mask: the
-    balls of bmo_seminorm at (mu, samples, seed) and of bnu_seminorm at
-    (nu, samples, seed + 1)."""
+def ledger_geometry(wall, mask, mu, nu, samples=200, seed=0):
+    """The LedgerGeometry of the fields on the grid of the BoxWall wall with
+    inside mask mask (ValueError off that grid): the balls of bmo_seminorm
+    at (mu, samples, seed) and of bnu_seminorm at (nu, samples, seed + 1)."""
+    if mask.shape != tuple(wall.grid.resolution):
+        raise ValueError("the inside mask is not on the wall's grid")
     try:
-        bmo = _bmo_balls(hs, grid, mask, mu, samples, seed)
+        bmo = _bmo_balls(wall.hs, wall.grid, mask, mu, samples, seed)
     except NoAdmissibleBall:
         bmo = []
     try:
-        bnu = _bnu_balls(hs, grid, mask, nu, samples, seed + 1)
+        bnu = _bnu_balls(wall.hs, wall.grid, mask, nu, samples, seed + 1)
     except NoAdmissibleBall:
         bnu = []
-    tube = normal_tube(hs, grid, mask) if bnu else None
+    tube = normal_tube(wall, mask) if bnu else None
     return LedgerGeometry(compact_index(np.flatnonzero(mask), mask.size), bmo, bnu, tube)
 
 
-def normal_tube(hs, grid, mask):
+def normal_tube(wall, mask):
     """(flat indices, inward normals grad d = -n) of the nodes of mask
-    within rho0 of the wall."""
-    wall = hs.box_wall(grid)
-    sel = mask.ravel()[wall.index] & (wall.distance < hs.rho0)
+    within rho0 of the BoxWall wall (ValueError for a mask off its grid)."""
+    if mask.shape != tuple(wall.grid.resolution):
+        raise ValueError("the inside mask is not on the wall's grid")
+    sel = mask.ravel()[wall.index] & (wall.distance < wall.hs.rho0)
     return wall.index[sel], -wall.normal[sel]
 
 
 def normal_component_field(v, tube):
     """Scalar field grad d . v on the inside tube nodes, zero elsewhere; tube
-    is normal_tube(hs, v.grid, v.inside_mask)."""
+    is normal_tube(wall, v.inside_mask), wall a BoxWall of v.grid."""
     index, inward = tube
     out = np.zeros(v.grid.resolution)
     out.flat[index] = np.einsum("pc,cp->p", inward, take_nodes(v.data, index))
@@ -555,12 +558,13 @@ def normal_component_field(v, tube):
 def vbmol2_norm(v, geometry):
     """Assemble the combined ledger: BMO + boundary mass of the normal part + L2.
 
-    geometry is ledger_geometry(hs, v.grid, v.inside_mask, mu, nu, samples,
-    seed), which fixes the balls.  A seminorm that finds no admissible ball
-    reports 0, and without a bnu ball the normal part grad d . v is not
-    formed.  Radii are drawn below mu (BMO) and nu (bnu) and dropped below
-    2.5 max(dx) and 4 max(dx): with mu <= 2.5 max(dx) the bmo slot, and with
-    nu <= 4 max(dx) the bnu slot, is 0 for every field, bounding nothing.
+    geometry is ledger_geometry(wall, v.inside_mask, mu, nu, samples, seed),
+    wall a BoxWall of v.grid, which fixes the balls.  A seminorm that finds
+    no admissible ball reports 0, and without a bnu ball the normal part
+    grad d . v is not formed.  Radii are drawn below mu (BMO) and nu (bnu)
+    and dropped below 2.5 max(dx) and 4 max(dx): with mu <= 2.5 max(dx) the
+    bmo slot, and with nu <= 4 max(dx) the bnu slot, is 0 for every field,
+    bounding nothing.
     """
     dV = float(np.prod(v.grid.dx))
     # |v| and then |v|^2 in the gathered buffer: |v|^2 is v^2 bit for bit

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace
 from helmdecomp.errors import NoUniqueProjection, OutOfChart
-from helmdecomp.geometry import extend_field, interp_masked
+from helmdecomp.geometry import box_wall, extend_field, interp_masked
 from helmdecomp.sobolev import normal_component_field, normal_tube
 
 
@@ -334,18 +334,17 @@ class TestInterpMasked:
 def _extended(hs, v, rho):
     """The extension of extend_field on the box: v inside, the mirror values
     of theta v at the outside tube nodes, 0 elsewhere."""
-    index, values = extend_field(hs, v, rho)
+    index, values = extend_field(box_wall(hs, v.grid), v, rho)
     data = v.data * v.inside_mask
     data.reshape(v.ncomp, -1)[:, index] = values
     return BoxField(v.grid, data, v.inside_mask)
 
 
-def _theta_v(hs, v, rho):
+def _theta_v(wall, v, rho):
     """theta v on the box, theta the tube cutoff of the signed distance,
     which vanishes off the wall nodes."""
-    wall = hs.box_wall(v.grid)
     theta = np.zeros(v.grid.resolution)
-    theta.flat[wall.index] = hs.cutoff_theta(rho, wall.distance)
+    theta.flat[wall.index] = wall.hs.cutoff_theta(rho, wall.distance)
     return BoxField(v.grid, v.data * theta, v.inside_mask)
 
 
@@ -411,12 +410,13 @@ class TestExtendField:
         grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 1.1), (64, 64, 64))
         v = BoxField.sample(grid, hs, vfun, ncomp=3)
         rho = hs.rho0 / 2
-        index, values = extend_field(hs, v, rho)
+        wall = box_wall(hs, grid)
+        index, values = extend_field(wall, v, rho)
         pick = rng.choice(len(index), 100, replace=False)
         x = grid.node_points(index[pick])
         base = hs.project_to_boundary(x)
         gd = -hs.outward_normal(base)
-        ustar = interp_masked(_theta_v(hs, v, rho), 2.0 * base - x)
+        ustar = interp_masked(_theta_v(wall, v, rho), 2.0 * base - x)
         normal = np.einsum("cp,pc->p", ustar, gd)
         got = values[:, pick]
         assert np.abs(normal).max() > 0.5
@@ -448,15 +448,10 @@ WALL_BOXES = {
 }
 
 
-def _fresh(hs):
-    """A half space like hs that holds no box wall yet."""
-    return PerturbedHalfSpace(hs.boundary, rho0=hs.rho0, reach_estimate=hs.reach_estimate)
-
-
 @pytest.fixture(scope="module", params=sorted(WALL_BOXES))
 def wall_case(request, gentle_hs, bump_hs):
-    """(fresh half space, grid, signed distance at every node, node points)."""
-    hs = _fresh({"gentle": gentle_hs, "bump": bump_hs}[request.param])
+    """(half space, grid, signed distance at every node, node points)."""
+    hs = {"gentle": gentle_hs, "bump": bump_hs}[request.param]
     grid = WALL_BOXES[request.param]
     pts = grid.points().reshape(-1, 3)
     return hs, grid, hs.signed_distance(pts), pts
@@ -466,7 +461,7 @@ class TestBoxWall:
     def test_tube_is_every_node_within_rho0(self, wall_case):
         # the Lipschitz prefilter drops no node of the brute-force tube
         hs, grid, d, _ = wall_case
-        wall = hs.box_wall(grid)
+        wall = box_wall(hs, grid)
         expected = np.flatnonzero(np.abs(d) < hs.rho0)
         assert len(expected) > 0
         assert np.array_equal(wall.index, expected)
@@ -475,9 +470,8 @@ class TestBoxWall:
     def test_reaches_the_asked_width(self, wall_case, scale):
         # every node with -rho0 < d < max(width, rho0), by brute force
         hs, grid, d, pts = wall_case
-        hs = _fresh(hs)
         width = scale * hs.rho0
-        wall = hs.box_wall(grid, width)
+        wall = box_wall(hs, grid, width)
         expected = np.flatnonzero((d > -hs.rho0) & (d < max(width, hs.rho0)))
         assert np.array_equal(wall.index, expected)
         assert wall.width == max(width, hs.rho0)
@@ -486,13 +480,14 @@ class TestBoxWall:
             assert (wall.distance >= hs.rho0).any()
         # the normal part of the ledgers keeps to the rho0-tube
         v = BoxField.sample(grid, hs, lambda p: np.sin(p), ncomp=3)
-        ref = normal_component_field(v, normal_tube(_fresh(hs), grid, v.inside_mask)).data
-        got = normal_component_field(v, normal_tube(hs, grid, v.inside_mask)).data
+        ref = normal_component_field(v, normal_tube(box_wall(hs, grid), v.inside_mask)).data
+        got = normal_component_field(v, normal_tube(wall, v.inside_mask)).data
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_matches_pointwise_geometry(self, wall_case):
         hs, grid, d, pts = wall_case
-        wall = hs.box_wall(grid)
+        wall = box_wall(hs, grid)
+        assert wall.hs is hs and wall.grid == grid
         assert np.array_equal(wall.points, pts[wall.index])
         assert np.abs(wall.distance - d[wall.index]).max() <= 1e-14
         pi = hs.project_to_boundary(wall.points, check_reach=False)
@@ -502,33 +497,19 @@ class TestBoxWall:
         assert np.array_equal(wall.height, h[:, :, 0])
         assert np.array_equal(wall.depth(), grid.points()[..., 2] - h)
 
-    def test_kept_for_the_last_grid(self, gentle_hs):
-        hs = PerturbedHalfSpace(gentle_hs.boundary)
-        lo, hi = (-2.0, -2.0, -0.4), (2.0, 2.0, 3.6)
-        first = hs.box_wall(BoxGrid(lo, hi, (16, 16, 16)))
-        assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 16))) is first
-        other = hs.box_wall(BoxGrid(lo, hi, (16, 16, 32)))
-        assert other is not first and other.grid.resolution == (16, 16, 32)
-        assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 32))) is other
-        assert hs.box_wall(BoxGrid(lo, hi, (16, 16, 16))) is not first
-        # a narrower ask keeps the wall, a wider one rebuilds it
-        grid = BoxGrid(lo, hi, (16, 16, 16))
-        wide = hs.box_wall(grid, 0.6)
-        assert wide.width == 0.6 and len(wide.index) > len(first.index)
-        assert hs.box_wall(grid) is wide and hs.box_wall(grid, 0.4) is wide
-        wider = hs.box_wall(grid, 0.9)
-        assert wider is not wide and wider.width == 0.9
-
     def test_box_clear_of_the_wall(self, gentle_hs):
         # no node within rho0: an empty tube, and the readers pass v through
-        hs = PerturbedHalfSpace(gentle_hs.boundary)
+        hs = gentle_hs
         grid = BoxGrid((-1.0, -1.0, 1.0), (1.0, 1.0, 3.0), (16, 16, 16))
-        wall = hs.box_wall(grid)
+        wall = box_wall(hs, grid)
         assert wall.index.size == 0 and wall.normal.shape == (0, 3)
         v = BoxField.sample(grid, hs, lambda p: np.sin(p), ncomp=3)
-        index, values = extend_field(hs, v, hs.rho0 / 2)
+        index, values = extend_field(wall, v, hs.rho0 / 2)
         assert index.size == 0 and values.shape == (3, 0)
-        assert not normal_component_field(v, normal_tube(hs, grid, v.inside_mask)).data.any()
+        assert not normal_component_field(v, normal_tube(wall, v.inside_mask)).data.any()
+        # the cutoff still refuses a rho above rho0/2 on an empty tube
+        with pytest.raises(ValueError, match="rho0/2"):
+            extend_field(wall, v, hs.rho0)
 
     def test_normal_component_against_projection(self, wall_case):
         # grad d . v at each inside tube node, by a per-node projection
@@ -539,7 +520,8 @@ class TestBoxWall:
             return np.stack([p[..., 1] - c[1], np.sin(p[..., 0]), 1.0 + p[..., 2] ** 2], -1)
 
         v = BoxField.sample(grid, hs, vfun, ncomp=3)
-        nc = normal_component_field(v, normal_tube(hs, grid, v.inside_mask)).data[0].ravel()
+        nc = normal_component_field(v, normal_tube(box_wall(hs, grid), v.inside_mask)).data[0]
+        nc = nc.ravel()
         tube = np.flatnonzero((np.abs(d) < hs.rho0) & v.inside_mask.ravel())
         assert len(tube) > 0
         ref = np.zeros(len(pts))
@@ -551,10 +533,9 @@ class TestBoxWall:
     def test_near_split_against_pointwise(self, wall_case):
         # the near nodes of grad q2, mask nodes with d < delta, read off the wall
         hs, grid, d, pts = wall_case
-        hs = _fresh(hs)
         mask = grid.inside(hs)
         delta = 2.0 * max(grid.dx)
-        wall = hs.box_wall(grid, delta)
+        wall = box_wall(hs, grid, delta)
         sel = mask.ravel()[wall.index] & (wall.distance < delta)
         safe = ~np.isin(np.flatnonzero(mask), wall.index[sel])
         depth, closest, normal = wall.distance[sel], wall.closest[sel], wall.normal[sel]

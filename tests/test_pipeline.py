@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 from helmdecomp import BoundaryFunction, BoxField, BoxGrid, PerturbedHalfSpace, _fast, pipeline
 from helmdecomp.errors import ConfigError, NonDecayingInput
-from helmdecomp.geometry import interp_masked, take_nodes
+from helmdecomp.geometry import box_wall, extend_field, interp_masked, take_nodes
 from helmdecomp.layers import SurfaceQuadrature
 from helmdecomp.neumann import estimate_contraction
 from helmdecomp.pipeline import (DecompositionPlan, PipelineConfig, _column_lattice,
                                  _inner_slab, _residual_div, _residual_normal, _sample_grad_q2,
                                  decompose, normal_trace, read_field, resample_density, verify,
                                  volume_potential_grad, write_field)
-from helmdecomp.sobolev import BoundaryDensity, ledger_geometry, vbmol2_norm
+from helmdecomp.sobolev import BoundaryDensity, ledger_geometry, normal_tube, vbmol2_norm
 
 S2 = 0.12
 CENTER = np.array([0.0, 0.0, 1.5])
@@ -48,6 +48,11 @@ def flat_cfg():
 @pytest.fixture(scope="module")
 def grad_field(flat_hs, flat_grid):
     return BoxField.sample(flat_grid, flat_hs, grad_phi, ncomp=3)
+
+
+@pytest.fixture(scope="module")
+def flat_wall(flat_hs, flat_grid):
+    return box_wall(flat_hs, flat_grid)
 
 
 # one to three Gaussian-gradient or tangential-swirl terms: (swirl?, centre,
@@ -164,7 +169,8 @@ class TestVolumePotential:
         # on the inside nodes and 0 off them
         hs = gentle_hs if which is None else flat_hs
         v = _drawn_field(hs, terms, None if which is None else REF_GRIDS[which])
-        src, k0, k1 = pipeline._extended_source(hs, v, 0.055)
+        wall = box_wall(hs, v.grid)
+        src, k0, k1 = pipeline._extended_source(wall, v, 0.055)
         assert not src[..., :k0].any() and v.inside_mask[..., k1].any()
         assert not v.inside_mask[..., :k1].any()
         if which == 2:
@@ -172,7 +178,7 @@ class TestVolumePotential:
         ref = padded_solve_ref(src, v.grid.dx)
         got = pipeline._free_space_gradient(src.copy(), v.grid.dx, k0, k1)
         assert np.abs(got[..., k1:] - ref[..., k1:]).max() <= 1e-14 * np.abs(src).max()
-        gq1 = volume_potential_grad(hs, v, rho=0.055).data
+        gq1 = volume_potential_grad(wall, v, rho=0.055).data
         assert np.array_equal(gq1, got * v.inside_mask)
 
     def test_source_is_v_inside(self, gentle_hs, curved_case):
@@ -180,10 +186,10 @@ class TestVolumePotential:
         # only the outside tube nodes can hold; the planes below k0 hold no
         # source node
         v = curved_case[1]
-        src, k0, k1 = pipeline._extended_source(gentle_hs, v, 0.055)
+        wall = box_wall(gentle_hs, v.grid)
+        src, k0, k1 = pipeline._extended_source(wall, v, 0.055)
         mask = v.inside_mask
         assert np.array_equal(src[:, mask], v.data[:, mask])
-        wall = gentle_hs.box_wall(v.grid)
         tube = np.zeros(mask.shape, bool)
         tube.flat[wall.index[np.abs(wall.distance) < 0.055]] = True
         assert not src[:, ~mask & ~tube].any()
@@ -202,11 +208,11 @@ class TestVolumePotential:
         rho = min(0.055, hs.rho0 / 2)
         mask = grid.inside(hs)
         v = BoxField(grid, np.random.default_rng(2).standard_normal((3,) + grid.resolution), mask)
-        wall = hs.box_wall(grid)
+        wall = box_wall(hs, grid)
         part = np.zeros(v.data.shape)
         part.reshape(3, -1)[:, wall.index] = (take_nodes(v.data, wall.index)
                                               * hs.cutoff_theta(rho, wall.distance))
-        sel = wall.outside_tube(mask, rho)
+        sel = (np.abs(wall.distance) < rho) & ~mask.ravel()[wall.index]
         mirror_pts = 2.0 * wall.closest[sel] - wall.points[sel]
         ustar = interp_masked(BoxField(grid, part, mask), mirror_pts)
         gd = -wall.normal[sel]
@@ -214,14 +220,14 @@ class TestVolumePotential:
         ref.reshape(3, -1)[:, wall.index[sel]] = (
             ustar - 2.0 * np.einsum("cp,pc->p", ustar, gd)[None] * gd.T)
         np.copyto(ref, v.data, where=mask)
-        src, _, _ = pipeline._extended_source(hs, v, rho)
+        src, _, _ = pipeline._extended_source(wall, v, rho)
         assert sel.any() and (src + 0.0).tobytes() == (ref + 0.0).tobytes()
 
     def test_zero_off_the_mask(self, flat_hs, gentle_hs, grad_field, curved_case):
         # grad q1, like v0 and grad q2, is exactly 0 off the inside mask
         for hs, v in ((flat_hs, grad_field), (gentle_hs, curved_case[1]),
                       (gentle_hs, curved_case[2])):
-            gq1 = volume_potential_grad(hs, v, rho=0.055)
+            gq1 = volume_potential_grad(box_wall(hs, v.grid), v, rho=0.055)
             assert not gq1.data[:, ~v.inside_mask].any()
             assert np.abs(gq1.inside_values()).max() > 0.0
 
@@ -236,8 +242,8 @@ class TestVolumePotential:
             assert not total[:, off].any()
             assert np.abs(res.v.data - total).max() <= 1e-12 * np.abs(res.v.data).max()
 
-    def test_gradient_recovery(self, flat_hs, grad_field):
-        gq1 = volume_potential_grad(flat_hs, grad_field, rho=0.07)
+    def test_gradient_recovery(self, flat_wall, grad_field):
+        gq1 = volume_potential_grad(flat_wall, grad_field, rho=0.07)
         g = grad_field.grid
         ref = np.moveaxis(grad_phi(g.points()), -1, 0)
         inner = np.zeros(g.resolution, bool)
@@ -257,10 +263,10 @@ class TestVolumePotential:
 
         grid = BoxGrid((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (64, 64, 64))
         v = BoxField.sample(grid, flat_hs, vsol, ncomp=3)
-        gq1 = volume_potential_grad(flat_hs, v, rho=0.07)
+        gq1 = volume_potential_grad(box_wall(flat_hs, grid), v, rho=0.07)
         assert np.abs(gq1.data).max() < 1e-3 * np.abs(v.data).max()
 
-    def test_linearity(self, flat_hs, flat_grid, grad_field):
+    def test_linearity(self, flat_hs, flat_grid, flat_wall, grad_field):
         def other(p):
             ps = np.exp(-np.sum((p - [0.4, 0.0, 1.2]) ** 2, -1) / 0.1)
             return np.stack([ps, -ps, 0.5 * ps], -1)
@@ -268,14 +274,14 @@ class TestVolumePotential:
         w = BoxField.sample(flat_grid, flat_hs, other, ncomp=3)
         combo = BoxField(flat_grid, 2.0 * grad_field.data - 0.7 * w.data,
                          grad_field.inside_mask)
-        lhs = volume_potential_grad(flat_hs, combo, rho=0.07).data
-        rhs = (2.0 * volume_potential_grad(flat_hs, grad_field, rho=0.07).data
-               - 0.7 * volume_potential_grad(flat_hs, w, rho=0.07).data)
+        lhs = volume_potential_grad(flat_wall, combo, rho=0.07).data
+        rhs = (2.0 * volume_potential_grad(flat_wall, grad_field, rho=0.07).data
+               - 0.7 * volume_potential_grad(flat_wall, w, rho=0.07).data)
         assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(rhs).max()
 
-    def test_pde_residual_spectral(self, flat_hs, grad_field):
+    def test_pde_residual_spectral(self, flat_wall, grad_field):
         # Delta q1 == div vbar checked by finite differences in the interior
-        gq1 = volume_potential_grad(flat_hs, grad_field, rho=0.07)
+        gq1 = volume_potential_grad(flat_wall, grad_field, rho=0.07)
         g = grad_field.grid
         div = np.zeros(g.resolution)
         for c in range(3):
@@ -289,10 +295,10 @@ class TestVolumePotential:
         num = np.abs(div - ref)[inner].max()
         assert num < 0.05 * np.abs(ref[inner]).max()
 
-    def test_requires_decay(self, flat_hs, flat_grid):
+    def test_requires_decay(self, flat_wall, flat_grid):
         v = BoxField(flat_grid, np.ones((3,) + tuple(flat_grid.resolution)))
         with pytest.raises(NonDecayingInput):
-            volume_potential_grad(flat_hs, v, rho=0.07)
+            volume_potential_grad(flat_wall, v, rho=0.07)
 
     @pytest.mark.parametrize("curved", [False, True])
     def test_decay_gate_at_the_threshold(self, flat_hs, bump_hs, curved):
@@ -320,23 +326,24 @@ class TestVolumePotential:
     def test_peak_memory_cap(self, gentle_hs):
         # the pruned half-spectrum solve, whose input rows and inverse
         # halves share the one half-spectrum buffer, with its source:
-        # measured 1.004 to 1.006 complex arrays of the 2x grid on 1, 2, 4
-        # and 8 usable CPUs when the call builds the box wall, 0.96 when hs
-        # holds it; bound 1.1.  The z passes take one thread per 8 MB of
-        # spectrum, so one here, and their block buffers a fixed share of
-        # it, so the peak does not grow with the CPU count.  The one-off import
+        # measured 0.96 complex arrays of the 2x grid on 1, 2, 4 and 8
+        # usable CPUs, with the box wall built before the call; bound 1.1.
+        # The z passes take one thread per 8 MB of spectrum, so one here,
+        # and their block buffers a fixed share of it, so the peak does not
+        # grow with the CPU count.  The one-off import
         # of scipy.fft, about 5 such arrays, is not the solve's and is paid
         # before tracing, whichever test runs first
         import scipy.fft  # noqa: F401
 
         grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (32, 32, 32))
         v = BoxField.sample(grid, gentle_hs, grad_phi, ncomp=3)
+        wall = box_wall(gentle_hs, grid)
         one_complex = 16 * np.prod([2 * r for r in grid.resolution])
         for cpus in (1, 2, 4, 8):
             with _usable_cpus(cpus):
                 tracemalloc.start()
                 try:
-                    volume_potential_grad(gentle_hs, v, rho=0.055)
+                    volume_potential_grad(wall, v, rho=0.055)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -566,6 +573,11 @@ def _cols(q, p, shift):
     return shift + p * np.arange(q.res)
 
 
+def _q2_wall(q, grid):
+    """The box wall of q.hs on grid out to q.delta_min, as grad_q2_sites reads it."""
+    return box_wall(q.hs, grid, q.delta_min)
+
+
 def _grad_q2_case(hs, grid, extent, res):
     """(quadrature, stand-in series solution, inside mask) for _sample_grad_q2."""
     q = SurfaceQuadrature(hs, extent, res)
@@ -586,7 +598,7 @@ def _direct_grad_q2(q, sol, grid, mask):
     hs, pts = q.hs, grid.points()
     wg = q.weights * q.match(sol.density)
     c = -q.ctx.grad_const
-    gap = hs.box_wall(grid).depth()
+    gap = box_wall(hs, grid).depth()
     d = gap.copy()
     shell = mask & (gap / hs.boundary.lipschitz() < q.delta_min)
     d[shell] = hs.signed_distance(pts[shell])
@@ -636,7 +648,7 @@ class TestGradQ2Paths:
         # all-direct sum
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
+        sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, 2, -20))
         got = _sample_grad_q2(sites, sol)
         ref, _ = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -653,7 +665,7 @@ class TestGradQ2Paths:
         if signed:
             values = np.random.default_rng(3).standard_normal((res, res))
             sol = SimpleNamespace(density=BoundaryDensity(extent, values, on_graph=True))
-        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, p, shift))
+        sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, p, shift))
         assert sites.report() == {"bump_sum": "series", "series_order": 14,
                                   "series_fallback_planes": 0}
         assert sites.bump.size == 0 and sites.low.size == 0
@@ -664,7 +676,7 @@ class TestGradQ2Paths:
     def test_flat_aligned_takes_no_direct_sum(self, flat_hs):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
+        sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, 2, -20))
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
             got = _sample_grad_q2(sites, sol)
@@ -681,12 +693,12 @@ class TestGradQ2Paths:
         # spacing 1/16 under a lattice of spacing 1/8 (p = 2)
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
-        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -48))
+        sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, 2, -48))
         got = _sample_grad_q2(sites, sol)
         ref, safe = _direct_grad_q2(q, sol, grid, mask)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         near_cols = (mask & ~safe).any(axis=2)
-        first = np.argmin(np.abs(bump_hs.box_wall(grid).depth() - 1.5 * q.delta_min), axis=2)
+        first = np.argmin(np.abs(box_wall(bump_hs, grid).depth() - 1.5 * q.delta_min), axis=2)
         passed = near_cols & ~np.take_along_axis(safe, first[..., None], axis=2)[..., 0]
         assert passed.any()
 
@@ -698,7 +710,7 @@ class TestGradQ2Paths:
         grid = BoxGrid((-1.0, -1.0, -0.4), (1.0, 1.0, 1.6), (32, 32, 32))
         q, sol, mask = _grad_q2_case(bump_hs, grid, 8.0, 64)
         with mock.patch.object(pipeline, "_SERIES_COST", 0.0):
-            sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -48))
+            sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, 2, -48))
         orders = sites.series.orders
         assert sites.report() == {"bump_sum": "series", "series_order": orders.max(),
                                   "series_fallback_planes": 17}
@@ -719,7 +731,7 @@ class TestGradQ2Paths:
         hs = PerturbedHalfSpace(BoundaryFunction.gaussian_bump(-0.2, 0.3))
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, sol, mask = _grad_q2_case(hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
+        sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, 2, -20))
         pairs, planes = [], []
         with _counted_sums(pairs, planes):
             got = _sample_grad_q2(sites, sol)
@@ -735,7 +747,7 @@ class TestGradQ2Paths:
         grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 0.5), (24, 24, 24))
         q, _, mask = _grad_q2_case(flat_hs, grid, 8.0, 32)
         with pytest.raises(ConfigError, match="box column ends"):
-            pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
+            pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, 2, -20))
 
     @pytest.mark.parametrize("bump, n, quad_res, path", [
         ((0.05, 0.5), 32, 24, "direct"),
@@ -754,7 +766,7 @@ class TestGradQ2Paths:
         extent, res, p, shift = _column_lattice(grid, 8.0, quad_res)
         q = SurfaceQuadrature(hs, extent, res)
         mask = grid.inside(hs)
-        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, p, shift))
+        sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, p, shift))
         assert sites.report()["bump_sum"] == path
 
     @settings(max_examples=5, deadline=None)
@@ -762,7 +774,7 @@ class TestGradQ2Paths:
     def test_linear_in_the_density(self, gentle_hs, seed, a, b):
         grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
         q, _, mask = _grad_q2_case(gentle_hs, grid, 8.0, 32)
-        sites = pipeline.grad_q2_sites(q, grid, mask, _cols(q, 2, -20))
+        sites = pipeline.grad_q2_sites(q, _q2_wall(q, grid), mask, _cols(q, 2, -20))
         g1, g2 = np.random.default_rng(seed).standard_normal((2, q.res, q.res))
 
         def sample(values):
@@ -792,7 +804,7 @@ def residual_div_ref(v0, hs, ref):
         div[tuple(sl)] += (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * g.dx[c])
     inner = np.zeros(g.resolution, dtype=bool)
     inner[m:-m, m:-m, m:-m] = True
-    inner &= hs.box_wall(g).depth() > 3.0 * max(g.dx)
+    inner &= box_wall(hs, g).depth() > 3.0 * max(g.dx)
     if not inner.any():
         return 0.0
     dnorm = float(np.sqrt(np.mean(div[inner] ** 2)))
@@ -813,19 +825,48 @@ class TestResidualDiv:
                  (gentle_hs, curved_plan_case[2]), (gentle_hs, curved_plan_case[3])]
         for hs, res in cases:
             want = residual_div_ref(res.v0, hs, res.v)
-            got = _residual_div(res.v0, res.v, _inner_slab(hs, res.v.grid))
+            got = _residual_div(res.v0, res.v, _inner_slab(box_wall(hs, res.v.grid)))
             assert res.residual_div == got == want > 0.0
         noise = np.random.default_rng(3).standard_normal((2, 3) + tuple(grid.resolution))
         a, b = (BoxField(grid, x, v1.inside_mask) for x in noise)
-        got = _residual_div(a, b, _inner_slab(gentle_hs, grid))
+        got = _residual_div(a, b, _inner_slab(box_wall(gentle_hs, grid)))
         assert got == residual_div_ref(a, gentle_hs, b) > 0.0
 
     def test_no_inner_node(self, flat_hs):
         # 2 cells in from the faces, every node is within 3 spacings of the wall
         grid = BoxGrid((-1.0, -1.0, -0.1), (1.0, 1.0, 0.5), (12, 12, 12))
         v = BoxField(grid, np.ones((3, 12, 12, 12)), grid.inside(flat_hs))
-        got = _residual_div(v, v, _inner_slab(flat_hs, grid))
+        got = _residual_div(v, v, _inner_slab(box_wall(flat_hs, grid)))
         assert got == residual_div_ref(v, flat_hs, v) == 0.0
+
+
+class TestWallFit:
+    def test_readers_refuse_a_wall_that_does_not_fit(self, gentle_hs, curved_case):
+        # a field off the wall's grid (another resolution, or the same one
+        # over another box), a mask of another shape, and for grad q2 a
+        # wall narrower than delta_min or of another half space
+        grid, v1, _ = curved_case
+        wall = box_wall(gentle_hs, grid)
+        for other in (BoxGrid(CURVED_BOX[0], CURVED_BOX[1], (16, 16, 16)),
+                      BoxGrid((-2.5, -2.5, -0.4), (2.5, 2.5, 3.6), (32, 32, 32))):
+            v = BoxField(other, np.zeros((3,) + other.resolution), other.inside(gentle_hs))
+            with pytest.raises(ValueError, match="wall's grid"):
+                extend_field(wall, v, 0.055)
+            with pytest.raises(ValueError, match="wall's grid"):
+                volume_potential_grad(wall, v, rho=0.055)
+        mask = np.ones((16, 16, 16), dtype=bool)
+        with pytest.raises(ValueError, match="wall's grid"):
+            ledger_geometry(wall, mask, 0.3, 0.6, 100, 5)
+        with pytest.raises(ValueError, match="wall's grid"):
+            normal_tube(wall, mask)
+        q2_grid = BoxGrid(Q2_LOWER, Q2_UPPER, (24, 24, 24))
+        q, _, q2_mask = _grad_q2_case(gentle_hs, q2_grid, 8.0, 32)
+        narrow = box_wall(gentle_hs, q2_grid)
+        twin = PerturbedHalfSpace(gentle_hs.boundary)
+        assert narrow.width < q.delta_min
+        for bad in (narrow, box_wall(twin, q2_grid, q.delta_min)):
+            with pytest.raises(ValueError, match="delta_min"):
+                pipeline.grad_q2_sites(q, bad, q2_mask, _cols(q, 2, -20))
 
 
 class TestDecompose:
@@ -953,7 +994,7 @@ class TestDecompose:
         # verify gates the residuals decompose took, which a fresh
         # computation on the same arrays reproduces
         v_scale = float(np.abs(grad_field.data[:, grad_field.inside_mask]).max())
-        slab = _inner_slab(flat_hs, grad_field.grid)
+        slab = _inner_slab(box_wall(flat_hs, grad_field.grid))
         assert vals["residual_div"] == _residual_div(res.v0, grad_field, slab)
         assert vals["residual_normal"] == _residual_normal(res.v0, flat_hs, v_scale)
 
@@ -1074,13 +1115,42 @@ class TestPlan:
         calls = []
         with _counting(calls):
             decompose(hs, v1, cfg)
-        wall = hs.box_wall(grid)
+        wall = cfg._plan.wall
         assert wall.width == cfg._plan.q.delta_min > hs.rho0
         sized = [c for c in calls if isinstance(c, tuple)]
         assert sized[0][0] == "projection"
         assert len(wall.index) <= sized[0][1] < grid.points().size // 3
         assert sized[1:] == [("distance", sized[1][1])]
         assert sized[1][1] <= cfg.samples // 10
+
+    def test_alternating_plans_build_one_wall_each(self, gentle_hs):
+        # two plans on one half space, on the curved box and its 64^3
+        # refinement, applied A, B, A, B: each plan builds its own wall
+        # once, so one closest-point pass per plan
+        lower, upper, _ = CURVED_BOX
+        grids = [BoxGrid(*CURVED_BOX), BoxGrid(lower, upper, (64, 64, 64))]
+        fields = [BoxField.sample(g, gentle_hs, grad_phi, ncomp=3) for g in grids]
+        calls = []
+        with _counting(calls):
+            plans = [DecompositionPlan(gentle_hs, v.grid, v.inside_mask, _curved_cfg())
+                     for v in fields]
+            for _ in range(2):
+                for plan, v in zip(plans, fields):
+                    plan.apply(v)
+        assert [c[0] for c in calls if isinstance(c, tuple)].count("projection") == 2
+        assert [plan.wall.grid for plan in plans] == grids
+
+    def test_half_space_keeps_no_state(self, gentle_hs, curved_case):
+        # decompose, the wall builder and the ledger geometry leave the
+        # half space's attributes as they were: no wall is kept on it
+        grid, v1, _ = curved_case
+        before = dict(vars(gentle_hs))
+        decompose(gentle_hs, v1, _curved_cfg())
+        assert vars(gentle_hs) == before
+        wall = box_wall(gentle_hs, grid, 0.5)
+        assert vars(gentle_hs) == before
+        geometry = ledger_geometry(wall, v1.inside_mask, 0.6, 0.6, 100, 5)
+        assert geometry.tube is not None and vars(gentle_hs) == before
 
     def test_second_decompose_reuses_the_plan(self, gentle_hs, curved_case):
         _, v1, v2 = curved_case
@@ -1160,7 +1230,7 @@ class TestPlan:
     def test_ledgers_equal_standalone(self, flat_hs, gentle_hs, grad_field, flat_cfg,
                                       curved_case, curved_plan_case):
         # the plan's ledger geometry gives the three ledgers of vbmol2_norm
-        # on a geometry built afresh, slot by slot; nu above 4 max(dx)
+        # on a geometry built afresh from a wall out to rho0, slot by slot; nu above 4 max(dx)
         # admits bnu balls, so the normal part is formed there: nu = 0.4 on
         # the flat box, and nu = 0.6 on the curved one, whose wall normals
         # vary.  mu above 2.5 max(dx) admits BMO balls: mu = 0.6 on the
@@ -1174,7 +1244,8 @@ class TestPlan:
                  (gentle_hs, bump, decompose(gentle_hs, curved_case[1], bump))]
         for hs, cfg, res in cases:
             grid, mask = res.v.grid, res.v.inside_mask
-            geometry = ledger_geometry(hs, grid, mask, cfg.mu, cfg.nu, cfg.samples, cfg.seed)
+            geometry = ledger_geometry(box_wall(hs, grid), mask, cfg.mu, cfg.nu, cfg.samples,
+                                       cfg.seed)
             gradq = BoxField(grid, res.grad_q1.data + res.grad_q2.data, mask)
             want = [vbmol2_norm(f, geometry) for f in (res.v, res.v0, gradq)]
             # decompose adds the trace's norms to the ledger of v

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from helmdecomp import BoxField, BoxGrid
+from helmdecomp.geometry import box_wall
 from helmdecomp.layers import SurfaceQuadrature
 from helmdecomp.pipeline import _sample_grad_q2, grad_q2_sites, volume_potential_grad
 from helmdecomp.sobolev import BoundaryDensity
@@ -43,7 +44,7 @@ def _field(p):
 def _volume_potential_grad(hs):
     grid = BoxGrid((-1.5, -1.5, -0.4), (1.5, 1.5, 2.6), (24, 24, 24))
     v = BoxField.sample(grid, hs, _field, ncomp=3)
-    out = volume_potential_grad(hs, v, rho=0.055).data
+    out = volume_potential_grad(box_wall(hs, grid), v, rho=0.055).data
     inside = np.broadcast_to(v.inside_mask, out.shape)
     return out[:, ::3, ::3, ::3].ravel(), inside[:, ::3, ::3, ::3].ravel()
 
@@ -54,7 +55,7 @@ def _sample_grad_q2_values(hs):
     q = SurfaceQuadrature(hs, 8.0, 32)
     dens = BoundaryDensity.sample(
         8.0, 32, lambda p: np.exp(-np.sum((p - [0.2, 0.1]) ** 2, -1) / 0.5), on_graph=True)
-    sites = grad_q2_sites(q, grid, mask, -20 + 2 * np.arange(q.res))
+    sites = grad_q2_sites(q, box_wall(hs, grid, q.delta_min), mask, -20 + 2 * np.arange(q.res))
     out = _sample_grad_q2(sites, SimpleNamespace(density=dens))
     vals = out[:, mask][:, ::13].ravel()
     return vals, np.ones(vals.shape, bool)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from helmdecomp import BoxField, BoxGrid, _fast, sobolev
 from helmdecomp.errors import NoAdmissibleBall, NonDecayingInput, ZeroFrequencyIll
-from helmdecomp.geometry import plateau, take_nodes
+from helmdecomp.geometry import box_wall, plateau, take_nodes
 from helmdecomp.sobolev import (BoundaryDensity, bmo_seminorm, bnu_seminorm,
                                 gagliardo_half, hs_norm_fourier, ledger_geometry,
                                 lift_harmonic, lp_norm, pairing, th_pull, th_push,
@@ -15,7 +15,7 @@ from helmdecomp.sobolev import (BoundaryDensity, bmo_seminorm, bnu_seminorm,
 
 def ledger(v, hs, mu, nu, samples):
     """vbmol2_norm of v on the ledger geometry of its grid and mask."""
-    return vbmol2_norm(v, ledger_geometry(hs, v.grid, v.inside_mask, mu, nu, samples))
+    return vbmol2_norm(v, ledger_geometry(box_wall(hs, v.grid), v.inside_mask, mu, nu, samples))
 
 
 def gaussian_density(extent=16.0, res=128):
