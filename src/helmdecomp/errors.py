@@ -13,10 +13,6 @@ class NoUniqueProjection(HelmdecompError):
     """Closest-point projection failed or the point lies beyond the reach."""
 
 
-class OutOfChart(HelmdecompError):
-    """Normal-coordinate argument outside the chart box."""
-
-
 class NonDecayingInput(HelmdecompError):
     """Input does not decay at the grid boundary; spectral/quadrature output untrusted."""
 

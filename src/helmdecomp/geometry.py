@@ -1,12 +1,12 @@
 """Geometry of a graph-perturbed half space.
 
 The domain is Omega = { (x', x_n) : x_n > h(x') } for a compactly supported
-C^2 bump h on R^{n-1}.  This module provides the boundary description, the
-signed distance d (positive inside Omega), closest-point projection, outward
-normals n = (grad' h, -1)/omega with omega = sqrt(1 + |grad' h|^2), the
-normal coordinate chart, a C^2 cutoff of the distance, and the mirror
-extension of vector fields across the boundary (normal component odd,
-tangential component even).
+C^2 bump h on R^{n-1}.  This module provides the boundary description (a
+radial profile and its presets), the signed distance d (positive inside
+Omega), closest-point projection, outward normals n = (grad' h, -1)/omega
+with omega = sqrt(1 + |grad' h|^2), a C^2 cutoff of the distance, and the
+mirror extension of vector fields across the boundary (normal component
+odd, tangential component even).
 
 Box grids and sampled fields used throughout the pipeline live here as well,
 with the wall geometry of a box (``box_wall``, a ``BoxWall`` its caller
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoUniqueProjection, OutOfChart
+from .errors import NoUniqueProjection
 
 # boundary presets: name -> the parameters of its constructor, in order; the
 # bumps also take an optional curvature_bound
@@ -87,74 +87,43 @@ class _WindowedGaussian:
 
 
 class BoundaryFunction:
-    """Bump h : R^{n-1} -> R with analytic gradient and Hessian.
+    """Radial bump h(x') = p(|x'|) on R^{n-1} with analytic gradient and Hessian.
 
     Attributes
     ----------
+    profile : the radial profile p; profile.jet(r) gives (p, p', p'') at r
     n : ambient dimension (boundary lives in R^{n-1}); n >= 3
     support_radius : radius R_h with h == 0 outside the closed ball of
         that radius (0.0 for the identically-zero boundary)
-    curvature_bound : K with sup |hess h|_inf < K (type-(K) condition)
+    curvature_bound : K with sup |hess h|_inf < K (type-(K) condition);
+        when not given, the measured sup plus 25% headroom (1e-6 when flat)
     """
 
-    def __init__(self, n, height, gradient, hessian, support_radius, curvature_bound):
+    def __init__(self, profile, support_radius, n=3, curvature_bound=None):
         if n < 3:
             raise ValueError("ambient dimension must be >= 3")
+        self.profile = profile
         self.n = int(n)
-        self._height = height
-        self._gradient = gradient
-        self._hessian = hessian
         self.support_radius = float(support_radius)
-        self.curvature_bound = float(curvature_bound)
         self._sup_cache = None
+        if curvature_bound is None:
+            sup_h2 = self.sup_norms()[2]
+            curvature_bound = 1.25 * sup_h2 if sup_h2 > 0 else 1e-6
+        self.curvature_bound = float(curvature_bound)
 
     # -- presets ----------------------------------------------------------
     @classmethod
-    def _from_profile(cls, profile, support_radius, n=3, curvature_bound=None):
-        """h(x') = p(|x'|) for a radial profile whose jet(r) gives (p, p', p'')."""
-        eye = np.eye(n - 1)
-
-        def height(xp):
-            return profile.jet(np.linalg.norm(xp, axis=-1))[0]
-
-        def radial(xp):
-            """|x'| clamped off 0, p'' and p'/|x'|, whose limit at 0 is p''."""
-            r = np.linalg.norm(xp, axis=-1)
-            small = r < 1e-12
-            rs = np.where(small, 1.0, r)
-            _, p1, p2 = profile.jet(r)
-            return rs, p2, np.where(small, p2, p1 / rs)
-
-        def gradient(xp):
-            return radial(xp)[2][..., None] * xp
-
-        def hessian(xp):
-            rs, p2, ratio = radial(xp)
-            xhat = xp / rs[..., None]
-            outer = xhat[..., :, None] * xhat[..., None, :]
-            return (p2 - ratio)[..., None, None] * outer + ratio[..., None, None] * eye
-
-        obj = cls(n, height, gradient, hessian, support_radius,
-                  curvature_bound if curvature_bound is not None else 1.0)
-        if curvature_bound is None:
-            # auto bound: measured sup plus 25% headroom (or 1e-6 when flat)
-            sup_h2 = obj.sup_norms()[2]
-            obj.curvature_bound = 1.25 * sup_h2 if sup_h2 > 0 else 1e-6
-        return obj
-
-    @classmethod
     def zero(cls, n=3):
-        return cls._from_profile(_ZeroProfile(), support_radius=0.0, n=n, curvature_bound=1e-6)
+        return cls(_ZeroProfile(), support_radius=0.0, n=n, curvature_bound=1e-6)
 
     @classmethod
     def smooth_bump(cls, a, R, n=3, curvature_bound=None):
-        return cls._from_profile(_CompactBump(a, R), support_radius=R, n=n,
-                                 curvature_bound=curvature_bound)
+        return cls(_CompactBump(a, R), support_radius=R, n=n, curvature_bound=curvature_bound)
 
     @classmethod
     def gaussian_bump(cls, a, s, n=3, curvature_bound=None):
-        return cls._from_profile(_WindowedGaussian(a, s), support_radius=4.0 * s, n=n,
-                                 curvature_bound=curvature_bound)
+        return cls(_WindowedGaussian(a, s), support_radius=4.0 * s, n=n,
+                   curvature_bound=curvature_bound)
 
     @classmethod
     def from_preset(cls, name, n=3, **params):
@@ -168,13 +137,27 @@ class BoundaryFunction:
 
     # -- evaluation --------------------------------------------------------
     def height(self, xp):
-        return self._height(np.asarray(xp, dtype=float))
+        return self.profile.jet(np.linalg.norm(np.asarray(xp, dtype=float), axis=-1))[0]
+
+    def _radial(self, xp):
+        """|x'| clamped off 0, p'' and p'/|x'|, whose limit at 0 is p''."""
+        r = np.linalg.norm(xp, axis=-1)
+        small = r < 1e-12
+        rs = np.where(small, 1.0, r)
+        _, p1, p2 = self.profile.jet(r)
+        return rs, p2, np.where(small, p2, p1 / rs)
 
     def gradient(self, xp):
-        return self._gradient(np.asarray(xp, dtype=float))
+        xp = np.asarray(xp, dtype=float)
+        return self._radial(xp)[2][..., None] * xp
 
     def hessian(self, xp):
-        return self._hessian(np.asarray(xp, dtype=float))
+        xp = np.asarray(xp, dtype=float)
+        rs, p2, ratio = self._radial(xp)
+        xhat = xp / rs[..., None]
+        outer = xhat[..., :, None] * xhat[..., None, :]
+        eye = np.eye(self.n - 1)
+        return (p2 - ratio)[..., None, None] * outer + ratio[..., None, None] * eye
 
     def omega(self, xp):
         g = self.gradient(xp)
@@ -376,30 +359,6 @@ class PerturbedHalfSpace:
         pi = self.project_to_boundary(x, check_reach=False)
         return -self.outward_normal(pi)
 
-    # -- normal coordinates --------------------------------------------------
-    def normal_coords_forward(self, z0, eta):
-        """Chart (eta', eta_n) |-> (z0' + eta', h) + eta_n grad d at that base point."""
-        eta = np.asarray(eta, dtype=float)
-        z0 = np.asarray(z0, dtype=float)
-        if np.max(np.abs(eta[..., :2])) >= self.rho0 or np.max(np.abs(eta[..., 2])) >= self.rho0:
-            raise OutOfChart("eta outside the chart box")
-        yp = z0[:2] + eta[..., :2]
-        base = self.boundary.surface_point(yp)
-        gd = -self.outward_normal(base)
-        return base + eta[..., 2:3] * gd
-
-    def normal_coords_inverse(self, z0, x):
-        x = np.asarray(x, dtype=float)
-        z0 = np.asarray(z0, dtype=float)
-        d = self.signed_distance(x)
-        if np.max(np.abs(d)) >= self.rho0:
-            raise OutOfChart("point outside the chart tube")
-        pi = self.project_to_boundary(x, check_reach=False)
-        etap = pi[..., :2] - z0[:2]
-        if np.max(np.abs(etap)) >= self.rho0:
-            raise OutOfChart("projection outside the chart box")
-        return np.concatenate([etap, np.asarray(d)[..., None]], axis=-1)
-
     # -- cutoff ----------------------------------------------------------------
     def cutoff_theta(self, rho, d):
         """theta(d/rho): 1 on |d|<rho/2, 0 on |d|>3 rho/4, C^2 ramp between."""
@@ -493,10 +452,6 @@ class BoxField:
     @property
     def ncomp(self):
         return self.data.shape[0]
-
-    def inside_values(self):
-        """data[:, inside_mask], shape (ncomp, k), taken by flat index."""
-        return take_nodes(self.data, np.flatnonzero(self.inside_mask))
 
     @classmethod
     def sample(cls, grid, hs, fn, ncomp=1):

@@ -1,5 +1,10 @@
 """Surface quadrature for layer potentials on the boundary graph.
 
+The decomposition runs the lattice trace operator apply_S alone; the
+pointwise operators (grad of the single layer, the normal-derivative
+potential Q and its trace limit, the Gauss flux, trace_S) serve the CLI's
+verify-identities.
+
 All operators share one scheme: a tensor-product midpoint rule on a uniform
 y'-lattice carrying the surface measure omega(y') dy', a local subcell
 refinement near the target, and an exact flat-tail closure.  The kernel
@@ -37,9 +42,9 @@ also takes hs, which must be q.hs: perfbench/tracer.py sizes S from it.
 
 import numpy as np
 
-from .errors import NonDecayingInput, TooCloseToSurface
-from .kernels import E_eval, KernelContext, grad_E, poisson_kernel
-from .sobolev import BoundaryDensity, hs_norm_fourier, lattice_points, lp_norm, th_pull
+from .errors import TooCloseToSurface
+from .kernels import KernelContext, grad_E, poisson_kernel
+from .sobolev import BoundaryDensity, lattice_points
 
 # lattice S matrix: cells within _REFINE_CELLS spacings, _REFINE_SUB^2 subcells
 _REFINE_CELLS = 3
@@ -93,20 +98,6 @@ class SurfaceQuadrature:
         return BoundaryDensity(self.extent, np.asarray(values, float).reshape(self.res, self.res),
                                on_graph=True)
 
-    def surface_area(self, delta):
-        """Sum of weights over |y'| < delta, splitting straddling cells 8x8."""
-        r = np.linalg.norm(self.yp, axis=-1)
-        margin = self.dx * np.sqrt(0.5)
-        inside = r < delta - margin
-        total = float(self.weights[inside].sum())
-        edge = (~inside) & (r < delta + margin)
-        if np.any(edge):
-            pts = self.subcell_points(self.yp[edge], 8)
-            om = self._surface(pts)[1]
-            om *= np.linalg.norm(pts, axis=-1) < delta
-            total += float(om.reshape(edge.sum(), -1).mean(axis=1).sum()) * self.dx**2
-        return total
-
     def subcell_points(self, yp, sub):
         """Centres of the sub x sub subcells of the cells at yp, grouped by cell."""
         off = ((np.arange(sub) + 0.5) / sub - 0.5) * self.dx
@@ -126,9 +117,6 @@ class SurfaceQuadrature:
 
     # each kernel takes the target x and the samples (y, omega, grad h) of
     # _surface, and returns its values times the measure factor omega
-    def _kern_E(self, x, y, om, gh):
-        return E_eval(self.ctx, x - y) * om
-
     def _kern_gradE(self, x, y, om, gh):
         return grad_E(self.ctx, x - y) * om[:, None]
 
@@ -218,23 +206,6 @@ class SurfaceQuadrature:
         return total
 
 
-def single_layer(q, g, x):
-    """Single layer potential int_Gamma E(x - y) g(y) dH(y).
-
-    g must decay on the lattice (the kernel itself has no integrable
-    constant closure); within a quarter spacing of the boundary the
-    corrected quadrature is no longer trusted.
-    """
-    x = np.asarray(x, dtype=float)
-    gvals = q.match(g)
-    vmax = np.abs(gvals).max()
-    if vmax > 0 and abs(q.ring_mean(g)) > 1e-4 * vmax:
-        raise NonDecayingInput("single_layer requires a decaying density")
-    if abs(q.hs.signed_distance(x)) < 0.25 * q.dx:
-        raise TooCloseToSurface("target below the corrected-quadrature range")
-    return q._refined_sum(q._kern_E, x, gvals)
-
-
 def grad_single_layer(q, g, x):
     """Gradient of the single layer potential at x with d(x) > 1.5 spacings.
 
@@ -277,14 +248,6 @@ def gauss_flux(q, x):
     if d < q.delta_min:
         raise TooCloseToSurface("target below delta_min")
     return -0.5 + q._bump_correction(q._kern_dEdny, x)
-
-
-def abs_flux(q, x):
-    """Absolute-kernel flux int |dE/dn_y (x-y)| dH(y) for x in the tube."""
-    x = np.asarray(x, dtype=float)
-    if not (0.0 < q.hs.signed_distance(x)):
-        raise TooCloseToSurface("absolute flux evaluated at interior points")
-    return 0.5 + q._bump_correction(lambda *sample: np.abs(q._kern_dEdny(*sample)), x)
 
 
 def poisson_smoothing_deficit(q, g, x0p, t):
@@ -439,14 +402,3 @@ def apply_S(q, hs, gvalues):
     out[B] = rows @ gvec
     out[F] = cols @ gvec[B]
     return out
-
-
-def trace_S_norms(q, g):
-    """(sup, L^{(2n-2)/n}(Gamma), pullback Hdot^{-1/2}) of S g on the lattice."""
-    vals = apply_S(q, q.hs, q.match(g))
-    dens = q.density(vals)
-    linf = float(np.abs(vals).max())
-    p = (2.0 * q.ctx.n - 2.0) / q.ctx.n
-    lp = lp_norm(dens, p, weight=q.omega.reshape(q.res, q.res))
-    hminus = hs_norm_fourier(th_pull(dens), -0.5, check_decay=False)
-    return linf, lp, hminus

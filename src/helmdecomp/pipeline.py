@@ -41,8 +41,8 @@ from .neumann import estimate_contraction, smallness_constants, solve_density
 from .sobolev import (_RING_TOL, BoundaryDensity, NormLedger, hs_norm_fourier, ledger_geometry,
                       th_pull, vbmol2_norm)
 
-# relative tolerance of the two-shell trace extrapolation in normal_trace
-_TRACE_RTOL = 0.05
+# normal_trace's gate: its two shells may differ by this times sup |w| inside
+_TRACE_GAP = 0.5
 # wall probes of _residual_normal: count and the seed of their positions
 _NORMAL_PROBES = 100
 _NORMAL_SEED = 0
@@ -369,14 +369,14 @@ def normal_trace(hs, w):
 
     Returns (g on the box x'-lattice flagged on-graph, sup |g|, pullback
     Hdot^{-1/2} of g).  Raises ExtrapolationUnstable when the shells
-    disagree by more than 10x _TRACE_RTOL relative to sup |w|.
+    disagree by more than _TRACE_GAP = 0.5 times sup |w|.
     """
     grid = w.grid
     extent = square_section_width(grid)
     vals, diff = _shell_normals(hs, w, grid.columns().reshape(-1, 2))
     scale = _sup(w.data, w.inside_mask)
     gap = float(np.abs(diff).max())
-    if scale > 0 and gap > 10.0 * _TRACE_RTOL * scale:
+    if scale > 0 and gap > _TRACE_GAP * scale:
         raise ExtrapolationUnstable(f"trace shells disagree by {gap:.3e}")
     g = BoundaryDensity(extent, vals.reshape(grid.resolution[:2]), on_graph=True)
     linf = float(np.abs(vals).max())

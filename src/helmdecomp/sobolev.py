@@ -1,4 +1,7 @@
-"""Fractional Sobolev, BMO and related norm machinery.
+"""Fractional Sobolev, BMO and related norm machinery: the Hdot^{+-1/2}
+norms of boundary densities, the Gagliardo pair sum, the harmonic lifting,
+and the ledger of a box field (vbmol2_norm), whose BMO and b^nu estimates
+run on the balls that ledger_geometry draws once per grid and mask.
 
 Fourier convention used everywhere in this package:
 
@@ -250,11 +253,6 @@ def hs_norm_fourier(f, s, check_decay=True, origin_rings=8, sub=4):
     return np.sqrt(total)
 
 
-def lp_norm(f, p, weight=None):
-    w = 1.0 if weight is None else weight
-    return float((np.sum(w * np.abs(f.values) ** p) * f.dx**2) ** (1.0 / p))
-
-
 def pairing(f, g):
     """Plane duality pairing int f g dx' on a shared lattice."""
     if not f.same_grid(g):
@@ -425,7 +423,10 @@ def _largest_over_balls(data, balls, stat):
 
 
 def _bmo_balls(hs, g, mask, mu, samples, seed):
-    """The balls of bmo_seminorm, which depend on the grid and mask alone."""
+    """The balls of the BMO estimate, which depend on the grid and mask
+    alone: centers drawn from the inside nodes, radii from (0, mu) with
+    B_r(x) within Omega and the box.  The stream depends on seed alone, so
+    the estimate is nondecreasing in samples."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     inside = np.flatnonzero(mask)
@@ -450,19 +451,9 @@ def _oscillation(vals, r):
     return np.linalg.norm(vals - vals.mean(axis=1, keepdims=True), axis=0).mean()
 
 
-def bmo_seminorm(v, hs, mu, samples=200, seed=0):
-    """Monte-Carlo lower bound for the mean-oscillation sup over interior balls.
-
-    Ball centers are drawn from inside nodes and radii from (0, mu) subject
-    to B_r(x) within Omega and the grid box.  The sample stream depends only
-    on ``seed``, so the estimate is nondecreasing in ``samples``.
-    """
-    return _largest_over_balls(v.data, _bmo_balls(hs, v.grid, v.inside_mask, mu, samples, seed),
-                               _oscillation)
-
-
 def _bnu_balls(hs, g, mask, nu, samples, seed):
-    """The balls of bnu_seminorm, which depend on the grid and mask alone."""
+    """The balls of the b^nu estimate, sup r^{-n} int_{Omega cap B_r(x)} |f|
+    over x on the boundary and r in (0, nu), on the grid and mask alone."""
     if nu <= 0:
         raise ValueError("nu must be positive")
     rng = np.random.default_rng(seed)
@@ -484,12 +475,6 @@ def _boundary_mass(dV):
     return mass
 
 
-def bnu_seminorm(f, hs, nu, samples=200, seed=0):
-    """Monte-Carlo lower bound for sup r^{-n} int_{Omega cap B_r(x)} |f|, x on the boundary."""
-    balls = _bnu_balls(hs, f.grid, f.inside_mask, nu, samples, seed)
-    return _largest_over_balls(f.data, balls, _boundary_mass(float(np.prod(f.grid.dx))))
-
-
 @dataclass
 class NormLedger:
     """Norm bookkeeping for a field or boundary density; unused slots are 0."""
@@ -508,7 +493,7 @@ class NormLedger:
 @dataclass(frozen=True, eq=False)
 class LedgerGeometry:
     """What vbmol2_norm reads of the grid and inside mask alone: the flat
-    indices of the inside nodes, the bmo_seminorm and bnu_seminorm balls
+    indices of the inside nodes, the balls of the BMO and b^nu estimates
     (empty where the seminorm finds none), and, only when there is a bnu
     ball, the inside tube nodes (d < rho0) with the inward normal
     grad d = -n at each, on which the normal part lives."""
@@ -521,8 +506,8 @@ class LedgerGeometry:
 
 def ledger_geometry(wall, mask, mu, nu, samples=200, seed=0):
     """The LedgerGeometry of the fields on the grid of the BoxWall wall with
-    inside mask mask (ValueError off that grid): the balls of bmo_seminorm
-    at (mu, samples, seed) and of bnu_seminorm at (nu, samples, seed + 1)."""
+    inside mask mask (ValueError off that grid): the balls of _bmo_balls
+    at (mu, samples, seed) and of _bnu_balls at (nu, samples, seed + 1)."""
     if mask.shape != tuple(wall.grid.resolution):
         raise ValueError("the inside mask is not on the wall's grid")
     try:

@@ -2,15 +2,29 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helmdecomp import KernelContext
+from helmdecomp import BoundaryFunction, KernelContext, PerturbedHalfSpace
 from helmdecomp.errors import SingularPoint
-from helmdecomp.kernels import (E_eval, dE_dny, grad_E, kernel_K0_and_R,
-                                neumann_green, poisson_kernel, unit_ball_volume)
+from helmdecomp.kernels import grad_E, poisson_kernel, unit_ball_volume
+from helmdecomp.layers import SurfaceQuadrature
+
+from reference import E_eval, kernel_K0_and_R, neumann_green
 
 
 @pytest.fixture(scope="module")
 def ctx():
     return KernelContext(3)
+
+
+@pytest.fixture(scope="module")
+def bump_quad(bump_hs):
+    return SurfaceQuadrature(bump_hs, 2.0, 16)
+
+
+def dE_dny(q, x, yp):
+    """dE/dn_y(x - y) at the graph points y over yp, as the quadrature sums it:
+    SurfaceQuadrature._kern_dEdny on its _surface samples, over omega."""
+    y, om, gh = q._surface(np.atleast_2d(np.asarray(yp, dtype=float)))
+    return q._kern_dEdny(np.asarray(x, dtype=float), y, om, gh) / om
 
 
 class TestFundamentalSolution:
@@ -77,32 +91,31 @@ class TestGradE:
 
 
 class TestNormalDerivative:
-    def test_flat_reduces_to_half_poisson(self, ctx, flat_hs, rng):
+    def test_flat_reduces_to_half_poisson(self, ctx, flat_quad, rng):
         for _ in range(20):
             xp = rng.uniform(-1, 1, 2)
             yp = rng.uniform(-1, 1, 2)
             t = rng.uniform(0.1, 2.0)
             x = np.array([*xp, t])
-            y = np.array([*yp, 0.0])
-            val = dE_dny(ctx, flat_hs, x, y)
+            val = dE_dny(flat_quad, x, yp)
             assert np.isclose(val, -0.5 * poisson_kernel(ctx, t, xp - yp))
 
-    def test_directly_below(self, ctx, flat_hs):
-        val = dE_dny(ctx, flat_hs, np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    def test_directly_below(self, flat_quad):
+        val = dE_dny(flat_quad, np.array([0.0, 0.0, 1.0]), np.zeros(2))
         assert abs(val + 1.0 / (4 * np.pi)) < 1e-14
 
-    def test_both_on_flat_boundary(self, ctx, flat_hs):
-        val = dE_dny(ctx, flat_hs, np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.1, 0.0]))
+    def test_both_on_flat_boundary(self, flat_quad):
+        val = dE_dny(flat_quad, np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.1]))
         assert val == 0.0
 
-    def test_consistency_with_grad(self, ctx, bump_hs, rng):
+    def test_consistency_with_grad(self, ctx, bump_hs, bump_quad, rng):
         # dE/dn_y(x-y) == -n(y) . grad_E(x-y); fixed sign convention
         for _ in range(1000 // 50):
             yp = rng.uniform(-0.5, 0.5, (50, 2))
             y = bump_hs.boundary.surface_point(yp)
             x = y + rng.uniform(0.1, 1.0, (50, 1)) * np.array([0.1, -0.2, 1.0])
             n = bump_hs.outward_normal(y)
-            lhs = dE_dny(ctx, bump_hs, x, y)
+            lhs = dE_dny(bump_quad, x, yp)
             rhs = -np.einsum("pc,pc->p", n, grad_E(ctx, x - y))
             assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -113,37 +126,28 @@ class TestKernelSplit:
                                   np.array([0.3, 0.2, 0.0]))
         assert rem == 0.0
 
-    def test_reconstructs_normal_kernel(self, ctx, bump_hs):
+    def test_reconstructs_normal_kernel(self, ctx, bump_hs, bump_quad):
         x0 = bump_hs.boundary.surface_point(np.array([0.1, 0.05]))
         x = x0 - 0.3 * bump_hs.outward_normal(x0)
         y = bump_hs.project_to_boundary(x0 + np.array([0.1, 0.0, 0.0]),
                                         check_reach=False)
         k0, rem = kernel_K0_and_R(ctx, bump_hs, x, y)
         om = np.sqrt(1 + np.sum(bump_hs.boundary.gradient(y[:2]) ** 2))
-        recon = -dE_dny(ctx, bump_hs, x, y) * om / ctx.grad_const
+        recon = -dE_dny(bump_quad, x, y[:2])[0] * om / ctx.grad_const
         assert abs((k0 + rem) - recon) < 1e-10 * max(1.0, abs(recon))
 
     def test_quadratic_remainder_exact(self, ctx):
         # locally quadratic h: Taylor remainder is c |x'-y'|^2 exactly
-        from helmdecomp import BoundaryFunction, PerturbedHalfSpace
-
         c = 0.3
 
-        def height(xp):
-            return c * np.sum(xp * xp, axis=-1)
+        class Quadratic:
+            def jet(self, r):
+                return c * r * r, 2.0 * c * r, np.full_like(r, 2.0 * c)
 
-        def gradient(xp):
-            return 2.0 * c * xp
-
-        def hessian(xp):
-            base = np.broadcast_to(2.0 * c * np.eye(2), xp.shape[:-1] + (2, 2))
-            return base.copy()
-
-        b = BoundaryFunction(3, height, gradient, hessian,
-                             support_radius=10.0, curvature_bound=1.0)
+        b = BoundaryFunction(Quadratic(), support_radius=10.0, curvature_bound=1.0)
         hs = PerturbedHalfSpace(b, rho0=0.05, reach_estimate=1.0)
         x = np.array([0.1, 0.05, 0.5])
-        y = np.array([0.3, -0.2, float(height(np.array([0.3, -0.2])))])
+        y = b.surface_point(np.array([0.3, -0.2]))
         _, rem = kernel_K0_and_R(ctx, hs, x, y)
         dist2 = np.sum((x[:2] - y[:2]) ** 2)
         den = (dist2 + (x[2] - y[2]) ** 2) ** 1.5

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from helmdecomp import BoundaryFunction, PerturbedHalfSpace
 from helmdecomp.errors import NonDecayingInput, TooCloseToSurface
 from helmdecomp.kernels import KernelContext, poisson_kernel
-from helmdecomp.layers import (SurfaceQuadrature, abs_flux, apply_S,
-                               double_layer_Q, gauss_flux, grad_single_layer,
-                               single_layer, trace_S, trace_S_norms,
-                               trace_limit_Q)
+from helmdecomp.layers import (SurfaceQuadrature, apply_S, double_layer_Q, gauss_flux,
+                               grad_single_layer, trace_S, trace_limit_Q)
 from helmdecomp.sobolev import BoundaryDensity
+
+from reference import abs_flux, single_layer, surface_area, trace_S_norms
 
 
 def gauss_dens(extent, res, w=0.25):
@@ -30,7 +30,7 @@ class TestQuadratureBookkeeping:
             return np.sqrt(1 + np.sum(g * g)) * 2 * np.pi * r
 
         ref, _ = squad(integrand, 0, delta, limit=100)
-        ours = q.surface_area(delta)
+        ours = surface_area(q, delta)
         assert abs(ours - ref) < 1e-3 * ref
 
     def test_weights_positive(self, small_bump_quad):
@@ -328,3 +328,15 @@ class TestOperatorBatch:
             # matrix rows refine near-diagonal cells; compare against the
             # unrefined point value with a tolerance covering that gap
             assert abs(vals[idx] - ref) < 5e-4 * np.abs(g.values).max() + 1e-12
+
+    def test_flat_rows_match_pointwise(self, small_bump_quad, small_bump_hs):
+        # no F row is refined, so each row of S[F, B] is the unrefined
+        # pointwise trace at its node up to roundoff; every 8th F node
+        from helmdecomp.layers import _assemble_s_blocks
+
+        g = gauss_dens(2.0, 64, w=0.1)
+        vals = apply_S(small_bump_quad, small_bump_hs, g.values)
+        far = _assemble_s_blocks(small_bump_quad)[1][::8]
+        assert len(far) > 400
+        ref = [trace_S(small_bump_quad, g, small_bump_quad.nodes[j], refine=False) for j in far]
+        assert np.abs(vals[far] - ref).max() <= 1e-14 * np.abs(g.values).max()

@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdecomp.layers import (SurfaceQuadrature, abs_flux, apply_S,
-                               double_layer_Q, gauss_flux, grad_single_layer,
-                               poisson_smoothing_deficit, single_layer, trace_S,
+from helmdecomp.layers import (SurfaceQuadrature, apply_S, double_layer_Q, gauss_flux,
+                               grad_single_layer, poisson_smoothing_deficit, trace_S,
                                trace_limit_Q)
 from helmdecomp.sobolev import BoundaryDensity
+
+from reference import abs_flux, single_layer, surface_area
 
 PINNED = Path(__file__).parent / "data" / "layers_pinned.json"
 RTOL = 1e-12
@@ -134,7 +135,7 @@ def _trace_limit_Q(q):
 
 def _surface_area(q):
     for delta in (0.3, 0.8):
-        yield f"delta={delta}", q.surface_area(delta)
+        yield f"delta={delta}", surface_area(q, delta)
 
 
 OPERATORS = {

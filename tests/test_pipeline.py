@@ -229,7 +229,7 @@ class TestVolumePotential:
                       (gentle_hs, curved_case[2])):
             gq1 = volume_potential_grad(box_wall(hs, v.grid), v, rho=0.055)
             assert not gq1.data[:, ~v.inside_mask].any()
-            assert np.abs(gq1.inside_values()).max() > 0.0
+            assert np.abs(gq1.data[:, v.inside_mask]).max() > 0.0
 
     def test_whole_box_reconstruction(self, flat_hs, grad_field, flat_cfg, curved_plan_case):
         # for a field that is 0 off the mask, v = v0 + grad q1 + grad q2 on
@@ -375,8 +375,6 @@ class TestInsideValues:
         got = take_nodes(a, np.flatnonzero(mask))
         assert got.shape == (ncomp, mask.sum())
         assert np.array_equal(got, a[:, mask])
-        field = BoxField(BoxGrid((0.0,) * 3, (1.0,) * 3, (5, 6, 7)), a, mask)
-        assert np.array_equal(field.inside_values(), a[:, mask])
 
     def test_verify_reconstruction_error(self, flat_hs, grad_field, flat_cfg, curved_plan_case):
         # the gathered reconstruction error is the one on the whole box, taken inside
@@ -398,8 +396,7 @@ class TestNormalTrace:
         if sign:
             a = sign * np.abs(a)
         mask = rng.random((9, 8, 7)) < 0.4 if fill is None else np.full((9, 8, 7), fill)
-        w = BoxField(BoxGrid((0.0,) * 3, (1.0,) * 3, (9, 8, 7)), a, mask)
-        ref = float(np.abs(w.inside_values()).max()) if mask.any() else 0.0
+        ref = float(np.abs(a[:, mask]).max()) if mask.any() else 0.0
         assert pipeline._sup(a, mask) == ref
 
     def test_grad_d_gives_minus_one(self, gentle_hs):
@@ -1337,9 +1334,9 @@ def _v0_error(hs, field, n, res, height=None):
     grid = BoxGrid((-2.0, -2.0, -0.4), (2.0, 2.0, 3.6), (n, n, n))
     v = BoxField.sample(grid, hs, fn, ncomp=3)
     result = decompose(hs, v, PipelineConfig(rho=0.055, quad_extent=8.0, quad_res=res))
-    exact = v.inside_values() if field == "v_s" else 0.0
-    err = result.v0.inside_values() - exact
-    vals = v.inside_values()
+    vals = take_nodes(v.data, np.flatnonzero(v.inside_mask))
+    exact = vals if field == "v_s" else 0.0
+    err = take_nodes(result.v0.data, np.flatnonzero(result.v0.inside_mask)) - exact
     return (np.abs(err).max() / np.abs(vals).max(),
             np.sqrt(np.sum(err ** 2) / np.sum(vals ** 2)))
 
